@@ -3,8 +3,10 @@
 
 For seeded states, compares the direct invariants Z against the values from
 the base-point-aligned quasi-local reconstruction while doubling M_out, and
-prints one table row per cutoff.  The error floor is set by quadrature
-roundoff once the truncated tail of the A_m drops below machine precision.
+prints one table row per cutoff.  The A_m are one FFT of the substituted
+field Q = (R^{-1})' P o R^{-1}, so once the truncated tail of the A_m drops
+below machine precision the error floor is set by the FFT aliasing of Q on
+the grid (Q is smooth but not band-limited), not by quadrature roundoff.
 """
 
 import argparse

@@ -15,7 +15,8 @@ Library layout:
 
 __version__ = "0.1.0"
 
-from .errors import DegenerateFrame, GradientMismatch, LevelMismatch, NonMonotone
+from .errors import (DegenerateFrame, GradientMismatch, LevelMismatch, NonMonotone,
+                     NotConverged)
 from .phase_space import (DEFAULT_DECAY, DEFAULT_TENSION, FieldGrid,
                           LightlikeFrame, Metric, StringState, com_momentum,
                           default_frame, eta_dot, eval_field, minkowski,

@@ -11,6 +11,16 @@ DDF modes are its Fourier-like integrals
     A_m       = (1/sqrt(2 pi)) int P_-(sigma) e^{-i m R_-(sigma)} dsigma,
     tilde A_m = (1/sqrt(2 pi)) int P_+(sigma) e^{+i m R_+(sigma)} dsigma.
 
+With the paper's change of variables tau = R(sigma), each A_m is a uniform
+Fourier coefficient of the weight-one substituted field
+Q(tau) = (R^{-1})'(tau) P(R^{-1}(tau)):
+
+    A_m = (1/sqrt(2 pi)) int Q(tau) e^{-+ i m tau} dtau,
+
+so all modes |m| <= m_out come from one FFT of Q on the uniform tau-grid.
+Building Q (clock, Newton inversion, interpolation of the band-limited P)
+costs O(N M) and the FFT O(N log N), with no m_out x N work array.
+
 Quasi-local fields are recovered either by the mode sum over A_m or by the
 direct weight-one substitution through R^{-1}; the two agree up to mode
 truncation.
@@ -39,6 +49,7 @@ __all__ = [
     "ddf_invariant",
     "reconstruct_field",
     "reconstruct_field_direct",
+    "substitute",
     "ddfmodes_to_json",
     "ddfmodes_from_json",
 ]
@@ -168,10 +179,18 @@ def _zero_like(sig, rows):
 # DDF modes
 # ----------------------------------------------------------------------
 
-def _mode_integrals(state, frame, chirality, ms, n):
-    """Quadrature of (1/sqrt(2 pi)) int P e^{-+ i m R} dsigma for each m in ms."""
-    if n < 8 * max(state.truncation, max((abs(m) for m in ms), default=1)):
+def _check_grid(state, m_out, n):
+    if n < 8 * max(state.truncation, m_out, 1):
         raise ValueError("grid size must be >= 8*max(M, m_out) for the clock quadrature")
+
+
+def _mode_integrals(state, frame, chirality, ms, n):
+    """Quadrature of (1/sqrt(2 pi)) int P e^{-+ i m R} dsigma for each m in ms.
+
+    Costs O(len(ms) N); it serves the few-mode composite invariants, which
+    run under jets where one substitution per observable costs more.
+    """
+    _check_grid(state, max((abs(m) for m in ms), default=1), n)
     cmap = compute_R(state, frame, chirality, n)
     rvals = cmap.values()
     field = eval_field(state, chirality, n).values
@@ -187,11 +206,20 @@ def _row(v):
 
 def ddf_modes(state: StringState, frame: LightlikeFrame, chirality: str,
               m_out: int, n: int) -> DDFModes:
-    """All DDF modes |m| <= m_out of one chirality."""
+    """All DDF modes |m| <= m_out of one chirality.
+
+    A_m = (sqrt(2 pi)/n) fft(Q)[+-m mod n] for the substituted field Q of
+    :func:`substitute` (index +m for chirality "-", -m for "+"): the
+    uniform tau-grid quadrature of the tau = R(sigma) integral.  Cost
+    O(N log N + N M) time and O(N (M + D)) memory, independent of m_out.
+    """
     if m_out < 0:
         raise ValueError("m_out must be >= 0")
-    ms = range(-m_out, m_out + 1)
-    modes = _mode_integrals(state, frame, chirality, list(ms), n)
+    _check_grid(state, m_out, n)
+    spec = jz.fft(substitute(state, frame, chirality, n), axis=0)
+    orientation = +1 if chirality == "-" else -1
+    rows = (orientation * np.arange(-m_out, m_out + 1)) % n
+    modes = spec[rows] * (np.sqrt(TAU) / n)
     return DDFModes(chirality=chirality, m_max=m_out, modes=modes, k=frame.k)
 
 
@@ -256,16 +284,19 @@ def reconstruct_field(modes: DDFModes, n: int) -> FieldGrid:
     return FieldGrid(vals.real)
 
 
-def reconstruct_field_direct(state: StringState, frame: LightlikeFrame,
-                             chirality: str, n: int) -> FieldGrid:
-    """Direct substitution (R^{-1})'(sigma) * P(R^{-1}(sigma))."""
+def substitute(state: StringState, frame: LightlikeFrame, chirality: str, n: int):
+    """Weight-one substituted field Q = (R^{-1})' * P o R^{-1} on the n-grid, (n, D)."""
     cmap = compute_R(state, frame, chirality, n)
     inv = invert_monotone(cmap)
     field = eval_field(state, chirality, n).values
-    moved = trig_interpolate(field, inv.values())
-    moved = moved.real
-    out = moved * _col_like(inv.deriv, moved)
-    return FieldGrid(out)
+    moved = trig_interpolate(field, inv.values()).real
+    return moved * _col_like(inv.deriv, moved)
+
+
+def reconstruct_field_direct(state: StringState, frame: LightlikeFrame,
+                             chirality: str, n: int) -> FieldGrid:
+    """Direct substitution (R^{-1})'(sigma) * P(R^{-1}(sigma))."""
+    return FieldGrid(substitute(state, frame, chirality, n))
 
 
 def _col_like(w, ref):

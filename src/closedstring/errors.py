@@ -15,3 +15,7 @@ class LevelMismatch(ValueError):
 
 class GradientMismatch(RuntimeError):
     """Propagated and finite-difference gradients disagree beyond tolerance."""
+
+
+class NotConverged(RuntimeError):
+    """An iterative solver reached its iteration limit without meeting its tolerance."""

@@ -336,12 +336,12 @@ def run_suites(names, states, frame, params=None, tolerances=None, threads=None,
 
     def run(job):
         nm, idx, payload = job
-        t0 = time.perf_counter()
+        t0, c0 = time.perf_counter(), time.thread_time()
         out = SUITES[nm](payload, frame, params, tols)
         for r in out:
             r["suite"] = nm
             r["state_index"] = idx
-        return nm, time.perf_counter() - t0, out
+        return nm, (t0, time.perf_counter(), time.thread_time() - c0), out
 
     workers = threads or thread_count()
     if workers == 1:
@@ -350,10 +350,15 @@ def run_suites(names, states, frame, params=None, tolerances=None, threads=None,
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run, jobs))
 
-    timings, rows = {}, []
-    for nm, dt, out in results:
-        timings[nm] = timings.get(nm, 0.0) + dt
+    # per suite: wall_s spans its first job start to its last job end (jobs
+    # overlap across workers); cpu_s sums its jobs' worker-thread CPU time
+    spans, rows = {}, []
+    for nm, (t0, t1, cpu), out in results:
+        first, last, total = spans.get(nm, (t0, t1, 0.0))
+        spans[nm] = (min(first, t0), max(last, t1), total + cpu)
         rows.extend(out)
+    timings = {nm: {"wall_s": t1 - t0, "cpu_s": cpu}
+               for nm, (t0, t1, cpu) in sorted(spans.items())}
     rows.sort(key=lambda r: (r["suite"], r["state_index"], r["name"]))
     return {
         "tool": "closedstring",
@@ -369,7 +374,7 @@ def run_suites(names, states, frame, params=None, tolerances=None, threads=None,
         },
         "rows": rows,
         "pass": all(r["pass"] for r in rows),
-        "timings": {k: round(v, 4) for k, v in sorted(timings.items())},
+        "timings": timings,
     }
 
 

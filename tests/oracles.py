@@ -2,8 +2,10 @@
 
 These share no machinery with the production paths they check: iterated
 integrals are integrated in closed form over Fourier-mode tuples
-(sigma^a e^{i b sigma} primitives, exact for band-limited samples), and
-Virasoro modes come straight from the oscillator bilinears.
+(sigma^a e^{i b sigma} primitives, exact for band-limited samples),
+Virasoro modes come straight from the oscillator bilinears, and DDF modes
+are a dense sigma-grid quadrature against e^{-+ i m R(sigma)}, with no clock
+inversion and no FFT of the substituted field.
 """
 
 import numpy as np
@@ -84,6 +86,23 @@ def virasoro_mode_direct(state, chirality, m):
         if -mm <= k <= mm:
             total += 0.5 * np.sum(eta * full[mm + j] * full[mm + k])
     return total
+
+
+def ddf_modes_quadrature(state, frame, chirality, m_out, n):
+    """DDF modes |m| <= m_out, rows m = -m_out..m_out, by dense quadrature.
+
+    (1/sqrt(2 pi)) (2 pi/n) sum_j P(sigma_j) e^{-+ i m R(sigma_j)} through a
+    (2 m_out + 1) x n exponential matrix: O(n m_out) time and memory.
+    """
+    from closedstring.ddf import compute_R
+    from closedstring.phase_space import eval_field
+
+    rvals = compute_R(state, frame, chirality, n).values()
+    field = eval_field(state, chirality, n).values
+    sign = -1.0 if chirality == "-" else 1.0
+    ms = np.arange(-m_out, m_out + 1, dtype=float)
+    weights = np.exp(sign * 1j * np.multiply.outer(ms, rvals))
+    return (weights @ field) * (TAU / n) / np.sqrt(TAU)
 
 
 def antiderivative_quad(f, sigma_values, mean):

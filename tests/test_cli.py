@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 
@@ -153,3 +154,18 @@ def test_verify_thread_count_independence(tmp_path):
         doc.pop("timings")
         reports.append(doc)
     assert reports[0] == reports[1]
+
+
+def test_verify_suite_timings_are_wall_and_cpu():
+    from closedstring.verify import run_suites
+
+    frame = cs.default_frame(4)
+    states = [cs.random_state(4, 8, seed=s, frame=frame) for s in (1, 2, 3, 4)]
+    t0 = time.perf_counter()
+    report = run_suites(["periodicity", "reality"], states, frame,
+                        params={"n": 1024}, threads=2)
+    wall = time.perf_counter() - t0
+    assert set(report["timings"]) == {"periodicity", "reality"}
+    for t in report["timings"].values():
+        assert 0.0 <= t["wall_s"] <= wall
+        assert t["cpu_s"] >= 0.0

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 import closedstring as cs
 from closedstring.errors import DegenerateFrame, LevelMismatch, NonMonotone
 from closedstring.numerics import TAU, grid_sigma, trig_interpolate
+from oracles import ddf_modes_quadrature
 
 
 def zero_osc_state(p, x):
@@ -87,6 +89,14 @@ def test_clock_inverse_round_trips(state_bank, frame4, ddf_bank):
     assert np.max(np.abs(back - grid_sigma(4096))) < 1e-10
 
 
+def test_clock_inverse_converges_quadratically(ddf_bank):
+    # bracketed Newton needs 4-10 iterations on default clocks; a safeguard
+    # that bisects converged points degrades this to ~50 linear halvings
+    for entry in ddf_bank[:3]:
+        for chir in ("-", "+"):
+            cs.invert_monotone(entry[chir]["clock"], max_iter=12)
+
+
 def test_clock_degenerate_frame(frame4):
     state = zero_osc_state([1.0, 1.0, 0.0, 0.0], np.zeros(4))  # eta(k, p) = 0
     with pytest.raises(DegenerateFrame):
@@ -138,6 +148,26 @@ def test_ddf_modes_quadrature_convergence(state_bank, ddf_bank, frame4):
     a = ddf_bank[0]["-"]["modes"].modes
     b = cs.ddf_modes(state, frame4, "-", 512, 8192).modes
     assert np.max(np.abs(a - b)) < 1e-11
+
+
+@pytest.mark.parametrize("n,m_out", [(1024, 128), (4096, 512)])
+def test_ddf_modes_match_dense_quadrature(state_bank, frame4, n, m_out):
+    for state in state_bank[:3]:
+        for chir in ("-", "+"):
+            got = cs.ddf_modes(state, frame4, chir, m_out, n).modes
+            ref = ddf_modes_quadrature(state, frame4, chir, m_out, n)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_ddf_modes_memory_bound(state_bank, frame4):
+    # a (2 m_out + 1) x N exponential matrix alone would take 256 MiB here
+    tracemalloc.start()
+    try:
+        cs.ddf_modes(state_bank[0], frame4, "-", 1024, 8192)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
 
 
 def test_ddf_modes_grid_guard(state_bank, frame4):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from closedstring.errors import NonMonotone
+from closedstring.errors import NonMonotone, NotConverged
 from closedstring.numerics import (TAU, ModeVector, MonotoneCircleMap,
                                    grid_sigma, grid_to_modes, invert_monotone,
                                    modes_to_grid, periodic_antiderivative,
@@ -178,6 +178,13 @@ def test_invert_sine_round_trip():
     # derivative identity (R^-1)' * R' o R^-1 = 1
     rp = trig_interpolate(cmap.deriv, inv.values()).real
     assert np.max(np.abs(inv.deriv * rp - 1.0)) < 1e-9
+
+
+def test_invert_raises_when_not_converged():
+    sig = grid_sigma(256)
+    cmap = MonotoneCircleMap(periodic=0.3 * np.sin(sig), deriv=1 + 0.3 * np.cos(sig))
+    with pytest.raises(NotConverged):
+        invert_monotone(cmap, max_iter=1)
 
 
 def test_invert_rejects_non_monotone():

@@ -122,15 +122,16 @@ def test_gradient_check_contract(state, chart):
 def test_gradient_through_monotone_inversion(state, chart, frame4):
     # direct-substitution reconstruction goes through invert_monotone;
     # its gradient uses the implicit-function relation
-    def fn(st_):
-        grid = cs.reconstruct_field_direct(st_, frame4, "-", 128)
-        return grid.values[5, 1]
+    for n in (128, 512):
+        def fn(st_, n=n):
+            grid = cs.reconstruct_field_direct(st_, frame4, "-", n)
+            return grid.values[5, 1]
 
-    obs = Observable(name="P^R[5,1]", fn=fn)
-    g = gradient(obs, state, chart, check=False)
-    fd = finite_difference_gradient(obs, state, chart, step=1e-6)
-    scale = max(np.max(np.abs(g)), 1e-12)
-    assert np.max(np.abs(g - fd)) < 1e-5 * scale
+        obs = Observable(name=f"P^R[5,1] n={n}", fn=fn)
+        g = gradient(obs, state, chart, check=False)
+        fd = finite_difference_gradient(obs, state, chart, step=1e-6)
+        scale = max(np.max(np.abs(g)), 1e-12)
+        assert np.max(np.abs(g - fd)) < 1e-5 * scale
 
 
 # ----------------------------------------------------------------------
