@@ -18,14 +18,13 @@ __version__ = "0.1.0"
 from .errors import (DegenerateFrame, GradientMismatch, LevelMismatch, NonMonotone,
                      NotConverged)
 from .phase_space import (DEFAULT_DECAY, DEFAULT_TENSION, FieldGrid,
-                          LightlikeFrame, Metric, StringState, com_momentum,
+                          LightlikeFrame, StringState, com_momentum,
                           default_frame, eta_dot, eval_field, minkowski,
                           position_field, random_state, state_from_json,
                           state_to_json, virasoro_density)
-from .numerics import (TAU, ModeVector, MonotoneCircleMap, grid_sigma,
-                       grid_to_modes, invert_monotone, modes_to_grid,
-                       periodic_antiderivative, simplex_iterated_integral,
-                       trig_interpolate)
+from .numerics import (TAU, MonotoneCircleMap, grid_sigma, grid_to_modes,
+                       invert_monotone, modes_to_grid, periodic_antiderivative,
+                       real_modes, simplex_iterated_integral, trig_interpolate)
 from .ddf import (DDFInvariantSpec, DDFModes, compute_R, ddf_invariant,
                   ddf_modes, ddfmodes_from_json, ddfmodes_to_json,
                   reconstruct_field, reconstruct_field_direct,

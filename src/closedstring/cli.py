@@ -18,7 +18,7 @@ from . import __version__
 from .ddf import ddf_modes, ddfmodes_to_json, compute_R
 from .errors import DegenerateFrame, LevelMismatch, NonMonotone
 from .phase_space import (DEFAULT_DECAY, DEFAULT_TENSION, LightlikeFrame,
-                          eval_field, random_state, state_from_json,
+                          default_frame, eval_field, random_state, state_from_json,
                           state_to_json, virasoro_density)
 from .pohlmeyer import InvariantSpec, pohlmeyer_invariant, pohlmeyer_via_ddf
 from .poisson import bracket as poisson_bracket
@@ -33,11 +33,11 @@ EXIT_DEGENERATE = 3
 
 def _parse_frame(text, dim):
     if text is None:
-        k = np.zeros(dim)
-        k[0] = k[1] = 1.0
-        return LightlikeFrame(k)
-    parts = [float(v) for v in text.split(",")]
-    return LightlikeFrame(np.asarray(parts))
+        return default_frame(dim)
+    frame = LightlikeFrame(np.asarray([float(v) for v in text.split(",")]))
+    if frame.k.shape[0] != dim:
+        raise ValueError(f"frame has dimension {frame.k.shape[0]}, state has {dim}")
+    return frame
 
 
 def _load_state(path):

@@ -35,9 +35,10 @@ import numpy as np
 
 from . import jets as jz
 from .errors import DegenerateFrame, LevelMismatch, NonMonotone
-from .numerics import (TAU, MonotoneCircleMap, grid_sigma, invert_monotone,
-                       is_power_of_two, trig_interpolate)
-from .phase_space import FieldGrid, LightlikeFrame, StringState, eta_dot, eval_field
+from .numerics import (TAU, MonotoneCircleMap, grid_to_modes, invert_monotone,
+                       modes_to_grid, real_modes, trig_interpolate)
+from .phase_space import (FieldGrid, LightlikeFrame, StringState, _grid_guard, _real_field,
+                          eta_dot, eval_field)
 
 __all__ = [
     "DDFModes",
@@ -131,48 +132,24 @@ def compute_R(state: StringState, frame: LightlikeFrame, chirality: str, n: int,
               require_monotone: bool = True) -> MonotoneCircleMap:
     """The clock R_chir on the n-grid, with its derivative samples.
 
-    The derivative comes from the independent mode formula
-    R' = (2 pi sqrt(2T)/k.p) k.P_chir rather than from differentiating the
-    samples; the two agree spectrally and are cross-checked in tests.
+    rho = R - sigma and R' = (2 pi sqrt(2T)/k.p) k.P_chir both come from
+    their modes through :func:`~closedstring.numerics.modes_to_grid`, not
+    from differentiating samples; the two agree spectrally and are
+    cross-checked in tests.
     """
-    if not is_power_of_two(n):
-        raise ValueError("grid size must be a power of two")
-    if n < 4 * state.truncation:
-        raise ValueError(f"grid size {n} < 4M")
+    _grid_guard(state, n)
     kp = _kp(state, frame)
-    phi0 = zero_mode_phase(state, frame)
-    rows = state.modes(chirality)
-    kdot = _k_dot_rows(rows, frame.k)
-    root = np.sqrt(2.0 * TAU * state.tension)  # sqrt(4 pi T)
-    sig = grid_sigma(n)
-
     orientation = +1 if chirality == "-" else -1
-    sign_phi = -1.0 if chirality == "-" else +1.0
-    m_max = jz.value(rows).shape[0]
-
-    rho = sign_phi * phi0 + _zero_like(sig, rows)
-    drv = 1.0 + _zero_like(sig, rows)
-    for m in range(1, m_max + 1):
-        phase = np.exp(1j * orientation * m * sig)
-        coeff = sign_phi * 1j * root * kdot[m - 1] / (m * kp)
-        rho = rho + 2.0 * (coeff * phase).real
-        drv = drv + 2.0 * ((root * kdot[m - 1] / kp) * phase).real
-    cmap = MonotoneCircleMap(periodic=rho, deriv=drv)
+    rows = state.modes(chirality)
+    drows = eta_dot(rows, frame.k) * (np.sqrt(2.0 * TAU * state.tension) / kp)
+    ms = np.arange(1, jz.value(rows).shape[0] + 1)
+    rho = modes_to_grid(real_modes(-orientation * zero_mode_phase(state, frame),
+                                   drows * (-orientation * 1j / ms)), n, orientation)
+    drv = modes_to_grid(real_modes(1.0, drows), n, orientation)
+    cmap = MonotoneCircleMap(periodic=rho.real, deriv=drv.real)
     if require_monotone and cmap.min_deriv() <= 0.0:
         raise NonMonotone(f"min R' = {cmap.min_deriv():.3e} <= 0 for chirality {chirality}")
     return cmap
-
-
-def _k_dot_rows(rows, k):
-    signs = np.ones(k.shape[0])
-    signs[0] = -1.0
-    return rows @ (k * signs)
-
-
-def _zero_like(sig, rows):
-    if isinstance(rows, jz.Jet):
-        return jz.Jet(np.zeros_like(sig), np.zeros(sig.shape + (rows.tan.shape[-1],)))
-    return np.zeros_like(sig)
 
 
 # ----------------------------------------------------------------------
@@ -196,30 +173,25 @@ def _mode_integrals(state, frame, chirality, ms, n):
     field = eval_field(state, chirality, n).values
     sign = -1.0 if chirality == "-" else +1.0
     marr = np.asarray(ms, float)
-    weights = np.exp(sign * 1j * marr[:, None] * _row(rvals))
+    weights = np.exp(sign * 1j * marr[:, None] * rvals[None, :])
     return (weights @ field) * (TAU / n) / np.sqrt(TAU)
-
-
-def _row(v):
-    return v[None, :] if not isinstance(v, jz.Jet) else jz.Jet(v.val[None, :], v.tan[None, :, :])
 
 
 def ddf_modes(state: StringState, frame: LightlikeFrame, chirality: str,
               m_out: int, n: int) -> DDFModes:
     """All DDF modes |m| <= m_out of one chirality.
 
-    A_m = (sqrt(2 pi)/n) fft(Q)[+-m mod n] for the substituted field Q of
-    :func:`substitute` (index +m for chirality "-", -m for "+"): the
+    A_m = sqrt(2 pi) c_m, with c_m the :func:`~closedstring.numerics.grid_to_modes`
+    coefficients of the substituted field Q of :func:`substitute`
+    (orientation +1 for chirality "-", -1 for "+"): the
     uniform tau-grid quadrature of the tau = R(sigma) integral.  Cost
     O(N log N + N M) time and O(N (M + D)) memory, independent of m_out.
     """
     if m_out < 0:
         raise ValueError("m_out must be >= 0")
     _check_grid(state, m_out, n)
-    spec = jz.fft(substitute(state, frame, chirality, n), axis=0)
     orientation = +1 if chirality == "-" else -1
-    rows = (orientation * np.arange(-m_out, m_out + 1)) % n
-    modes = spec[rows] * (np.sqrt(TAU) / n)
+    modes = grid_to_modes(substitute(state, frame, chirality, n), m_out, orientation) * np.sqrt(TAU)
     return DDFModes(chirality=chirality, m_max=m_out, modes=modes, k=frame.k)
 
 
@@ -227,13 +199,9 @@ def strip_zero_mode(modes: DDFModes, state: StringState, frame: LightlikeFrame) 
     """Remove the k.x phase: a_m = A_m e^{-i m phi0} (x-independent by construction)."""
     phi0 = zero_mode_phase(state, frame)
     ms = np.arange(-modes.m_max, modes.m_max + 1, dtype=float)
-    phases = np.exp(-1j * _col(ms) * phi0)
+    phases = np.exp(-1j * ms[:, None] * phi0)
     return DDFModes(chirality=modes.chirality, m_max=modes.m_max,
                     modes=modes.modes * phases, k=modes.k)
-
-
-def _col(ms):
-    return ms[:, None]
 
 
 def ddf_invariant(state: StringState, frame: LightlikeFrame, spec: DDFInvariantSpec,
@@ -266,22 +234,8 @@ def ddf_invariant(state: StringState, frame: LightlikeFrame, spec: DDFInvariantS
 
 def reconstruct_field(modes: DDFModes, n: int) -> FieldGrid:
     """Mode-sum quasi-local field, (1/sqrt(2 pi)) sum_m A_m e^{+-i m sigma}."""
-    if modes.m_max > n // 2 - 1:
-        raise ValueError("m_max exceeds n/2 - 1")
-    if not is_power_of_two(n):
-        raise ValueError("grid size must be a power of two")
     orientation = +1 if modes.chirality == "-" else -1
-    dim = modes.dim
-    spec = jz.zeros((n, dim), jz.seed_count(modes.modes)) if isinstance(modes.modes, jz.Jet) \
-        else np.zeros((n, dim), np.complex128)
-    for m in range(-modes.m_max, modes.m_max + 1):
-        spec[(orientation * m) % n] = modes.mode(m)
-    vals = jz.ifft(spec, axis=0) * (n / np.sqrt(TAU))
-    v = jz.value(vals)
-    resid = float(np.max(np.abs(v.imag)))
-    if resid > 1e-8 * max(float(np.max(np.abs(v.real))), 1e-300):
-        raise ValueError(f"reconstructed field has non-real residue {resid:.3e}")
-    return FieldGrid(vals.real)
+    return _real_field(modes_to_grid(modes.modes, n, orientation), 1e-8, "reconstructed field")
 
 
 def substitute(state: StringState, frame: LightlikeFrame, chirality: str, n: int):
@@ -290,19 +244,13 @@ def substitute(state: StringState, frame: LightlikeFrame, chirality: str, n: int
     inv = invert_monotone(cmap)
     field = eval_field(state, chirality, n).values
     moved = trig_interpolate(field, inv.values()).real
-    return moved * _col_like(inv.deriv, moved)
+    return moved * inv.deriv[:, None]
 
 
 def reconstruct_field_direct(state: StringState, frame: LightlikeFrame,
                              chirality: str, n: int) -> FieldGrid:
     """Direct substitution (R^{-1})'(sigma) * P(R^{-1}(sigma))."""
     return FieldGrid(substitute(state, frame, chirality, n))
-
-
-def _col_like(w, ref):
-    if jz.value(ref).ndim == 1:
-        return w
-    return w[:, None] if not isinstance(w, jz.Jet) else jz.Jet(w.val[:, None], w.tan[:, None, :])
 
 
 # ----------------------------------------------------------------------

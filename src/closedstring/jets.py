@@ -6,7 +6,8 @@ tangent axis of length ``S``.  Arithmetic applies the chain rule, and the
 ufuncs used by the evaluation pipelines dispatch through
 ``__array_ufunc__``, so code written against plain ndarrays mostly runs
 unchanged on Jets.  Supported surface: + - * /, unary minus, conjugation,
-exp, @, basic indexing, ``sum``/``mean``, and the FFT helpers below.
+exp, @, basic indexing, ``sum``/``mean``, and the FFT and concatenation
+helpers below.
 Anything else is deliberately unsupported.
 """
 
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Jet", "value", "seed_count", "zeros", "fft", "ifft"]
+__all__ = ["Jet", "value", "seed_count", "zeros", "concatenate", "fft", "ifft"]
 
 
 def value(x):
@@ -241,6 +242,17 @@ def zeros(shape, seeds, dtype=np.complex128):
     if isinstance(shape, int):
         shape = (shape,)
     return Jet(np.zeros(shape, dtype), np.zeros(shape + (seeds,), dtype))
+
+
+def concatenate(parts, axis=0):
+    """np.concatenate over value axes; plain parts join with zero tangents."""
+    seeds = max(seed_count(p) for p in parts)
+    if not seeds:
+        return np.concatenate(parts, axis=axis)
+    vals = [np.asarray(value(p)) for p in parts]
+    tans = [p.tan if isinstance(p, Jet) else np.zeros(v.shape + (seeds,)) for p, v in zip(parts, vals)]
+    ax = axis % vals[0].ndim
+    return Jet(np.concatenate(vals, axis=ax), np.concatenate(tans, axis=ax))
 
 
 def fft(x, axis=0):

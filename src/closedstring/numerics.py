@@ -1,7 +1,10 @@
 """Spectral primitives shared by every module.
 
-Everything lives on the uniform periodic grid sigma_j = 2*pi*j/N.  The
-workhorses are the FFT-based mode/grid transforms, a spectrally accurate
+Everything lives on the uniform periodic grid sigma_j = 2*pi*j/N, and every
+field is a real trigonometric polynomial given by its modes.  The
+workhorses are the one mode/grid transform pair (:func:`modes_to_grid`,
+:func:`grid_to_modes`, with :func:`real_modes` assembling a real series),
+the trigonometric interpolant at off-grid points, a spectrally accurate
 periodic antiderivative, nested simplex (iterated) integration with
 explicit sigma-polynomial bookkeeping, and safeguarded inversion of
 monotone degree-one circle maps.  All functions accept plain ndarrays or
@@ -23,7 +26,7 @@ __all__ = [
     "TAU",
     "grid_sigma",
     "is_power_of_two",
-    "ModeVector",
+    "real_modes",
     "modes_to_grid",
     "grid_to_modes",
     "periodic_antiderivative",
@@ -54,67 +57,45 @@ def _int_freqs(n, ndim=1):
 # mode <-> grid transforms
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ModeVector:
-    """Coefficients c_m for |m| <= k_max of sum_m c_m e^{orientation*i*m*sigma}.
+def real_modes(c0, rows):
+    """Two-sided coefficients [conj(rows[::-1]), c0, rows] for m = -k..k.
 
-    ``coeffs`` is indexed m = -k_max..k_max (offset by k_max); trailing axes
-    are carried through untouched.
+    ``rows[m-1]`` holds c_m for m = 1..k; c_{-m} = conj(c_m) makes the series
+    real.  ``c0`` has the shape of one row.
     """
-
-    coeffs: np.ndarray
-    orientation: int = +1
-
-    def __post_init__(self):
-        if self.orientation not in (+1, -1):
-            raise ValueError("orientation must be +1 or -1")
-        if jz.value(self.coeffs).shape[0] % 2 != 1:
-            raise ValueError("coeffs must cover m = -k..k (odd first axis)")
-
-    @property
-    def k_max(self):
-        return (jz.value(self.coeffs).shape[0] - 1) // 2
-
-    def coeff(self, m):
-        return self.coeffs[m + self.k_max]
+    c0 = c0 if isinstance(c0, jz.Jet) else np.asarray(c0)
+    return jz.concatenate([np.conj(rows[::-1]), c0[None], rows])
 
 
-def modes_to_grid(modes: ModeVector, n: int):
-    """Evaluate the trigonometric polynomial on the n-grid (exact)."""
-    k = modes.k_max
+def modes_to_grid(coeffs, n: int, orientation: int = +1):
+    """Samples of sum_{|m|<=k} c_m e^{orientation*i*m*sigma} on the n-grid (exact).
+
+    ``coeffs`` is indexed m = -k..k along axis 0 (offset by k); trailing axes
+    are carried through.  One scatter and one unscaled DFT: the forward FFT
+    of the spectrum placed at index -orientation*m mod n.
+    """
+    if orientation not in (+1, -1):
+        raise ValueError("orientation must be +1 or -1")
+    shape = jz.value(coeffs).shape
+    k = (shape[0] - 1) // 2
+    if shape[0] != 2 * k + 1:
+        raise ValueError("coeffs must cover m = -k..k (odd first axis)")
     if n < 2 * k + 2:
         raise ValueError(f"grid size {n} too small for bandwidth {k}")
     if not is_power_of_two(n):
         raise ValueError("grid size must be a power of two")
-    trailing = jz.value(modes.coeffs).shape[1:]
-    spec = _empty_spectrum((n,) + trailing, modes.coeffs)
-    for m in range(-k, k + 1):
-        spec[(modes.orientation * m) % n] = modes.coeff(m)
-    return jz.ifft(spec, axis=0) * n
+    seeds = jz.seed_count(coeffs)
+    spec = jz.zeros((n,) + shape[1:], seeds) if seeds else np.zeros((n,) + shape[1:], np.complex128)
+    spec[(-orientation * np.arange(-k, k + 1)) % n] = coeffs
+    return jz.fft(spec, axis=0)
 
 
-def grid_to_modes(grid, k_max: int, orientation: int = +1) -> ModeVector:
-    """Fourier coefficients c_m = (1/n) sum_j grid_j e^{-orientation*i*m*sigma_j}."""
-    g = grid
-    n = jz.value(g).shape[0]
+def grid_to_modes(grid, k_max: int, orientation: int = +1):
+    """Coefficients c_m = (1/n) sum_j grid_j e^{-orientation*i*m*sigma_j}, m = -k_max..k_max."""
+    n = jz.value(grid).shape[0]
     if k_max > n // 2 - 1:
         raise ValueError(f"k_max {k_max} exceeds n/2 - 1 for n = {n}")
-    spec = jz.fft(g, axis=0) / n
-    rows = [spec[(orientation * m) % n] for m in range(-k_max, k_max + 1)]
-    coeffs = _stack_rows(rows)
-    return ModeVector(coeffs, orientation)
-
-
-def _empty_spectrum(shape, ref):
-    if isinstance(ref, jz.Jet):
-        return jz.zeros(shape, ref.tan.shape[-1])
-    return np.zeros(shape, np.complex128)
-
-
-def _stack_rows(rows):
-    if isinstance(rows[0], jz.Jet):
-        return jz.Jet(np.stack([r.val for r in rows]), np.stack([r.tan for r in rows]))
-    return np.stack(rows)
+    return jz.fft(grid, axis=0)[(orientation * np.arange(-k_max, k_max + 1)) % n] / n
 
 
 # ----------------------------------------------------------------------
@@ -275,37 +256,50 @@ class MonotoneCircleMap:
         return float(np.min(jz.value(self.deriv).real))
 
 
-def trig_interpolate(samples, points, prune=1e-15):
-    """Evaluate the trigonometric interpolant of periodic samples at points.
+def _pruned_spectrum(samples, rel):
+    """Frequencies and coefficients c_m = fft/n of periodic samples, pruned.
 
-    Modes with |c_m| below ``prune`` times the largest coefficient are
-    dropped; exact (to roundoff) for band-limited data.
+    A frequency is dropped when its coefficients, in the value and in every
+    tangent seed, are all below ``rel`` times the largest.  ``freqs`` is
+    shaped to broadcast against ``coeffs``.
     """
     n = jz.value(samples).shape[0]
-    spec = jz.fft(samples, axis=0) / n
-    specv = jz.value(spec)
-    mags = np.abs(specv).reshape(n, -1).max(axis=1)
-    keep = mags > prune * max(mags.max(), 1e-300)
-    freqs = _int_freqs(n)[keep]
-    coeffs = spec[keep]
-    if isinstance(points, jz.Jet) or isinstance(coeffs, jz.Jet):
-        out = np.zeros(jz.value(points).shape + jz.value(spec).shape[1:], complex)
-        for i, f in enumerate(freqs):
-            phase = np.exp(1j * float(f) * points)
-            term = coeffs[i] * phase if jz.value(coeffs[i]).ndim == 0 else _outer(phase, coeffs[i])
-            out = out + term
-        return out
-    basis = np.exp(1j * np.multiply.outer(np.asarray(points, float), freqs.astype(float)))
-    return basis @ coeffs
+    spec = jz.fft(samples, axis=0)
+    keep = _significant(jz.value(spec), rel)
+    if isinstance(spec, jz.Jet):
+        keep |= _significant(spec.tan, rel)
+    freqs = _int_freqs(n, jz.value(spec).ndim)[keep].astype(float)
+    return freqs, spec[keep] / n
 
 
-def _outer(phase, row):
-    # phase: (P,) jet/array; row: trailing-shaped coefficient
-    nd = jz.value(row).ndim
-    p = phase
-    for _ in range(nd):
-        p = p[..., None] if not isinstance(p, jz.Jet) else jz.Jet(p.val[..., None], p.tan[..., None, :])
-    return p * row
+def _significant(spec, rel):
+    mags = np.abs(spec).reshape(spec.shape[0], -1).max(axis=1)
+    return mags > rel * max(mags.max(), 1e-300)
+
+
+def _basis(points, freqs):
+    """e^{i m s} for plain points s (rows) and frequencies m (columns)."""
+    return np.exp(1j * np.multiply.outer(np.asarray(points, float), freqs.ravel()))
+
+
+def trig_interpolate(samples, points):
+    """Evaluate the trigonometric interpolant of periodic samples at points.
+
+    Modes with |c_m| below 1e-15 of the largest coefficient are dropped;
+    exact (to roundoff) for band-limited data.  Jet samples carry their
+    tangents through the coefficients; Jet points add the chain-rule term
+    f'(s) ds, so no (points, modes, seeds) array is formed.
+    """
+    freqs, coeffs = _pruned_spectrum(samples, 1e-15)
+    s = jz.value(points)
+    basis = _basis(s, freqs)
+    out = basis @ coeffs
+    if isinstance(points, jz.Jet):
+        # first order in the points: f(s + ds) = f(s) + f'(s) ds
+        slope = basis @ (1j * freqs * jz.value(coeffs))
+        ds = points.tan.reshape(s.shape + (1,) * (slope.ndim - 1) + points.tan.shape[-1:])
+        out = out + jz.Jet(np.zeros_like(slope), slope[..., None] * ds)
+    return out
 
 
 def invert_monotone(cmap: MonotoneCircleMap, tol=1e-13, max_iter=60):
@@ -327,15 +321,10 @@ def invert_monotone(cmap: MonotoneCircleMap, tol=1e-13, max_iter=60):
     sigma = grid_sigma(n)
     rho_v = jz.value(cmap.periodic)
 
-    spec = np.fft.fft(rho_v) / n
-    mags = np.abs(spec)
-    keep = mags > 1e-16 * max(mags.max(), 1e-300)
-    keep[0] = True
-    freqs = _int_freqs(n)[keep].astype(float)
-    coeffs = spec[keep]
+    freqs, coeffs = _pruned_spectrum(rho_v, 1e-16)
 
     def rho_and_drho(s):
-        basis = np.exp(1j * np.multiply.outer(s, freqs))
+        basis = _basis(s, freqs)
         return (basis @ coeffs).real, (basis @ (1j * freqs * coeffs)).real
 
     # the continuum extrema of rho can overshoot the grid extrema between
@@ -362,29 +351,13 @@ def invert_monotone(cmap: MonotoneCircleMap, tol=1e-13, max_iter=60):
         raise NotConverged(f"monotone inversion: last step {moved:.3e} > tol {tol:.1e} "
                            f"after {max_iter} iterations")
 
+    rp = trig_interpolate(jz.value(cmap.deriv), s).real
     if isinstance(cmap.periodic, jz.Jet):
         # implicit differentiation through the fixed point:
         # dR^{-1} = -(d rho)(R^{-1}) / R'(R^{-1})
-        drho_tan = _eval_tangent(cmap.periodic.tan, n, s)
-        rp = trig_interpolate(cmap.deriv, s)  # Jet if deriv is a Jet
-        rp_val = jz.value(rp).real
-        s_jet = jz.Jet(s, -drho_tan / rp_val[..., None])
+        drho = trig_interpolate(cmap.periodic, s)
+        s_jet = jz.Jet(s, -drho.tan.real / rp[..., None])
         inv_deriv = 1.0 / trig_interpolate(cmap.deriv, s_jet)
         return MonotoneCircleMap(periodic=s_jet - sigma, deriv=inv_deriv.real)
-
-    rp = trig_interpolate(jz.value(cmap.deriv), s).real
     return MonotoneCircleMap(periodic=s - sigma, deriv=1.0 / rp)
 
-
-def _eval_tangent(tan, n, points):
-    """Trig-interpolate each tangent seed of a periodic grid at points.
-
-    Frequencies where every seed's coefficient is below 1e-16 of the largest
-    are dropped, as in the value branch of :func:`invert_monotone`.
-    """
-    spec = np.fft.fft(tan, axis=0) / n
-    mags = np.abs(spec).max(axis=1)
-    keep = mags > 1e-16 * max(mags.max(), 1e-300)
-    freqs = _int_freqs(n)[keep].astype(float)
-    basis = np.exp(1j * np.multiply.outer(points, freqs))
-    return (basis @ spec[keep]).real

@@ -20,16 +20,17 @@ import numpy as np
 
 from . import jets as jz
 from .errors import DegenerateFrame
-from .numerics import TAU, grid_sigma, is_power_of_two, periodic_antiderivative
+from .numerics import (TAU, grid_sigma, is_power_of_two, modes_to_grid,
+                       periodic_antiderivative, real_modes)
 
 DEFAULT_TENSION = 1.0 / TAU  # alpha' = 1
+_INV_SQRT_TAU = 1.0 / np.sqrt(TAU)
 DEFAULT_DECAY = 0.7
 CHIRALITIES = ("+", "-")
 
 __all__ = [
     "DEFAULT_TENSION",
     "DEFAULT_DECAY",
-    "Metric",
     "minkowski",
     "eta_dot",
     "LightlikeFrame",
@@ -49,19 +50,6 @@ __all__ = [
 # ----------------------------------------------------------------------
 # metric
 # ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Metric:
-    """Minkowski metric diag(-1, +1, ..., +1); all contractions use it."""
-
-    dim: int
-
-    @property
-    def signs(self):
-        s = np.ones(self.dim)
-        s[0] = -1.0
-        return s
-
 
 def minkowski(dim: int) -> np.ndarray:
     """Sign vector of diag(-1, +1, ..., +1)."""
@@ -216,21 +204,16 @@ def random_state(dim, truncation, seed, *, decay=DEFAULT_DECAY, frame=None,
     left = (rng.standard_normal((truncation, dim)) + 1j * rng.standard_normal((truncation, dim))) * std[:, None]
     right = (rng.standard_normal((truncation, dim)) + 1j * rng.standard_normal((truncation, dim))) * std[:, None]
 
-    # R'_- = 1 + (sqrt(4 pi T)/k.p) sum_{m!=0} (k.alpha_m) e^{i m sigma}, same
-    # structure for +; one global oscillator rescale enforces the margin.
-    n_fine = max(4096, 64 * truncation)
-    sig = grid_sigma(n_fine)
-    coef = np.sqrt(2.0 * TAU * tension) / kp
-    worst = 0.0
-    for mode_rows in (left, right):
-        kdot = (mode_rows * minkowski(dim)) @ k
-        osc = np.zeros(n_fine)
-        for m in range(1, truncation + 1):
-            osc += 2.0 * np.real(coef * kdot[m - 1] * np.exp(1j * m * sig))
-        worst = max(worst, float(-osc.min()))
+    # one global oscillator rescale enforces the margin on both clocks R'
+    from .ddf import compute_R
+
+    draw = StringState(dim=dim, tension=tension, truncation=truncation,
+                       x=x, p=p, left=left, right=right)
+    n_fine = max(4096, 1 << (64 * truncation - 1).bit_length())
+    worst = max(1.0 - compute_R(draw, frame, chir, n_fine, require_monotone=False).min_deriv()
+                for chir in CHIRALITIES)
     scale = 1.0 if worst <= (1.0 - margin) else (1.0 - margin) / worst
-    return StringState(dim=dim, tension=tension, truncation=truncation,
-                       x=x, p=p, left=left * scale, right=right * scale)
+    return draw.replace(left=left * scale, right=right * scale)
 
 
 # ----------------------------------------------------------------------
@@ -244,40 +227,41 @@ def _grid_guard(state, n):
         raise ValueError(f"grid size {n} < 4M = {4 * state.truncation}: aliasing in quadratic densities")
 
 
-def _mode_spectrum(alpha0, mode_rows, n, orientation, dim):
-    """Full FFT spectrum for sum_m c_m e^{orientation*i*m*sigma} with c_{-m} = conj(c_m)."""
-    spec = jz.zeros((n, dim), jz.seed_count(mode_rows)) if isinstance(mode_rows, jz.Jet) \
-        else np.zeros((n, dim), np.complex128)
-    spec[0] = alpha0
-    m_max = jz.value(mode_rows).shape[0]
-    for m in range(1, m_max + 1):
-        row = mode_rows[m - 1]
-        spec[(orientation * m) % n] = row
-        spec[(-orientation * m) % n] = np.conj(row)
-    return spec
+def _complex_field(state, chirality, n):
+    """sqrt(2 pi) P_chir on the n-grid as complex samples (imaginary part: round-off)."""
+    _check_chirality(chirality)
+    _grid_guard(state, n)
+    orientation = +1 if chirality == "-" else -1
+    return modes_to_grid(real_modes(state.alpha0, state.modes(chirality)), n, orientation)
+
+
+def _non_real(vals):
+    """Relative imaginary residue max|Im P| / max|Re P| of sqrt(2 pi) P samples."""
+    v = jz.value(vals)
+    im, re = (float(np.max(np.abs(part))) * _INV_SQRT_TAU for part in (v.imag, v.real))
+    return im / max(re, 1e-300)
+
+
+def _real_field(vals, tol, what):
+    """FieldGrid of sqrt(2 pi)-scaled complex samples, checked real to ``tol``."""
+    resid = _non_real(vals)
+    if resid > tol:
+        raise ValueError(f"{what} has relative non-real residue {resid:.3e}")
+    return FieldGrid(vals.real * _INV_SQRT_TAU)
 
 
 def eval_field(state: StringState, chirality: str, n: int) -> FieldGrid:
     """Samples of the chiral field P_- or P_+ on the n-grid.
 
-    The result is real up to a checked 1e-13 relative residue, which is
-    then discarded.
+    The modes go through :func:`~closedstring.numerics.modes_to_grid`; the
+    result is real up to a checked 1e-13 relative residue, which is then
+    discarded.
     """
-    _check_chirality(chirality)
-    _grid_guard(state, n)
-    orientation = +1 if chirality == "-" else -1
-    spec = _mode_spectrum(state.alpha0, state.modes(chirality), n, orientation, state.dim)
-    vals = jz.ifft(spec, axis=0) * (n / np.sqrt(TAU))
-    v = jz.value(vals)
-    resid = float(np.max(np.abs(v.imag)))
-    if resid > 1e-13 * max(float(np.max(np.abs(v.real))), 1e-300):
-        raise ValueError(f"field has non-real residue {resid:.3e}")
-    return FieldGrid(vals.real)
+    return _real_field(_complex_field(state, chirality, n), 1e-13, "field")
 
 
 def com_momentum(state: StringState, n: int) -> np.ndarray:
     """Center-of-mass momentum integral int P dsigma by periodic trapezoid."""
-    _grid_guard(state, n)
     pm = eval_field(state, "-", n).values
     pp = eval_field(state, "+", n).values
     total = np.sqrt(state.tension / 2.0) * (pm + pp)
@@ -296,7 +280,6 @@ def position_field(state: StringState, n: int) -> FieldGrid:
     The oscillator part comes from the spectral antiderivative; the mean is
     pinned to the stored center of mass x.
     """
-    _grid_guard(state, n)
     pm = eval_field(state, "-", n).values
     pp = eval_field(state, "+", n).values
     xprime = (pp - pm) / np.sqrt(2.0 * state.tension)

@@ -84,14 +84,8 @@ def align_base_point(modes: DDFModes, clock) -> DDFModes:
     ms = np.arange(-modes.m_max, modes.m_max + 1, dtype=float)
     sign = +1.0 if modes.chirality == "-" else -1.0
     phases = np.exp((sign * 1j) * (ms * r0))
-    rotated = modes.modes * _col(phases)
+    rotated = modes.modes * phases[:, None]
     return DDFModes(chirality=modes.chirality, m_max=modes.m_max, modes=rotated, k=modes.k)
-
-
-def _col(v):
-    if isinstance(v, jz.Jet):
-        return jz.Jet(v.val[:, None], v.tan[:, None, :])
-    return v[:, None]
 
 
 def pohlmeyer_via_ddf(state: StringState, frame: LightlikeFrame, spec: InvariantSpec,

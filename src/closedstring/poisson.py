@@ -119,7 +119,8 @@ class CoordinateChart:
         return omega
 
     def omega_norm(self) -> float:
-        return float(np.linalg.norm(self.omega(), 2))
+        """Spectral norm of Omega: max(1, M/2), from its eta and (m/2) eta blocks."""
+        return max(1.0, self.truncation / 2.0)
 
     def labels(self):
         b = self._blocks()
@@ -374,7 +375,7 @@ def invariance_report(obs: Observable, state: StringState, m_window: int,
         raise ValueError("m_window must be <= M/2 for an aliasing-safe sweep")
     chart = chart or chart_for(state)
     omega = chart.omega()
-    onorm = float(np.linalg.norm(omega, 2))
+    onorm = chart.omega_norm()
     gobs = gradient(obs, state, chart, check=check_gradients)
     nobs = float(np.linalg.norm(gobs))
     rows = []

@@ -21,7 +21,7 @@ from . import __version__
 from . import jets as jz
 from .ddf import DDFInvariantSpec, compute_R, ddf_modes, reconstruct_field
 from .numerics import TAU, grid_sigma, invert_monotone, trig_interpolate
-from .phase_space import eval_field, state_to_json
+from .phase_space import _complex_field, _non_real, eta_dot, eval_field, state_to_json
 from .pohlmeyer import InvariantSpec, pohlmeyer_invariant, pohlmeyer_via_ddf, reparam_check
 from .poisson import (chart_for, ddf_invariant_observable, gradient,
                       invariance_report, pohlmeyer_observable, virasoro_mode)
@@ -70,12 +70,6 @@ def _digest(state, **extras):
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
-def _eta_signs(dim):
-    s = np.ones(dim)
-    s[0] = -1.0
-    return s
-
-
 def _power_scale(field, degree):
     peak = TAU * float(np.max(np.abs(field.values)))
     out = 1.0
@@ -106,16 +100,12 @@ class RotationMap:
 
 @_suite("reality")
 def suite_reality(state, frame, params, tols):
-    from .phase_space import _mode_spectrum
-
+    # the residue eval_field checks and discards, on the same samples
     n = params["n"]
     tol = tols["reality"]
     rows = []
     for chir in ("-", "+"):
-        orientation = +1 if chir == "-" else -1
-        spec = _mode_spectrum(state.alpha0, state.modes(chir), n, orientation, state.dim)
-        vals = np.fft.ifft(spec, axis=0) * (n / np.sqrt(TAU))
-        resid = float(np.max(np.abs(vals.imag))) / max(float(np.max(np.abs(vals.real))), 1e-300)
+        resid = _non_real(_complex_field(state, chir, n))
         rows.append(_row(f"reality[{chir}]", _digest(state, n=n), resid, tol))
     return rows
 
@@ -144,7 +134,7 @@ def suite_transversality(state, frame, params, tols):
     rows = []
     for chir in ("-", "+"):
         modes = ddf_modes(state, frame, chir, m_out, n)
-        kdots = np.abs(modes.modes @ (frame.k * _eta_signs(state.dim)))
+        kdots = np.abs(eta_dot(modes.modes, frame.k))
         kdots[m_out] = 0.0  # m = 0 carries the full k.p
         resid = float(kdots.max()) / max(float(np.max(np.abs(modes.modes))), 1e-300)
         rows.append(_row(f"transversality[{chir}]", _digest(state, n=n, m_out=m_out), resid, tol))
@@ -253,7 +243,7 @@ def suite_witt(state, frame, params, tols):
     tol = tols["witt"]
     chart = chart_for(state)
     omega = chart.omega()
-    onorm = float(np.linalg.norm(omega, 2))
+    onorm = chart.omega_norm()
     grads, values = {}, {}
     for m in range(-2 * window, 2 * window + 1):
         if abs(m) <= state.truncation:

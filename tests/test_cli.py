@@ -169,3 +169,15 @@ def test_verify_suite_timings_are_wall_and_cpu():
     for t in report["timings"].values():
         assert 0.0 <= t["wall_s"] <= wall
         assert t["cpu_s"] >= 0.0
+
+
+def test_frame_dimension_mismatch_is_usage_error(tmp_path, capsys):
+    sp = tmp_path / "s.json"
+    run(["generate", "--seed", "3", "--out", str(sp)])
+    out = str(tmp_path / "out")
+    for argv in (["ddf", "--state", str(sp), "--grid", "512", "--out", out],
+                 ["eval", "--state", str(sp), "--grid", "64", "--out", out],
+                 ["verify", "--state", str(sp), "--suite", "reality", "--grid", "1024"]):
+        capsys.readouterr()
+        assert run(argv + ["--frame", "1,1"]) == 2
+        assert "frame has dimension 2, state has 4" in capsys.readouterr().err

@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from closedstring.errors import NonMonotone, NotConverged
-from closedstring.numerics import (TAU, ModeVector, MonotoneCircleMap,
-                                   grid_sigma, grid_to_modes, invert_monotone,
+from closedstring import jets as jz
+from closedstring.numerics import (TAU, MonotoneCircleMap, grid_sigma,
+                                   grid_to_modes, invert_monotone,
                                    modes_to_grid, periodic_antiderivative,
-                                   simplex_iterated_integral, trig_interpolate)
+                                   real_modes, simplex_iterated_integral,
+                                   trig_interpolate)
 from oracles import antiderivative_quad, iterated_integral_modes
 
 
@@ -24,31 +26,94 @@ def band_limited(rng, n, k, decay=3.0):
 # ----------------------------------------------------------------------
 
 def test_modes_to_grid_constant():
-    mv = ModeVector(np.array([0, 1, 0], complex), orientation=+1)
-    assert np.allclose(modes_to_grid(mv, 8), 1.0)
+    assert np.allclose(modes_to_grid(np.array([0, 1, 0], complex), 8), 1.0)
 
 
 def test_modes_to_grid_two_cosine():
-    mv = ModeVector(np.array([1, 0, 1], complex), orientation=+1)
-    grid = modes_to_grid(mv, 16)
+    grid = modes_to_grid(np.array([1, 0, 1], complex), 16)
     assert np.allclose(grid.real, 2 * np.cos(grid_sigma(16)), atol=1e-14)
+
+
+def test_modes_to_grid_matches_direct_sum(rng):
+    # oracle: the trigonometric sum written out per sample point
+    coeffs = rng.standard_normal((7, 2)) + 1j * rng.standard_normal((7, 2))
+    sig = grid_sigma(32)
+    for orientation in (+1, -1):
+        direct = sum(coeffs[m + 3] * np.exp(orientation * 1j * m * sig)[:, None]
+                     for m in range(-3, 4))
+        assert np.max(np.abs(modes_to_grid(coeffs, 32, orientation) - direct)) < 1e-13
+
+
+def test_real_modes_give_real_grid(rng):
+    rows = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+    coeffs = real_modes(np.array([0.5, -1.0, 2.0]), rows)
+    assert coeffs.shape == (9, 3)
+    assert np.array_equal(coeffs[4], [0.5, -1.0, 2.0])
+    assert np.array_equal(coeffs[0], np.conj(rows[3]))
+    assert np.max(np.abs(modes_to_grid(coeffs, 32, -1).imag)) < 1e-14
+
+
+def _jet_coeffs(rng, k, seeds=3):
+    shape = (2 * k + 1, 2)
+    val = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    tan = rng.standard_normal(shape + (seeds,)) + 1j * rng.standard_normal(shape + (seeds,))
+    return jz.Jet(val, tan)
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6))
 def test_mode_grid_round_trip(seed, k):
     rng = np.random.default_rng(seed)
     coeffs = rng.standard_normal(2 * k + 1) + 1j * rng.standard_normal(2 * k + 1)
+    jet = _jet_coeffs(rng, k)
     for orientation in (+1, -1):
-        mv = ModeVector(coeffs, orientation)
-        back = grid_to_modes(modes_to_grid(mv, 64), k, orientation)
-        assert np.max(np.abs(back.coeffs - coeffs)) < 1e-13
+        back = grid_to_modes(modes_to_grid(coeffs, 64, orientation), k, orientation)
+        assert np.max(np.abs(back - coeffs)) < 1e-13
+        # Jet coefficients: the value and every tangent seed round-trip
+        grid = modes_to_grid(jet, 64, orientation)
+        assert np.max(np.abs(grid.val - modes_to_grid(jet.val, 64, orientation))) < 1e-13
+        for s in range(jet.tan.shape[-1]):
+            assert np.max(np.abs(grid.tan[..., s]
+                                 - modes_to_grid(jet.tan[..., s], 64, orientation))) < 1e-13
+        jback = grid_to_modes(grid, k, orientation)
+        assert np.max(np.abs(jback.val - jet.val)) < 1e-13
+        assert np.max(np.abs(jback.tan - jet.tan)) < 1e-13
 
 
 def test_grid_to_modes_size_guard():
     with pytest.raises(ValueError):
         grid_to_modes(np.ones(8), 4)
     with pytest.raises(ValueError):
-        modes_to_grid(ModeVector(np.zeros(9, complex)), 8)
+        modes_to_grid(np.zeros(9, complex), 8)
+
+
+def _central_difference(fn, h=1e-6):
+    return (fn(h) - fn(-h)) / (2.0 * h)
+
+
+def test_trig_interpolate_jet_samples_match_arrays(rng):
+    n = 64
+    pts = rng.uniform(0.0, TAU, 9)
+    base = np.column_stack([band_limited(rng, n, 6), band_limited(rng, n, 6)])
+    dirs = rng.standard_normal((n, 2, 3))
+    out = trig_interpolate(jz.Jet(base, dirs), pts)
+    assert np.max(np.abs(out.val - trig_interpolate(base, pts))) < 1e-12
+    for s in range(3):
+        # per seed, the tangent is the interpolant of that seed's samples
+        assert np.max(np.abs(out.tan[..., s] - trig_interpolate(dirs[..., s], pts))) < 1e-12
+        fd = _central_difference(lambda h: trig_interpolate(base + h * dirs[..., s], pts))
+        assert np.max(np.abs(out.tan[..., s] - fd)) < 1e-7
+
+
+def test_trig_interpolate_jet_points_match_arrays(rng):
+    n = 64
+    samples = np.column_stack([band_limited(rng, n, 6), band_limited(rng, n, 6)])
+    pts = rng.uniform(0.0, TAU, 9)
+    dirs = rng.standard_normal((9, 2))
+    out = trig_interpolate(samples, jz.Jet(pts, dirs))
+    assert np.array_equal(out.val, trig_interpolate(samples, pts))
+    for s in range(2):
+        fd = _central_difference(lambda h: trig_interpolate(samples, pts + h * dirs[:, s]))
+        assert np.max(np.abs(out.tan[..., s] - fd)) < 1e-7
 
 
 # ----------------------------------------------------------------------

@@ -45,7 +45,7 @@ def test_pack_unpack_bit_exact(seed):
 def test_omega_antisymmetric_and_norm(chart):
     omega = chart.omega()
     assert np.max(np.abs(omega + omega.T)) == 0.0
-    assert chart.omega_norm() == pytest.approx(max(1.0, chart.truncation / 2.0))
+    assert chart.omega_norm() == pytest.approx(float(np.linalg.norm(omega, 2)), rel=1e-14)
 
 
 def test_mode_brackets_from_chart(state, chart):
