@@ -37,8 +37,8 @@ from . import jets as jz
 from .errors import DegenerateFrame, LevelMismatch, NonMonotone
 from .numerics import (TAU, MonotoneCircleMap, grid_to_modes, invert_monotone,
                        modes_to_grid, real_modes, trig_interpolate)
-from .phase_space import (FieldGrid, LightlikeFrame, StringState, _grid_guard, _real_field,
-                          eta_dot, eval_field)
+from .phase_space import (FieldGrid, LightlikeFrame, StringState, _grid_guard, _orientation,
+                          _real_field, eta_dot, eval_field)
 
 __all__ = [
     "DDFModes",
@@ -139,7 +139,7 @@ def compute_R(state: StringState, frame: LightlikeFrame, chirality: str, n: int,
     """
     _grid_guard(state, n)
     kp = _kp(state, frame)
-    orientation = +1 if chirality == "-" else -1
+    orientation = _orientation(chirality)
     rows = state.modes(chirality)
     drows = eta_dot(rows, frame.k) * (np.sqrt(2.0 * TAU * state.tension) / kp)
     ms = np.arange(1, jz.value(rows).shape[0] + 1)
@@ -171,9 +171,8 @@ def _mode_integrals(state, frame, chirality, ms, n):
     cmap = compute_R(state, frame, chirality, n)
     rvals = cmap.values()
     field = eval_field(state, chirality, n).values
-    sign = -1.0 if chirality == "-" else +1.0
     marr = np.asarray(ms, float)
-    weights = np.exp(sign * 1j * marr[:, None] * rvals[None, :])
+    weights = np.exp(-_orientation(chirality) * 1j * marr[:, None] * rvals[None, :])
     return (weights @ field) * (TAU / n) / np.sqrt(TAU)
 
 
@@ -190,8 +189,8 @@ def ddf_modes(state: StringState, frame: LightlikeFrame, chirality: str,
     if m_out < 0:
         raise ValueError("m_out must be >= 0")
     _check_grid(state, m_out, n)
-    orientation = +1 if chirality == "-" else -1
-    modes = grid_to_modes(substitute(state, frame, chirality, n), m_out, orientation) * np.sqrt(TAU)
+    modes = grid_to_modes(substitute(state, frame, chirality, n), m_out,
+                          _orientation(chirality)) * np.sqrt(TAU)
     return DDFModes(chirality=chirality, m_max=m_out, modes=modes, k=frame.k)
 
 
@@ -234,8 +233,8 @@ def ddf_invariant(state: StringState, frame: LightlikeFrame, spec: DDFInvariantS
 
 def reconstruct_field(modes: DDFModes, n: int) -> FieldGrid:
     """Mode-sum quasi-local field, (1/sqrt(2 pi)) sum_m A_m e^{+-i m sigma}."""
-    orientation = +1 if modes.chirality == "-" else -1
-    return _real_field(modes_to_grid(modes.modes, n, orientation), 1e-8, "reconstructed field")
+    return _real_field(modes_to_grid(modes.modes, n, _orientation(modes.chirality)), 1e-8,
+                       "reconstructed field")
 
 
 def substitute(state: StringState, frame: LightlikeFrame, chirality: str, n: int):

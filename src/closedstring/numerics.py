@@ -4,11 +4,12 @@ Everything lives on the uniform periodic grid sigma_j = 2*pi*j/N, and every
 field is a real trigonometric polynomial given by its modes.  The
 workhorses are the one mode/grid transform pair (:func:`modes_to_grid`,
 :func:`grid_to_modes`, with :func:`real_modes` assembling a real series),
-the trigonometric interpolant at off-grid points, a spectrally accurate
-periodic antiderivative, nested simplex (iterated) integration with
-explicit sigma-polynomial bookkeeping, and safeguarded inversion of
-monotone degree-one circle maps.  All functions accept plain ndarrays or
-:class:`~closedstring.jets.Jet` arrays.
+the trigonometric interpolant at off-grid points, one closed-form
+spectral antiderivative of sigma-polynomials with periodic coefficients
+(behind the periodic antiderivative, the nested simplex (iterated)
+integrals at O(n^2 N log N) per degree-n word, and the Wilson loops), and
+safeguarded inversion of monotone degree-one circle maps.  All functions
+accept plain ndarrays or :class:`~closedstring.jets.Jet` arrays.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ __all__ = [
     "modes_to_grid",
     "grid_to_modes",
     "periodic_antiderivative",
-    "SigmaPoly",
     "simplex_iterated_integral",
     "MonotoneCircleMap",
     "invert_monotone",
@@ -99,8 +99,49 @@ def grid_to_modes(grid, k_max: int, orientation: int = +1):
 
 
 # ----------------------------------------------------------------------
-# periodic antiderivative
+# iterated integration
 # ----------------------------------------------------------------------
+
+def _sigma_antiderivative(terms):
+    """int_0^sigma sum_k s^k g_k(s) ds for periodic grids g_k, again as {power: grid}.
+
+    The one integration routine.  On each spectrum, term by term,
+
+        int_0^sigma s^k e^{ims} ds = sum_{j<=k} (-1)^j k!/(k-j)! sigma^{k-j} e^{i m sigma}/(im)^{j+1}
+                                     - (value at 0)          (m != 0),
+
+    and the mean integrates to mean * sigma^{k+1}/(k+1).  Only power 0 is
+    nonzero at sigma = 0, so the constant of integration is the zero mode of
+    power 0 alone.  One FFT per input term and one IFFT per output power;
+    axis 0 is the sample axis and trailing axes (matrices, Jet seeds) ride
+    along.
+    """
+    ref = jz.value(next(iter(terms.values())))
+    freqs = _int_freqs(ref.shape[0], ref.ndim)
+    zero = freqs == 0
+    inv_im = np.zeros(freqs.shape, complex)
+    inv_im[~zero] = -1j / freqs[~zero]
+    out = {}
+    for k, g in terms.items():
+        spec = jz.fft(g, axis=0)
+        _acc(out, k + 1, spec * zero / (k + 1))
+        coef = spec * inv_im
+        for p in range(k, -1, -1):
+            _acc(out, p, coef)
+            if p:
+                coef = coef * inv_im * -p
+    out[0] = out[0] - zero * out[0].sum(axis=0)  # the zero mode that makes power 0 vanish at 0
+    return {p: jz.ifft(spectrum, axis=0) for p, spectrum in out.items()}
+
+
+def _acc(d, k, g):
+    d[k] = d[k] + g if k in d else g
+
+
+def _at_two_pi(terms):
+    """Value of sum_k sigma^k g_k(sigma) at sigma = 2*pi (the g_k are periodic)."""
+    return sum(TAU ** k * g[0] for k, g in terms.items())
+
 
 def periodic_antiderivative(values):
     """Split f = mean + oscillatory and integrate the oscillatory part.
@@ -109,100 +150,18 @@ def periodic_antiderivative(values):
     dividing Fourier modes by i*m, so that int_0^sigma f = G(sigma) +
     mean*sigma.  Spectrally accurate for smooth periodic samples.
     """
-    n = jz.value(values).shape[0]
-    spec = jz.fft(values, axis=0)
-    mean = spec[0] / n
-    k = _int_freqs(n, jz.value(values).ndim)
-    div = 1j * k.astype(np.float64)
-    div[0] = 1.0  # zero mode removed below
-    g = jz.ifft(spec / div, axis=0)
-    g = g - g[0]  # anchor G(0) = 0
-    return g, mean
-
-
-# ----------------------------------------------------------------------
-# sigma-polynomial bookkeeping for nested integrals
-# ----------------------------------------------------------------------
-
-class SigmaPoly:
-    """Function sum_k sigma^k * g_k(sigma) with periodic coefficient grids.
-
-    Cumulative integrals of smooth periodic integrands leave the space of
-    periodic grids (means integrate to linear terms); this container keeps
-    the sigma-powers explicit so every coefficient stays periodic and the
-    spectral antiderivative applies term by term.
-    """
-
-    def __init__(self, terms):
-        self.terms = dict(terms)  # power -> grid, axis 0 is the sample axis
-
-    @classmethod
-    def constant_one(cls, n):
-        return cls({0: np.ones(n)})
-
-    def scale_pointwise(self, f):
-        """Multiply every coefficient grid pointwise by the grid f."""
-        return SigmaPoly({k: g * f for k, g in self.terms.items()})
-
-    def map_terms(self, fn):
-        return SigmaPoly({k: fn(g) for k, g in self.terms.items()})
-
-    def cumulative(self):
-        """int_0^sigma of self, again as a SigmaPoly (vanishes at 0)."""
-        out = {}
-        for k, g in self.terms.items():
-            osc, mean = _split_mean(g)
-            # mean * sigma^k integrates to mean * sigma^{k+1}/(k+1)
-            _acc(out, k + 1, _const_grid(mean / (k + 1), g))
-            for pw, grid in _cum_power(k, osc).items():
-                _acc(out, pw, grid)
-        return SigmaPoly(out)
-
-    def end_value(self):
-        """Value at sigma = 2*pi (coefficient grids are periodic)."""
-        total = 0.0
-        for k, g in self.terms.items():
-            total = total + (TAU ** k) * g[0]
-        return total
-
-
-def _split_mean(g):
-    n = jz.value(g).shape[0]
-    spec = jz.fft(g, axis=0)
-    mean = spec[0] / n
-    return g - mean, mean
-
-
-def _const_grid(c, ref):
-    ones = np.ones(jz.value(ref).shape[0])
-    shape_tail = jz.value(ref).ndim - 1
-    ones = ones.reshape((-1,) + (1,) * shape_tail)
-    return c * ones
-
-
-def _acc(d, k, g):
-    d[k] = d[k] + g if k in d else g
-
-
-def _cum_power(k, h):
-    """int_0^sigma s^k h(s) ds for mean-free periodic h, as power->grid."""
-    g, _ = periodic_antiderivative(h)  # exact: h has no mean
-    if k == 0:
-        return {0: g}
-    u, _ = _split_mean(g)
-    # integration by parts: sigma^k*(G - mean(G)) - k * int s^{k-1} (G - mean(G))
-    out = {k: u}
-    for pw, grid in _cum_power(k - 1, u).items():
-        _acc(out, pw, -k * grid)
-    return out
+    out = _sigma_antiderivative({0: values})
+    return out[0], out[1][0]
 
 
 def simplex_iterated_integral(factors):
     """Iterated integral over 0 <= s_1 <= ... <= s_n <= 2*pi of prod f_i(s_i).
 
     The first factor is attached to the innermost integration variable.
-    Computed by the cumulative recursion G_j = int_0^sigma f_j G_{j-1}, cost
-    O(n * N log N) instead of O(N^n).
+    Computed by the cumulative recursion G_j = int_0^sigma f_j G_{j-1}, where
+    G_j is a polynomial of degree j in sigma with periodic coefficients: step
+    j costs 2j + 1 transforms, n^2 + 2n for the word, i.e. O(n^2 N log N)
+    instead of the O(N^n) of direct quadrature.
     """
     grids = [_as_scalar_grid(f) for f in factors]
     if not grids:
@@ -211,10 +170,10 @@ def simplex_iterated_integral(factors):
     for g in grids:
         if jz.value(g).shape[0] != n:
             raise ValueError("all factors must share one grid")
-    acc = SigmaPoly.constant_one(n)
+    acc = {0: 1.0}
     for f in grids:
-        acc = acc.scale_pointwise(f).cumulative()
-    out = acc.end_value()
+        acc = _sigma_antiderivative({k: g * f for k, g in acc.items()})
+    out = _at_two_pi(acc)
     if isinstance(out, jz.Jet):
         return out
     out = complex(out)

@@ -149,6 +149,12 @@ def _check_chirality(chirality):
         raise ValueError(f"chirality must be '+' or '-', got {chirality!r}")
 
 
+def _orientation(chirality):
+    """+1 for P_- (modes e^{+i m sigma}), -1 for P_+ (modes e^{-i m sigma})."""
+    _check_chirality(chirality)
+    return +1 if chirality == "-" else -1
+
+
 @dataclass(frozen=True)
 class FieldGrid:
     """Uniform samples of a periodic field on [0, 2*pi); vector or scalar."""
@@ -177,8 +183,9 @@ def random_state(dim, truncation, seed, *, decay=DEFAULT_DECAY, frame=None,
 
     Oscillators are complex Gaussian with std ~ e^{-m/decay}/m per component,
     then rescaled by one global factor so min_sigma R'(sigma) >= margin for
-    both chiralities (rescaling, not rejection).  p is redrawn until
-    k.p is safely nonzero.  Bit-identical output for identical arguments.
+    both chiralities on the whole circle, not only on a sample grid
+    (rescaling, not rejection).  p is redrawn until k.p is safely nonzero.
+    Bit-identical output for identical arguments.
     """
     if dim < 2 or truncation < 1:
         raise ValueError("need dim >= 2 and truncation >= 1")
@@ -204,16 +211,31 @@ def random_state(dim, truncation, seed, *, decay=DEFAULT_DECAY, frame=None,
     left = (rng.standard_normal((truncation, dim)) + 1j * rng.standard_normal((truncation, dim))) * std[:, None]
     right = (rng.standard_normal((truncation, dim)) + 1j * rng.standard_normal((truncation, dim))) * std[:, None]
 
-    # one global oscillator rescale enforces the margin on both clocks R'
+    # one global oscillator rescale enforces the margin on both clocks R';
+    # R' - 1 is linear in the oscillators, so a lower bound on min R' of the
+    # draw carries over to the rescaled state
     from .ddf import compute_R
 
     draw = StringState(dim=dim, tension=tension, truncation=truncation,
                        x=x, p=p, left=left, right=right)
     n_fine = max(4096, 1 << (64 * truncation - 1).bit_length())
-    worst = max(1.0 - compute_R(draw, frame, chir, n_fine, require_monotone=False).min_deriv()
+    worst = max(1.0 - _continuum_min(compute_R(draw, frame, chir, n_fine,
+                                               require_monotone=False).deriv)
                 for chir in CHIRALITIES)
     scale = 1.0 if worst <= (1.0 - margin) else (1.0 - margin) / worst
     return draw.replace(left=left * scale, right=right * scale)
+
+
+def _continuum_min(samples):
+    """Lower bound on the minimum over the circle of a trig polynomial given by n samples.
+
+    The minimiser lies within h/2 of a sample, h = 2 pi/n, and f' vanishes
+    there, so that sample exceeds the minimum by at most
+    (h/2)^2/2 max|f''| <= (h^2/8) sum_m m^2 |c_m|.
+    """
+    n = samples.shape[0]
+    curvature = np.sum(np.fft.fftfreq(n, 1.0 / n) ** 2 * np.abs(np.fft.fft(samples))) / n
+    return float(samples.min()) - (TAU / n) ** 2 / 8.0 * curvature
 
 
 # ----------------------------------------------------------------------
@@ -229,10 +251,8 @@ def _grid_guard(state, n):
 
 def _complex_field(state, chirality, n):
     """sqrt(2 pi) P_chir on the n-grid as complex samples (imaginary part: round-off)."""
-    _check_chirality(chirality)
     _grid_guard(state, n)
-    orientation = +1 if chirality == "-" else -1
-    return modes_to_grid(real_modes(state.alpha0, state.modes(chirality)), n, orientation)
+    return modes_to_grid(real_modes(state.alpha0, state.modes(chirality)), n, _orientation(chirality))
 
 
 def _non_real(vals):

@@ -22,8 +22,8 @@ import numpy as np
 
 from . import jets as jz
 from .ddf import DDFModes, compute_R, ddf_modes, reconstruct_field
-from .numerics import TAU, SigmaPoly, simplex_iterated_integral
-from .phase_space import FieldGrid, LightlikeFrame, StringState
+from .numerics import TAU, _at_two_pi, _sigma_antiderivative, simplex_iterated_integral
+from .phase_space import FieldGrid, LightlikeFrame, StringState, _orientation
 from .reparam import ReparamMap, pullback_weight_one
 
 __all__ = [
@@ -82,8 +82,7 @@ def align_base_point(modes: DDFModes, clock) -> DDFModes:
     """
     r0 = clock.values()[0]
     ms = np.arange(-modes.m_max, modes.m_max + 1, dtype=float)
-    sign = +1.0 if modes.chirality == "-" else -1.0
-    phases = np.exp((sign * 1j) * (ms * r0))
+    phases = np.exp((_orientation(modes.chirality) * 1j) * (ms * r0))
     rotated = modes.modes * phases[:, None]
     return DDFModes(chirality=modes.chirality, m_max=modes.m_max, modes=rotated, k=modes.k)
 
@@ -140,16 +139,14 @@ def wilson_loop(field: FieldGrid, config: WilsonConfig):
     (C*||A||)^{n_max+1}/(n_max+1)!, C = 2 pi max_sigma sum_mu |P^mu(sigma)|.
     """
     vals = np.asarray(field.values)
-    n, dim = vals.shape
     d = config.matrix_dim
     b = np.einsum("nm,mij->nij", vals, config.matrices)
 
-    eye = np.broadcast_to(np.eye(d, dtype=complex), (n, d, d)).copy()
-    acc = SigmaPoly({0: eye})
+    acc = {0: np.eye(d, dtype=complex)}
     value = complex(d)  # order 0: Tr(identity)
     for _ in range(config.n_max):
-        acc = acc.map_terms(lambda g: np.einsum("nij,njk->nik", g, b)).cumulative()
-        value += complex(np.trace(acc.end_value()))
+        acc = _sigma_antiderivative({k: g @ b for k, g in acc.items()})
+        value += complex(np.trace(_at_two_pi(acc)))
 
     c_factor = TAU * float(np.max(np.sum(np.abs(vals), axis=1)))
     a_norm = float(max(np.linalg.norm(m, 2) for m in config.matrices))

@@ -23,8 +23,8 @@ from . import jets as jz
 from .ddf import DDFInvariantSpec, ddf_invariant
 from .errors import GradientMismatch
 from .numerics import TAU, grid_sigma
-from .phase_space import (LightlikeFrame, StringState, eta_dot, eval_field,
-                          minkowski, position_field)
+from .phase_space import (LightlikeFrame, StringState, _orientation, eta_dot,
+                          eval_field, minkowski, position_field)
 from .pohlmeyer import InvariantSpec, pohlmeyer_invariant
 
 DEFAULT_OBS_GRID = 512
@@ -211,8 +211,7 @@ def virasoro_mode(state: StringState, chirality: str, m: int,
     """
     if abs(m) > state.truncation:
         raise ValueError(f"|m| = {abs(m)} exceeds the truncation M = {state.truncation}")
-    sign = -1.0 if chirality == "-" else +1.0
-    phase = np.exp(sign * 1j * m * grid_sigma(n_samples))
+    phase = np.exp(-_orientation(chirality) * 1j * m * grid_sigma(n_samples))
 
     def fn(st):
         vals = eval_field(st, chirality, n_samples).values
@@ -291,14 +290,13 @@ def observable_from_config(cfg: dict, frame: LightlikeFrame,
 # ----------------------------------------------------------------------
 
 def gradient(obs: Observable, state: StringState, chart: CoordinateChart | None = None,
-             *, check: bool = True, fd_step: float = 1e-5,
-             mismatch_tol: float = 1e-3) -> np.ndarray:
+             *, check: bool = True) -> np.ndarray:
     """Chart gradient of the observable, propagated with forward-mode jets.
 
     With ``check`` the result is compared against central finite differences
-    with step h_i = fd_step*(1 + |y_i|); disagreement beyond mismatch_tol
-    (relative to the gradient scale) raises GradientMismatch.  The
-    propagated value is returned either way.
+    with step h_i = 1e-5*(1 + |y_i|); disagreement beyond 1e-3 (relative to
+    the gradient scale) raises GradientMismatch.  The propagated value is
+    returned either way.
     """
     chart = chart or chart_for(state)
     out = obs.fn(chart.seed_state(state))
@@ -306,10 +304,10 @@ def gradient(obs: Observable, state: StringState, chart: CoordinateChart | None 
         return np.zeros(chart.size, complex)
     grad = np.asarray(out.tan, complex)
     if check:
-        fd = finite_difference_gradient(obs, state, chart, step=fd_step)
+        fd = finite_difference_gradient(obs, state, chart)
         scale = max(float(np.max(np.abs(grad))), float(np.max(np.abs(fd))), 1e-300)
         err = np.abs(grad - fd)
-        tol = mismatch_tol * (np.abs(grad) + scale)
+        tol = 1e-3 * (np.abs(grad) + scale)
         if np.any(err > tol):
             worst = int(np.argmax(err - tol))
             raise GradientMismatch(
@@ -335,34 +333,21 @@ def finite_difference_gradient(obs: Observable, state: StringState,
 
 
 def bracket(f: Observable, g: Observable, state: StringState,
-            chart: CoordinateChart | None = None, *, check: bool = True,
-            grads: dict | None = None) -> complex:
+            chart: CoordinateChart | None = None, *, check: bool = True) -> complex:
     """{f, g} = grad f . Omega . grad g at the state (complex bilinear).
 
     Gradients inherit the finite-difference cross-check (and its
-    GradientMismatch) unless ``check`` is disabled; sweeps that reuse
-    cached gradients do that and rely on the dedicated cross-validation
-    tests instead.
+    GradientMismatch) unless ``check`` is disabled.
     """
     chart = chart or chart_for(state)
-    gf = _cached_grad(f, state, chart, check, grads)
-    gg = _cached_grad(g, state, chart, check, grads)
+    gf = gradient(f, state, chart, check=check)
+    gg = gradient(g, state, chart, check=check)
     return complex(gf @ (chart.omega() @ gg))
-
-
-def _cached_grad(obs, state, chart, check, grads):
-    if grads is not None and obs.name in grads:
-        return grads[obs.name]
-    g = gradient(obs, state, chart, check=check)
-    if grads is not None:
-        grads[obs.name] = g
-    return g
 
 
 def invariance_report(obs: Observable, state: StringState, m_window: int,
                       chart: CoordinateChart | None = None,
                       n_samples=DEFAULT_OBS_GRID, threshold: float = 1e-5,
-                      check_gradients: bool = False,
                       grad_cache: dict | None = None) -> list:
     """Normalized residues |{obs, L_m}| over the Virasoro window.
 
@@ -376,7 +361,7 @@ def invariance_report(obs: Observable, state: StringState, m_window: int,
     chart = chart or chart_for(state)
     omega = chart.omega()
     onorm = chart.omega_norm()
-    gobs = gradient(obs, state, chart, check=check_gradients)
+    gobs = gradient(obs, state, chart, check=False)
     nobs = float(np.linalg.norm(gobs))
     rows = []
     for chirality in ("+", "-"):
@@ -386,7 +371,7 @@ def invariance_report(obs: Observable, state: StringState, m_window: int,
                 gl = grad_cache[key]
             else:
                 lm = virasoro_mode(state, chirality, m, n_samples)
-                gl = gradient(lm, state, chart, check=check_gradients)
+                gl = gradient(lm, state, chart, check=False)
                 if grad_cache is not None:
                     grad_cache[key] = gl
             resid = abs(complex(gobs @ (omega @ gl)))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -173,7 +175,37 @@ def test_simplex_depth_one_constant():
 
 
 def test_simplex_two_constants():
-    assert np.isclose(simplex_iterated_integral([np.ones(64)] * 2), TAU ** 2 / 2)
+    # the simplex volume (2 pi)^n / n! for all-ones factors, n = 1..8
+    for n in range(1, 9):
+        exact = TAU ** n / math.factorial(n)
+        assert abs(simplex_iterated_integral([np.ones(64)] * n) - exact) <= 1e-14 * exact
+
+
+def test_simplex_transform_count(monkeypatch):
+    # step j of a degree-n word has j input terms and j + 1 output powers
+    calls = []
+    for name in ("fft", "ifft"):
+        def counted(x, axis=0, _fn=getattr(jz, name)):
+            calls.append(name)
+            return _fn(x, axis=axis)
+        monkeypatch.setattr(jz, name, counted)
+    f = np.cos(grid_sigma(64)) + 0.5
+    for n in (1, 2, 4, 6):
+        calls.clear()
+        simplex_iterated_integral([f] * n)
+        assert len(calls) <= n * n + 2 * n
+
+
+def test_simplex_jet_tangents_match_central_differences(rng):
+    n = 128
+    fs = [band_limited(rng, n, 5) for _ in range(3)]
+    dirs = [np.column_stack([band_limited(rng, n, 5) for _ in range(2)]) for _ in range(3)]
+    out = simplex_iterated_integral([jz.Jet(f, d) for f, d in zip(fs, dirs)])
+    assert out.val == pytest.approx(simplex_iterated_integral(fs), rel=1e-13)
+    for s in range(2):
+        fd = _central_difference(lambda h: simplex_iterated_integral(
+            [f + h * d[:, s] for f, d in zip(fs, dirs)]))
+        assert abs(out.tan[s] - fd) <= 1e-7 * (1.0 + abs(fd))
 
 
 def test_simplex_frozen_values():

@@ -51,6 +51,17 @@ def test_random_state_margin_contract(frame4):
             assert cmap.min_deriv() >= 0.2 - 1e-9
 
 
+def test_random_state_margin_holds_between_samples():
+    # the margin holds on the circle, not only on the grid random_state samples;
+    # N = 65536 resolves the dips between its 4096 samples
+    cases = [(2, 1, 5)] + [(4, m, seed) for m in (1, 8) for seed in range(1, 21)]
+    for dim, m, seed in cases:
+        frame = cs.default_frame(dim)
+        state = cs.random_state(dim, m, seed=seed, frame=frame, margin=0.2)
+        for chir in ("-", "+"):
+            assert cs.compute_R(state, frame, chir, 65536).min_deriv() >= 0.2 - 1e-12
+
+
 def test_random_state_zero_osc_trivial_clock(frame4):
     state = zero_osc_state([1.0, 0.2, 0.1, -0.3])
     for chir in ("-", "+"):
