@@ -103,7 +103,7 @@ def grid_to_modes(grid, k_max: int, orientation: int = +1):
 # ----------------------------------------------------------------------
 
 def _sigma_antiderivative(terms):
-    """int_0^sigma sum_k s^k g_k(s) ds for periodic grids g_k, again as {power: grid}.
+    """int_0^sigma sum_k s^k g_k(s) ds for periodic grids g_k, as {power: grid}.
 
     The one integration routine.  On each spectrum, term by term,
 
@@ -114,24 +114,37 @@ def _sigma_antiderivative(terms):
     nonzero at sigma = 0, so the constant of integration is the zero mode of
     power 0 alone.  One FFT per input term and one IFFT per output power;
     axis 0 is the sample axis and trailing axes (matrices, Jet seeds) ride
-    along.
+    along.  ``terms`` yields the (k, g_k) pairs and is read once: a
+    generator lets each input grid go as soon as its spectrum is taken, and
+    each output spectrum goes once transformed, so a call holds about one
+    grid per output power, not every input, spectrum and output at once.
     """
-    ref = jz.value(next(iter(terms.values())))
-    freqs = _int_freqs(ref.shape[0], ref.ndim)
-    zero = freqs == 0
-    inv_im = np.zeros(freqs.shape, complex)
-    inv_im[~zero] = -1j / freqs[~zero]
     out = {}
-    for k, g in terms.items():
+    for k, g in terms:
         spec = jz.fft(g, axis=0)
+        del g
+        if not out:
+            zero, inv_im = _spectral_divisors(jz.value(spec))
         _acc(out, k + 1, spec * zero / (k + 1))
         coef = spec * inv_im
+        del spec
         for p in range(k, -1, -1):
             _acc(out, p, coef)
             if p:
                 coef = coef * inv_im * -p
-    out[0] = out[0] - zero * out[0].sum(axis=0)  # the zero mode that makes power 0 vanish at 0
-    return {p: jz.ifft(spectrum, axis=0) for p, spectrum in out.items()}
+        del coef
+    # the zero mode that makes power 0 vanish at 0; every other row of power 0 is kept as is
+    out[0][0] = out[0][0] - out[0].sum(axis=0)
+    return {p: jz.ifft(out.pop(p), axis=0) for p in list(out)}
+
+
+def _spectral_divisors(ref):
+    """The zero-frequency mask and 1/(im) (0 at m = 0), shaped to broadcast against ref."""
+    freqs = _int_freqs(ref.shape[0], ref.ndim)
+    zero = freqs == 0
+    inv_im = np.zeros(freqs.shape, complex)
+    inv_im[~zero] = -1j / freqs[~zero]
+    return zero, inv_im
 
 
 def _acc(d, k, g):
@@ -150,7 +163,7 @@ def periodic_antiderivative(values):
     dividing Fourier modes by i*m, so that int_0^sigma f = G(sigma) +
     mean*sigma.  Spectrally accurate for smooth periodic samples.
     """
-    out = _sigma_antiderivative({0: values})
+    out = _sigma_antiderivative([(0, values)])
     return out[0], out[1][0]
 
 
@@ -172,7 +185,7 @@ def simplex_iterated_integral(factors):
             raise ValueError("all factors must share one grid")
     acc = {0: 1.0}
     for f in grids:
-        acc = _sigma_antiderivative({k: g * f for k, g in acc.items()})
+        acc = _sigma_antiderivative((k, g * f) for k, g in acc.items())
     out = _at_two_pi(acc)
     if isinstance(out, jz.Jet):
         return out

@@ -145,7 +145,7 @@ def wilson_loop(field: FieldGrid, config: WilsonConfig):
     acc = {0: np.eye(d, dtype=complex)}
     value = complex(d)  # order 0: Tr(identity)
     for _ in range(config.n_max):
-        acc = _sigma_antiderivative({k: g @ b for k, g in acc.items()})
+        acc = _sigma_antiderivative((k, g @ b) for k, g in acc.items())
         value += complex(np.trace(_at_two_pi(acc)))
 
     c_factor = TAU * float(np.max(np.sum(np.abs(vals), axis=1)))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -194,6 +195,23 @@ def test_simplex_transform_count(monkeypatch):
         calls.clear()
         simplex_iterated_integral([f] * n)
         assert len(calls) <= n * n + 2 * n
+
+
+def test_simplex_memory_bound():
+    # a degree-n word keeps about 2n + 5 complex grids alive at its peak: the
+    # previous step's n grids, the last step's n + 1 spectra, each freed once
+    # transformed, and a few temporaries; holding every input, spectrum and
+    # output of a step at once took about 4n + 6
+    n_grid = 1 << 16
+    f = np.cos(grid_sigma(n_grid)) + 0.5
+    for n in (1, 2, 4, 6):
+        tracemalloc.start()
+        try:
+            simplex_iterated_integral([f] * n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (3 * n + 6) * n_grid * 16
 
 
 def test_simplex_jet_tangents_match_central_differences(rng):
