@@ -7,14 +7,20 @@ workhorses are the one mode/grid transform pair (:func:`modes_to_grid`,
 the trigonometric interpolant at off-grid points, one closed-form
 spectral antiderivative of sigma-polynomials with periodic coefficients
 (behind the periodic antiderivative, the nested simplex (iterated)
-integrals at O(n^2 N log N) per degree-n word, and the Wilson loops), and
-safeguarded inversion of monotone degree-one circle maps.  All functions
-accept plain ndarrays or :class:`~closedstring.jets.Jet` arrays.
+integrals and the Wilson loops), and safeguarded inversion of monotone
+degree-one circle maps.  All functions accept plain ndarrays or
+:class:`~closedstring.jets.Jet` arrays.
+
+Costs of the iterated integrals: one degree-n word is O(n^2 N log N), the
+last of its n integrals, needed only at 2*pi, closing by end weights at no
+transform; the D^n words of degree n in lexicographic order, sharing
+prefixes, are O(D^{n-1} n N log N).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -124,7 +130,7 @@ def _sigma_antiderivative(terms):
         spec = jz.fft(g, axis=0)
         del g
         if not out:
-            zero, inv_im = _spectral_divisors(jz.value(spec))
+            zero, inv_im = _spectral_divisors(spec.shape[0], spec.ndim)
         _acc(out, k + 1, spec * zero / (k + 1))
         coef = spec * inv_im
         del spec
@@ -138,12 +144,22 @@ def _sigma_antiderivative(terms):
     return {p: jz.ifft(out.pop(p), axis=0) for p in list(out)}
 
 
-def _spectral_divisors(ref):
-    """The zero-frequency mask and 1/(im) (0 at m = 0), shaped to broadcast against ref."""
-    freqs = _int_freqs(ref.shape[0], ref.ndim)
+@lru_cache(maxsize=64)
+def _spectral_divisors(n, ndim=1):
+    """The zero-frequency mask and 1/(im), shaped to broadcast along axis 0.
+
+    1/(im) is 0 at m = 0 and at the Nyquist mode m = -n/2: on real samples
+    that mode is cos(n sigma/2), whose antiderivative is no single
+    exponential, and dividing it by i*m would turn real input complex.
+    Read-only and cached per (n, ndim).
+    """
+    freqs = _int_freqs(n, ndim)
     zero = freqs == 0
+    osc = ~zero & (2 * np.abs(freqs) != n)
     inv_im = np.zeros(freqs.shape, complex)
-    inv_im[~zero] = -1j / freqs[~zero]
+    inv_im[osc] = -1j / freqs[osc]
+    zero.setflags(write=False)
+    inv_im.setflags(write=False)
     return zero, inv_im
 
 
@@ -154,6 +170,47 @@ def _acc(d, k, g):
 def _at_two_pi(terms):
     """Value of sum_k sigma^k g_k(sigma) at sigma = 2*pi (the g_k are periodic)."""
     return sum(TAU ** k * g[0] for k, g in terms.items())
+
+
+@lru_cache(maxsize=64)
+def _end_weights(n, k):
+    """Weights w with sum_j w[j] h(sigma_j) = int_0^{2 pi} s^k h(s) ds.
+
+    Exact for trigonometric polynomials h below the Nyquist mode, which is
+    dropped as in :func:`_sigma_antiderivative`: w = fft(I)/n with the
+    moments I(m) = int_0^{2 pi} s^k e^{ims} ds from I_k = ((2 pi)^k - k I_{k-1})/(im),
+    I_0 = 0 (m != 0), and I(0) = (2 pi)^{k+1}/(k+1).  The moments are
+    Hermitian, so w is real.  Read-only and cached per (n, k).
+    """
+    _, inv_im = _spectral_divisors(n)
+    moments = np.zeros(n, complex)
+    for p in range(1, k + 1):
+        moments = (TAU ** p - p * moments) * inv_im
+    moments[0] = TAU ** (k + 1) / (k + 1)
+    w = np.fft.fft(moments).real / n
+    w.setflags(write=False)
+    return w
+
+
+def _integral_to_two_pi(terms):
+    """int_0^{2 pi} sum_k s^k h_k(s) ds for periodic grids h_k, by end weights.
+
+    Costs no transform: one weighted sum over the sample axis per term;
+    trailing axes (matrices, Jet seeds) ride along.
+    """
+    total = 0.0
+    for k, h in terms:
+        total = total + _weighted_sum(_end_weights(jz.value(h).shape[0], k), h)
+    return total
+
+
+def _weighted_sum(w, h):
+    """sum_j w[j] h[j] over axis 0; trailing axes (matrices, Jet seeds) ride along."""
+    if isinstance(h, jz.Jet):
+        return jz.Jet(_weighted_sum(w, h.val), _weighted_sum(w, h.tan))
+    if h.ndim == 1:
+        return w @ h
+    return (w @ h.reshape(h.shape[0], -1)).reshape(h.shape[1:])
 
 
 def periodic_antiderivative(values):
@@ -167,14 +224,64 @@ def periodic_antiderivative(values):
     return out[0], out[1][0]
 
 
+def _nested_step(state, f):
+    """int_0^sigma f(s) G(s) ds for G(s) = sum_k s^k state[k](s), as {power: grid}."""
+    return _sigma_antiderivative((k, g * f) for k, g in state.items())
+
+
+def _nested_close(state, f):
+    """int_0^{2 pi} f(s) G(s) ds for G as in :func:`_nested_step`, with the real cut."""
+    out = _integral_to_two_pi((k, g * f) for k, g in state.items())
+    if isinstance(out, jz.Jet):
+        return out
+    out = complex(out)
+    return out.real if abs(out.imag) <= 1e-9 * (1.0 + abs(out)) else out
+
+
+class _PrefixIntegrals:
+    """Nested-integral states along the prefix path of the last word.
+
+    :meth:`integral` takes the factors of a word as columns of one (N, D)
+    sample array, keeps the sigma-polynomial state after each letter of the
+    word but the last, reuses the longest common prefix with the previous
+    word and steps only the new letters; the last integral closes by end
+    weights.  A degree-n word alone costs n^2 - 1 transforms; the D^n words
+    of degree n in lexicographic order share prefixes and cost
+    sum_{0<j<n} D^j (2j+1) = O(D^{n-1} n N log N).  The path of a degree-n
+    word holds (n-1)(n+2)/2 grids.  The caller keeps the columns the same
+    between calls, or clears the path.
+    """
+
+    def __init__(self):
+        self.prefix = []
+        self.states = [{0: 1.0}]
+
+    def clear(self):
+        del self.prefix[:], self.states[1:]
+
+    def integral(self, columns, word):
+        keep = 0
+        for a, b in zip(self.prefix, word[:-1]):
+            if a != b:
+                break
+            keep += 1
+        del self.prefix[keep:], self.states[keep + 1:]
+        for mu in word[keep:-1]:
+            self.states.append(_nested_step(self.states[-1], columns[:, mu]))
+            self.prefix.append(mu)
+        return _nested_close(self.states[-1], columns[:, word[-1]])
+
+
 def simplex_iterated_integral(factors):
     """Iterated integral over 0 <= s_1 <= ... <= s_n <= 2*pi of prod f_i(s_i).
 
     The first factor is attached to the innermost integration variable.
     Computed by the cumulative recursion G_j = int_0^sigma f_j G_{j-1}, where
     G_j is a polynomial of degree j in sigma with periodic coefficients: step
-    j costs 2j + 1 transforms, n^2 + 2n for the word, i.e. O(n^2 N log N)
-    instead of the O(N^n) of direct quadrature.
+    j costs 2j + 1 transforms and the last integral, needed only at 2*pi,
+    closes by end weights at no transform: n^2 - 1 for the word,
+    i.e. O(n^2 N log N) instead of the O(N^n) of direct quadrature.  Only
+    the current state is held; :class:`_PrefixIntegrals` keeps the path.
     """
     grids = [_as_scalar_grid(f) for f in factors]
     if not grids:
@@ -183,14 +290,10 @@ def simplex_iterated_integral(factors):
     for g in grids:
         if jz.value(g).shape[0] != n:
             raise ValueError("all factors must share one grid")
-    acc = {0: 1.0}
-    for f in grids:
-        acc = _sigma_antiderivative((k, g * f) for k, g in acc.items())
-    out = _at_two_pi(acc)
-    if isinstance(out, jz.Jet):
-        return out
-    out = complex(out)
-    return out.real if abs(out.imag) <= 1e-9 * (1.0 + abs(out)) else out
+    state = {0: 1.0}
+    for f in grids[:-1]:
+        state = _nested_step(state, f)
+    return _nested_close(state, grids[-1])
 
 
 def _as_scalar_grid(f):

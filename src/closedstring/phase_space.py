@@ -157,9 +157,20 @@ def _orientation(chirality):
 
 @dataclass(frozen=True)
 class FieldGrid:
-    """Uniform samples of a periodic field on [0, 2*pi); vector or scalar."""
+    """Uniform samples of a periodic field on [0, 2*pi); vector or scalar.
+
+    Plain-array values are a read-only copy, so no handle can write them
+    and invariants cached per field stay valid.
+    """
 
     values: np.ndarray
+
+    def __post_init__(self):
+        if isinstance(self.values, jz.Jet):
+            return
+        arr = np.array(self.values)
+        arr.setflags(write=False)
+        object.__setattr__(self, "values", arr)
 
     @property
     def n_samples(self):

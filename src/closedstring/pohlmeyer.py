@@ -11,18 +11,25 @@ with the first index attached to the innermost integral.  Raw coefficients
 are invariant under base-point-preserving circle diffeos; full rotation
 invariance additionally needs cyclic symmetrization, and both forms are
 exposed.
+
+Words evaluated one after another on one field share their prefixes: one
+degree-n word costs O(n^2 N log N), the D^n words of degree n in
+lexicographic order O(D^{n-1} n N log N) together.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import jets as jz
 from .ddf import DDFModes, compute_R, ddf_modes, reconstruct_field
-from .numerics import TAU, _at_two_pi, _sigma_antiderivative, simplex_iterated_integral
+from .numerics import (TAU, _at_two_pi, _integral_to_two_pi, _PrefixIntegrals,
+                       _sigma_antiderivative, simplex_iterated_integral)
 from .phase_space import FieldGrid, LightlikeFrame, StringState, _orientation
 from .reparam import ReparamMap, pullback_weight_one
 
@@ -56,7 +63,12 @@ class InvariantSpec:
 
 
 def pohlmeyer_invariant(field: FieldGrid, spec: InvariantSpec):
-    """Z for one index word; cyclic average over rotations if symmetrized."""
+    """Z for one index word; cyclic average over rotations if symmetrized.
+
+    Successive calls on one plain field reuse the nested integrals of the
+    previous word's prefix (see :func:`_prefix_path`), so listing words in
+    lexicographic order costs one step per new letter and none for the last.
+    """
     vals = field.values
     dim = jz.value(vals).shape[1]
     if any(i < 0 or i >= dim for i in spec.indices):
@@ -65,10 +77,41 @@ def pohlmeyer_invariant(field: FieldGrid, spec: InvariantSpec):
     if spec.symmetrized:
         n = spec.degree
         words = [spec.indices[r:] + spec.indices[:r] for r in range(n)]
+    path = _prefix_path(vals)
     total = 0.0
     for word in words:
-        total = total + simplex_iterated_integral([vals[:, mu] for mu in word])
+        if path is None:
+            total = total + simplex_iterated_integral([vals[:, mu] for mu in word])
+        else:
+            total = total + path.integral(vals, word)
     return total / len(words)
+
+
+_memo = threading.local()
+
+
+def _prefix_path(vals):
+    """This thread's prefix path on the field samples ``vals``, or None.
+
+    One entry per thread: the most recent field, matched by identity
+    through a weak reference, with the nested-integral states along the
+    last word's prefix.  A different field replaces the entry, and the
+    states go when their field does, so the memo never outlives the
+    caller's field.  The first word on a field keeps no states (None):
+    calls that alternate between fields can share no prefix, and their
+    states would only add to peak memory.  Only read-only arrays (as
+    :class:`FieldGrid` stores them) get a path, so the states can never go
+    stale; Jet fields get none (each gradient builds a fresh field, and Jet
+    grids are large).
+    """
+    entry = getattr(_memo, "entry", None)
+    if entry is not None and entry[0]() is vals:
+        return entry[1]
+    _memo.entry = None
+    if not isinstance(vals, jz.Jet) and not vals.flags.writeable:
+        path = _PrefixIntegrals()
+        _memo.entry = (weakref.ref(vals, lambda _: path.clear()), path)
+    return None
 
 
 def align_base_point(modes: DDFModes, clock) -> DDFModes:
@@ -135,8 +178,9 @@ def wilson_loop(field: FieldGrid, config: WilsonConfig):
     """Truncated path-ordered exponential Tr P exp(int P.A dsigma).
 
     One cumulative matrix integral per order (never enumerating index
-    tuples); returns (value, remainder_bound) with the factorial tail bound
-    (C*||A||)^{n_max+1}/(n_max+1)!, C = 2 pi max_sigma sum_mu |P^mu(sigma)|.
+    tuples), the top order closed by end weights; returns (value,
+    remainder_bound) with the factorial tail bound (C*||A||)^{n_max+1}/(n_max+1)!,
+    C = 2 pi max_sigma sum_mu |P^mu(sigma)|.
     """
     vals = np.asarray(field.values)
     d = config.matrix_dim
@@ -144,9 +188,13 @@ def wilson_loop(field: FieldGrid, config: WilsonConfig):
 
     acc = {0: np.eye(d, dtype=complex)}
     value = complex(d)  # order 0: Tr(identity)
-    for _ in range(config.n_max):
+    for _ in range(config.n_max - 1):
         acc = _sigma_antiderivative((k, g @ b) for k, g in acc.items())
         value += complex(np.trace(_at_two_pi(acc)))
+    # the top order is needed only at 2 pi, and only its trace: end weights
+    # on the sampled Tr(g_k b), no transform and no matrix product
+    value += complex(_integral_to_two_pi((k, np.einsum("...ij,...ji->...", g, b))
+                                         for k, g in acc.items()))
 
     c_factor = TAU * float(np.max(np.sum(np.abs(vals), axis=1)))
     a_norm = float(max(np.linalg.norm(m, 2) for m in config.matrices))

@@ -158,7 +158,8 @@ def suite_shuffle(state, frame, params, tols):
 
     words = [(0, 1, 2), (1, 0, 2), (2, 3, 0), (3, 1, 1)] if d >= 4 else [(0, 1, 1)]
     needed = {w for mu, nu, rho in words for w in ((mu, nu, rho), (nu, mu, rho), (nu, rho, mu))}
-    z3 = {w: pohlmeyer_invariant(field, InvariantSpec("-", w)) for w in needed}
+    # in sorted order consecutive words share prefixes, which pohlmeyer_invariant reuses
+    z3 = {w: pohlmeyer_invariant(field, InvariantSpec("-", w)) for w in sorted(needed)}
     scale3 = max(abs(v) for v in z3.values()) + max(abs(v) ** 3 for v in z1.values())
     worst3 = max(abs(z1[mu] * z2[(nu, rho)]
                      - z3[(mu, nu, rho)] - z3[(nu, mu, rho)] - z3[(nu, rho, mu)]) / scale3

@@ -226,6 +226,37 @@ def test_simplex_jet_tangents_match_central_differences(rng):
         assert abs(out.tan[s] - fd) <= 1e-7 * (1.0 + abs(fd))
 
 
+def test_simplex_jet_tangents_real_on_white_noise(rng):
+    # white-noise tangents carry a Nyquist component; integrating it as if it
+    # were e^{-i n sigma/2} made the tangents complex
+    n = 128
+    fs = [band_limited(rng, n, 5) for _ in range(3)]
+    dirs = [rng.standard_normal((n, 2)) for _ in range(3)]
+    out = simplex_iterated_integral([jz.Jet(f, d) for f, d in zip(fs, dirs)])
+    assert np.max(np.abs(np.imag(out.tan))) <= 1e-12 * (1.0 + np.max(np.abs(out.tan)))
+    for s in range(2):
+        fd = _central_difference(lambda h: simplex_iterated_integral(
+            [f + h * d[:, s] for f, d in zip(fs, dirs)]))
+        assert abs(out.tan[s] - fd) <= 1e-7 * (1.0 + abs(fd))
+
+
+def test_end_weights_integrate_sigma_powers():
+    # int_0^{2 pi} s^k e^{ims} ds: (2 pi)^{k+1}/(k+1) at m = 0, else by parts
+    from closedstring.numerics import _end_weights
+
+    n = 64
+    sig = grid_sigma(n)
+    for k in range(7):
+        w = _end_weights(n, k)
+        assert not w.flags.writeable
+        for m in (0, 1, -3, 31):
+            exact = TAU ** (k + 1) / (k + 1) if m == 0 else sum(
+                -math.factorial(k) / math.factorial(k - j) * TAU ** (k - j) / (-1j * m) ** (j + 1)
+                for j in range(k))
+            got = w @ np.exp(1j * m * sig)
+            assert abs(got - exact) <= 1e-13 * TAU ** (k + 1)
+
+
 def test_simplex_frozen_values():
     sig = grid_sigma(256)
     fs3 = [1 + 0.5 * np.cos(sig), 0.25 + np.sin(sig), np.cos(2 * sig) - 0.5 * np.sin(sig)]

@@ -1,8 +1,15 @@
+import gc
+import itertools
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 import closedstring as cs
-from closedstring.numerics import TAU
+from closedstring import jets as jz
+from closedstring import pohlmeyer
+from closedstring.numerics import TAU, simplex_iterated_integral
 from closedstring.pohlmeyer import (InvariantSpec, WilsonConfig,
                                     pohlmeyer_invariant, pohlmeyer_via_ddf,
                                     reparam_check, wilson_loop)
@@ -82,6 +89,139 @@ def test_shuffle_identities(state_bank):
     rhs = sum(z3.values())
     scale3 = abs(lhs) + max(abs(v) for v in z3.values())
     assert abs(lhs - rhs) <= 1e-9 * scale3
+
+
+# ----------------------------------------------------------------------
+# prefix sharing across words
+# ----------------------------------------------------------------------
+
+WORDS4 = sorted(w for deg in range(1, 5) for w in itertools.product(range(4), repeat=deg))
+
+
+def _all_words(field, words):
+    return [pohlmeyer_invariant(field, InvariantSpec("-", w)) for w in words]
+
+
+def test_lexicographic_words_share_prefixes(state_bank, monkeypatch):
+    # each prefix of length j is stepped once at 2j + 1 transforms and the last
+    # letter costs none: sum_{j<n} D^j (2j + 1) for all words to degree n
+    _all_words(cs.eval_field(state_bank[1], "-", 64), WORDS4)  # warm the cached weights
+    field = cs.eval_field(state_bank[0], "-", 64)
+    calls = []
+    for name in ("fft", "ifft"):
+        def counted(x, axis=0, _fn=getattr(jz, name)):
+            calls.append(name)
+            return _fn(x, axis=axis)
+        monkeypatch.setattr(jz, name, counted)
+    _all_words(field, WORDS4)
+    assert len(WORDS4) == 340
+    assert len(calls) <= sum(4 ** j * (2 * j + 1) for j in range(4))
+
+
+def test_word_order_does_not_change_values(state_bank):
+    field = cs.eval_field(state_bank[2], "-", 256)
+    lex = dict(zip(WORDS4, _all_words(field, WORDS4)))
+    shuffled = list(WORDS4)
+    np.random.default_rng(5).shuffle(shuffled)
+    for w, z in zip(shuffled, _all_words(field, shuffled)):
+        assert z == lex[w]
+        assert z == simplex_iterated_integral([field.values[:, mu] for mu in w])
+
+
+def test_words_in_random_order_vs_mode_oracle():
+    # a low-truncation state keeps the degree-4 mode-tuple enumeration small
+    field = cs.eval_field(cs.random_state(4, 2, seed=7), "-", 64)
+    rng = np.random.default_rng(11)
+    words = [tuple(rng.integers(0, 4, deg)) for deg in (3, 4, 3, 4, 4, 3, 4, 4, 3, 4)]
+    words += [words[1][:3], words[4][:2] + (0, 1)]  # shared prefixes after other words
+    for i in rng.permutation(len(words)):
+        w = words[i]
+        z = pohlmeyer_invariant(field, InvariantSpec("-", w))
+        oracle = iterated_integral_modes([field.values[:, mu] for mu in w])
+        assert abs(z - oracle) <= 1e-9 * (abs(oracle) + 1e-6)
+
+
+def test_threads_with_different_fields_match_serial(state_bank):
+    # more threads than cores and a short switch interval, so the threads'
+    # words interleave; each thread keeps its own path
+    fields = [cs.eval_field(state_bank[i], "-", 256) for i in (3, 4, 7, 8)]
+    words = WORDS4[::3]
+    serial = [_all_words(f, words) for f in fields]
+    results = [None] * len(fields)
+    barrier = threading.Barrier(len(fields))
+
+    def work(i):
+        barrier.wait()
+        results[i] = _all_words(fields[i], words)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(fields))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == serial
+
+
+def test_field_values_are_read_only(state_bank):
+    field = cs.eval_field(state_bank[0], "-", 64)
+    with pytest.raises(ValueError):
+        field.values[0, 0] = 1.0
+    raw = np.ones((64, 2))
+    grid = cs.FieldGrid(raw)
+    raw[0, 0] = 5.0  # the caller's array stays writable and is not shared
+    assert grid.values[0, 0] == 1.0
+    with pytest.raises(ValueError):
+        grid.values[0, 0] = 5.0
+
+
+def test_new_field_after_same_words_gives_fresh_values(state_bank):
+    words = WORDS4[:40]
+    first = cs.eval_field(state_bank[5], "-", 128)
+    second = cs.FieldGrid(np.asarray(first.values) * np.linspace(1.0, 2.0, 4))
+    z_first = _all_words(first, words)
+    z_second = _all_words(second, words)
+    for w, a, b in zip(words, z_first, z_second):
+        assert b == simplex_iterated_integral([second.values[:, mu] for mu in w])
+        assert a != b or all(mu == 0 for mu in w)
+
+
+def test_prefix_memo_is_small_and_holds_no_jets(state_bank):
+    field = cs.eval_field(state_bank[6], "-", 4096)
+    other = cs.eval_field(state_bank[5], "-", 4096)
+    for f in (field, other, field):
+        # words that alternate between fields keep no states
+        pohlmeyer_invariant(f, InvariantSpec("-", (0, 1, 2, 3)))
+        assert pohlmeyer._memo.entry[1].states == [{0: 1.0}]
+    pohlmeyer_invariant(field, InvariantSpec("-", (0, 1, 2, 3)))
+    ref, path = pohlmeyer._memo.entry
+    assert len(path.states) == 4
+    assert ref() is field.values
+    held = sum(g.nbytes for state in path.states for g in state.values()
+               if isinstance(g, np.ndarray))
+    assert 0 < held <= 1 << 20
+
+    seeds = np.eye(4)[None].repeat(64, axis=0)  # tangents: a constant shift of each component
+    jet_field = cs.FieldGrid(jz.Jet(np.asarray(cs.eval_field(state_bank[6], "-", 64).values), seeds))
+    pohlmeyer_invariant(jet_field, InvariantSpec("-", (0, 1), symmetrized=True))
+    assert pohlmeyer._memo.entry is None
+
+
+def test_prefix_memo_goes_with_its_field(state_bank):
+    field = cs.eval_field(state_bank[7], "-", 256)
+    for _ in range(2):
+        pohlmeyer_invariant(field, InvariantSpec("-", (0, 1, 2)))
+    ref, path = pohlmeyer._memo.entry
+    assert len(path.states) == 3
+    del field
+    gc.collect()
+    assert ref() is None
+    assert path.states == [{0: 1.0}] and path.prefix == []
 
 
 # ----------------------------------------------------------------------
@@ -256,7 +396,7 @@ def test_wilson_remainder_bound(state_bank):
     herm = rng.standard_normal((4, 2, 2)) + 1j * rng.standard_normal((4, 2, 2))
     anti = 0.5 * (herm - np.conj(np.transpose(herm, (0, 2, 1)))) * 0.04
     ref, _ = wilson_loop(field, WilsonConfig(anti, n_max=24))
-    for n_max in (4, 6, 8):
+    for n_max in (1, 4, 6, 8):
         value, remainder = wilson_loop(field, WilsonConfig(anti, n_max=n_max))
         # tail sum <= bound/(1 - x/(n_max+2)) <= 1.1*bound for x <= 1, times
         # d for the trace
