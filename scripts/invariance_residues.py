@@ -12,21 +12,19 @@ import argparse
 import closedstring as cs
 from closedstring.ddf import DDFInvariantSpec
 from closedstring.pohlmeyer import InvariantSpec
-from closedstring.poisson import (chart_for, ddf_invariant_observable,
-                                  invariance_report, pohlmeyer_observable)
+from closedstring.poisson import (ddf_invariant_observable, invariance_report,
+                                  pohlmeyer_observable)
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--window", type=int, default=4)
     ap.add_argument("--obs-grid", type=int, default=512)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     frame = cs.default_frame(4)
     state = cs.random_state(4, 8, seed=args.seed, frame=frame)
-    chart = chart_for(state)
-    cache = {}
 
     observables = [
         pohlmeyer_observable(InvariantSpec("-", (0,)), args.obs_grid),
@@ -38,9 +36,8 @@ def main():
                                                   allow_unmatched=True),
                                  frame, args.obs_grid),
     ]
-    for obs in observables:
-        rows = invariance_report(obs, state, args.window, chart=chart,
-                                 n_samples=args.obs_grid, grad_cache=cache)
+    reports = invariance_report(observables, state, args.window, n_samples=args.obs_grid)
+    for obs, rows in zip(observables, reports):
         worst = max(r["residue"] for r in rows)
         print(f"\n{obs.name}   (worst {worst:.3e})")
         for r in rows:

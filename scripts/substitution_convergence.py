@@ -17,13 +17,13 @@ import closedstring as cs
 from closedstring.pohlmeyer import InvariantSpec, pohlmeyer_invariant, pohlmeyer_via_ddf
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seeds", type=str, default="1,2,3")
     ap.add_argument("--grid", type=int, default=4096)
     ap.add_argument("--degree", type=int, default=3)
     ap.add_argument("--cutoffs", type=str, default="8,16,32,64,128,256,512")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     frame = cs.default_frame(4)
     seeds = [int(s) for s in args.seeds.split(",")]

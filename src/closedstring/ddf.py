@@ -36,7 +36,7 @@ import numpy as np
 from . import jets as jz
 from .errors import DegenerateFrame, LevelMismatch, NonMonotone
 from .numerics import (TAU, MonotoneCircleMap, grid_to_modes, invert_monotone,
-                       modes_to_grid, real_modes, trig_interpolate)
+                       modes_to_grid, real_modes, weight_one_pullback)
 from .phase_space import (FieldGrid, LightlikeFrame, StringState, _grid_guard, _orientation,
                           _real_field, eta_dot, eval_field)
 
@@ -241,9 +241,7 @@ def substitute(state: StringState, frame: LightlikeFrame, chirality: str, n: int
     """Weight-one substituted field Q = (R^{-1})' * P o R^{-1} on the n-grid, (n, D)."""
     cmap = compute_R(state, frame, chirality, n)
     inv = invert_monotone(cmap)
-    field = eval_field(state, chirality, n).values
-    moved = trig_interpolate(field, inv.values()).real
-    return moved * inv.deriv[:, None]
+    return weight_one_pullback(eval_field(state, chirality, n).values, inv.values(), inv.deriv)
 
 
 def reconstruct_field_direct(state: StringState, frame: LightlikeFrame,

@@ -41,6 +41,7 @@ __all__ = [
     "MonotoneCircleMap",
     "invert_monotone",
     "trig_interpolate",
+    "weight_one_pullback",
 ]
 
 
@@ -361,9 +362,11 @@ def trig_interpolate(samples, points):
     """Evaluate the trigonometric interpolant of periodic samples at points.
 
     Modes with |c_m| below 1e-15 of the largest coefficient are dropped;
-    exact (to roundoff) for band-limited data.  Jet samples carry their
-    tangents through the coefficients; Jet points add the chain-rule term
-    f'(s) ds, so no (points, modes, seeds) array is formed.
+    exact (to roundoff) for band-limited data.  Real samples (value and
+    tangents) give a real interpolant: the real part, which takes the
+    Nyquist mode as its cosine.  Jet samples carry their tangents through
+    the coefficients; Jet points add the chain-rule term f'(s) ds, so no
+    (points, modes, seeds) array is formed.
     """
     freqs, coeffs = _pruned_spectrum(samples, 1e-15)
     s = jz.value(points)
@@ -374,7 +377,20 @@ def trig_interpolate(samples, points):
         slope = basis @ (1j * freqs * jz.value(coeffs))
         ds = points.tan.reshape(s.shape + (1,) * (slope.ndim - 1) + points.tan.shape[-1:])
         out = out + jz.Jet(np.zeros_like(slope), slope[..., None] * ds)
+    if np.isrealobj(jz.value(samples)) and np.isrealobj(getattr(samples, "tan", 0.0)):
+        return out.real
     return out
+
+
+def weight_one_pullback(samples, points, slope):
+    """Samples (F o phi) * phi' of the weight-one pullback on the grid.
+
+    ``samples`` are F on the grid (trailing axes ride along), ``points``
+    are phi(sigma_j) and ``slope`` is phi'(sigma_j); F o phi comes from
+    :func:`trig_interpolate`, so a real field pulls back to a real one.
+    """
+    moved = trig_interpolate(samples, points)
+    return moved * slope[(slice(None),) + (None,) * (jz.value(moved).ndim - 1)]
 
 
 def invert_monotone(cmap: MonotoneCircleMap, tol=1e-13, max_iter=60):
@@ -426,13 +442,13 @@ def invert_monotone(cmap: MonotoneCircleMap, tol=1e-13, max_iter=60):
         raise NotConverged(f"monotone inversion: last step {moved:.3e} > tol {tol:.1e} "
                            f"after {max_iter} iterations")
 
-    rp = trig_interpolate(jz.value(cmap.deriv), s).real
+    rp = trig_interpolate(jz.value(cmap.deriv), s)
     if isinstance(cmap.periodic, jz.Jet):
         # implicit differentiation through the fixed point:
         # dR^{-1} = -(d rho)(R^{-1}) / R'(R^{-1})
         drho = trig_interpolate(cmap.periodic, s)
-        s_jet = jz.Jet(s, -drho.tan.real / rp[..., None])
+        s_jet = jz.Jet(s, -drho.tan / rp[..., None])
         inv_deriv = 1.0 / trig_interpolate(cmap.deriv, s_jet)
-        return MonotoneCircleMap(periodic=s_jet - sigma, deriv=inv_deriv.real)
+        return MonotoneCircleMap(periodic=s_jet - sigma, deriv=inv_deriv)
     return MonotoneCircleMap(periodic=s - sigma, deriv=1.0 / rp)
 

@@ -29,7 +29,7 @@ import numpy as np
 from . import jets as jz
 from .ddf import DDFModes, compute_R, ddf_modes, reconstruct_field
 from .numerics import (TAU, _at_two_pi, _integral_to_two_pi, _PrefixIntegrals,
-                       _sigma_antiderivative, simplex_iterated_integral)
+                       _sigma_antiderivative)
 from .phase_space import FieldGrid, LightlikeFrame, StringState, _orientation
 from .reparam import ReparamMap, pullback_weight_one
 
@@ -67,7 +67,8 @@ def pohlmeyer_invariant(field: FieldGrid, spec: InvariantSpec):
 
     Successive calls on one plain field reuse the nested integrals of the
     previous word's prefix (see :func:`_prefix_path`), so listing words in
-    lexicographic order costs one step per new letter and none for the last.
+    lexicographic order costs one step per new letter and none for the last;
+    the rotations of a symmetrized word share their prefixes the same way.
     """
     vals = field.values
     dim = jz.value(vals).shape[1]
@@ -80,10 +81,7 @@ def pohlmeyer_invariant(field: FieldGrid, spec: InvariantSpec):
     path = _prefix_path(vals)
     total = 0.0
     for word in words:
-        if path is None:
-            total = total + simplex_iterated_integral([vals[:, mu] for mu in word])
-        else:
-            total = total + path.integral(vals, word)
+        total = total + path.integral(vals, word)
     return total / len(words)
 
 
@@ -91,18 +89,18 @@ _memo = threading.local()
 
 
 def _prefix_path(vals):
-    """This thread's prefix path on the field samples ``vals``, or None.
+    """The prefix path for one call on the field samples ``vals``.
 
-    One entry per thread: the most recent field, matched by identity
+    One memo entry per thread: the most recent field, matched by identity
     through a weak reference, with the nested-integral states along the
     last word's prefix.  A different field replaces the entry, and the
     states go when their field does, so the memo never outlives the
-    caller's field.  The first word on a field keeps no states (None):
-    calls that alternate between fields can share no prefix, and their
-    states would only add to peak memory.  Only read-only arrays (as
-    :class:`FieldGrid` stores them) get a path, so the states can never go
-    stale; Jet fields get none (each gradient builds a fresh field, and Jet
-    grids are large).
+    caller's field.  The first word on a field keeps no states: it gets a
+    throwaway path, since calls that alternate between fields can share no
+    prefix, and their states would only add to peak memory.  Only
+    read-only arrays (as :class:`FieldGrid` stores them) get a memo entry,
+    so the states can never go stale; Jet fields always get a throwaway
+    path (each gradient builds a fresh field, and Jet grids are large).
     """
     entry = getattr(_memo, "entry", None)
     if entry is not None and entry[0]() is vals:
@@ -111,7 +109,7 @@ def _prefix_path(vals):
     if not isinstance(vals, jz.Jet) and not vals.flags.writeable:
         path = _PrefixIntegrals()
         _memo.entry = (weakref.ref(vals, lambda _: path.clear()), path)
-    return None
+    return _PrefixIntegrals()
 
 
 def align_base_point(modes: DDFModes, clock) -> DDFModes:

@@ -345,44 +345,38 @@ def bracket(f: Observable, g: Observable, state: StringState,
     return complex(gf @ (chart.omega() @ gg))
 
 
-def invariance_report(obs: Observable, state: StringState, m_window: int,
+def invariance_report(observables, state: StringState, m_window: int,
                       chart: CoordinateChart | None = None,
-                      n_samples=DEFAULT_OBS_GRID, threshold: float = 1e-5,
-                      grad_cache: dict | None = None) -> list:
-    """Normalized residues |{obs, L_m}| over the Virasoro window.
+                      n_samples=DEFAULT_OBS_GRID, threshold: float = 1e-5) -> list:
+    """Normalized residues |{obs, L_m}| of each observable over the Virasoro window.
 
-    Residues are |{obs, L_m}| / (||grad obs|| ||grad L_m|| ||Omega||), so the
-    pass threshold is scale-free.  Rows are sorted by (chirality, m).
-    ``grad_cache`` (keyed by (chirality, m, n_samples)) lets sweeps over many
-    observables reuse the constraint gradients.
+    Returns one row list per observable, in the order given; each list runs
+    over chirality "+" then "-" and ascending m.  Residues are
+    |{obs, L_m}| / (||grad obs|| ||grad L_m|| ||Omega||), so the pass
+    threshold is scale-free.  One sweep computes each L_m gradient, with
+    Omega grad L_m and its norm, once for all observables: k observables
+    over the window |m| <= w cost k + 2(2w + 1) gradients.
     """
     if m_window > state.truncation // 2:
         raise ValueError("m_window must be <= M/2 for an aliasing-safe sweep")
     chart = chart or chart_for(state)
     omega = chart.omega()
     onorm = chart.omega_norm()
-    gobs = gradient(obs, state, chart, check=False)
-    nobs = float(np.linalg.norm(gobs))
-    rows = []
+    gobs = [gradient(obs, state, chart, check=False) for obs in observables]
+    nobs = [float(np.linalg.norm(g)) for g in gobs]
+    reports = [[] for _ in gobs]
     for chirality in ("+", "-"):
         for m in range(-m_window, m_window + 1):
-            key = (chirality, m, n_samples)
-            if grad_cache is not None and key in grad_cache:
-                gl = grad_cache[key]
-            else:
-                lm = virasoro_mode(state, chirality, m, n_samples)
-                gl = gradient(lm, state, chart, check=False)
-                if grad_cache is not None:
-                    grad_cache[key] = gl
-            resid = abs(complex(gobs @ (omega @ gl)))
-            denom = nobs * float(np.linalg.norm(gl)) * onorm
-            resid = resid / max(denom, 1e-300)
-            rows.append({
-                "observable": obs.name,
-                "m": m,
-                "chirality": chirality,
-                "residue": resid,
-                "pass": bool(resid <= threshold),
-            })
-    rows.sort(key=lambda r: (r["chirality"], r["m"]))
-    return rows
+            gl = gradient(virasoro_mode(state, chirality, m, n_samples), state, chart, check=False)
+            omega_gl = omega @ gl
+            nl = float(np.linalg.norm(gl))
+            for obs, g, ng, rows in zip(observables, gobs, nobs, reports):
+                resid = abs(complex(g @ omega_gl)) / max(ng * nl * onorm, 1e-300)
+                rows.append({
+                    "observable": obs.name,
+                    "m": m,
+                    "chirality": chirality,
+                    "residue": resid,
+                    "pass": bool(resid <= threshold),
+                })
+    return reports

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import TAU, grid_sigma, trig_interpolate
+from .numerics import TAU, grid_sigma, weight_one_pullback
 from .phase_space import FieldGrid
 
 __all__ = ["ReparamMap", "random_diffeo", "pullback_weight_one"]
@@ -88,12 +88,5 @@ def random_diffeo(seed, order=3, amplitude=0.5, fix_base_point=True) -> ReparamM
 
 def pullback_weight_one(field: FieldGrid, cmap) -> FieldGrid:
     """Weight-one pullback (F o phi) * phi' on the field's own grid."""
-    vals = field.values
-    n = vals.shape[0]
-    sig = grid_sigma(n)
-    pts = cmap(sig)
-    moved = trig_interpolate(vals, pts)
-    moved = moved.real if np.max(np.abs(moved.imag)) <= 1e-10 * (1.0 + np.max(np.abs(moved.real))) else moved
-    dphi = cmap.deriv(sig)
-    out = moved * (dphi[:, None] if moved.ndim == 2 else dphi)
-    return FieldGrid(out)
+    sig = grid_sigma(field.n_samples)
+    return FieldGrid(weight_one_pullback(field.values, cmap(sig), cmap.deriv(sig)))

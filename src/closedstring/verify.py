@@ -121,7 +121,7 @@ def suite_periodicity(state, frame, params, tols):
         # winding R(sigma+2pi) = R(sigma)+2pi is exact by representation;
         # measure R(R^-1(sigma)) = sigma through R's exact interpolant
         pts = inv.values()
-        fwd = pts + trig_interpolate(cmap.periodic, pts).real
+        fwd = pts + trig_interpolate(cmap.periodic, pts)
         err = float(np.max(np.abs(fwd - grid_sigma(n))))
         rows.append(_row(f"roundtrip[{chir}]", _digest(state, n=n), err, tol))
     return rows
@@ -223,18 +223,16 @@ def suite_poisson(state, frame, params, tols):
     window = params["m_window"]
     n = params["obs_n"]
     tol = tols["poisson"]
-    rows = []
     specs = [InvariantSpec("-", (0,)),
              InvariantSpec("-", (0, 1), symmetrized=True),
              InvariantSpec("+", (1, 2), symmetrized=True)]
     observables = [pohlmeyer_observable(s, n) for s in specs]
     observables.append(ddf_invariant_observable(
         DDFInvariantSpec(left=[(1, 1)], right=[(2, 1)], level=1), frame, n))
-    for obs in observables:
-        rep = invariance_report(obs, state, window, n_samples=n, threshold=tol)
-        rows.append(_row(f"poisson[{obs.name}]", _digest(state, window=window),
-                         max(r["residue"] for r in rep), tol))
-    return rows
+    reports = invariance_report(observables, state, window, n_samples=n, threshold=tol)
+    digest = _digest(state, window=window)
+    return [_row(f"poisson[{obs.name}]", digest, max(r["residue"] for r in rep), tol)
+            for obs, rep in zip(observables, reports)]
 
 
 @_suite("witt")
@@ -276,16 +274,14 @@ def suite_negative_controls(states, frame, params, tols):
     window = params["m_window"]
     n = params["obs_n"]
     tol = tols["negative-controls"]
-    rows = []
-    for i, spec in enumerate(NEGATIVE_CONTROLS):
-        obs = ddf_invariant_observable(spec, frame, n)
-        loudest = 0.0
-        for state in states:
-            rep = invariance_report(obs, state, window, n_samples=n)
-            loudest = max(loudest, max(r["residue"] for r in rep))
-        rows.append(_row(f"negative-control[{i}]", _digest(states[0], i=i, states=len(states)),
-                         loudest, tol, comparison="ge"))
-    return rows
+    observables = [ddf_invariant_observable(spec, frame, n) for spec in NEGATIVE_CONTROLS]
+    loudest = [0.0] * len(observables)
+    for state in states:
+        reports = invariance_report(observables, state, window, n_samples=n)
+        loudest = [max(peak, max(r["residue"] for r in rep)) for peak, rep in zip(loudest, reports)]
+    return [_row(f"negative-control[{i}]", _digest(states[0], i=i, states=len(states)),
+                 peak, tol, comparison="ge")
+            for i, peak in enumerate(loudest)]
 
 
 suite_negative_controls.ensemble = True

@@ -119,13 +119,9 @@ A5_UNMATCHED = [DDFInvariantSpec(left=[], right=[], level=1, allow_unmatched=Tru
 
 def test_a4_poisson_invariance_pohlmeyer(state_bank):
     worst = 0.0
+    observables = [pohlmeyer_observable(spec, OBS_N) for spec in A4_SPECS]
     for state in state_bank[:5]:
-        cache = {}
-        chart = chart_for(state)
-        for spec in A4_SPECS:
-            obs = pohlmeyer_observable(spec, OBS_N)
-            rows = invariance_report(obs, state, m_window=4, chart=chart,
-                                     n_samples=OBS_N, grad_cache=cache)
+        for rows in invariance_report(observables, state, m_window=4, n_samples=OBS_N):
             worst = max(worst, max(r["residue"] for r in rows))
     ok = worst <= 1e-5
     record_acceptance("A4 Poisson invariance (Pohlmeyer)", ok,
@@ -139,18 +135,13 @@ def test_a5_ddf_invariance_and_level_matching(state_bank, frame4):
     # normalized size is state-dependent)
     worst_matched = 0.0
     control_peaks = {i: 0.0 for i in range(len(A5_UNMATCHED))}
+    observables = [ddf_invariant_observable(spec, frame4, OBS_N)
+                   for spec in A5_MATCHED + A5_UNMATCHED]
     for state in state_bank[:5]:
-        cache = {}
-        chart = chart_for(state)
-        for spec in A5_MATCHED:
-            obs = ddf_invariant_observable(spec, frame4, OBS_N)
-            rows = invariance_report(obs, state, m_window=4, chart=chart,
-                                     n_samples=OBS_N, grad_cache=cache)
+        reports = invariance_report(observables, state, m_window=4, n_samples=OBS_N)
+        for rows in reports[:len(A5_MATCHED)]:
             worst_matched = max(worst_matched, max(r["residue"] for r in rows))
-        for i, spec in enumerate(A5_UNMATCHED):
-            obs = ddf_invariant_observable(spec, frame4, OBS_N)
-            rows = invariance_report(obs, state, m_window=4, chart=chart,
-                                     n_samples=OBS_N, grad_cache=cache)
+        for i, rows in enumerate(reports[len(A5_MATCHED):]):
             control_peaks[i] = max(control_peaks[i], max(r["residue"] for r in rows))
     weakest_control = min(control_peaks.values())
     ok = worst_matched <= 1e-5 and weakest_control >= 1e-2

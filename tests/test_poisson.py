@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import closedstring as cs
+from closedstring import poisson
 from closedstring.ddf import DDFInvariantSpec
 from closedstring.errors import GradientMismatch
 from closedstring.numerics import TAU
@@ -216,7 +217,7 @@ def test_witt_algebra_small_window(state, chart):
 
 def test_invariance_report_pohlmeyer(state):
     obs = pohlmeyer_observable(InvariantSpec("-", (0, 1), symmetrized=True), 512)
-    rows = invariance_report(obs, state, m_window=3)
+    [rows] = invariance_report([obs], state, m_window=3)
     assert all(r["pass"] for r in rows)
     assert {(r["chirality"], r["m"]) for r in rows} == {(c, m) for c in "+-" for m in range(-3, 4)}
     assert rows == sorted(rows, key=lambda r: (r["chirality"], r["m"]))
@@ -225,16 +226,64 @@ def test_invariance_report_pohlmeyer(state):
 def test_invariance_report_matched_vs_unmatched(state, frame4):
     matched = ddf_invariant_observable(
         DDFInvariantSpec(left=[(1, 1)], right=[(2, 1)], level=1), frame4, 512)
-    rows = invariance_report(matched, state, m_window=3)
+    [rows] = invariance_report([matched], state, m_window=3)
     assert max(r["residue"] for r in rows) <= 1e-5
 
     unmatched = ddf_invariant_observable(
         DDFInvariantSpec(left=[], right=[], level=1, allow_unmatched=True), frame4, 512)
-    rows = invariance_report(unmatched, state, m_window=3)
+    [rows] = invariance_report([unmatched], state, m_window=3)
     assert max(r["residue"] for r in rows) >= 1e-2
 
 
 def test_invariance_report_window_guard(state):
     obs = pohlmeyer_observable(InvariantSpec("-", (0,)), 256)
     with pytest.raises(ValueError):
-        invariance_report(obs, state, m_window=5)  # > M/2
+        invariance_report([obs], state, m_window=5)  # > M/2
+
+
+def _sweep_observables(chart, frame4):
+    # x[1] and the unmatched control do not commute with the L_m; the others do
+    return [coordinate_observable(chart, 1),
+            pohlmeyer_observable(InvariantSpec("-", (0, 1), symmetrized=True), 256),
+            ddf_invariant_observable(
+                DDFInvariantSpec(left=[(1, 1)], right=[(2, 1)], level=1), frame4, 256),
+            ddf_invariant_observable(
+                DDFInvariantSpec(left=[], right=[], level=1, allow_unmatched=True), frame4, 256)]
+
+
+def test_sweep_computes_each_gradient_once(state, chart, frame4, monkeypatch):
+    calls = []
+
+    def counting(obs, *args, **kwargs):
+        calls.append(obs.name)
+        return gradient(obs, *args, **kwargs)
+
+    monkeypatch.setattr(poisson, "gradient", counting)
+    observables = _sweep_observables(chart, frame4)
+    window = 2
+    reports = invariance_report(observables, state, window, n_samples=256)
+    assert len(reports) == len(observables)
+    assert len(calls) == len(observables) + 2 * (2 * window + 1)
+    assert len(set(calls)) == len(calls)
+
+
+def test_sweep_residues_match_direct_brackets(state, chart, frame4):
+    observables = _sweep_observables(chart, frame4)
+    omega = chart.omega()
+    onorm = np.linalg.norm(omega, 2)
+    grads = {(c, m): gradient(virasoro_mode(state, c, m, 256), state, chart, check=False)
+             for c in "+-" for m in range(-2, 3)}
+    reports = invariance_report(observables, state, 2, n_samples=256)
+    for obs, rows in zip(observables, reports):
+        assert [(r["observable"], r["chirality"], r["m"]) for r in rows] == \
+            [(obs.name, c, m) for c in "+-" for m in range(-2, 3)]
+        gf = gradient(obs, state, chart, check=False)
+        for r in rows:
+            gl = grads[(r["chirality"], r["m"])]
+            want = abs(gf @ omega @ gl) / (np.linalg.norm(gf) * np.linalg.norm(gl) * onorm)
+            # residues are normalized to at most 1, so abs=1e-12 is relative to that scale
+            assert r["residue"] == pytest.approx(want, rel=1e-12, abs=1e-12)
+            assert r["pass"] == (r["residue"] <= 1e-5)
+    peaks = [max(r["residue"] for r in rows) for rows in reports]
+    assert peaks[0] >= 1e-2 and peaks[3] >= 1e-2
+    assert peaks[1] <= 1e-5 and peaks[2] <= 1e-5

@@ -98,3 +98,21 @@ def test_pullback_composition_consistency():
     once = pullback_weight_one(field, Composed())
     scale = np.max(np.abs(once.values))
     assert np.max(np.abs(step.values - once.values)) < 1e-9 * scale
+
+
+
+def test_pullback_of_real_field_is_real():
+    # white noise carries a Nyquist mode, whose complex interpolant is not real off the grid
+    n = 128
+    vals = np.random.default_rng(3).standard_normal((n, 2))
+    cmap = random_diffeo(1, 3, 0.5, fix_base_point=False)
+    out = pullback_weight_one(cs.FieldGrid(vals), cmap)
+    assert out.values.dtype == np.float64
+    # oracle: the DFT series with the Nyquist mode taken as its cosine
+    sig = grid_sigma(n)
+    pts = cmap(sig)
+    m = np.fft.fftfreq(n, 1.0 / n)
+    waves = np.exp(1j * np.outer(pts, m))
+    waves[:, m == -n // 2] = np.cos(n // 2 * pts)[:, None]
+    want = (waves @ (np.fft.fft(vals, axis=0) / n)).real * cmap.deriv(sig)[:, None]
+    assert np.max(np.abs(out.values - want)) <= 1e-12
