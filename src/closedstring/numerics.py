@@ -119,20 +119,24 @@ def _sigma_antiderivative(terms):
 
     and the mean integrates to mean * sigma^{k+1}/(k+1).  Only power 0 is
     nonzero at sigma = 0, so the constant of integration is the zero mode of
-    power 0 alone.  One FFT per input term and one IFFT per output power;
-    axis 0 is the sample axis and trailing axes (matrices, Jet seeds) ride
-    along.  ``terms`` yields the (k, g_k) pairs and is read once: a
-    generator lets each input grid go as soon as its spectrum is taken, and
-    each output spectrum goes once transformed, so a call holds about one
-    grid per output power, not every input, spectrum and output at once.
+    power 0 alone.  The top power K+1 (K the highest input power) has the
+    mean of g_K alone, so its grid is that constant, filled without a
+    transform.  One FFT per input term and one IFFT per output power below
+    the top; axis 0 is the sample axis and trailing axes (matrices, Jet
+    seeds) ride along.  ``terms`` yields the (k, g_k) pairs and is read
+    once: a generator lets each input grid go as soon as its spectrum is
+    taken, and each output spectrum goes once transformed, so a call holds
+    about one grid per output power, not every input, spectrum and output
+    at once.
     """
-    out = {}
+    out, means = {}, {}
     for k, g in terms:
         spec = jz.fft(g, axis=0)
         del g
         if not out:
-            zero, inv_im = _spectral_divisors(spec.shape[0], spec.ndim)
-        _acc(out, k + 1, spec * zero / (k + 1))
+            n = spec.shape[0]
+            inv_im = _spectral_divisors(n, spec.ndim)
+        _acc(means, k + 1, spec[0] / (k + 1))
         coef = spec * inv_im
         del spec
         for p in range(k, -1, -1):
@@ -142,12 +146,25 @@ def _sigma_antiderivative(terms):
         del coef
     # the zero mode that makes power 0 vanish at 0; every other row of power 0 is kept as is
     out[0][0] = out[0][0] - out[0].sum(axis=0)
-    return {p: jz.ifft(out.pop(p), axis=0) for p in list(out)}
+    for p, mean in means.items():
+        if p in out:
+            out[p][0] = out[p][0] + mean
+    top = max(means)
+    grids = {top: _constant_grid(means[top] / n, n)}
+    grids.update((p, jz.ifft(out.pop(p), axis=0)) for p in list(out))
+    return grids
+
+
+def _constant_grid(row, n):
+    """n copies of ``row`` along a new axis 0 (a read-only broadcast, Jet or plain)."""
+    if isinstance(row, jz.Jet):
+        return jz.Jet(_constant_grid(row.val, n), _constant_grid(row.tan, n))
+    return np.broadcast_to(row, (n,) + np.shape(row))
 
 
 @lru_cache(maxsize=64)
 def _spectral_divisors(n, ndim=1):
-    """The zero-frequency mask and 1/(im), shaped to broadcast along axis 0.
+    """1/(im) on the FFT frequencies, shaped to broadcast along axis 0.
 
     1/(im) is 0 at m = 0 and at the Nyquist mode m = -n/2: on real samples
     that mode is cos(n sigma/2), whose antiderivative is no single
@@ -155,13 +172,11 @@ def _spectral_divisors(n, ndim=1):
     Read-only and cached per (n, ndim).
     """
     freqs = _int_freqs(n, ndim)
-    zero = freqs == 0
-    osc = ~zero & (2 * np.abs(freqs) != n)
+    osc = (freqs != 0) & (2 * np.abs(freqs) != n)
     inv_im = np.zeros(freqs.shape, complex)
     inv_im[osc] = -1j / freqs[osc]
-    zero.setflags(write=False)
     inv_im.setflags(write=False)
-    return zero, inv_im
+    return inv_im
 
 
 def _acc(d, k, g):
@@ -183,7 +198,7 @@ def _end_weights(n, k):
     I_0 = 0 (m != 0), and I(0) = (2 pi)^{k+1}/(k+1).  The moments are
     Hermitian, so w is real.  Read-only and cached per (n, k).
     """
-    _, inv_im = _spectral_divisors(n)
+    inv_im = _spectral_divisors(n)
     moments = np.zeros(n, complex)
     for p in range(1, k + 1):
         moments = (TAU ** p - p * moments) * inv_im
@@ -246,9 +261,9 @@ class _PrefixIntegrals:
     sample array, keeps the sigma-polynomial state after each letter of the
     word but the last, reuses the longest common prefix with the previous
     word and steps only the new letters; the last integral closes by end
-    weights.  A degree-n word alone costs n^2 - 1 transforms; the D^n words
+    weights.  A degree-n word alone costs n(n - 1) transforms; the D^n words
     of degree n in lexicographic order share prefixes and cost
-    sum_{0<j<n} D^j (2j+1) = O(D^{n-1} n N log N).  The path of a degree-n
+    sum_{0<j<n} D^j 2j = O(D^{n-1} n N log N).  The path of a degree-n
     word holds (n-1)(n+2)/2 grids.  The caller keeps the columns the same
     between calls, or clears the path.
     """
@@ -279,8 +294,8 @@ def simplex_iterated_integral(factors):
     The first factor is attached to the innermost integration variable.
     Computed by the cumulative recursion G_j = int_0^sigma f_j G_{j-1}, where
     G_j is a polynomial of degree j in sigma with periodic coefficients: step
-    j costs 2j + 1 transforms and the last integral, needed only at 2*pi,
-    closes by end weights at no transform: n^2 - 1 for the word,
+    j costs 2j transforms and the last integral, needed only at 2*pi,
+    closes by end weights at no transform: n(n - 1) for the word,
     i.e. O(n^2 N log N) instead of the O(N^n) of direct quadrature.  Only
     the current state is held; :class:`_PrefixIntegrals` keeps the path.
     """

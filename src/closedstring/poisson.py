@@ -103,20 +103,28 @@ class CoordinateChart:
                        _identity_seeds(b["re_right"], md, s, 1.0) + _identity_seeds(b["im_right"], md, s, 1.0j))
         return state.replace(x=x, p=p, left=left, right=right)
 
-    def omega(self) -> np.ndarray:
-        """Dense bracket matrix Omega^{ab} = {y^a, y^b}."""
+    def apply_omega(self, v: np.ndarray) -> np.ndarray:
+        """Omega v from the blocks, with no S x S matrix.
+
+        eta pairs x with p, and (m/2) eta pairs Re alpha_m with Im alpha_m
+        in each sector; every row of Omega has one entry, so the products
+        are those of the dense matrix.
+        """
         b = self._blocks()
-        d, m = self.dim, self.truncation
-        eta = np.diag(minkowski(d))
-        omega = np.zeros((self.size, self.size))
-        omega[b["x"], b["p"]] = eta
-        omega[b["p"], b["x"]] = -eta
+        eta = minkowski(self.dim)
+        half_m = np.kron(np.arange(1, self.truncation + 1) / 2.0, eta)
+        out = np.empty(np.shape(v), np.result_type(v, float))
+        out[b["x"]] = eta * v[b["p"]]
+        out[b["p"]] = -eta * v[b["x"]]
         for sector in ("left", "right"):
             re, im = b[f"re_{sector}"], b[f"im_{sector}"]
-            blk = np.kron(np.diag(np.arange(1, m + 1) / 2.0), eta)
-            omega[re, im] = blk
-            omega[im, re] = -blk
-        return omega
+            out[re] = half_m * v[im]
+            out[im] = -half_m * v[re]
+        return out
+
+    def omega(self) -> np.ndarray:
+        """Dense bracket matrix Omega^{ab} = {y^a, y^b}; the brackets use :meth:`apply_omega`."""
+        return np.column_stack([self.apply_omega(e) for e in np.eye(self.size)])
 
     def omega_norm(self) -> float:
         """Spectral norm of Omega: max(1, M/2), from its eta and (m/2) eta blocks."""
@@ -342,7 +350,7 @@ def bracket(f: Observable, g: Observable, state: StringState,
     chart = chart or chart_for(state)
     gf = gradient(f, state, chart, check=check)
     gg = gradient(g, state, chart, check=check)
-    return complex(gf @ (chart.omega() @ gg))
+    return complex(gf @ chart.apply_omega(gg))
 
 
 def invariance_report(observables, state: StringState, m_window: int,
@@ -360,7 +368,6 @@ def invariance_report(observables, state: StringState, m_window: int,
     if m_window > state.truncation // 2:
         raise ValueError("m_window must be <= M/2 for an aliasing-safe sweep")
     chart = chart or chart_for(state)
-    omega = chart.omega()
     onorm = chart.omega_norm()
     gobs = [gradient(obs, state, chart, check=False) for obs in observables]
     nobs = [float(np.linalg.norm(g)) for g in gobs]
@@ -368,7 +375,7 @@ def invariance_report(observables, state: StringState, m_window: int,
     for chirality in ("+", "-"):
         for m in range(-m_window, m_window + 1):
             gl = gradient(virasoro_mode(state, chirality, m, n_samples), state, chart, check=False)
-            omega_gl = omega @ gl
+            omega_gl = chart.apply_omega(gl)
             nl = float(np.linalg.norm(gl))
             for obs, g, ng, rows in zip(observables, gobs, nobs, reports):
                 resid = abs(complex(g @ omega_gl)) / max(ng * nl * onorm, 1e-300)

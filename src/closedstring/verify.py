@@ -4,16 +4,24 @@ Each suite maps a state to a list of check rows {name, inputs, measured,
 tolerance, comparison, pass}.  Rows with comparison "le" pass when
 measured <= tolerance; negative controls use "ge".  Checks across states
 run in a thread pool (pure functions, so row content is independent of
-the thread count); row order is canonical.
+the thread count); row order is canonical.  The pool workers are the
+parallelism: while :func:`run_suites` runs, a loaded OpenBLAS is held to
+one thread, since the suites' products are too small for BLAS threads to
+help and two per worker oversubscribe the cores.  The previous count is
+restored when the call returns or raises.
 """
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
+from functools import lru_cache
 
 import numpy as np
 
@@ -241,7 +249,6 @@ def suite_witt(state, frame, params, tols):
     n = params["obs_n"]
     tol = tols["witt"]
     chart = chart_for(state)
-    omega = chart.omega()
     onorm = chart.omega_norm()
     grads, values = {}, {}
     for m in range(-2 * window, 2 * window + 1):
@@ -249,10 +256,11 @@ def suite_witt(state, frame, params, tols):
             lm = virasoro_mode(state, "-", m, n)
             grads[m] = gradient(lm, state, chart, check=False)
             values[m] = complex(jz.value(lm.fn(state)))
+    omega_grads = {k: chart.apply_omega(grads[k]) for k in range(-window, window + 1)}
     worst = 0.0
     for m in range(-window, window + 1):
         for k in range(-window, window + 1):
-            br = complex(grads[m] @ (omega @ grads[k]))
+            br = complex(grads[m] @ omega_grads[k])
             target = -1j * (m - k) * values[m + k]
             denom = float(np.linalg.norm(grads[m]) * np.linalg.norm(grads[k])) * onorm
             worst = max(worst, abs(br - target) / max(denom, 1e-300))
@@ -302,12 +310,90 @@ def thread_count():
     return min(8, os.cpu_count() or 1)
 
 
+# (get, set) symbol pairs of OpenBLAS's thread count: numpy's scipy-openblas
+# build, then a plain OpenBLAS
+_OPENBLAS_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@lru_cache(maxsize=1)
+def _openblas():
+    """(get, set) thread-count functions of the OpenBLAS this process has loaded, or None.
+
+    Looked up among the process's own mapped objects on the first call, then
+    cached; None on a platform without /proc/self/maps or with another BLAS.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8", errors="replace") as fh:
+            # address, perms, offset, dev, inode, path: only a path can name openblas
+            paths = sorted({line.split(maxsplit=5)[-1].strip() for line in fh
+                            if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_SYMBOLS:
+            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+class _BlasCap:
+    """Holds the loaded OpenBLAS at one thread while any caller is inside :meth:`held`.
+
+    OpenBLAS keeps one thread count per process, so overlapping holders
+    share one depth count: the first in saves the count and sets 1, the
+    last out restores it.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._saved = None
+
+    @contextmanager
+    def held(self):
+        """Yield the BLAS thread count in force (1), or None when no OpenBLAS is loaded."""
+        blas = _openblas()
+        if blas is None:
+            yield None
+            return
+        get, set_ = blas
+        with self._lock:
+            if not self._depth:
+                self._saved = get()
+                set_(1)
+            self._depth += 1
+        try:
+            yield get()
+        finally:
+            with self._lock:
+                self._depth -= 1
+                if not self._depth:
+                    set_(self._saved)
+
+
+_BLAS_CAP = _BlasCap()
+
+
 def run_suites(names, states, frame, params=None, tolerances=None, threads=None,
                provenance=None):
     """Run the named suites over all states and assemble the report.
 
     ``provenance`` (state paths, generator seeds) is echoed into the report
-    so a run can be reproduced exactly from its own output.
+    so a run can be reproduced exactly from its own output.  For the
+    duration of the call a loaded OpenBLAS runs one thread, whatever the
+    worker count; the count before the call is restored when it returns or
+    raises.  The report's ``config`` records the workers (``threads``) and
+    the BLAS threads in force (``blas_threads``, null without OpenBLAS).
     """
     params = {**default_params(), **(params or {})}
     tols = {**DEFAULT_TOLERANCES, **(tolerances or {})}
@@ -331,11 +417,12 @@ def run_suites(names, states, frame, params=None, tolerances=None, threads=None,
         return nm, (t0, time.perf_counter(), time.thread_time() - c0), out
 
     workers = threads or thread_count()
-    if workers == 1:
-        results = [run(j) for j in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, jobs))
+    with _BLAS_CAP.held() as blas_threads:
+        if workers == 1:
+            results = [run(j) for j in jobs]
+        else:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(run, jobs))
 
     # per suite: wall_s spans its first job start to its last job end (jobs
     # overlap across workers); cpu_s sums its jobs' worker-thread CPU time
@@ -358,6 +445,7 @@ def run_suites(names, states, frame, params=None, tolerances=None, threads=None,
             "states": len(states),
             "provenance": provenance or {},
             "threads": workers,
+            "blas_threads": blas_threads,
         },
         "rows": rows,
         "pass": all(r["pass"] for r in rows),

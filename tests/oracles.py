@@ -114,3 +114,28 @@ def antiderivative_quad(f, sigma_values, mean):
         val, _ = quad(lambda t: f(t) - mean, 0.0, s, limit=400, epsabs=1e-14, epsrel=1e-13)
         out.append(val)
     return np.asarray(out)
+
+
+def dense_omega(chart):
+    """Dense bracket matrix Omega^{ab} = {y^a, y^b}, set entry by entry.
+
+    Chart layout (x, p, Re alpha, Im alpha, Re ~alpha, Im ~alpha), with
+    {x^mu, p^nu} = eta^{mu nu} and {Re alpha_m^mu, Im alpha_m^nu} = (m/2) eta^{mu nu}
+    in each sector.
+    """
+    d, big_m = chart.dim, chart.truncation
+    eta = np.ones(d)
+    eta[0] = -1.0
+    omega = np.zeros((chart.size, chart.size))
+    for mu in range(d):
+        omega[mu, d + mu] = eta[mu]
+        omega[d + mu, mu] = -eta[mu]
+    for sector in range(2):
+        re0 = 2 * d + 2 * sector * big_m * d
+        im0 = re0 + big_m * d
+        for m in range(1, big_m + 1):
+            for mu in range(d):
+                i = (m - 1) * d + mu
+                omega[re0 + i, im0 + i] = m / 2.0 * eta[mu]
+                omega[im0 + i, re0 + i] = -(m / 2.0 * eta[mu])
+    return omega

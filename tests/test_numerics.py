@@ -167,6 +167,21 @@ def test_antiderivative_derivative_identity(rng):
     assert np.max(np.abs(df - (f - mean.real))) < 1e-11
 
 
+def test_sigma_antiderivative_top_power_is_the_mean(rng):
+    # int_0^sigma (s g_1 + g_0) ds reaches sigma^2 through the mean of g_1 alone:
+    # a real constant grid, tangents included
+    from closedstring.numerics import _sigma_antiderivative
+
+    n = 64
+    g1, g0 = band_limited(rng, n, 5), band_limited(rng, n, 5)
+    tan = np.column_stack([band_limited(rng, n, 5) for _ in range(2)])
+    top = _sigma_antiderivative([(1, jz.Jet(g1, tan)), (0, g0)])[2]
+    assert top.shape == (n,) and top.tan.shape == (n, 2)
+    for grid, want in ((top.val, np.mean(g1) / 2), (top.tan, tan.mean(axis=0) / 2)):
+        assert np.all(grid.imag == 0.0)
+        assert np.allclose(grid.real, want, rtol=1e-14, atol=0.0)
+
+
 # ----------------------------------------------------------------------
 # simplex integrals
 # ----------------------------------------------------------------------
@@ -183,7 +198,8 @@ def test_simplex_two_constants():
 
 
 def test_simplex_transform_count(monkeypatch):
-    # step j of a degree-n word has j input terms and j + 1 output powers
+    # step j of a degree-n word has j input terms and j + 1 output powers, the
+    # top one a constant that needs no transform; the last integral needs none
     calls = []
     for name in ("fft", "ifft"):
         def counted(x, axis=0, _fn=getattr(jz, name)):
@@ -194,7 +210,7 @@ def test_simplex_transform_count(monkeypatch):
     for n in (1, 2, 4, 6):
         calls.clear()
         simplex_iterated_integral([f] * n)
-        assert len(calls) <= n * n + 2 * n
+        assert len(calls) == n * (n - 1)
 
 
 def test_simplex_memory_bound():

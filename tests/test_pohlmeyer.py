@@ -103,8 +103,9 @@ def _all_words(field, words):
 
 
 def test_lexicographic_words_share_prefixes(state_bank, monkeypatch):
-    # each prefix of length j is stepped once at 2j + 1 transforms and the last
-    # letter costs none: sum_{j<n} D^j (2j + 1) for all words to degree n
+    # each prefix of length j is stepped once at 2j transforms (the top power
+    # of a step is a constant, filled without one) and the last letter costs
+    # none: sum_{0<j<n} D^j 2j for all words to degree n
     _all_words(cs.eval_field(state_bank[1], "-", 64), WORDS4)  # warm the cached weights
     field = cs.eval_field(state_bank[0], "-", 64)
     calls = []
@@ -115,7 +116,7 @@ def test_lexicographic_words_share_prefixes(state_bank, monkeypatch):
         monkeypatch.setattr(jz, name, counted)
     _all_words(field, WORDS4)
     assert len(WORDS4) == 340
-    assert len(calls) <= sum(4 ** j * (2 * j + 1) for j in range(4))
+    assert len(calls) == sum(4 ** j * 2 * j for j in range(1, 4))
 
 
 def test_word_order_does_not_change_values(state_bank):

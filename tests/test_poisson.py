@@ -16,7 +16,7 @@ from closedstring.poisson import (Observable, bracket,
                                   product_observable,
                                   smeared_momentum_observable,
                                   smeared_position_observable, virasoro_mode)
-from oracles import virasoro_mode_direct
+from oracles import dense_omega, virasoro_mode_direct
 
 
 @pytest.fixture(scope="module")
@@ -44,9 +44,20 @@ def test_pack_unpack_bit_exact(seed):
 
 
 def test_omega_antisymmetric_and_norm(chart):
-    omega = chart.omega()
+    omega = dense_omega(chart)
     assert np.max(np.abs(omega + omega.T)) == 0.0
     assert chart.omega_norm() == pytest.approx(float(np.linalg.norm(omega, 2)), rel=1e-14)
+
+
+@pytest.mark.parametrize("truncation", [1, 8, 16])
+def test_apply_omega_matches_dense_oracle(truncation):
+    chart = poisson.CoordinateChart(4, truncation)
+    rng = np.random.default_rng(truncation)
+    omega = dense_omega(chart)
+    for _ in range(3):
+        v = rng.standard_normal(chart.size) + 1j * rng.standard_normal(chart.size)
+        assert np.array_equal(chart.apply_omega(v), omega @ v)
+    assert np.array_equal(chart.omega(), omega)
 
 
 def test_mode_brackets_from_chart(state, chart):
@@ -198,7 +209,7 @@ def test_virasoro_zero_oscillator_value():
 
 
 def test_witt_algebra_small_window(state, chart):
-    omega = chart.omega()
+    omega = dense_omega(chart)
     onorm = np.linalg.norm(omega, 2)
     grads = {m: gradient(virasoro_mode(state, "-", m, 512), state, chart, check=False)
              for m in range(-4, 5)}
@@ -269,7 +280,7 @@ def test_sweep_computes_each_gradient_once(state, chart, frame4, monkeypatch):
 
 def test_sweep_residues_match_direct_brackets(state, chart, frame4):
     observables = _sweep_observables(chart, frame4)
-    omega = chart.omega()
+    omega = dense_omega(chart)
     onorm = np.linalg.norm(omega, 2)
     grads = {(c, m): gradient(virasoro_mode(state, c, m, 256), state, chart, check=False)
              for c in "+-" for m in range(-2, 3)}

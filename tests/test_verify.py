@@ -1,0 +1,126 @@
+"""The verify runner holds a loaded OpenBLAS to one thread for its duration only.
+
+Without an OpenBLAS in the process every count reads None, and the same
+assertions check that the runner leaves BLAS alone.
+"""
+
+import sys
+import threading
+
+import pytest
+
+import closedstring as cs
+from closedstring import verify
+
+PROBE = "blas-probe"
+
+
+# the loaded library, looked up before any test replaces the lookup
+BLAS = verify._openblas()
+# the count a suite sees inside run_suites
+INSIDE = 1 if BLAS else None
+
+
+def _count():
+    return BLAS[0]() if BLAS else None
+
+
+def _set_count(k):
+    if BLAS:
+        BLAS[1](k)
+
+
+@pytest.fixture
+def frame():
+    return cs.default_frame(4)
+
+
+@pytest.fixture
+def states(frame):
+    return [cs.random_state(4, 2, seed=s, frame=frame) for s in (1, 2)]
+
+
+@pytest.fixture
+def before():
+    """A caller's count of 2 (where the machine allows it), restored afterwards."""
+    saved = _count()
+    _set_count(2)
+    try:
+        yield _count()
+    finally:
+        if saved is not None:
+            _set_count(saved)
+
+
+def _probe(seen, wait=None):
+    def suite(state, frame, params, tols):
+        if wait is not None:
+            wait()
+        seen.append(_count())
+        return [{"name": "probe", "pass": True}]
+
+    return suite
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_suites_see_one_blas_thread(monkeypatch, frame, states, before, threads):
+    seen = []
+    monkeypatch.setitem(verify.SUITES, PROBE, _probe(seen))
+    report = verify.run_suites([PROBE], states, frame, threads=threads)
+    assert report["pass"]
+    assert seen == [INSIDE] * len(states)
+    assert report["config"]["threads"] == threads
+    assert report["config"]["blas_threads"] == INSIDE
+    assert _count() == before
+
+
+def test_count_restored_after_a_suite_raises(monkeypatch, frame, states, before):
+    def failing(state, frame, params, tols):
+        raise RuntimeError("suite failed")
+
+    monkeypatch.setitem(verify.SUITES, PROBE, failing)
+    for threads in (1, 2):
+        with pytest.raises(RuntimeError, match="suite failed"):
+            verify.run_suites([PROBE], states, frame, threads=threads)
+        assert _count() == before
+
+
+def test_overlapping_calls_restore_the_count(monkeypatch, frame, states, before):
+    # more callers than cores, each round all of them inside run_suites at once
+    callers, rounds = 4, 3
+    barrier = threading.Barrier(callers)
+    seen, errors = [], []
+    monkeypatch.setitem(verify.SUITES, PROBE, _probe(seen, lambda: barrier.wait(timeout=20)))
+
+    def call():
+        try:
+            for _ in range(rounds):
+                verify.run_suites([PROBE], states[:1], frame, threads=2)
+        except Exception as exc:  # reported below; a broken barrier fails the test
+            errors.append(exc)
+            barrier.abort()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        workers = [threading.Thread(target=call) for _ in range(callers)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert errors == []
+    assert seen == [INSIDE] * (callers * rounds)
+    assert _count() == before
+
+
+def test_no_openblas_found(monkeypatch, frame, states, before):
+    seen = []
+    monkeypatch.setattr(verify, "_openblas", lambda: None)
+    monkeypatch.setitem(verify.SUITES, PROBE, _probe(seen))
+    report = verify.run_suites([PROBE, "reality"], states, frame, params={"n": 256}, threads=2)
+    assert report["pass"]
+    assert report["config"]["blas_threads"] is None
+    assert seen == [before] * len(states)
