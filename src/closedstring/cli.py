@@ -219,12 +219,9 @@ def _dispatch(args) -> int:
         if "all" in suites:
             suites = suite_names()
         params = default_params()
-        if args.grid:
-            params["n"] = args.grid
-        if args.modes_out:
-            params["m_out"] = args.modes_out
-        if args.m_window:
-            params["m_window"] = args.m_window
+        for key, given in (("n", args.grid), ("m_out", args.modes_out), ("m_window", args.m_window)):
+            if given is not None:
+                params[key] = given
         tols = {}
         for item in args.tolerance:
             name, _, value = item.partition("=")

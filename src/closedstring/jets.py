@@ -65,9 +65,6 @@ class Jet:
     def conj(self):
         return Jet(np.conj(self.val), np.conj(self.tan))
 
-    def item(self):
-        return self.val.item()
-
     def __repr__(self):
         return f"Jet(shape={self.val.shape}, seeds={self.tan.shape[-1]})"
 
@@ -124,14 +121,6 @@ class Jet:
 
     def __neg__(self):
         return _neg(self)
-
-    def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise TypeError("Jet ** only supports non-negative integer exponents")
-        out = 1.0
-        for _ in range(k):
-            out = _mul(out, self)
-        return out
 
     def __matmul__(self, other):
         return _matmul(self, other)

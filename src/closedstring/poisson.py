@@ -24,7 +24,7 @@ from .ddf import DDFInvariantSpec, ddf_invariant
 from .errors import GradientMismatch
 from .numerics import TAU, grid_sigma
 from .phase_space import (LightlikeFrame, StringState, _orientation, eta_dot,
-                          eval_field, minkowski, position_field)
+                          eval_field, minkowski, position_field, virasoro_density)
 from .pohlmeyer import InvariantSpec, pohlmeyer_invariant
 
 DEFAULT_OBS_GRID = 512
@@ -104,7 +104,7 @@ class CoordinateChart:
         return state.replace(x=x, p=p, left=left, right=right)
 
     def apply_omega(self, v: np.ndarray) -> np.ndarray:
-        """Omega v from the blocks, with no S x S matrix.
+        """Omega v along the last axis of v, from the blocks, with no S x S matrix.
 
         eta pairs x with p, and (m/2) eta pairs Re alpha_m with Im alpha_m
         in each sector; every row of Omega has one entry, so the products
@@ -114,12 +114,12 @@ class CoordinateChart:
         eta = minkowski(self.dim)
         half_m = np.kron(np.arange(1, self.truncation + 1) / 2.0, eta)
         out = np.empty(np.shape(v), np.result_type(v, float))
-        out[b["x"]] = eta * v[b["p"]]
-        out[b["p"]] = -eta * v[b["x"]]
+        out[..., b["x"]] = eta * v[..., b["p"]]
+        out[..., b["p"]] = -eta * v[..., b["x"]]
         for sector in ("left", "right"):
             re, im = b[f"re_{sector}"], b[f"im_{sector}"]
-            out[re] = half_m * v[im]
-            out[im] = -half_m * v[re]
+            out[..., re] = half_m * v[..., im]
+            out[..., im] = -half_m * v[..., re]
         return out
 
     def omega(self) -> np.ndarray:
@@ -160,13 +160,10 @@ def chart_for(state: StringState) -> CoordinateChart:
 
 @dataclass(frozen=True)
 class Observable:
-    """Named smooth map StringState -> complex, evaluable on jet states."""
+    """Named smooth map StringState -> complex (scalar or array), evaluable on jet states."""
 
     name: str
     fn: object
-
-    def __call__(self, state: StringState):
-        return self.fn(state)
 
 
 def coordinate_observable(chart: CoordinateChart, index: int) -> Observable:
@@ -209,25 +206,26 @@ def ddf_invariant_observable(spec: DDFInvariantSpec, frame: LightlikeFrame,
     return Observable(name=f"D[L={spec.left},R={spec.right},N={spec.level},{tag}]", fn=fn)
 
 
-def virasoro_mode(state: StringState, chirality: str, m: int,
-                  n_samples=DEFAULT_OBS_GRID) -> Observable:
+def virasoro_mode(state: StringState, chirality: str, m, n_samples=DEFAULT_OBS_GRID) -> Observable:
     """L_m (chirality -) or ~L_m (chirality +) as an observable.
 
     L_m = (1/2) oint e^{-i m sigma} eta(P_-, P_-) dsigma and the mirrored
-    phase for +; |m| <= M keeps the window aliasing-safe on the truncated
-    space.
+    phase for +.  An int m gives the scalar L_m; a sequence of ints gives
+    the vector of those L_m, all from one density by one (K, n) phase
+    product, so one jet pass yields every gradient of a window.  |m| <= M
+    keeps the window aliasing-safe on the truncated space.
     """
-    if abs(m) > state.truncation:
-        raise ValueError(f"|m| = {abs(m)} exceeds the truncation M = {state.truncation}")
-    phase = np.exp(-_orientation(chirality) * 1j * m * grid_sigma(n_samples))
+    modes = np.atleast_1d(np.asarray(m, dtype=int))
+    if np.any(np.abs(modes) > state.truncation):
+        raise ValueError(f"|m| = {int(np.max(np.abs(modes)))} exceeds the truncation M = {state.truncation}")
+    phase = np.exp(-_orientation(chirality) * 1j * np.multiply.outer(modes, grid_sigma(n_samples)))
 
     def fn(st):
-        vals = eval_field(st, chirality, n_samples).values
-        dens = eta_dot(vals, vals)
-        return 0.5 * (TAU / n_samples) * (dens * phase).sum(axis=0)
+        out = 0.5 * (TAU / n_samples) * (phase @ virasoro_density(st, chirality, n_samples).values)
+        return out if np.ndim(m) else out[0]
 
     label = "L" if chirality == "-" else "Lt"
-    return Observable(name=f"{label}[{m}]", fn=fn)
+    return Observable(name=f"{label}[{','.join(str(k) for k in modes)}]", fn=fn)
 
 
 def smeared_position_observable(harmonic: int, kind: str, e: np.ndarray,
@@ -301,43 +299,49 @@ def gradient(obs: Observable, state: StringState, chart: CoordinateChart | None 
              *, check: bool = True) -> np.ndarray:
     """Chart gradient of the observable, propagated with forward-mode jets.
 
-    With ``check`` the result is compared against central finite differences
-    with step h_i = 1e-5*(1 + |y_i|); disagreement beyond 1e-3 (relative to
-    the gradient scale) raises GradientMismatch.  The propagated value is
-    returned either way.
+    The result has shape value.shape + (S,): one row per element of an
+    array-valued observable, all from one jet pass.  With ``check`` each
+    element is compared against central finite differences with step
+    h_i = 1e-5*(1 + |y_i|); disagreement beyond 1e-3 (relative to that
+    element's gradient scale) raises GradientMismatch naming the element.
+    The propagated value is returned either way.
     """
     chart = chart or chart_for(state)
     out = obs.fn(chart.seed_state(state))
     if not isinstance(out, jz.Jet):
-        return np.zeros(chart.size, complex)
+        return np.zeros(np.shape(out) + (chart.size,), complex)
     grad = np.asarray(out.tan, complex)
     if check:
         fd = finite_difference_gradient(obs, state, chart)
-        scale = max(float(np.max(np.abs(grad))), float(np.max(np.abs(fd))), 1e-300)
+        scale = np.maximum(np.abs(grad).max(axis=-1, keepdims=True),
+                           np.abs(fd).max(axis=-1, keepdims=True)).clip(min=1e-300)
         err = np.abs(grad - fd)
         tol = 1e-3 * (np.abs(grad) + scale)
         if np.any(err > tol):
-            worst = int(np.argmax(err - tol))
+            *element, worst = np.unravel_index(np.argmax(err - tol), err.shape)
+            at = f" element {tuple(int(i) for i in element)}" if element else ""
             raise GradientMismatch(
-                f"{obs.name}: component {worst} propagated={grad[worst]:.6e} fd={fd[worst]:.6e}")
+                f"{obs.name}{at}: component {worst} propagated={grad[(*element, worst)]:.6e} "
+                f"fd={fd[(*element, worst)]:.6e}")
     return grad
 
 
 def finite_difference_gradient(obs: Observable, state: StringState,
                                chart: CoordinateChart | None = None,
                                step: float = 1e-5) -> np.ndarray:
+    """Central differences of the observable, shape value.shape + (S,)."""
     chart = chart or chart_for(state)
     y0 = chart.pack(state)
-    out = np.zeros(chart.size, complex)
+    columns = []
     for i in range(chart.size):
         h = step * (1.0 + abs(y0[i]))
         yp, ym = y0.copy(), y0.copy()
         yp[i] += h
         ym[i] -= h
-        fp = complex(jz.value(obs.fn(chart.unpack(yp, state))))
-        fm = complex(jz.value(obs.fn(chart.unpack(ym, state))))
-        out[i] = (fp - fm) / (2.0 * h)
-    return out
+        fp = np.asarray(jz.value(obs.fn(chart.unpack(yp, state))), complex)
+        fm = np.asarray(jz.value(obs.fn(chart.unpack(ym, state))), complex)
+        columns.append((fp - fm) / (2.0 * h))
+    return np.stack(columns, axis=-1)
 
 
 def bracket(f: Observable, g: Observable, state: StringState,
@@ -361,24 +365,24 @@ def invariance_report(observables, state: StringState, m_window: int,
     Returns one row list per observable, in the order given; each list runs
     over chirality "+" then "-" and ascending m.  Residues are
     |{obs, L_m}| / (||grad obs|| ||grad L_m|| ||Omega||), so the pass
-    threshold is scale-free.  One sweep computes each L_m gradient, with
-    Omega grad L_m and its norm, once for all observables: k observables
-    over the window |m| <= w cost k + 2(2w + 1) gradients.
+    threshold is scale-free.  One sweep takes every L_m gradient of a
+    chirality from one jet pass of the window observable, with Omega grad L_m
+    and its norm, once for all observables: k observables over the window
+    |m| <= w cost k + 2 jet passes.
     """
-    if m_window > state.truncation // 2:
-        raise ValueError("m_window must be <= M/2 for an aliasing-safe sweep")
+    if not 0 <= m_window <= state.truncation // 2:
+        raise ValueError("m_window must be in 0..M/2 for an aliasing-safe sweep")
     chart = chart or chart_for(state)
     onorm = chart.omega_norm()
+    window = range(-m_window, m_window + 1)
     gobs = [gradient(obs, state, chart, check=False) for obs in observables]
     nobs = [float(np.linalg.norm(g)) for g in gobs]
     reports = [[] for _ in gobs]
     for chirality in ("+", "-"):
-        for m in range(-m_window, m_window + 1):
-            gl = gradient(virasoro_mode(state, chirality, m, n_samples), state, chart, check=False)
-            omega_gl = chart.apply_omega(gl)
-            nl = float(np.linalg.norm(gl))
+        gl = gradient(virasoro_mode(state, chirality, window, n_samples), state, chart, check=False)
+        for m, omega_gl, nl in zip(window, chart.apply_omega(gl), np.linalg.norm(gl, axis=-1)):
             for obs, g, ng, rows in zip(observables, gobs, nobs, reports):
-                resid = abs(complex(g @ omega_gl)) / max(ng * nl * onorm, 1e-300)
+                resid = abs(complex(g @ omega_gl)) / max(ng * float(nl) * onorm, 1e-300)
                 rows.append({
                     "observable": obs.name,
                     "m": m,

@@ -26,7 +26,6 @@ from functools import lru_cache
 import numpy as np
 
 from . import __version__
-from . import jets as jz
 from .ddf import DDFInvariantSpec, compute_R, ddf_modes, reconstruct_field
 from .numerics import TAU, grid_sigma, invert_monotone, trig_interpolate
 from .phase_space import _complex_field, _non_real, eta_dot, eval_field, state_to_json
@@ -245,25 +244,20 @@ def suite_poisson(state, frame, params, tols):
 
 @_suite("witt")
 def suite_witt(state, frame, params, tols):
+    # {L_m, L_k} = -i (m - k) L_{m+k} over |m|, |k| <= w: gradients of the
+    # window from one jet pass, values for |m| <= 2w from one evaluation
     window = params["m_window"]
     n = params["obs_n"]
     tol = tols["witt"]
     chart = chart_for(state)
-    onorm = chart.omega_norm()
-    grads, values = {}, {}
-    for m in range(-2 * window, 2 * window + 1):
-        if abs(m) <= state.truncation:
-            lm = virasoro_mode(state, "-", m, n)
-            grads[m] = gradient(lm, state, chart, check=False)
-            values[m] = complex(jz.value(lm.fn(state)))
-    omega_grads = {k: chart.apply_omega(grads[k]) for k in range(-window, window + 1)}
-    worst = 0.0
-    for m in range(-window, window + 1):
-        for k in range(-window, window + 1):
-            br = complex(grads[m] @ omega_grads[k])
-            target = -1j * (m - k) * values[m + k]
-            denom = float(np.linalg.norm(grads[m]) * np.linalg.norm(grads[k])) * onorm
-            worst = max(worst, abs(br - target) / max(denom, 1e-300))
+    ms = np.arange(-window, window + 1)
+    grads = gradient(virasoro_mode(state, "-", ms, n), state, chart, check=False)
+    values = virasoro_mode(state, "-", range(-2 * window, 2 * window + 1), n).fn(state)
+    brackets = grads @ chart.apply_omega(grads).T
+    target = -1j * np.subtract.outer(ms, ms) * values[np.add.outer(ms, ms) + 2 * window]
+    norms = np.linalg.norm(grads, axis=-1)
+    denom = np.outer(norms, norms) * chart.omega_norm()
+    worst = float(np.max(np.abs(brackets - target) / np.maximum(denom, 1e-300)))
     return [_row("witt[-]", _digest(state, window=window), worst, tol)]
 
 
@@ -394,12 +388,23 @@ def run_suites(names, states, frame, params=None, tolerances=None, threads=None,
     worker count; the count before the call is restored when it returns or
     raises.  The report's ``config`` records the workers (``threads``) and
     the BLAS threads in force (``blas_threads``, null without OpenBLAS).
+    Before any job starts it raises ValueError for ``threads`` < 1 and, when
+    a Virasoro suite (poisson, witt, negative-controls) is selected, for an
+    ``m_window`` outside 1..min(M)//2 over the states.
     """
     params = {**default_params(), **(params or {})}
     tols = {**DEFAULT_TOLERANCES, **(tolerances or {})}
     unknown = [nm for nm in names if nm not in SUITES]
     if unknown:
         raise KeyError(f"unknown suites: {unknown}; known: {suite_names()}")
+    workers = thread_count() if threads is None else threads
+    if workers < 1:
+        raise ValueError(f"threads must be >= 1, got {workers}")
+    if {"poisson", "witt", "negative-controls"} & set(names):
+        limit = min(s.truncation for s in states) // 2
+        if not 1 <= params["m_window"] <= limit:
+            raise ValueError(f"m_window must be in 1..{limit} (min M/2 over the states), "
+                             f"got {params['m_window']}")
     jobs = []
     for nm in names:
         if getattr(SUITES[nm], "ensemble", False):
@@ -416,7 +421,6 @@ def run_suites(names, states, frame, params=None, tolerances=None, threads=None,
             r["state_index"] = idx
         return nm, (t0, time.perf_counter(), time.thread_time() - c0), out
 
-    workers = threads or thread_count()
     with _BLAS_CAP.held() as blas_threads:
         if workers == 1:
             results = [run(j) for j in jobs]

@@ -181,3 +181,29 @@ def test_frame_dimension_mismatch_is_usage_error(tmp_path, capsys):
         capsys.readouterr()
         assert run(argv + ["--frame", "1,1"]) == 2
         assert "frame has dimension 2, state has 4" in capsys.readouterr().err
+
+
+def test_verify_numeric_flags_at_zero_are_not_ignored(tmp_path, capsys):
+    rp = tmp_path / "r.json"
+    base = ["verify", "--seeds", "1", "--suite", "reality", "--grid", "256"]
+    assert run(base + ["--modes-out", "0", "--report", str(rp)]) == 0
+    assert json.loads(rp.read_text())["config"]["params"]["m_out"] == 0
+
+    # a zero grid reaches the suites, which reject it (it used to run at 4096)
+    capsys.readouterr()
+    assert run(["verify", "--seeds", "1", "--suite", "reality", "--grid", "0"]) == 2
+    assert "grid size 0" in capsys.readouterr().err
+
+
+def test_verify_rejects_m_window_out_of_range(capsys):
+    # M = 8 for generated states, so the window runs 1..4
+    for window in ("0", "5", "-1"):
+        capsys.readouterr()
+        assert run(["verify", "--seeds", "1", "--suite", "witt", "--m-window", window]) == 2
+        assert "m_window" in capsys.readouterr().err
+
+
+def test_verify_rejects_zero_threads(capsys):
+    assert run(["verify", "--seeds", "1", "--suite", "reality", "--grid", "256",
+                "--threads", "0"]) == 2
+    assert "threads" in capsys.readouterr().err

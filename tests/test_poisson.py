@@ -223,6 +223,62 @@ def test_witt_algebra_small_window(state, chart):
 
 
 # ----------------------------------------------------------------------
+# Virasoro windows
+# ----------------------------------------------------------------------
+
+WINDOW = range(-4, 5)
+
+
+@pytest.mark.parametrize("chir", ["-", "+"])
+def test_window_rows_are_the_scalar_gradients(state, chart, chir):
+    rows = gradient(virasoro_mode(state, chir, WINDOW, 512), state, chart, check=False)
+    assert rows.shape == (len(WINDOW), chart.size)
+    for m, row in zip(WINDOW, rows):
+        scalar = gradient(virasoro_mode(state, chir, m, 512), state, chart, check=False)
+        assert np.max(np.abs(row - scalar)) <= 1e-13 * np.max(np.abs(scalar))
+
+
+@pytest.mark.parametrize("chir", ["-", "+"])
+def test_window_gradient_matches_finite_differences(state, chart, chir):
+    window = virasoro_mode(state, chir, WINDOW, 512)
+    ad = gradient(window, state, chart, check=False)
+    fd = finite_difference_gradient(window, state, chart)
+    assert fd.shape == ad.shape
+    # A12's measure, per element
+    scale = np.max(np.abs(ad), axis=-1, keepdims=True)
+    assert np.max(np.abs(ad - fd) / (np.abs(ad) + scale)) <= 1e-5
+
+
+@pytest.mark.parametrize("chir", ["-", "+"])
+def test_window_values_match_mode_formula(state, chir):
+    values = virasoro_mode(state, chir, WINDOW, 512).fn(state)
+    for m, val in zip(WINDOW, values):
+        direct = virasoro_mode_direct(state, chir, m)
+        assert abs(val - direct) < 1e-12 * (1 + abs(direct))
+
+
+@pytest.mark.parametrize("chir", ["-", "+"])
+def test_window_gradient_check(state, chart, chir):
+    gradient(virasoro_mode(state, chir, WINDOW, 256), state, chart, check=True)
+    # a vector observable whose second element carries a wrong derivative
+    import closedstring.jets as jz
+
+    def fn(s):
+        val = np.asarray([complex(jz.value(s.p[0])), complex(jz.value(s.p[1]))])
+        tan = np.zeros((2, chart.size), complex)
+        tan[0, 4] = 1.0
+        return jz.Jet(val, tan)
+
+    with pytest.raises(GradientMismatch, match=r"element \(1,\)"):
+        gradient(Observable(name="broken-vector", fn=fn), state, chart, check=True)
+
+
+def test_window_beyond_truncation_raises(state):
+    with pytest.raises(ValueError, match="exceeds the truncation"):
+        virasoro_mode(state, "-", [0, 9])
+
+
+# ----------------------------------------------------------------------
 # invariance reports
 # ----------------------------------------------------------------------
 
@@ -274,7 +330,8 @@ def test_sweep_computes_each_gradient_once(state, chart, frame4, monkeypatch):
     window = 2
     reports = invariance_report(observables, state, window, n_samples=256)
     assert len(reports) == len(observables)
-    assert len(calls) == len(observables) + 2 * (2 * window + 1)
+    # one gradient per observable and one window gradient per chirality
+    assert len(calls) == len(observables) + 2
     assert len(set(calls)) == len(calls)
 
 

@@ -1,16 +1,20 @@
 """The verify runner holds a loaded OpenBLAS to one thread for its duration only.
 
 Without an OpenBLAS in the process every count reads None, and the same
-assertions check that the runner leaves BLAS alone.
+assertions check that the runner leaves BLAS alone.  The witt suite is
+checked against a per-mode recomputation of the Witt residues.
 """
 
 import sys
 import threading
 
+import numpy as np
 import pytest
 
 import closedstring as cs
 from closedstring import verify
+from closedstring.poisson import chart_for, gradient, virasoro_mode
+from oracles import dense_omega, virasoro_mode_direct
 
 PROBE = "blas-probe"
 
@@ -124,3 +128,31 @@ def test_no_openblas_found(monkeypatch, frame, states, before):
     assert report["pass"]
     assert report["config"]["blas_threads"] is None
     assert seen == [before] * len(states)
+
+
+def _witt_residue_per_mode(state, window, n):
+    """max |{L_m, L_k} + i(m - k) L_{m+k}| / scale from scalar gradients, mode by mode."""
+    chart = chart_for(state)
+    omega = dense_omega(chart)
+    onorm = np.linalg.norm(omega, 2)
+    modes = range(-window, window + 1)
+    grads = {m: gradient(virasoro_mode(state, "-", m, n), state, chart, check=False) for m in modes}
+    worst = 0.0
+    for m in modes:
+        for k in modes:
+            br = complex(grads[m] @ (omega @ grads[k]))
+            target = -1j * (m - k) * virasoro_mode_direct(state, "-", m + k)
+            denom = np.linalg.norm(grads[m]) * np.linalg.norm(grads[k]) * onorm
+            worst = max(worst, abs(br - target) / denom)
+    return worst
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_witt_suite_matches_per_mode_oracle(frame, seed):
+    state = cs.random_state(4, 8, seed=seed, frame=frame)
+    params = verify.default_params()
+    [row] = verify.suite_witt(state, frame, params, verify.DEFAULT_TOLERANCES)
+    want = _witt_residue_per_mode(state, params["m_window"], params["obs_n"])
+    # residues are normalized to at most about 1, so the bound is absolute on that scale
+    assert row["measured"] == pytest.approx(want, rel=0, abs=1e-12)
+    assert row["pass"]
