@@ -298,10 +298,21 @@ def default_params():
 
 
 def thread_count():
+    """Worker count: ``CLOSEDSTRING_THREADS`` if set, else up to 8 cores.
+
+    Raises ValueError, naming the variable, for a value that is not an
+    integer of at least 1.
+    """
     env = os.environ.get(THREAD_ENV)
-    if env:
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
+    if not env:
+        return min(8, os.cpu_count() or 1)
+    try:
+        count = int(env)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise ValueError(f"{THREAD_ENV} must be an integer >= 1, got {env!r}")
+    return count
 
 
 # (get, set) symbol pairs of OpenBLAS's thread count: numpy's scipy-openblas

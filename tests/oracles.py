@@ -5,8 +5,12 @@ integrals are integrated in closed form over Fourier-mode tuples
 (sigma^a e^{i b sigma} primitives, exact for band-limited samples),
 Virasoro modes come straight from the oscillator bilinears, and DDF modes
 are a dense sigma-grid quadrature against e^{-+ i m R(sigma)}, with no clock
-inversion and no FFT of the substituted field.
+inversion and no FFT of the substituted field.  Monotone inverses are
+per-point Brent root finds, and trigonometric bases are long-double
+cosines and sines.
 """
+
+import cmath
 
 import numpy as np
 
@@ -139,3 +143,34 @@ def dense_omega(chart):
                 omega[re0 + i, im0 + i] = m / 2.0 * eta[mu]
                 omega[im0 + i, re0 + i] = -(m / 2.0 * eta[mu])
     return omega
+
+
+def invert_monotone_brentq(periodic):
+    """R^{-1}(sigma_j) for R(s) = s + rho(s), one scipy brentq root per grid point.
+
+    rho is the trigonometric interpolant of the samples ``periodic``, summed
+    mode by mode in Python; each root is bracketed by
+    [sigma_j - max rho, sigma_j - min rho], padded.
+    """
+    from scipy.optimize import brentq
+
+    modes = _grid_modes(periodic)
+
+    def resid(s, t):
+        return s + sum((c * cmath.exp(1j * f * s)).real for f, c in modes) - t
+
+    n = len(periodic)
+    pad = 1e-3 + TAU / n
+    lo, hi = -np.max(periodic) - pad, -np.min(periodic) + pad
+    return np.array([brentq(resid, t + lo, t + hi, args=(t,), xtol=1e-15, rtol=4 * np.finfo(float).eps)
+                     for t in TAU * np.arange(n) / n])
+
+
+def basis_longdouble(points, freqs):
+    """e^{i m s} for points s (rows) and integer frequencies m (columns), in long double.
+
+    The phase m*s is formed in extended precision from the double points;
+    returns the (real, imaginary) parts as long-double arrays.
+    """
+    phase = np.multiply.outer(np.asarray(points, np.longdouble), np.asarray(freqs, np.longdouble))
+    return np.cos(phase), np.sin(phase)

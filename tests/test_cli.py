@@ -2,6 +2,7 @@ import json
 import time
 
 import numpy as np
+import pytest
 
 import closedstring as cs
 from closedstring.cli import main
@@ -138,6 +139,15 @@ def test_thread_env_override(monkeypatch):
     assert thread_count() == 3
     monkeypatch.delenv(THREAD_ENV)
     assert thread_count() >= 1
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2"])
+def test_thread_env_rejects_bad_value(monkeypatch, capsys, value):
+    from closedstring.verify import THREAD_ENV
+
+    monkeypatch.setenv(THREAD_ENV, value)
+    assert run(["verify", "--seeds", "1", "--suite", "reality", "--grid", "256"]) == 2
+    assert THREAD_ENV in capsys.readouterr().err
 
 
 def test_verify_thread_count_independence(tmp_path):

@@ -90,11 +90,19 @@ def test_clock_inverse_round_trips(state_bank, frame4, ddf_bank):
 
 
 def test_clock_inverse_converges_quadratically(ddf_bank):
-    # bracketed Newton needs 4-10 iterations on default clocks; a safeguard
-    # that bisects converged points degrades this to ~50 linear halvings
+    # a safeguard that bisects converged points degrades bracketed Newton
+    # to ~50 linear halvings, and the crude start sigma - rho to 4-10 steps
     for entry in ddf_bank[:3]:
         for chir in ("-", "+"):
             cs.invert_monotone(entry[chir]["clock"], max_iter=12)
+
+
+def test_clock_inverse_steps_from_interpolated_start(ddf_bank):
+    # from the interpolated inverse, every default clock needs at most 3
+    # Newton steps (the last one only confirms convergence)
+    for entry in ddf_bank:
+        for chir in ("-", "+"):
+            cs.invert_monotone(entry[chir]["clock"], max_iter=4)
 
 
 def test_clock_degenerate_frame(frame4):

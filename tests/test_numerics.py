@@ -11,8 +11,9 @@ from closedstring.numerics import (TAU, MonotoneCircleMap, grid_sigma,
                                    grid_to_modes, invert_monotone,
                                    modes_to_grid, periodic_antiderivative,
                                    real_modes, simplex_iterated_integral,
-                                   trig_interpolate)
-from oracles import antiderivative_quad, iterated_integral_modes
+                                   trig_interpolate, _basis)
+from oracles import (antiderivative_quad, basis_longdouble, invert_monotone_brentq,
+                     iterated_integral_modes)
 
 
 def band_limited(rng, n, k, decay=3.0):
@@ -347,6 +348,37 @@ def test_invert_raises_when_not_converged():
     cmap = MonotoneCircleMap(periodic=0.3 * np.sin(sig), deriv=1 + 0.3 * np.cos(sig))
     with pytest.raises(NotConverged):
         invert_monotone(cmap, max_iter=1)
+
+
+@pytest.mark.parametrize("a", [0.9, 0.99, 0.999])
+@pytest.mark.parametrize("n", [64, 256, 4096])
+def test_invert_steep_clock_matches_brentq(a, n):
+    # min R' = 1 - a: the flat stretches are where a poor start or a
+    # safeguard would show
+    sig = grid_sigma(n)
+    cmap = MonotoneCircleMap(periodic=a * np.sin(3 * sig) / 3, deriv=1 + a * np.cos(3 * sig))
+    s = invert_monotone(cmap).values()
+    assert np.max(np.abs(s - invert_monotone_brentq(cmap.periodic))) <= 1e-12
+    assert np.max(np.abs(s + a * np.sin(3 * s) / 3 - sig)) <= 1e-12
+
+
+@pytest.mark.parametrize("freqs", [
+    np.r_[0:9, -8:0],                                       # contiguous, low
+    np.array([0, 2, 3, 17, 16, 15, 40, -41, 300, -301, 1023, -2048, -5]),  # sparse, unpaired signs
+    np.r_[0:2048, -2048:0],                                 # every frequency up to N/2
+])
+@pytest.mark.parametrize("shape", [(300,), (20, 15)])
+def test_basis_matches_long_double(rng, freqs, shape):
+    # products of e^{is} must stay as accurate as one exp per entry
+    pts = rng.uniform(-1.0, TAU + 1.0, shape)
+    re, im = basis_longdouble(pts, freqs)
+
+    def err(b):
+        return float(max(np.max(np.abs(b.real - re)), np.max(np.abs(b.imag - im))))
+
+    basis = _basis(pts, freqs.astype(float))
+    assert basis.shape == shape + freqs.shape
+    assert err(basis) <= 2.0 * err(np.exp(1j * np.multiply.outer(pts, freqs.astype(float))))
 
 
 def test_invert_rejects_non_monotone():

@@ -311,9 +311,14 @@ def test_via_ddf_x_shift_invariance(state_bank, frame4):
 # ----------------------------------------------------------------------
 
 def test_reparam_check_identity(state_bank):
-    field = cs.eval_field(state_bank[0], "-", 512)
-    direct, pulled = reparam_check(field, random_diffeo(0, 2, 0.0), InvariantSpec("-", (0, 1)))
-    assert direct == pulled
+    # the identity pullback goes through the trigonometric interpolant,
+    # which reproduces the grid only to roundoff
+    spec = InvariantSpec("-", (0, 1))
+    for state in state_bank:
+        field = cs.eval_field(state, "-", 512)
+        direct, pulled = reparam_check(field, random_diffeo(0, 2, 0.0), spec)
+        scale = abs(direct) + (TAU * np.max(np.abs(field.values))) ** 2 / 2
+        assert abs(direct - pulled) <= 1e-14 * scale
 
 
 def test_reparam_check_base_point_preserving(state_bank):
