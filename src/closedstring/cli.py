@@ -209,12 +209,13 @@ def _dispatch(args) -> int:
     if args.command == "verify":
         states = [_load_state(p) for p in args.state]
         seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else []
-        states.extend(random_state(4, 8, s) for s in seeds)
+        # the frame comes first: generated states keep their R' margin in it
+        frame = _parse_frame(args.frame, states[0].dim if states else 4)
+        states.extend(random_state(4, 8, s, frame=frame) for s in seeds)
         if not states:
             raise ValueError("verify needs --state or --seeds")
         provenance = {"state_paths": list(args.state), "generator_seeds": seeds,
                       "generator_defaults": {"dim": 4, "modes": 8}}
-        frame = _parse_frame(args.frame, states[0].dim)
         suites = args.suite or ["all"]
         if "all" in suites:
             suites = suite_names()

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import jets as jz
 from .errors import DegenerateFrame
-from .numerics import (TAU, grid_sigma, is_power_of_two, modes_to_grid,
+from .numerics import (TAU, grid_sigma, grid_to_modes, is_power_of_two, modes_to_grid,
                        periodic_antiderivative, real_modes)
 
 DEFAULT_TENSION = 1.0 / TAU  # alpha' = 1
@@ -289,6 +289,23 @@ def eval_field(state: StringState, chirality: str, n: int) -> FieldGrid:
     discarded.
     """
     return _real_field(_complex_field(state, chirality, n), 1e-13, "field")
+
+
+def _eval_field_transpose(cot, chirality, truncation):
+    """Transpose of :func:`eval_field` on a cotangent, with no seeded state.
+
+    ``cot`` holds dF/dP_chir(sigma_j), shape (..., n, D), complex allowed.
+    Returns dF/d alpha_0 (..., D) and dF/d Re alpha_m, dF/d Im alpha_m
+    (..., M, D), row m-1 for mode m: with G(m) = sum_j cot_j e^{-i o m sigma_j}
+    from one :func:`~closedstring.numerics.grid_to_modes` and c = 1/sqrt(2 pi),
+    they are c G(0), c (G(m) + G(-m)) and i c (G(-m) - G(m)).
+    """
+    n = cot.shape[-2]
+    # grid_to_modes divides by n, a power of two, so n * (...) is exact
+    spec = n * grid_to_modes(np.moveaxis(cot, -2, 0), truncation, _orientation(chirality))
+    spec = np.moveaxis(spec, 0, -2) * _INV_SQRT_TAU
+    pos, neg = spec[..., truncation + 1:, :], spec[..., truncation - 1::-1, :]
+    return spec[..., truncation, :], pos + neg, 1j * (neg - pos)
 
 
 def com_momentum(state: StringState, n: int) -> np.ndarray:

@@ -14,7 +14,10 @@ exposed.
 
 Words evaluated one after another on one field share their prefixes: one
 degree-n word costs O(n^2 N log N), the D^n words of degree n in
-lexicographic order O(D^{n-1} n N log N) together.
+lexicographic order O(D^{n-1} n N log N) together.  The functional
+derivative dZ/dP on the grid, from which :mod:`~closedstring.poisson`
+takes a word's chart gradient, costs the same order by Chen's identity
+(prefix states times reflected suffix states), with no jets.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ import numpy as np
 
 from . import jets as jz
 from .ddf import DDFModes, compute_R, ddf_modes, reconstruct_field
-from .numerics import (TAU, _at_two_pi, _integral_to_two_pi, _PrefixIntegrals,
-                       _sigma_antiderivative)
+from .numerics import (TAU, _acc, _at_two_pi, _end_weights, _integral_to_two_pi,
+                       _nested_step, _PrefixIntegrals, _sigma_antiderivative)
 from .phase_space import FieldGrid, LightlikeFrame, StringState, _orientation
 from .reparam import ReparamMap, pullback_weight_one
 
@@ -71,18 +74,77 @@ def pohlmeyer_invariant(field: FieldGrid, spec: InvariantSpec):
     the rotations of a symmetrized word share their prefixes the same way.
     """
     vals = field.values
-    dim = jz.value(vals).shape[1]
-    if any(i < 0 or i >= dim for i in spec.indices):
-        raise IndexError(f"indices out of range for dim {dim}")
-    words = [spec.indices]
-    if spec.symmetrized:
-        n = spec.degree
-        words = [spec.indices[r:] + spec.indices[:r] for r in range(n)]
+    words = _words(spec, jz.value(vals).shape[1])
     path = _prefix_path(vals)
     total = 0.0
     for word in words:
         total = total + path.integral(vals, word)
     return total / len(words)
+
+
+def _words(spec, dim):
+    """The word of ``spec``, or all its rotations if symmetrized, checked against ``dim``."""
+    if any(i < 0 or i >= dim for i in spec.indices):
+        raise IndexError(f"indices out of range for dim {dim}")
+    w = spec.indices
+    return [w[r:] + w[:r] for r in range(spec.degree)] if spec.symmetrized else [w]
+
+
+def _word_cotangent(vals, spec):
+    """dZ/dP(sigma_j) on plain (N, D) samples, by Chen's identity, with no jets.
+
+    dZ_w/dP^{w_k}(sigma) is the prefix state of w[:k] at sigma times the
+    suffix integral of w[k+1:] from sigma to 2 pi.  The suffix is the prefix
+    state of the reversed word on the reflected field P(2 pi - .), read at
+    2 pi - sigma; at sigma = 0 that is its end value at 2 pi, which the
+    reflected sigma-polynomial gives (see :func:`_reflect`).  The product
+    sum_p sigma^p h_p is weighted by the end weights of each power, so that
+    sum_j G[j] dP(sigma_j) = int (dZ/dP) dP dsigma exactly for band-limited
+    perturbations.  A symmetrized word averages its rotations; their states
+    are kept per prefix for this call only, so rotations share them, and
+    nothing goes into the per-thread memo of :func:`_prefix_path`.  A
+    degree-n word costs 2n(n - 1) transforms.
+    """
+    n, dim = vals.shape
+    words = _words(spec, dim)
+    prefix = _prefix_states(vals)
+    suffix = _prefix_states(vals[-np.arange(n) % n])
+    out = np.zeros((n, dim), complex)
+    for word in words:
+        for k, mu in enumerate(word):
+            # word[:k:-1] is w[k+1:] reversed, the suffix as the reflected field meets it
+            after = _reflect(suffix(word[:k:-1]), n)
+            for p, a in prefix(word[:k]).items():
+                for q, b in after.items():
+                    out[:, mu] += _end_weights(n, p + q) * (a * b)
+    return out / len(words)
+
+
+def _prefix_states(columns):
+    """prefix -> its nested-integral state on ``columns``, each stepped once from its parent."""
+    states = {(): {0: 1.0}}
+
+    def state(prefix):
+        if prefix not in states:
+            states[prefix] = _nested_step(state(prefix[:-1]), columns[:, prefix[-1]])
+        return states[prefix]
+
+    return state
+
+
+def _reflect(state, n):
+    """sum_p (2 pi - s)^p g_p(2 pi - s) as {q: coefficient grid of s^q} on the n-grid.
+
+    g_p is periodic, so g_p(2 pi - sigma_j) is sample -j mod n, and at
+    sigma = 0 the sum is the value at 2 pi; (2 pi - s)^p expands binomially.
+    """
+    out = {}
+    back = -np.arange(n) % n
+    for p, g in state.items():
+        g = g[back] if np.ndim(g) else g
+        for q in range(p + 1):
+            _acc(out, q, (math.comb(p, q) * TAU ** (p - q) * (-1) ** q) * g)
+    return out
 
 
 _memo = threading.local()

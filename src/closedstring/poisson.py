@@ -8,9 +8,15 @@ pairs {x^mu, p^nu} = eta^{mu nu} and {Re alpha_m^mu, Im alpha_m^nu} =
 brackets are validated against the smeared canonical pairing before any
 invariance claim is trusted.
 
-Gradients are propagated forward through the evaluation pipeline with
-jets (monotone inversion included, via the implicit-function relation)
-and cross-checked against central finite differences.
+Gradients take one of two routes.  An observable that depends on the state
+only through one chiral field P_chir on its grid -- a Virasoro mode or
+window, a Pohlmeyer word -- carries its functional derivative
+dF/dP_chir(sigma_j), and one transposed field transform pulls that back to
+the chart (reverse mode).  Every other observable (DDF invariants, smeared,
+coordinate and product observables) is propagated forward through the
+evaluation pipeline with jets, monotone inversion included via the
+implicit-function relation.  Either route can be cross-checked against
+central finite differences.
 """
 
 from __future__ import annotations
@@ -22,10 +28,10 @@ import numpy as np
 from . import jets as jz
 from .ddf import DDFInvariantSpec, ddf_invariant
 from .errors import GradientMismatch
-from .numerics import TAU, grid_sigma
-from .phase_space import (LightlikeFrame, StringState, _orientation, eta_dot,
-                          eval_field, minkowski, position_field, virasoro_density)
-from .pohlmeyer import InvariantSpec, pohlmeyer_invariant
+from .numerics import TAU, _basis, grid_sigma
+from .phase_space import (LightlikeFrame, StringState, _eval_field_transpose, _orientation,
+                          eta_dot, eval_field, minkowski, position_field, virasoro_density)
+from .pohlmeyer import InvariantSpec, _word_cotangent, pohlmeyer_invariant
 
 DEFAULT_OBS_GRID = 512
 
@@ -103,6 +109,23 @@ class CoordinateChart:
                        _identity_seeds(b["re_right"], md, s, 1.0) + _identity_seeds(b["im_right"], md, s, 1.0j))
         return state.replace(x=x, p=p, left=left, right=right)
 
+    def _field_gradient(self, cot, chirality: str, tension: float) -> np.ndarray:
+        """Chart gradient (..., S) of a functional of P_chir alone from its cotangent.
+
+        ``cot`` is dF/dP_chir(sigma_j), shape (..., n, D); the transpose of
+        the field evaluation fills the p block and the chirality's oscillator
+        blocks, and x and the other chirality stay zero.
+        """
+        d_alpha0, d_re, d_im = _eval_field_transpose(np.asarray(cot), chirality, self.truncation)
+        lead = d_alpha0.shape[:-1]
+        b = self._blocks()
+        sector = "left" if chirality == "-" else "right"
+        out = np.zeros(lead + (self.size,), complex)
+        out[..., b["p"]] = d_alpha0 / np.sqrt(2.0 * TAU * tension)  # alpha_0 = p/sqrt(4 pi T)
+        out[..., b[f"re_{sector}"]] = d_re.reshape(lead + (-1,))
+        out[..., b[f"im_{sector}"]] = d_im.reshape(lead + (-1,))
+        return out
+
     def apply_omega(self, v: np.ndarray) -> np.ndarray:
         """Omega v along the last axis of v, from the blocks, with no S x S matrix.
 
@@ -166,6 +189,18 @@ class Observable:
     fn: object
 
 
+@dataclass(frozen=True)
+class _FieldObservable(Observable):
+    """Observable of the chiral field P_chir on its grid alone, with its functional derivative.
+
+    ``cotangent(state)`` gives dF/dP_chir(sigma_j), shape value.shape + (n, D),
+    from plain evaluation, so :func:`gradient` needs no jets for it.
+    """
+
+    chirality: str
+    cotangent: object
+
+
 def coordinate_observable(chart: CoordinateChart, index: int) -> Observable:
     labels = chart.labels()
 
@@ -194,7 +229,11 @@ def pohlmeyer_observable(spec: InvariantSpec, n_samples=DEFAULT_OBS_GRID) -> Obs
     def fn(state):
         return pohlmeyer_invariant(eval_field(state, spec.chirality, n_samples), spec)
 
-    return Observable(name=f"Z[{spec.chirality}]({word},{tag})", fn=fn)
+    def cotangent(state):
+        return _word_cotangent(eval_field(state, spec.chirality, n_samples).values, spec)
+
+    return _FieldObservable(name=f"Z[{spec.chirality}]({word},{tag})", fn=fn,
+                            chirality=spec.chirality, cotangent=cotangent)
 
 
 def ddf_invariant_observable(spec: DDFInvariantSpec, frame: LightlikeFrame,
@@ -212,20 +251,31 @@ def virasoro_mode(state: StringState, chirality: str, m, n_samples=DEFAULT_OBS_G
     L_m = (1/2) oint e^{-i m sigma} eta(P_-, P_-) dsigma and the mirrored
     phase for +.  An int m gives the scalar L_m; a sequence of ints gives
     the vector of those L_m, all from one density by one (K, n) phase
-    product, so one jet pass yields every gradient of a window.  |m| <= M
-    keeps the window aliasing-safe on the truncated space.
+    product.  The functional derivative dL_m/dP(sigma_j) =
+    (2 pi/n) e^{-i o m sigma_j} eta P(sigma_j) shares that phase, so every
+    gradient of a window comes from one plain field evaluation and one
+    transposed transform.  |m| <= M keeps the window aliasing-safe on the
+    truncated space.
     """
     modes = np.atleast_1d(np.asarray(m, dtype=int))
     if np.any(np.abs(modes) > state.truncation):
         raise ValueError(f"|m| = {int(np.max(np.abs(modes)))} exceeds the truncation M = {state.truncation}")
-    phase = np.exp(-_orientation(chirality) * 1j * np.multiply.outer(modes, grid_sigma(n_samples)))
+    # (K, n): e^{-i o m sigma_j}, contiguous along the grid
+    phase = _basis(grid_sigma(n_samples), -_orientation(chirality) * modes).T
+    eta = minkowski(state.dim)
 
     def fn(st):
         out = 0.5 * (TAU / n_samples) * (phase @ virasoro_density(st, chirality, n_samples).values)
         return out if np.ndim(m) else out[0]
 
+    def cotangent(st):
+        eta_p = eta * eval_field(st, chirality, n_samples).values
+        out = (TAU / n_samples) * phase[:, :, None] * eta_p
+        return out if np.ndim(m) else out[0]
+
     label = "L" if chirality == "-" else "Lt"
-    return Observable(name=f"{label}[{','.join(str(k) for k in modes)}]", fn=fn)
+    return _FieldObservable(name=f"{label}[{','.join(str(k) for k in modes)}]", fn=fn,
+                            chirality=chirality, cotangent=cotangent)
 
 
 def smeared_position_observable(harmonic: int, kind: str, e: np.ndarray,
@@ -297,20 +347,27 @@ def observable_from_config(cfg: dict, frame: LightlikeFrame,
 
 def gradient(obs: Observable, state: StringState, chart: CoordinateChart | None = None,
              *, check: bool = True) -> np.ndarray:
-    """Chart gradient of the observable, propagated with forward-mode jets.
+    """Chart gradient of the observable, shape value.shape + (S,).
 
-    The result has shape value.shape + (S,): one row per element of an
-    array-valued observable, all from one jet pass.  With ``check`` each
+    An observable of one chiral field alone (:func:`virasoro_mode`,
+    :func:`pohlmeyer_observable`) takes the reverse route: its functional
+    derivative on the field grid, pulled back by one transposed field
+    transform, at a cost independent of S.  Any other observable is
+    propagated forward with jets seeded by the chart identity, all rows of an
+    array-valued observable from one jet pass.  With ``check`` each
     element is compared against central finite differences with step
     h_i = 1e-5*(1 + |y_i|); disagreement beyond 1e-3 (relative to that
     element's gradient scale) raises GradientMismatch naming the element.
     The propagated value is returned either way.
     """
     chart = chart or chart_for(state)
-    out = obs.fn(chart.seed_state(state))
-    if not isinstance(out, jz.Jet):
-        return np.zeros(np.shape(out) + (chart.size,), complex)
-    grad = np.asarray(out.tan, complex)
+    if isinstance(obs, _FieldObservable):
+        grad = chart._field_gradient(obs.cotangent(state), obs.chirality, state.tension)
+    else:
+        out = obs.fn(chart.seed_state(state))
+        if not isinstance(out, jz.Jet):
+            return np.zeros(np.shape(out) + (chart.size,), complex)
+        grad = np.asarray(out.tan, complex)
     if check:
         fd = finite_difference_gradient(obs, state, chart)
         scale = np.maximum(np.abs(grad).max(axis=-1, keepdims=True),
@@ -366,9 +423,11 @@ def invariance_report(observables, state: StringState, m_window: int,
     over chirality "+" then "-" and ascending m.  Residues are
     |{obs, L_m}| / (||grad obs|| ||grad L_m|| ||Omega||), so the pass
     threshold is scale-free.  One sweep takes every L_m gradient of a
-    chirality from one jet pass of the window observable, with Omega grad L_m
-    and its norm, once for all observables: k observables over the window
-    |m| <= w cost k + 2 jet passes.
+    chirality from one window gradient, with Omega grad L_m and its norm,
+    once for all observables: k observables over the window |m| <= w cost
+    k + 2 gradients.  The window gradients and those of Pohlmeyer words take
+    the reverse route and seed no jets; only the other observables (DDF
+    invariants among them) cost a jet pass each.
     """
     if not 0 <= m_window <= state.truncation // 2:
         raise ValueError("m_window must be in 0..M/2 for an aliasing-safe sweep")

@@ -132,6 +132,16 @@ def test_verify_seeds_provenance(tmp_path):
     assert doc["config"]["provenance"]["generator_seeds"] == [5, 9]
 
 
+def test_verify_seeds_are_drawn_in_the_given_frame(tmp_path):
+    # generated states keep their R' margin in the frame given, not only the default one
+    rp = tmp_path / "r.json"
+    assert run(["verify", "--seeds", "1,2,3,4,5,6", "--frame", "1,0,1,0",
+                "--suite", "periodicity", "--grid", "1024", "--report", str(rp)]) == 0
+    doc = json.loads(rp.read_text())
+    assert doc["rows"] and all(r["pass"] for r in doc["rows"])
+    assert doc["config"]["frame"] == [1.0, 0.0, 1.0, 0.0]
+
+
 def test_thread_env_override(monkeypatch):
     from closedstring.verify import THREAD_ENV, thread_count
 

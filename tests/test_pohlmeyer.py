@@ -8,7 +8,7 @@ import pytest
 
 import closedstring as cs
 from closedstring import jets as jz
-from closedstring import pohlmeyer
+from closedstring import pohlmeyer, poisson
 from closedstring.numerics import TAU, simplex_iterated_integral
 from closedstring.pohlmeyer import (InvariantSpec, WilsonConfig,
                                     pohlmeyer_invariant, pohlmeyer_via_ddf,
@@ -223,6 +223,36 @@ def test_prefix_memo_goes_with_its_field(state_bank):
     gc.collect()
     assert ref() is None
     assert path.states == [{0: 1.0}] and path.prefix == []
+
+
+# ----------------------------------------------------------------------
+# word gradients by Chen's identity against jets
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("chir", ["-", "+"])
+@pytest.mark.parametrize("symmetrized", [False, True])
+def test_word_reverse_route_matches_jets(state_bank, chir, symmetrized):
+    for state in state_bank[:3]:
+        chart = poisson.chart_for(state)
+        for word in [(0,), (0, 1), (0, 1, 2), (3, 1, 1, 2), (2, 2, 2, 2)]:
+            obs = poisson.pohlmeyer_observable(InvariantSpec(chir, word, symmetrized), 512)
+            got = poisson.gradient(obs, state, chart, check=False)
+            oracle = poisson.gradient(poisson.Observable(obs.name, obs.fn), state, chart,
+                                      check=False)
+            assert np.max(np.abs(got - oracle)) <= 1e-13 * np.max(np.abs(oracle))
+
+
+def test_word_gradient_leaves_the_prefix_memo_alone(state_bank):
+    state = state_bank[3]
+    field = cs.eval_field(state, "-", 256)
+    pohlmeyer_invariant(field, InvariantSpec("-", (0, 1, 2)))
+    pohlmeyer_invariant(field, InvariantSpec("-", (0, 1, 3)))
+    before = pohlmeyer._memo.entry
+    states = list(before[1].states)
+    obs = poisson.pohlmeyer_observable(InvariantSpec("-", (0, 1, 2), symmetrized=True), 256)
+    poisson.gradient(obs, state, check=False)
+    assert pohlmeyer._memo.entry is before
+    assert before[1].states == states
 
 
 # ----------------------------------------------------------------------

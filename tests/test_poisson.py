@@ -308,6 +308,56 @@ def test_invariance_report_window_guard(state):
         invariance_report([obs], state, m_window=5)  # > M/2
 
 
+# ----------------------------------------------------------------------
+# reverse route against the jet route
+# ----------------------------------------------------------------------
+
+def _jet_route(obs):
+    # the same function without its functional derivative: gradient seeds jets
+    return Observable(obs.name, obs.fn)
+
+
+def _worst_row_rel(got, oracle):
+    return float(np.max(np.abs(got - oracle) / np.max(np.abs(oracle), axis=-1, keepdims=True)))
+
+
+@pytest.mark.parametrize("truncation", [1, 8, 16])
+@pytest.mark.parametrize("chir", ["-", "+"])
+def test_virasoro_reverse_route_matches_jets(truncation, chir):
+    w = max(truncation // 2, 1)
+    for seed in (1, 2, 3):
+        st_ = cs.random_state(4, truncation, seed)
+        chart = chart_for(st_)
+        for m in (range(-w, w + 1), range(-truncation, truncation + 1), 0, 1, -truncation):
+            obs = virasoro_mode(st_, chir, m, 512)
+            got = gradient(obs, st_, chart, check=False)
+            oracle = gradient(_jet_route(obs), st_, chart, check=False)
+            assert got.shape == oracle.shape
+            assert _worst_row_rel(got, oracle) <= 1e-13
+
+
+def test_invariance_report_seeds_jets_only_for_ddf(state, frame4, monkeypatch):
+    calls = []
+    seed_state = poisson.CoordinateChart.seed_state
+
+    def counting(self, st_):
+        calls.append(1)
+        return seed_state(self, st_)
+
+    monkeypatch.setattr(poisson.CoordinateChart, "seed_state", counting)
+    field_obs = [pohlmeyer_observable(InvariantSpec("-", (0,)), 256),
+                 pohlmeyer_observable(InvariantSpec("+", (1, 2), symmetrized=True), 256),
+                 virasoro_mode(state, "-", 1, 256)]
+    invariance_report(field_obs, state, 2, n_samples=256)
+    assert len(calls) == 0
+    ddf_obs = [ddf_invariant_observable(DDFInvariantSpec(left=[(1, 1)], right=[(2, 1)], level=1),
+                                        frame4, 256),
+               ddf_invariant_observable(DDFInvariantSpec(left=[], right=[], level=1,
+                                                         allow_unmatched=True), frame4, 256)]
+    invariance_report(field_obs + ddf_obs, state, 2, n_samples=256)
+    assert len(calls) == len(ddf_obs)
+
+
 def _sweep_observables(chart, frame4):
     # x[1] and the unmatched control do not commute with the L_m; the others do
     return [coordinate_observable(chart, 1),
