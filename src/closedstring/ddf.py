@@ -38,7 +38,7 @@ from .errors import DegenerateFrame, LevelMismatch, NonMonotone
 from .numerics import (TAU, MonotoneCircleMap, grid_to_modes, invert_monotone,
                        modes_to_grid, real_modes, weight_one_pullback)
 from .phase_space import (FieldGrid, LightlikeFrame, StringState, _grid_guard, _orientation,
-                          _real_field, eta_dot, eval_field)
+                          _real_field, eta_dot, eval_field, minkowski)
 
 __all__ = [
     "DDFModes",
@@ -162,10 +162,17 @@ def _check_grid(state, m_out, n):
 
 
 def _mode_integrals(state, frame, chirality, ms, n):
-    """Quadrature of (1/sqrt(2 pi)) int P e^{-+ i m R} dsigma for each m in ms.
+    """Quadrature of (1/sqrt(2 pi)) int P e^{-+ i m R} dsigma for each m in ms, (len(ms), D)."""
+    return _mode_quadrature(state, frame, chirality, ms, n)[0]
 
-    Costs O(len(ms) N); it serves the few-mode composite invariants, which
-    run under jets where one substitution per observable costs more.
+
+def _mode_quadrature(state, frame, chirality, ms, n):
+    """The integrals of :func:`_mode_integrals` with what they are made of.
+
+    Returns (integrals, weights e^{-+ i m R(sigma_j)} (len(ms), n), field
+    samples P(sigma_j) (n, D), clock).  Costs O(len(ms) N); it serves the
+    few-mode composite invariants, whose reverse-mode gradient reuses the
+    pieces.
     """
     _check_grid(state, max((abs(m) for m in ms), default=1), n)
     cmap = compute_R(state, frame, chirality, n)
@@ -173,7 +180,7 @@ def _mode_integrals(state, frame, chirality, ms, n):
     field = eval_field(state, chirality, n).values
     marr = np.asarray(ms, float)
     weights = np.exp(-_orientation(chirality) * 1j * marr[:, None] * rvals[None, :])
-    return (weights @ field) * (TAU / n) / np.sqrt(TAU)
+    return (weights @ field) * (TAU / n) / np.sqrt(TAU), weights, field, cmap
 
 
 def ddf_modes(state: StringState, frame: LightlikeFrame, chirality: str,
@@ -203,6 +210,23 @@ def strip_zero_mode(modes: DDFModes, state: StringState, frame: LightlikeFrame) 
                     modes=modes.modes * phases, k=modes.k)
 
 
+def _invariant_factors(state, frame, spec, n):
+    """phi0, and per chirality with factors (chirality, factors, ms, integrals, weights, field, clock).
+
+    ms lists the distinct mode numbers of that side in ascending order, and
+    the rest is :func:`_mode_quadrature` over them.
+    """
+    if not spec.allow_unmatched and not spec.is_matched:
+        raise LevelMismatch("spec is not level-matched")
+    phi0 = zero_mode_phase(state, frame)
+    sides = []
+    for chir, factors in (("-", spec.left), ("+", spec.right)):
+        if factors:
+            ms = sorted({m for _, m in factors})
+            sides.append((chir, factors, ms, *_mode_quadrature(state, frame, chir, ms, n)))
+    return phi0, sides
+
+
 def ddf_invariant(state: StringState, frame: LightlikeFrame, spec: DDFInvariantSpec,
                   n: int):
     """Composite invariant prod a_{m_i}^{mu_i} prod ~a_{~m_j}^{nu_j} e^{i N phi0}.
@@ -211,20 +235,86 @@ def ddf_invariant(state: StringState, frame: LightlikeFrame, spec: DDFInvariantS
     level phase uses the same phi0 as strip_zero_mode so that matching
     cancels the x-dependence between the two factorizations.
     """
-    if not spec.allow_unmatched and not spec.is_matched:
-        raise LevelMismatch("spec is not level-matched")
-    phi0 = zero_mode_phase(state, frame)
+    phi0, sides = _invariant_factors(state, frame, spec, n)
     out = np.exp(1j * float(spec.level) * phi0)
-    for chir, factors in (("-", spec.left), ("+", spec.right)):
-        if not factors:
-            continue
-        ms = sorted({m for _, m in factors})
-        raw = _mode_integrals(state, frame, chir, ms, n)
+    for _, factors, ms, raw, *_ in sides:
         lookup = {m: i for i, m in enumerate(ms)}
         for mu, m in factors:
             stripped = raw[lookup[m], mu] * np.exp(-1j * float(m) * phi0)
             out = out * stripped
     return out
+
+
+def _ddf_invariant_reverse(state: StringState, frame: LightlikeFrame, spec: DDFInvariantSpec,
+                           n: int):
+    """Derivatives of :func:`ddf_invariant` F by reverse mode, from one plain evaluation.
+
+    With F = e^{i N phi0} prod_f A_f e^{-i m_f phi0}, A_f = c sum_j E_f[j]
+    P^{mu_f}(sigma_j), E_f = e^{-i o m_f R(sigma_j)}, c = sqrt(2 pi)/n and
+    w_f = dF/dA_f (a product of the other factors, formed without
+    division), each side's cotangents are
+
+        G_P[j, mu_f] += w_f c E_f[j],
+        G_R[j]       += w_f c (-i o m_f) E_f[j] P^{mu_f}(sigma_j).
+
+    The clock depends on alpha_m through a (eta k).alpha_m, a = sqrt(4 pi T)/k.p;
+    with H(m) = sum_j G_R[j] e^{-i o m sigma_j} from one grid_to_modes,
+    dF/dRe alpha_m = a (-i o/m)(H(-m) - H(m)) eta k and dF/dIm alpha_m =
+    a (o/m)(H(-m) + H(m)) eta k.  phi0 = 4 pi T k.x/k.p enters R as -o phi0,
+    and the oscillator part rho + o phi0 of R scales as 1/k.p, so
+
+        dF/dphi0 = i (N - sum m_f) F - sum_sides o sum_j G_R[j],
+        dF/dk.p  = -sum_sides sum_j G_R[j] (rho_j + o phi0)/k.p - (phi0/k.p) dF/dphi0.
+
+    Returns (dx, dp, sides): dF/dx and the k.p part of dF/dp, each (D,), and
+    per chirality with factors (G_P (n, D), dF/dRe alpha (M, D), dF/dIm alpha
+    (M, D)), the last two through the clock alone.  The value and all
+    pieces (E_f, P, R) come from the evaluation :func:`ddf_invariant` makes,
+    so with K distinct m per side a gradient costs O(K D N + D N log N),
+    whatever M.
+    """
+    phi0, sides = _invariant_factors(state, frame, spec, n)
+    kp = float(_kp(state, frame))
+    eta_k = minkowski(state.dim) * frame.k
+    big_m = state.truncation
+    c = np.sqrt(TAU) / n
+    a = np.sqrt(2.0 * TAU * state.tension) / kp
+    shifts = {m: np.exp(-1j * float(m) * phi0) for _, factors, *_ in sides for _, m in factors}
+    # the factors a_f = A_f e^{-i m_f phi0} in the order ddf_invariant multiplies them;
+    # prefix[f] holds e^{i N phi0} a_0 ... a_{f-1}, suffix[f] holds a_f ... a_last
+    stripped = [raw[ms.index(m), mu] * shifts[m]
+                for _, factors, ms, raw, *_ in sides for mu, m in factors]
+    prefix = [np.exp(1j * float(spec.level) * phi0)]
+    for s in stripped:
+        prefix.append(prefix[-1] * s)
+    suffix = [1.0 + 0.0j]
+    for s in reversed(stripped):
+        suffix.append(s * suffix[-1])
+    suffix.reverse()
+    level_left = spec.level - sum(m for _, factors, *_ in sides for _, m in factors)
+    d_phi0 = 1j * level_left * prefix[-1]
+    d_kp = 0.0
+    out, f = {}, 0
+    for chir, factors, ms, _, weights, field, cmap in sides:
+        o = _orientation(chir)
+        # dF/dA per (distinct m, mu)
+        coef = np.zeros((len(ms), state.dim), complex)
+        for mu, m in factors:
+            coef[ms.index(m), mu] += prefix[f] * suffix[f + 1] * shifts[m]
+            f += 1
+        g_p = c * (weights.T @ coef)
+        marr = np.asarray(ms, float)
+        g_r = c * ((-1j * o * marr)[:, None] * weights * (coef @ field.T)).sum(axis=0)
+        h = n * grid_to_modes(g_r, big_m, o)
+        pos, neg = h[big_m + 1:], h[big_m - 1::-1]
+        inv_m = o / np.arange(1, big_m + 1)
+        d_re = (a * -1j * inv_m * (neg - pos))[:, None] * eta_k
+        d_im = (a * inv_m * (neg + pos))[:, None] * eta_k
+        out[chir] = (g_p, d_re, d_im)
+        d_phi0 -= o * h[big_m]
+        d_kp -= np.dot(g_r, cmap.periodic + o * phi0) / kp
+    d_kp -= (phi0 / kp) * d_phi0
+    return d_phi0 * (2.0 * TAU * state.tension / kp) * eta_k, d_kp * eta_k, out
 
 
 # ----------------------------------------------------------------------

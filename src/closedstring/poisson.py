@@ -8,15 +8,17 @@ pairs {x^mu, p^nu} = eta^{mu nu} and {Re alpha_m^mu, Im alpha_m^nu} =
 brackets are validated against the smeared canonical pairing before any
 invariance claim is trusted.
 
-Gradients take one of two routes.  An observable that depends on the state
-only through one chiral field P_chir on its grid -- a Virasoro mode or
-window, a Pohlmeyer word -- carries its functional derivative
-dF/dP_chir(sigma_j), and one transposed field transform pulls that back to
-the chart (reverse mode).  Every other observable (DDF invariants, smeared,
-coordinate and product observables) is propagated forward through the
-evaluation pipeline with jets, monotone inversion included via the
-implicit-function relation.  Either route can be cross-checked against
-central finite differences.
+Gradients take one of two routes.  The observables that verify builds
+carry their chart gradient from plain evaluation (reverse mode).  One that
+depends on the state only through one chiral field P_chir on its grid -- a
+Virasoro mode or window, a Pohlmeyer word -- has its functional derivative
+dF/dP_chir(sigma_j) pulled back by one transposed field transform.  A DDF
+invariant adds, per side, the cotangent of its clock R and of the phase
+phi0, which reach x, p and the oscillators through k.x, k.p and
+(eta k).alpha_m.  The remaining observables (smeared, coordinate and product
+observables) are propagated forward through the evaluation pipeline with
+jets, monotone inversion included via the implicit-function relation.
+Either route can be cross-checked against central finite differences.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jets as jz
-from .ddf import DDFInvariantSpec, ddf_invariant
+from .ddf import DDFInvariantSpec, _ddf_invariant_reverse, ddf_invariant
 from .errors import GradientMismatch
 from .numerics import TAU, _basis, grid_sigma
 from .phase_space import (LightlikeFrame, StringState, _eval_field_transpose, _orientation,
@@ -183,22 +185,37 @@ def chart_for(state: StringState) -> CoordinateChart:
 
 @dataclass(frozen=True)
 class Observable:
-    """Named smooth map StringState -> complex (scalar or array), evaluable on jet states."""
+    """Named smooth map StringState -> complex (scalar or array).
+
+    A bare ``Observable`` takes its gradient by jets, so ``fn`` must also
+    evaluate on jet states.
+    """
 
     name: str
     fn: object
 
 
 @dataclass(frozen=True)
-class _FieldObservable(Observable):
-    """Observable of the chiral field P_chir on its grid alone, with its functional derivative.
+class _ReverseObservable(Observable):
+    """Observable that carries its chart gradient, so :func:`gradient` needs no jets for it.
 
-    ``cotangent(state)`` gives dF/dP_chir(sigma_j), shape value.shape + (n, D),
-    from plain evaluation, so :func:`gradient` needs no jets for it.
+    ``chart_gradient(state, chart)`` gives the gradient, shape value.shape +
+    (S,), from plain evaluation.
     """
 
-    chirality: str
-    cotangent: object
+    chart_gradient: object
+
+
+def _field_observable(name, fn, chirality, cotangent):
+    """Observable of the chiral field P_chir on its grid alone.
+
+    ``cotangent(state)`` gives dF/dP_chir(sigma_j), shape value.shape + (n, D),
+    and one transposed field transform takes it to the chart.
+    """
+    def chart_gradient(state, chart):
+        return chart._field_gradient(cotangent(state), chirality, state.tension)
+
+    return _ReverseObservable(name=name, fn=fn, chart_gradient=chart_gradient)
 
 
 def coordinate_observable(chart: CoordinateChart, index: int) -> Observable:
@@ -232,17 +249,36 @@ def pohlmeyer_observable(spec: InvariantSpec, n_samples=DEFAULT_OBS_GRID) -> Obs
     def cotangent(state):
         return _word_cotangent(eval_field(state, spec.chirality, n_samples).values, spec)
 
-    return _FieldObservable(name=f"Z[{spec.chirality}]({word},{tag})", fn=fn,
-                            chirality=spec.chirality, cotangent=cotangent)
+    return _field_observable(f"Z[{spec.chirality}]({word},{tag})", fn, spec.chirality, cotangent)
 
 
 def ddf_invariant_observable(spec: DDFInvariantSpec, frame: LightlikeFrame,
                              n_samples=DEFAULT_OBS_GRID) -> Observable:
+    """:func:`~closedstring.ddf.ddf_invariant` as an observable, with its reverse-mode gradient.
+
+    Each side's field cotangent goes through one transposed field transform;
+    the clock and phi0 parts of :func:`~closedstring.ddf._ddf_invariant_reverse`
+    fill x, p and that side's oscillator blocks.
+    """
     def fn(state):
         return ddf_invariant(state, frame, spec, n_samples)
 
+    def chart_gradient(state, chart):
+        dx, dp, sides = _ddf_invariant_reverse(state, frame, spec, n_samples)
+        b = chart._blocks()
+        out = np.zeros(chart.size, complex)
+        out[b["x"]] = dx
+        out[b["p"]] = dp
+        for chirality, (g_p, d_re, d_im) in sides.items():
+            sector = "left" if chirality == "-" else "right"
+            out += chart._field_gradient(g_p, chirality, state.tension)
+            out[b[f"re_{sector}"]] += d_re.ravel()
+            out[b[f"im_{sector}"]] += d_im.ravel()
+        return out
+
     tag = "matched" if spec.is_matched else "unmatched"
-    return Observable(name=f"D[L={spec.left},R={spec.right},N={spec.level},{tag}]", fn=fn)
+    return _ReverseObservable(name=f"D[L={spec.left},R={spec.right},N={spec.level},{tag}]",
+                              fn=fn, chart_gradient=chart_gradient)
 
 
 def virasoro_mode(state: StringState, chirality: str, m, n_samples=DEFAULT_OBS_GRID) -> Observable:
@@ -274,8 +310,7 @@ def virasoro_mode(state: StringState, chirality: str, m, n_samples=DEFAULT_OBS_G
         return out if np.ndim(m) else out[0]
 
     label = "L" if chirality == "-" else "Lt"
-    return _FieldObservable(name=f"{label}[{','.join(str(k) for k in modes)}]", fn=fn,
-                            chirality=chirality, cotangent=cotangent)
+    return _field_observable(f"{label}[{','.join(str(k) for k in modes)}]", fn, chirality, cotangent)
 
 
 def smeared_position_observable(harmonic: int, kind: str, e: np.ndarray,
@@ -349,20 +384,21 @@ def gradient(obs: Observable, state: StringState, chart: CoordinateChart | None 
              *, check: bool = True) -> np.ndarray:
     """Chart gradient of the observable, shape value.shape + (S,).
 
-    An observable of one chiral field alone (:func:`virasoro_mode`,
-    :func:`pohlmeyer_observable`) takes the reverse route: its functional
-    derivative on the field grid, pulled back by one transposed field
-    transform, at a cost independent of S.  Any other observable is
-    propagated forward with jets seeded by the chart identity, all rows of an
-    array-valued observable from one jet pass.  With ``check`` each
-    element is compared against central finite differences with step
-    h_i = 1e-5*(1 + |y_i|); disagreement beyond 1e-3 (relative to that
-    element's gradient scale) raises GradientMismatch naming the element.
+    :func:`virasoro_mode`, :func:`pohlmeyer_observable` and
+    :func:`ddf_invariant_observable` take the reverse route: their
+    derivatives on the field grid (and, for DDF invariants, on the clock and
+    phi0), pulled back by transposed transforms, at a cost independent of S.
+    Any other observable is propagated forward with jets seeded by the chart
+    identity, all rows of an array-valued observable from one jet pass.
+    With ``check`` each element is compared against central finite
+    differences with step h_i = 1e-5*(1 + |y_i|); disagreement beyond 1e-3
+    (relative to that element's gradient scale) raises GradientMismatch
+    naming the element.
     The propagated value is returned either way.
     """
     chart = chart or chart_for(state)
-    if isinstance(obs, _FieldObservable):
-        grad = chart._field_gradient(obs.cotangent(state), obs.chirality, state.tension)
+    if isinstance(obs, _ReverseObservable):
+        grad = obs.chart_gradient(state, chart)
     else:
         out = obs.fn(chart.seed_state(state))
         if not isinstance(out, jz.Jet):
@@ -425,9 +461,9 @@ def invariance_report(observables, state: StringState, m_window: int,
     threshold is scale-free.  One sweep takes every L_m gradient of a
     chirality from one window gradient, with Omega grad L_m and its norm,
     once for all observables: k observables over the window |m| <= w cost
-    k + 2 gradients.  The window gradients and those of Pohlmeyer words take
-    the reverse route and seed no jets; only the other observables (DDF
-    invariants among them) cost a jet pass each.
+    k + 2 gradients.  The window gradients and those of Pohlmeyer words and
+    DDF invariants take the reverse route and seed no jets; only other
+    observables (smeared, coordinate, product) cost a jet pass each.
     """
     if not 0 <= m_window <= state.truncation // 2:
         raise ValueError("m_window must be in 0..M/2 for an aliasing-safe sweep")

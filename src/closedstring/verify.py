@@ -71,8 +71,16 @@ def _row(name, digest, measured, tol, comparison="le"):
     }
 
 
+# per worker thread, the JSON text of each state of the running job's
+# run_suites call, by id(state); that call holds the states, so ids stay unique
+_ENCODED = threading.local()
+
+
 def _digest(state, **extras):
-    payload = {"state": state_to_json(state), **{k: repr(v) for k, v in extras.items()}}
+    text = getattr(_ENCODED, "texts", {}).get(id(state))
+    if text is None:
+        text = state_to_json(state)
+    payload = {"state": text, **{k: repr(v) for k, v in extras.items()}}
     blob = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:12]
 
@@ -245,7 +253,7 @@ def suite_poisson(state, frame, params, tols):
 @_suite("witt")
 def suite_witt(state, frame, params, tols):
     # {L_m, L_k} = -i (m - k) L_{m+k} over |m|, |k| <= w: gradients of the
-    # window from one jet pass, values for |m| <= 2w from one evaluation
+    # window from one reverse pass, values for |m| <= 2w from one evaluation
     window = params["m_window"]
     n = params["obs_n"]
     tol = tols["witt"]
@@ -416,6 +424,8 @@ def run_suites(names, states, frame, params=None, tolerances=None, threads=None,
         if not 1 <= params["m_window"] <= limit:
             raise ValueError(f"m_window must be in 1..{limit} (min M/2 over the states), "
                              f"got {params['m_window']}")
+    # each state is encoded once, for the input digests of all its rows
+    texts = {id(s): state_to_json(s) for s in states}
     jobs = []
     for nm in names:
         if getattr(SUITES[nm], "ensemble", False):
@@ -425,8 +435,13 @@ def run_suites(names, states, frame, params=None, tolerances=None, threads=None,
 
     def run(job):
         nm, idx, payload = job
-        t0, c0 = time.perf_counter(), time.thread_time()
-        out = SUITES[nm](payload, frame, params, tols)
+        outer = getattr(_ENCODED, "texts", {})
+        _ENCODED.texts = texts
+        try:
+            t0, c0 = time.perf_counter(), time.thread_time()
+            out = SUITES[nm](payload, frame, params, tols)
+        finally:
+            _ENCODED.texts = outer
         for r in out:
             r["suite"] = nm
             r["state_index"] = idx

@@ -7,7 +7,10 @@ Virasoro modes come straight from the oscillator bilinears, and DDF modes
 are a dense sigma-grid quadrature against e^{-+ i m R(sigma)}, with no clock
 inversion and no FFT of the substituted field.  Monotone inverses are
 per-point Brent root finds, and trigonometric bases are long-double
-cosines and sines.
+cosines and sines.  DDF-invariant gradients are checked along oscillator
+axes by the exact directional derivative of the quadrature (field and
+clock are affine in the oscillators), and along x and p by an eighth-order
+central stencil; neither uses jets or a transposed transform.
 """
 
 import cmath
@@ -174,3 +177,76 @@ def basis_longdouble(points, freqs):
     """
     phase = np.multiply.outer(np.asarray(points, np.longdouble), np.asarray(freqs, np.longdouble))
     return np.cos(phase), np.sin(phase)
+
+
+def _ddf_factors(state, frame, spec, n, fields, clocks):
+    """Per factor (chirality, mu, m, A_f, e^{-+ i m R}) and the phase phi0 of a DDF invariant."""
+    eta = np.ones(state.dim)
+    eta[0] = -1.0
+    phi0 = TAU * 2.0 * state.tension * np.sum(eta * frame.k * state.x) / np.sum(eta * frame.k * state.p)
+    out = []
+    for chir, factors in (("-", spec.left), ("+", spec.right)):
+        sign = -1.0 if chir == "-" else 1.0
+        for mu, m in factors:
+            weight = np.exp(sign * 1j * m * clocks[chir])
+            out.append((chir, mu, m, np.sqrt(TAU) / n * np.sum(weight * fields[chir][:, mu]), weight))
+    return out, phi0
+
+
+def ddf_invariant_oscillator_derivatives(state, frame, specs, n):
+    """Exact derivatives of DDF invariants along every oscillator axis of the chart.
+
+    At fixed x and p the field P and the clock R are affine in the
+    oscillators, so for a unit step along one axis the differences dP and dR
+    of ``eval_field`` and ``compute_R`` are exact, and the derivative of
+    A_f = (sqrt(2 pi)/n) sum_j e^{-i o m R_j} P_j^mu is
+    (sqrt(2 pi)/n) sum_j e^{-i o m R_j} (dP_j^mu - i o m P_j^mu dR_j); the
+    product rule, one factor at a time, gives the invariant's.  Returns
+    (len(specs), 4 M D) in chart order (Re alpha, Im alpha, Re ~alpha,
+    Im ~alpha), entry (m - 1) D + mu within each block.
+    """
+    from closedstring.ddf import compute_R
+    from closedstring.phase_space import eval_field
+
+    def evaluate(st):
+        fields = {c: eval_field(st, c, n).values for c in "-+"}
+        clocks = {c: compute_R(st, frame, c, n, require_monotone=False).values() for c in "-+"}
+        return fields, clocks
+
+    fields, clocks = evaluate(state)
+    factors = [_ddf_factors(state, frame, spec, n, fields, clocks) for spec in specs]
+    out = []
+    for sector in ("left", "right"):
+        for part in (1.0, 1.0j):
+            for m_ax in range(state.truncation):
+                for mu_ax in range(state.dim):
+                    modes = getattr(state, sector).astype(complex)
+                    modes[m_ax, mu_ax] += part
+                    dfields, dclocks = evaluate(state.replace(**{sector: modes}))
+                    column = []
+                    for spec, (facs, phi0) in zip(specs, factors):
+                        total = 0.0j
+                        for f, (chir, mu, m, _, weight) in enumerate(facs):
+                            o = 1.0 if chir == "-" else -1.0
+                            dp = dfields[chir][:, mu] - fields[chir][:, mu]
+                            dr = dclocks[chir] - clocks[chir]
+                            d_a = np.sqrt(TAU) / n * np.sum(weight * (dp - 1j * o * m * fields[chir][:, mu] * dr))
+                            others = np.exp(1j * spec.level * phi0)
+                            for g, (_, _, m_g, a_g, _) in enumerate(facs):
+                                others *= np.exp(-1j * m_g * phi0) * (d_a if g == f else a_g)
+                            total += others
+                        column.append(total)
+                    out.append(column)
+    return np.array(out).T
+
+
+def central_difference_8(fn, y0, i, h):
+    """d fn / d y_i at y0 by the eighth-order central stencil with step h."""
+    weights = (4.0 / 5.0, -1.0 / 5.0, 4.0 / 105.0, -1.0 / 280.0)
+    total = 0.0j
+    for k, w in enumerate(weights, start=1):
+        yp, ym = y0.copy(), y0.copy()
+        yp[i] += k * h
+        ym[i] -= k * h
+        total += w * (fn(yp) - fn(ym))
+    return total / h

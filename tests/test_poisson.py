@@ -16,7 +16,9 @@ from closedstring.poisson import (Observable, bracket,
                                   product_observable,
                                   smeared_momentum_observable,
                                   smeared_position_observable, virasoro_mode)
-from oracles import dense_omega, virasoro_mode_direct
+from closedstring.verify import NEGATIVE_CONTROLS
+from oracles import (central_difference_8, ddf_invariant_oscillator_derivatives, dense_omega,
+                     virasoro_mode_direct)
 
 
 @pytest.fixture(scope="module")
@@ -336,7 +338,33 @@ def test_virasoro_reverse_route_matches_jets(truncation, chir):
             assert _worst_row_rel(got, oracle) <= 1e-13
 
 
-def test_invariance_report_seeds_jets_only_for_ddf(state, frame4, monkeypatch):
+DDF_SPECS = [DDFInvariantSpec(left=[(1, 1)], right=[(2, 1)], level=1),  # the poisson suite's
+              *NEGATIVE_CONTROLS,
+              DDFInvariantSpec(left=[(1, 1), (1, 1)], right=[(2, 1), (3, 1)], level=2),
+              DDFInvariantSpec(left=[(1, 2), (3, -2), (2, 1)], right=[(2, 2), (0, -1)], level=1)]
+
+
+@pytest.mark.parametrize("truncation", [1, 8, 16])
+def test_ddf_reverse_route_matches_oracles(truncation, frame4):
+    for seed in (1, 2, 3):
+        st_ = cs.random_state(4, truncation, seed, frame=frame4)
+        chart = chart_for(st_)
+        observables = [ddf_invariant_observable(spec, frame4, 512) for spec in DDF_SPECS]
+        got = np.array([gradient(obs, st_, chart, check=False) for obs in observables])
+        scale = np.max(np.abs(got), axis=-1, keepdims=True)
+        jets = np.array([gradient(_jet_route(obs), st_, chart, check=False) for obs in observables])
+        assert _worst_row_rel(got, jets) <= 1e-13
+        exact = ddf_invariant_oscillator_derivatives(st_, frame4, DDF_SPECS, 512)
+        assert np.max(np.abs(got[:, 2 * st_.dim:] - exact) / scale) <= 1e-12
+        y0 = chart.pack(st_)
+        for obs, row, row_scale in zip(observables, got, scale):
+            for i in range(2 * st_.dim):  # x and p
+                fd = central_difference_8(lambda y: complex(obs.fn(chart.unpack(y, st_))), y0, i,
+                                          3e-3 * (1.0 + abs(y0[i])))
+                assert abs(row[i] - fd) <= 1e-8 * row_scale[0]
+
+
+def test_invariance_report_seeds_no_jets(state, frame4, monkeypatch):
     calls = []
     seed_state = poisson.CoordinateChart.seed_state
 
@@ -355,7 +383,7 @@ def test_invariance_report_seeds_jets_only_for_ddf(state, frame4, monkeypatch):
                ddf_invariant_observable(DDFInvariantSpec(left=[], right=[], level=1,
                                                          allow_unmatched=True), frame4, 256)]
     invariance_report(field_obs + ddf_obs, state, 2, n_samples=256)
-    assert len(calls) == len(ddf_obs)
+    assert len(calls) == 0
 
 
 def _sweep_observables(chart, frame4):

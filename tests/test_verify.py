@@ -2,9 +2,12 @@
 
 Without an OpenBLAS in the process every count reads None, and the same
 assertions check that the runner leaves BLAS alone.  The witt suite is
-checked against a per-mode recomputation of the Witt residues.
+checked against a per-mode recomputation of the Witt residues, and every
+row's input digest against the digest formula applied row by row.
 """
 
+import hashlib
+import json
 import sys
 import threading
 
@@ -13,6 +16,7 @@ import pytest
 
 import closedstring as cs
 from closedstring import verify
+from closedstring.phase_space import state_to_json
 from closedstring.poisson import chart_for, gradient, virasoro_mode
 from oracles import dense_omega, virasoro_mode_direct
 
@@ -156,3 +160,38 @@ def test_witt_suite_matches_per_mode_oracle(frame, seed):
     # residues are normalized to at most about 1, so the bound is absolute on that scale
     assert row["measured"] == pytest.approx(want, rel=0, abs=1e-12)
     assert row["pass"]
+
+
+def _row_digest(row, states, params):
+    """sha256 of json.dumps({"state": state_to_json(s), **extras}) for the row's suite."""
+    suite, name = row["suite"], row["name"]
+    state = states[0] if suite == "negative-controls" else states[row["state_index"]]
+    if suite in ("reality", "periodicity", "shuffle", "reparam"):
+        extras = {"n": params["n"]}
+    elif suite == "transversality":
+        extras = {"n": params["n"], "m_out": params["m_out"]}
+    elif suite == "substitution":
+        extras = {"n": params["n"], "m_out": params["m_out"], "deg": int(name[:-1].split("n=")[1])}
+    elif suite in ("poisson", "witt"):
+        extras = {"window": params["m_window"]}
+    else:
+        assert suite == "negative-controls"
+        extras = {"i": int(name[:-1].split("[")[1]), "states": len(states)}
+    payload = {"state": state_to_json(state), **{k: repr(v) for k, v in extras.items()}}
+    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:12]
+
+
+def test_row_inputs_match_the_digest_of_each_row(frame):
+    states = [cs.random_state(4, 8, seed=s, frame=frame) for s in (1, 2, 3)]
+    # more workers than cores and frequent switches, so a job that read another
+    # job's encodings would show
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        report = verify.run_suites(verify.suite_names(), states, frame, threads=4)
+    finally:
+        sys.setswitchinterval(interval)
+    params = report["config"]["params"]
+    assert {r["suite"] for r in report["rows"]} == set(verify.SUITES)
+    for row in report["rows"]:
+        assert row["inputs"] == _row_digest(row, states, params), row["name"]
