@@ -9,7 +9,7 @@ Library layout:
   field reconstructions
 - ``pohlmeyer``: iterated-integral invariants, Wilson loops
 - ``reparam``: circle diffeos and weight-one pullbacks
-- ``poisson``: bracket engine with forward-mode gradients
+- ``poisson``: bracket engine with exact chart gradients
 - ``verify`` / ``cli``: reproducible check suites and the command line
 """
 

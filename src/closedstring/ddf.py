@@ -33,7 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import jets as jz
 from .errors import DegenerateFrame, LevelMismatch, NonMonotone
 from .numerics import (TAU, MonotoneCircleMap, grid_to_modes, invert_monotone,
                        modes_to_grid, real_modes, weight_one_pullback)
@@ -76,7 +75,7 @@ class DDFModes:
 
     @property
     def dim(self):
-        return jz.value(self.modes).shape[1]
+        return self.modes.shape[1]
 
 
 @dataclass(frozen=True)
@@ -118,7 +117,7 @@ class DDFInvariantSpec:
 
 def _kp(state, frame):
     kp = eta_dot(frame.k, state.p)
-    if abs(float(jz.value(kp))) < 1e-12:
+    if abs(float(kp)) < 1e-12:
         raise DegenerateFrame("k.p vanishes for this state")
     return kp
 
@@ -142,7 +141,7 @@ def compute_R(state: StringState, frame: LightlikeFrame, chirality: str, n: int,
     orientation = _orientation(chirality)
     rows = state.modes(chirality)
     drows = eta_dot(rows, frame.k) * (np.sqrt(2.0 * TAU * state.tension) / kp)
-    ms = np.arange(1, jz.value(rows).shape[0] + 1)
+    ms = np.arange(1, rows.shape[0] + 1)
     rho = modes_to_grid(real_modes(-orientation * zero_mode_phase(state, frame),
                                    drows * (-orientation * 1j / ms)), n, orientation)
     drv = modes_to_grid(real_modes(1.0, drows), n, orientation)
@@ -161,16 +160,11 @@ def _check_grid(state, m_out, n):
         raise ValueError("grid size must be >= 8*max(M, m_out) for the clock quadrature")
 
 
-def _mode_integrals(state, frame, chirality, ms, n):
-    """Quadrature of (1/sqrt(2 pi)) int P e^{-+ i m R} dsigma for each m in ms, (len(ms), D)."""
-    return _mode_quadrature(state, frame, chirality, ms, n)[0]
-
-
 def _mode_quadrature(state, frame, chirality, ms, n):
-    """The integrals of :func:`_mode_integrals` with what they are made of.
+    """Quadrature of (1/sqrt(2 pi)) int P e^{-+ i m R} dsigma for each m in ms, with its pieces.
 
-    Returns (integrals, weights e^{-+ i m R(sigma_j)} (len(ms), n), field
-    samples P(sigma_j) (n, D), clock).  Costs O(len(ms) N); it serves the
+    Returns (integrals (len(ms), D), weights e^{-+ i m R(sigma_j)} (len(ms), n),
+    field samples P(sigma_j) (n, D), clock).  Costs O(len(ms) N); it serves the
     few-mode composite invariants, whose reverse-mode gradient reuses the
     pieces.
     """
@@ -345,7 +339,7 @@ def reconstruct_field_direct(state: StringState, frame: LightlikeFrame,
 # ----------------------------------------------------------------------
 
 def ddfmodes_to_json(modes: DDFModes) -> str:
-    arr = np.asarray(jz.value(modes.modes))
+    arr = np.asarray(modes.modes)
     doc = {
         "format": "ddfmodes-v1",
         "chirality": modes.chirality,

@@ -9,6 +9,9 @@ unchanged on Jets.  Supported surface: + - * /, unary minus, conjugation,
 exp, @, basic indexing, ``sum``/``mean``, and the FFT and concatenation
 helpers below.
 Anything else is deliberately unsupported.
+
+No module of the evaluation pipeline uses jets; this one stays only because
+``perfbench/tracer.py`` imports it.
 """
 
 from __future__ import annotations

@@ -8,8 +8,7 @@ the trigonometric interpolant at off-grid points, one closed-form
 spectral antiderivative of sigma-polynomials with periodic coefficients
 (behind the periodic antiderivative, the nested simplex (iterated)
 integrals and the Wilson loops), and safeguarded inversion of monotone
-degree-one circle maps.  All functions accept plain ndarrays or
-:class:`~closedstring.jets.Jet` arrays.
+degree-one circle maps.  All functions take plain ndarrays.
 
 Costs of the iterated integrals: one degree-n word is O(n^2 N log N), the
 last of its n integrals, needed only at 2*pi, closing by end weights at no
@@ -24,7 +23,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import jets as jz
 from .errors import NonMonotone, NotConverged
 
 TAU = 2.0 * np.pi
@@ -70,8 +68,7 @@ def real_modes(c0, rows):
     ``rows[m-1]`` holds c_m for m = 1..k; c_{-m} = conj(c_m) makes the series
     real.  ``c0`` has the shape of one row.
     """
-    c0 = c0 if isinstance(c0, jz.Jet) else np.asarray(c0)
-    return jz.concatenate([np.conj(rows[::-1]), c0[None], rows])
+    return np.concatenate([np.conj(rows[::-1]), np.asarray(c0)[None], rows])
 
 
 def modes_to_grid(coeffs, n: int, orientation: int = +1):
@@ -83,7 +80,7 @@ def modes_to_grid(coeffs, n: int, orientation: int = +1):
     """
     if orientation not in (+1, -1):
         raise ValueError("orientation must be +1 or -1")
-    shape = jz.value(coeffs).shape
+    shape = coeffs.shape
     k = (shape[0] - 1) // 2
     if shape[0] != 2 * k + 1:
         raise ValueError("coeffs must cover m = -k..k (odd first axis)")
@@ -91,18 +88,17 @@ def modes_to_grid(coeffs, n: int, orientation: int = +1):
         raise ValueError(f"grid size {n} too small for bandwidth {k}")
     if not is_power_of_two(n):
         raise ValueError("grid size must be a power of two")
-    seeds = jz.seed_count(coeffs)
-    spec = jz.zeros((n,) + shape[1:], seeds) if seeds else np.zeros((n,) + shape[1:], np.complex128)
+    spec = np.zeros((n,) + shape[1:], np.complex128)
     spec[(-orientation * np.arange(-k, k + 1)) % n] = coeffs
-    return jz.fft(spec, axis=0)
+    return np.fft.fft(spec, axis=0)
 
 
 def grid_to_modes(grid, k_max: int, orientation: int = +1):
     """Coefficients c_m = (1/n) sum_j grid_j e^{-orientation*i*m*sigma_j}, m = -k_max..k_max."""
-    n = jz.value(grid).shape[0]
+    n = grid.shape[0]
     if k_max > n // 2 - 1:
         raise ValueError(f"k_max {k_max} exceeds n/2 - 1 for n = {n}")
-    return jz.fft(grid, axis=0)[(orientation * np.arange(-k_max, k_max + 1)) % n] / n
+    return np.fft.fft(grid, axis=0)[(orientation * np.arange(-k_max, k_max + 1)) % n] / n
 
 
 # ----------------------------------------------------------------------
@@ -122,16 +118,16 @@ def _sigma_antiderivative(terms):
     power 0 alone.  The top power K+1 (K the highest input power) has the
     mean of g_K alone, so its grid is that constant, filled without a
     transform.  One FFT per input term and one IFFT per output power below
-    the top; axis 0 is the sample axis and trailing axes (matrices, Jet
-    seeds) ride along.  ``terms`` yields the (k, g_k) pairs and is read
-    once: a generator lets each input grid go as soon as its spectrum is
-    taken, and each output spectrum goes once transformed, so a call holds
+    the top; axis 0 is the sample axis and trailing axes (matrices) ride
+    along.  ``terms`` yields the (k, g_k) pairs and is read once: a
+    generator lets each input grid go as soon as its spectrum is taken,
+    and each output spectrum goes once transformed, so a call holds
     about one grid per output power, not every input, spectrum and output
     at once.
     """
     out, means = {}, {}
     for k, g in terms:
-        spec = jz.fft(g, axis=0)
+        spec = np.fft.fft(g, axis=0)
         del g
         if not out:
             n = spec.shape[0]
@@ -150,16 +146,10 @@ def _sigma_antiderivative(terms):
         if p in out:
             out[p][0] = out[p][0] + mean
     top = max(means)
-    grids = {top: _constant_grid(means[top] / n, n)}
-    grids.update((p, jz.ifft(out.pop(p), axis=0)) for p in list(out))
+    row = means[top] / n
+    grids = {top: np.broadcast_to(row, (n,) + np.shape(row))}  # read-only, no copy
+    grids.update((p, np.fft.ifft(out.pop(p), axis=0)) for p in list(out))
     return grids
-
-
-def _constant_grid(row, n):
-    """n copies of ``row`` along a new axis 0 (a read-only broadcast, Jet or plain)."""
-    if isinstance(row, jz.Jet):
-        return jz.Jet(_constant_grid(row.val, n), _constant_grid(row.tan, n))
-    return np.broadcast_to(row, (n,) + np.shape(row))
 
 
 @lru_cache(maxsize=64)
@@ -212,18 +202,16 @@ def _integral_to_two_pi(terms):
     """int_0^{2 pi} sum_k s^k h_k(s) ds for periodic grids h_k, by end weights.
 
     Costs no transform: one weighted sum over the sample axis per term;
-    trailing axes (matrices, Jet seeds) ride along.
+    trailing axes (matrices) ride along.
     """
     total = 0.0
     for k, h in terms:
-        total = total + _weighted_sum(_end_weights(jz.value(h).shape[0], k), h)
+        total = total + _weighted_sum(_end_weights(h.shape[0], k), h)
     return total
 
 
 def _weighted_sum(w, h):
-    """sum_j w[j] h[j] over axis 0; trailing axes (matrices, Jet seeds) ride along."""
-    if isinstance(h, jz.Jet):
-        return jz.Jet(_weighted_sum(w, h.val), _weighted_sum(w, h.tan))
+    """sum_j w[j] h[j] over axis 0; trailing axes (matrices) ride along."""
     if h.ndim == 1:
         return w @ h
     return (w @ h.reshape(h.shape[0], -1)).reshape(h.shape[1:])
@@ -247,10 +235,7 @@ def _nested_step(state, f):
 
 def _nested_close(state, f):
     """int_0^{2 pi} f(s) G(s) ds for G as in :func:`_nested_step`, with the real cut."""
-    out = _integral_to_two_pi((k, g * f) for k, g in state.items())
-    if isinstance(out, jz.Jet):
-        return out
-    out = complex(out)
+    out = complex(_integral_to_two_pi((k, g * f) for k, g in state.items()))
     return out.real if abs(out.imag) <= 1e-9 * (1.0 + abs(out)) else out
 
 
@@ -302,9 +287,9 @@ def simplex_iterated_integral(factors):
     grids = [_as_scalar_grid(f) for f in factors]
     if not grids:
         raise ValueError("need at least one factor")
-    n = jz.value(grids[0]).shape[0]
+    n = grids[0].shape[0]
     for g in grids:
-        if jz.value(g).shape[0] != n:
+        if g.shape[0] != n:
             raise ValueError("all factors must share one grid")
     state = {0: 1.0}
     for f in grids[:-1]:
@@ -313,10 +298,8 @@ def simplex_iterated_integral(factors):
 
 
 def _as_scalar_grid(f):
-    g = getattr(f, "values", f)
-    if not isinstance(g, jz.Jet):
-        g = np.asarray(g)
-    if jz.value(g).ndim != 1:
+    g = np.asarray(getattr(f, "values", f))
+    if g.ndim != 1:
         raise ValueError("factors must be scalar grids")
     return g
 
@@ -338,28 +321,25 @@ class MonotoneCircleMap:
 
     @property
     def n_samples(self):
-        return jz.value(self.periodic).shape[0]
+        return self.periodic.shape[0]
 
     def values(self):
         return self.periodic + grid_sigma(self.n_samples)
 
     def min_deriv(self):
-        return float(np.min(jz.value(self.deriv).real))
+        return float(np.min(self.deriv.real))
 
 
 def _pruned_spectrum(samples, rel):
     """Frequencies and coefficients c_m = fft/n of periodic samples, pruned.
 
-    A frequency is dropped when its coefficients, in the value and in every
-    tangent seed, are all below ``rel`` times the largest.  ``freqs`` is
-    shaped to broadcast against ``coeffs``.
+    A frequency is dropped when its coefficients are all below ``rel``
+    times the largest.  ``freqs`` is shaped to broadcast against ``coeffs``.
     """
-    n = jz.value(samples).shape[0]
-    spec = jz.fft(samples, axis=0)
-    keep = _significant(jz.value(spec), rel)
-    if isinstance(spec, jz.Jet):
-        keep |= _significant(spec.tan, rel)
-    freqs = _int_freqs(n, jz.value(spec).ndim)[keep].astype(float)
+    n = samples.shape[0]
+    spec = np.fft.fft(samples, axis=0)
+    keep = _significant(spec, rel)
+    freqs = _int_freqs(n, spec.ndim)[keep].astype(float)
     return freqs, spec[keep] / n
 
 
@@ -406,24 +386,12 @@ def trig_interpolate(samples, points):
     """Evaluate the trigonometric interpolant of periodic samples at points.
 
     Modes with |c_m| below 1e-15 of the largest coefficient are dropped;
-    exact (to roundoff) for band-limited data.  Real samples (value and
-    tangents) give a real interpolant: the real part, which takes the
-    Nyquist mode as its cosine.  Jet samples carry their tangents through
-    the coefficients; Jet points add the chain-rule term f'(s) ds, so no
-    (points, modes, seeds) array is formed.
+    exact (to roundoff) for band-limited data.  Real samples give a real
+    interpolant: the real part, which takes the Nyquist mode as its cosine.
     """
     freqs, coeffs = _pruned_spectrum(samples, 1e-15)
-    s = jz.value(points)
-    basis = _basis(s, freqs)
-    out = basis @ coeffs
-    if isinstance(points, jz.Jet):
-        # first order in the points: f(s + ds) = f(s) + f'(s) ds
-        slope = basis @ (1j * freqs * jz.value(coeffs))
-        ds = points.tan.reshape(s.shape + (1,) * (slope.ndim - 1) + points.tan.shape[-1:])
-        out = out + jz.Jet(np.zeros_like(slope), slope[..., None] * ds)
-    if np.isrealobj(jz.value(samples)) and np.isrealobj(getattr(samples, "tan", 0.0)):
-        return out.real
-    return out
+    out = _basis(points, freqs) @ coeffs
+    return out.real if np.isrealobj(samples) else out
 
 
 def weight_one_pullback(samples, points, slope):
@@ -434,7 +402,7 @@ def weight_one_pullback(samples, points, slope):
     :func:`trig_interpolate`, so a real field pulls back to a real one.
     """
     moved = trig_interpolate(samples, points)
-    return moved * slope[(slice(None),) + (None,) * (jz.value(moved).ndim - 1)]
+    return moved * slope[(slice(None),) + (None,) * (moved.ndim - 1)]
 
 
 def invert_monotone(cmap: MonotoneCircleMap, tol=1e-13, max_iter=60):
@@ -459,7 +427,7 @@ def invert_monotone(cmap: MonotoneCircleMap, tol=1e-13, max_iter=60):
         raise NonMonotone(f"min R' = {cmap.min_deriv():.3e} <= 0")
     n = cmap.n_samples
     sigma = grid_sigma(n)
-    rho_v = jz.value(cmap.periodic)
+    rho_v = cmap.periodic
 
     freqs, coeffs = _pruned_spectrum(rho_v, 1e-16)
 
@@ -469,7 +437,7 @@ def invert_monotone(cmap: MonotoneCircleMap, tol=1e-13, max_iter=60):
 
     # the continuum extrema of rho can overshoot the grid extrema between
     # samples; pad the bracket by a bound on that overshoot
-    pad = (TAU / n) * (float(np.max(np.abs(jz.value(cmap.deriv) - 1.0))) + 1.0)
+    pad = (TAU / n) * (float(np.max(np.abs(cmap.deriv - 1.0))) + 1.0)
     lo = sigma - rho_v.max() - pad
     hi = sigma - rho_v.min() + pad
     # start from the sampled inverse R(sigma_j) -> sigma_j, interpolated
@@ -493,13 +461,5 @@ def invert_monotone(cmap: MonotoneCircleMap, tol=1e-13, max_iter=60):
         raise NotConverged(f"monotone inversion: last step {moved:.3e} > tol {tol:.1e} "
                            f"after {max_iter} iterations")
 
-    rp = trig_interpolate(jz.value(cmap.deriv), s)
-    if isinstance(cmap.periodic, jz.Jet):
-        # implicit differentiation through the fixed point:
-        # dR^{-1} = -(d rho)(R^{-1}) / R'(R^{-1})
-        drho = trig_interpolate(cmap.periodic, s)
-        s_jet = jz.Jet(s, -drho.tan / rp[..., None])
-        inv_deriv = 1.0 / trig_interpolate(cmap.deriv, s_jet)
-        return MonotoneCircleMap(periodic=s_jet - sigma, deriv=inv_deriv)
-    return MonotoneCircleMap(periodic=s - sigma, deriv=1.0 / rp)
+    return MonotoneCircleMap(periodic=s - sigma, deriv=1.0 / trig_interpolate(cmap.deriv, s))
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import jets as jz
 from .errors import DegenerateFrame
 from .numerics import (TAU, grid_sigma, grid_to_modes, is_power_of_two, modes_to_grid,
                        periodic_antiderivative, real_modes)
@@ -59,8 +58,8 @@ def minkowski(dim: int) -> np.ndarray:
 
 
 def eta_dot(a, b):
-    """eta-contraction over the last value axis (jet-safe)."""
-    signs = minkowski(jz.value(b).shape[-1])
+    """eta-contraction over the last axis."""
+    signs = minkowski(np.shape(b)[-1])
     return ((a * b) * signs).sum(axis=-1)
 
 
@@ -118,10 +117,7 @@ class StringState:
         for name, want in (("x", (self.dim,)), ("p", (self.dim,)),
                            ("left", (self.truncation, self.dim)),
                            ("right", (self.truncation, self.dim))):
-            v = getattr(self, name)
-            if isinstance(v, jz.Jet):
-                continue  # seeded evaluation: shapes are the caller's business
-            arr = np.asarray(v, float if name in ("x", "p") else complex)
+            arr = np.asarray(getattr(self, name), float if name in ("x", "p") else complex)
             if arr.shape != want:
                 raise ValueError(f"{name} must have shape {want}, got {arr.shape}")
             if not np.all(np.isfinite(arr.view(float))):
@@ -159,26 +155,24 @@ def _orientation(chirality):
 class FieldGrid:
     """Uniform samples of a periodic field on [0, 2*pi); vector or scalar.
 
-    Plain-array values are a read-only copy, so no handle can write them
-    and invariants cached per field stay valid.
+    Values are a read-only copy, so no handle can write them and
+    invariants cached per field stay valid.
     """
 
     values: np.ndarray
 
     def __post_init__(self):
-        if isinstance(self.values, jz.Jet):
-            return
         arr = np.array(self.values)
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
     @property
     def n_samples(self):
-        return jz.value(self.values).shape[0]
+        return self.values.shape[0]
 
     @property
     def is_scalar(self):
-        return jz.value(self.values).ndim == 1
+        return self.values.ndim == 1
 
     def sigma(self):
         return grid_sigma(self.n_samples)
@@ -268,8 +262,7 @@ def _complex_field(state, chirality, n):
 
 def _non_real(vals):
     """Relative imaginary residue max|Im P| / max|Re P| of sqrt(2 pi) P samples."""
-    v = jz.value(vals)
-    im, re = (float(np.max(np.abs(part))) * _INV_SQRT_TAU for part in (v.imag, v.real))
+    im, re = (float(np.max(np.abs(part))) * _INV_SQRT_TAU for part in (vals.imag, vals.real))
     return im / max(re, 1e-300)
 
 

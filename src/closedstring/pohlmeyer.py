@@ -17,7 +17,7 @@ degree-n word costs O(n^2 N log N), the D^n words of degree n in
 lexicographic order O(D^{n-1} n N log N) together.  The functional
 derivative dZ/dP on the grid, from which :mod:`~closedstring.poisson`
 takes a word's chart gradient, costs the same order by Chen's identity
-(prefix states times reflected suffix states), with no jets.
+(prefix states times reflected suffix states).
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import jets as jz
 from .ddf import DDFModes, compute_R, ddf_modes, reconstruct_field
 from .numerics import (TAU, _acc, _at_two_pi, _end_weights, _integral_to_two_pi,
                        _nested_step, _PrefixIntegrals, _sigma_antiderivative)
@@ -68,13 +67,13 @@ class InvariantSpec:
 def pohlmeyer_invariant(field: FieldGrid, spec: InvariantSpec):
     """Z for one index word; cyclic average over rotations if symmetrized.
 
-    Successive calls on one plain field reuse the nested integrals of the
+    Successive calls on one field reuse the nested integrals of the
     previous word's prefix (see :func:`_prefix_path`), so listing words in
     lexicographic order costs one step per new letter and none for the last;
     the rotations of a symmetrized word share their prefixes the same way.
     """
     vals = field.values
-    words = _words(spec, jz.value(vals).shape[1])
+    words = _words(spec, vals.shape[1])
     path = _prefix_path(vals)
     total = 0.0
     for word in words:
@@ -91,7 +90,7 @@ def _words(spec, dim):
 
 
 def _word_cotangent(vals, spec):
-    """dZ/dP(sigma_j) on plain (N, D) samples, by Chen's identity, with no jets.
+    """dZ/dP(sigma_j) on (N, D) samples, by Chen's identity.
 
     dZ_w/dP^{w_k}(sigma) is the prefix state of w[:k] at sigma times the
     suffix integral of w[k+1:] from sigma to 2 pi.  The suffix is the prefix
@@ -161,14 +160,13 @@ def _prefix_path(vals):
     throwaway path, since calls that alternate between fields can share no
     prefix, and their states would only add to peak memory.  Only
     read-only arrays (as :class:`FieldGrid` stores them) get a memo entry,
-    so the states can never go stale; Jet fields always get a throwaway
-    path (each gradient builds a fresh field, and Jet grids are large).
+    so the states can never go stale.
     """
     entry = getattr(_memo, "entry", None)
     if entry is not None and entry[0]() is vals:
         return entry[1]
     _memo.entry = None
-    if not isinstance(vals, jz.Jet) and not vals.flags.writeable:
+    if not vals.flags.writeable:
         path = _PrefixIntegrals()
         _memo.entry = (weakref.ref(vals, lambda _: path.clear()), path)
     return _PrefixIntegrals()

@@ -8,17 +8,18 @@ pairs {x^mu, p^nu} = eta^{mu nu} and {Re alpha_m^mu, Im alpha_m^nu} =
 brackets are validated against the smeared canonical pairing before any
 invariance claim is trusted.
 
-Gradients take one of two routes.  The observables that verify builds
-carry their chart gradient from plain evaluation (reverse mode).  One that
-depends on the state only through one chiral field P_chir on its grid -- a
-Virasoro mode or window, a Pohlmeyer word -- has its functional derivative
-dF/dP_chir(sigma_j) pulled back by one transposed field transform.  A DDF
-invariant adds, per side, the cotangent of its clock R and of the phase
-phi0, which reach x, p and the oscillators through k.x, k.p and
-(eta k).alpha_m.  The remaining observables (smeared, coordinate and product
-observables) are propagated forward through the evaluation pipeline with
-jets, monotone inversion included via the implicit-function relation.
-Either route can be cross-checked against central finite differences.
+Every observable carries its exact chart gradient, taken from plain
+evaluations.  One that depends on the state only through one chiral field
+P_chir on its grid -- a Virasoro mode or window, a Pohlmeyer word -- has
+its functional derivative dF/dP_chir(sigma_j) pulled back by one
+transposed field transform (reverse mode).  A DDF invariant adds, per
+side, the cotangent of its clock R and of the phase phi0, which reach x, p
+and the oscillators through k.x, k.p and (eta k).alpha_m.  Coordinate and
+smeared observables are linear and homogeneous in the chart, so one plain
+evaluation per chart axis gives each gradient column exactly, and a
+product observable takes the product rule.  Every gradient can be
+cross-checked against central finite differences, which are also the
+route for a function with no known gradient.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import jets as jz
 from .ddf import DDFInvariantSpec, _ddf_invariant_reverse, ddf_invariant
 from .errors import GradientMismatch
 from .numerics import TAU, _basis, grid_sigma
@@ -98,19 +98,6 @@ class CoordinateChart:
             right=(y[b["re_right"]] + 1j * y[b["im_right"]]).reshape(md),
         )
 
-    def seed_state(self, state: StringState) -> StringState:
-        """State whose fields are jets seeded with the chart identity."""
-        b = self._blocks()
-        s = self.size
-        md = (self.truncation, self.dim)
-        x = jz.Jet(state.x.astype(float), _identity_seeds(b["x"], (self.dim,), s, 1.0))
-        p = jz.Jet(state.p.astype(float), _identity_seeds(b["p"], (self.dim,), s, 1.0))
-        left = jz.Jet(state.left.astype(complex),
-                      _identity_seeds(b["re_left"], md, s, 1.0) + _identity_seeds(b["im_left"], md, s, 1.0j))
-        right = jz.Jet(state.right.astype(complex),
-                       _identity_seeds(b["re_right"], md, s, 1.0) + _identity_seeds(b["im_right"], md, s, 1.0j))
-        return state.replace(x=x, p=p, left=left, right=right)
-
     def _field_gradient(self, cot, chirality: str, tension: float) -> np.ndarray:
         """Chart gradient (..., S) of a functional of P_chir alone from its cotangent.
 
@@ -167,14 +154,6 @@ class CoordinateChart:
         return out
 
 
-def _identity_seeds(sl, shape, size, factor):
-    t = np.zeros(shape + (size,), complex)
-    flat = t.reshape(-1, size)
-    for row, col in enumerate(range(sl.start, sl.stop)):
-        flat[row, col] = factor
-    return t
-
-
 def chart_for(state: StringState) -> CoordinateChart:
     return CoordinateChart(state.dim, state.truncation)
 
@@ -185,24 +164,16 @@ def chart_for(state: StringState) -> CoordinateChart:
 
 @dataclass(frozen=True)
 class Observable:
-    """Named smooth map StringState -> complex (scalar or array).
+    """Named smooth map StringState -> complex (scalar or array), with its chart gradient.
 
-    A bare ``Observable`` takes its gradient by jets, so ``fn`` must also
-    evaluate on jet states.
+    ``chart_gradient(state, chart)`` gives the exact gradient, shape
+    value.shape + (S,), from plain evaluations.  A function with no known
+    gradient gets none: :func:`finite_difference_gradient` reads only
+    ``fn``, so it differentiates such a function directly.
     """
 
     name: str
     fn: object
-
-
-@dataclass(frozen=True)
-class _ReverseObservable(Observable):
-    """Observable that carries its chart gradient, so :func:`gradient` needs no jets for it.
-
-    ``chart_gradient(state, chart)`` gives the gradient, shape value.shape +
-    (S,), from plain evaluation.
-    """
-
     chart_gradient: object
 
 
@@ -215,7 +186,20 @@ def _field_observable(name, fn, chirality, cotangent):
     def chart_gradient(state, chart):
         return chart._field_gradient(cotangent(state), chirality, state.tension)
 
-    return _ReverseObservable(name=name, fn=fn, chart_gradient=chart_gradient)
+    return Observable(name=name, fn=fn, chart_gradient=chart_gradient)
+
+
+def _linear_observable(name, fn):
+    """Observable linear and homogeneous in the chart coordinates y.
+
+    Then F(y) = sum_i y_i F(e_i), so gradient column i is F at the unit
+    chart vector e_i: S plain evaluations, exact up to their rounding.
+    """
+    def chart_gradient(state, chart):
+        return np.stack([np.asarray(fn(chart.unpack(e, state)), complex) for e in np.eye(chart.size)],
+                        axis=-1)
+
+    return Observable(name=name, fn=fn, chart_gradient=chart_gradient)
 
 
 def coordinate_observable(chart: CoordinateChart, index: int) -> Observable:
@@ -236,7 +220,7 @@ def coordinate_observable(chart: CoordinateChart, index: int) -> Observable:
                 return part
         raise IndexError(index)
 
-    return Observable(name=f"coord:{labels[index]}", fn=fn)
+    return _linear_observable(f"coord:{labels[index]}", fn)
 
 
 def pohlmeyer_observable(spec: InvariantSpec, n_samples=DEFAULT_OBS_GRID) -> Observable:
@@ -277,8 +261,8 @@ def ddf_invariant_observable(spec: DDFInvariantSpec, frame: LightlikeFrame,
         return out
 
     tag = "matched" if spec.is_matched else "unmatched"
-    return _ReverseObservable(name=f"D[L={spec.left},R={spec.right},N={spec.level},{tag}]",
-                              fn=fn, chart_gradient=chart_gradient)
+    return Observable(name=f"D[L={spec.left},R={spec.right},N={spec.level},{tag}]",
+                      fn=fn, chart_gradient=chart_gradient)
 
 
 def virasoro_mode(state: StringState, chirality: str, m, n_samples=DEFAULT_OBS_GRID) -> Observable:
@@ -323,7 +307,7 @@ def smeared_position_observable(harmonic: int, kind: str, e: np.ndarray,
         x = position_field(state, n_samples).values
         return (eta_dot(x, e) * phi).sum(axis=0) * (TAU / n_samples)
 
-    return Observable(name=f"smearX[{kind}{harmonic},e={e.tolist()}]", fn=fn)
+    return _linear_observable(f"smearX[{kind}{harmonic},e={e.tolist()}]", fn)
 
 
 def smeared_momentum_observable(harmonic: int, kind: str, e: np.ndarray,
@@ -337,7 +321,7 @@ def smeared_momentum_observable(harmonic: int, kind: str, e: np.ndarray,
                                                 + eval_field(state, "+", n_samples).values)
         return (eta_dot(total, e) * psi).sum(axis=0) * (TAU / n_samples)
 
-    return Observable(name=f"smearP[{kind}{harmonic},e={e.tolist()}]", fn=fn)
+    return _linear_observable(f"smearP[{kind}{harmonic},e={e.tolist()}]", fn)
 
 
 def _test_function(harmonic, kind, n):
@@ -350,7 +334,13 @@ def _test_function(harmonic, kind, n):
 
 
 def product_observable(f: Observable, g: Observable) -> Observable:
-    return Observable(name=f"({f.name})*({g.name})", fn=lambda s: f.fn(s) * g.fn(s))
+    """f * g, with its gradient by the product rule on the factors' gradients."""
+    def chart_gradient(state, chart):
+        fv, gv = (np.asarray(h.fn(state))[..., None] for h in (f, g))
+        return f.chart_gradient(state, chart) * gv + fv * g.chart_gradient(state, chart)
+
+    return Observable(name=f"({f.name})*({g.name})", fn=lambda s: f.fn(s) * g.fn(s),
+                      chart_gradient=chart_gradient)
 
 
 def observable_from_config(cfg: dict, frame: LightlikeFrame,
@@ -382,28 +372,21 @@ def observable_from_config(cfg: dict, frame: LightlikeFrame,
 
 def gradient(obs: Observable, state: StringState, chart: CoordinateChart | None = None,
              *, check: bool = True) -> np.ndarray:
-    """Chart gradient of the observable, shape value.shape + (S,).
+    """Chart gradient of the observable, shape value.shape + (S,), from its ``chart_gradient``.
 
     :func:`virasoro_mode`, :func:`pohlmeyer_observable` and
     :func:`ddf_invariant_observable` take the reverse route: their
     derivatives on the field grid (and, for DDF invariants, on the clock and
     phi0), pulled back by transposed transforms, at a cost independent of S.
-    Any other observable is propagated forward with jets seeded by the chart
-    identity, all rows of an array-valued observable from one jet pass.
-    With ``check`` each element is compared against central finite
-    differences with step h_i = 1e-5*(1 + |y_i|); disagreement beyond 1e-3
-    (relative to that element's gradient scale) raises GradientMismatch
-    naming the element.
-    The propagated value is returned either way.
+    Coordinate and smeared observables cost S plain evaluations, and
+    products use the product rule.  With ``check`` each element is
+    compared against central finite differences with step
+    h_i = 1e-5*(1 + |y_i|); disagreement beyond 1e-3 (relative to that
+    element's gradient scale) raises GradientMismatch naming the element.
+    The observable's own gradient is returned either way.
     """
     chart = chart or chart_for(state)
-    if isinstance(obs, _ReverseObservable):
-        grad = obs.chart_gradient(state, chart)
-    else:
-        out = obs.fn(chart.seed_state(state))
-        if not isinstance(out, jz.Jet):
-            return np.zeros(np.shape(out) + (chart.size,), complex)
-        grad = np.asarray(out.tan, complex)
+    grad = obs.chart_gradient(state, chart)
     if check:
         fd = finite_difference_gradient(obs, state, chart)
         scale = np.maximum(np.abs(grad).max(axis=-1, keepdims=True),
@@ -422,7 +405,11 @@ def gradient(obs: Observable, state: StringState, chart: CoordinateChart | None 
 def finite_difference_gradient(obs: Observable, state: StringState,
                                chart: CoordinateChart | None = None,
                                step: float = 1e-5) -> np.ndarray:
-    """Central differences of the observable, shape value.shape + (S,)."""
+    """Central differences of ``obs.fn``, shape value.shape + (S,).
+
+    Only ``obs.fn`` is read, so this is also the gradient of a function with
+    no known chart gradient: pass ``Observable(name, fn, chart_gradient=None)``.
+    """
     chart = chart or chart_for(state)
     y0 = chart.pack(state)
     columns = []
@@ -431,8 +418,8 @@ def finite_difference_gradient(obs: Observable, state: StringState,
         yp, ym = y0.copy(), y0.copy()
         yp[i] += h
         ym[i] -= h
-        fp = np.asarray(jz.value(obs.fn(chart.unpack(yp, state))), complex)
-        fm = np.asarray(jz.value(obs.fn(chart.unpack(ym, state))), complex)
+        fp = np.asarray(obs.fn(chart.unpack(yp, state)), complex)
+        fm = np.asarray(obs.fn(chart.unpack(ym, state)), complex)
         columns.append((fp - fm) / (2.0 * h))
     return np.stack(columns, axis=-1)
 
@@ -461,9 +448,7 @@ def invariance_report(observables, state: StringState, m_window: int,
     threshold is scale-free.  One sweep takes every L_m gradient of a
     chirality from one window gradient, with Omega grad L_m and its norm,
     once for all observables: k observables over the window |m| <= w cost
-    k + 2 gradients.  The window gradients and those of Pohlmeyer words and
-    DDF invariants take the reverse route and seed no jets; only other
-    observables (smeared, coordinate, product) cost a jet pass each.
+    k + 2 gradients, each by its observable's own route (see :func:`gradient`).
     """
     if not 0 <= m_window <= state.truncation // 2:
         raise ValueError("m_window must be in 0..M/2 for an aliasing-safe sweep")

@@ -10,7 +10,9 @@ per-point Brent root finds, and trigonometric bases are long-double
 cosines and sines.  DDF-invariant gradients are checked along oscillator
 axes by the exact directional derivative of the quadrature (field and
 clock are affine in the oscillators), and along x and p by an eighth-order
-central stencil; neither uses jets or a transposed transform.
+central stencil; neither uses a transposed transform.  Gradients of
+polynomials of degree <= 4 in the chart (Virasoro windows, words of degree
+<= 4) are checked by the five-point central stencil, exact for them.
 """
 
 import cmath
@@ -238,6 +240,35 @@ def ddf_invariant_oscillator_derivatives(state, frame, specs, n):
                         column.append(total)
                     out.append(column)
     return np.array(out).T
+
+
+def central_difference_5(fn, y0, i, h):
+    """d fn / d y_i at y0 by the five-point central stencil with step h.
+
+    Exact, up to rounding, for polynomials of degree <= 4 in y_i.
+    """
+    total = 0.0j
+    for k, w in enumerate((2.0 / 3.0, -1.0 / 12.0), start=1):
+        yp, ym = y0.copy(), y0.copy()
+        yp[i] += k * h
+        ym[i] -= k * h
+        total += w * (fn(yp) - fn(ym))
+    return total / h
+
+
+def stencil_gradient(obs, state, chart):
+    """Chart gradient of ``obs.fn`` by :func:`central_difference_5` along every axis.
+
+    The step is h_i = 0.1 (1 + |y_i|): the stencil is exact for observables
+    of degree <= 4 in the chart, so a smaller step would only add rounding.
+    """
+    y0 = chart.pack(state)
+
+    def fn(y):
+        return np.asarray(obs.fn(chart.unpack(y, state)), complex)
+
+    return np.stack([central_difference_5(fn, y0, i, 0.1 * (1.0 + abs(y0[i])))
+                     for i in range(chart.size)], axis=-1)
 
 
 def central_difference_8(fn, y0, i, h):

@@ -61,8 +61,7 @@ def test_ddf_mode_virasoro_brackets_closed_form(frame4):
     # end-to-end convention check of the bracket engine: same-chirality
     # brackets of the DDF modes vanish, and the cross-chirality ones equal
     # i m A_m sqrt(4 pi T) eta(k, ~alpha_n) / k.p exactly
-    from closedstring.ddf import _mode_integrals
-    from closedstring.poisson import Observable, chart_for, gradient, virasoro_mode
+    from closedstring.poisson import chart_for, ddf_invariant_observable, gradient, virasoro_mode
 
     state = cs.random_state(4, 8, seed=4, frame=frame4)
     chart = chart_for(state)
@@ -77,10 +76,11 @@ def test_ddf_mode_virasoro_brackets_closed_form(frame4):
         return state.right[n - 1] if n > 0 else np.conj(state.right[-n - 1])
 
     for m, mu in [(1, 1), (2, 0), (-1, 2)]:
-        obs = Observable(f"A[{m},{mu}]",
-                         lambda s, m=m, mu=mu: _mode_integrals(s, frame4, "-", [m], 512)[0, mu])
+        # A_m^mu alone: its stripping phase e^{-i m phi0} and the level phase e^{i m phi0} cancel
+        obs = ddf_invariant_observable(DDFInvariantSpec(left=[(mu, m)], right=[], level=m,
+                                                        allow_unmatched=True), frame4, 512)
         ga = gradient(obs, state, chart, check=False)
-        a_val = complex(_mode_integrals(state, frame4, "-", [m], 512)[0, mu])
+        a_val = complex(obs.fn(state))
         for n in (1, 2, -2):
             gl = gradient(virasoro_mode(state, "-", n, 512), state, chart, check=False)
             same = complex(ga @ (omega @ gl))

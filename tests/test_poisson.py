@@ -18,7 +18,7 @@ from closedstring.poisson import (Observable, bracket,
                                   smeared_position_observable, virasoro_mode)
 from closedstring.verify import NEGATIVE_CONTROLS
 from oracles import (central_difference_8, ddf_invariant_oscillator_derivatives, dense_omega,
-                     virasoro_mode_direct)
+                     stencil_gradient, virasoro_mode_direct)
 
 
 @pytest.fixture(scope="module")
@@ -124,28 +124,11 @@ def test_gradient_virasoro_vs_finite_differences(state, chart):
 def test_gradient_check_contract(state, chart):
     # the built-in cross-check passes for honest observables ...
     gradient(virasoro_mode(state, "-", 1, 256), state, chart, check=True)
-    # ... and trips on one whose propagated derivative is wrong
-    import closedstring.jets as jz
-
-    broken = Observable(name="broken", fn=lambda s: jz.Jet(
-        np.asarray(complex(jz.value(s.p[0]))), np.zeros(chart.size, complex)))
+    # ... and trips on one whose chart gradient is wrong
+    broken = Observable(name="broken", fn=lambda s: complex(s.p[0]),
+                        chart_gradient=lambda s, c: np.zeros(c.size, complex))
     with pytest.raises(GradientMismatch):
         gradient(broken, state, chart, check=True)
-
-
-def test_gradient_through_monotone_inversion(state, chart, frame4):
-    # direct-substitution reconstruction goes through invert_monotone;
-    # its gradient uses the implicit-function relation
-    for n in (128, 512):
-        def fn(st_, n=n):
-            grid = cs.reconstruct_field_direct(st_, frame4, "-", n)
-            return grid.values[5, 1]
-
-        obs = Observable(name=f"P^R[5,1] n={n}", fn=fn)
-        g = gradient(obs, state, chart, check=False)
-        fd = finite_difference_gradient(obs, state, chart, step=1e-6)
-        scale = max(np.max(np.abs(g)), 1e-12)
-        assert np.max(np.abs(g - fd)) < 1e-5 * scale
 
 
 # ----------------------------------------------------------------------
@@ -263,16 +246,16 @@ def test_window_values_match_mode_formula(state, chir):
 def test_window_gradient_check(state, chart, chir):
     gradient(virasoro_mode(state, chir, WINDOW, 256), state, chart, check=True)
     # a vector observable whose second element carries a wrong derivative
-    import closedstring.jets as jz
+    def chart_gradient(s, c):
+        out = np.zeros((2, c.size), complex)
+        out[0, 4] = 1.0
+        return out
 
-    def fn(s):
-        val = np.asarray([complex(jz.value(s.p[0])), complex(jz.value(s.p[1]))])
-        tan = np.zeros((2, chart.size), complex)
-        tan[0, 4] = 1.0
-        return jz.Jet(val, tan)
-
+    broken = Observable(name="broken-vector",
+                        fn=lambda s: np.asarray([complex(s.p[0]), complex(s.p[1])]),
+                        chart_gradient=chart_gradient)
     with pytest.raises(GradientMismatch, match=r"element \(1,\)"):
-        gradient(Observable(name="broken-vector", fn=fn), state, chart, check=True)
+        gradient(broken, state, chart, check=True)
 
 
 def test_window_beyond_truncation_raises(state):
@@ -311,13 +294,8 @@ def test_invariance_report_window_guard(state):
 
 
 # ----------------------------------------------------------------------
-# reverse route against the jet route
+# reverse route against independent oracles
 # ----------------------------------------------------------------------
-
-def _jet_route(obs):
-    # the same function without its functional derivative: gradient seeds jets
-    return Observable(obs.name, obs.fn)
-
 
 def _worst_row_rel(got, oracle):
     return float(np.max(np.abs(got - oracle) / np.max(np.abs(oracle), axis=-1, keepdims=True)))
@@ -325,7 +303,8 @@ def _worst_row_rel(got, oracle):
 
 @pytest.mark.parametrize("truncation", [1, 8, 16])
 @pytest.mark.parametrize("chir", ["-", "+"])
-def test_virasoro_reverse_route_matches_jets(truncation, chir):
+def test_virasoro_reverse_route_matches_stencil(truncation, chir):
+    # L_m is quadratic in the chart
     w = max(truncation // 2, 1)
     for seed in (1, 2, 3):
         st_ = cs.random_state(4, truncation, seed)
@@ -333,7 +312,7 @@ def test_virasoro_reverse_route_matches_jets(truncation, chir):
         for m in (range(-w, w + 1), range(-truncation, truncation + 1), 0, 1, -truncation):
             obs = virasoro_mode(st_, chir, m, 512)
             got = gradient(obs, st_, chart, check=False)
-            oracle = gradient(_jet_route(obs), st_, chart, check=False)
+            oracle = stencil_gradient(obs, st_, chart)
             assert got.shape == oracle.shape
             assert _worst_row_rel(got, oracle) <= 1e-13
 
@@ -352,8 +331,6 @@ def test_ddf_reverse_route_matches_oracles(truncation, frame4):
         observables = [ddf_invariant_observable(spec, frame4, 512) for spec in DDF_SPECS]
         got = np.array([gradient(obs, st_, chart, check=False) for obs in observables])
         scale = np.max(np.abs(got), axis=-1, keepdims=True)
-        jets = np.array([gradient(_jet_route(obs), st_, chart, check=False) for obs in observables])
-        assert _worst_row_rel(got, jets) <= 1e-13
         exact = ddf_invariant_oscillator_derivatives(st_, frame4, DDF_SPECS, 512)
         assert np.max(np.abs(got[:, 2 * st_.dim:] - exact) / scale) <= 1e-12
         y0 = chart.pack(st_)
@@ -362,28 +339,6 @@ def test_ddf_reverse_route_matches_oracles(truncation, frame4):
                 fd = central_difference_8(lambda y: complex(obs.fn(chart.unpack(y, st_))), y0, i,
                                           3e-3 * (1.0 + abs(y0[i])))
                 assert abs(row[i] - fd) <= 1e-8 * row_scale[0]
-
-
-def test_invariance_report_seeds_no_jets(state, frame4, monkeypatch):
-    calls = []
-    seed_state = poisson.CoordinateChart.seed_state
-
-    def counting(self, st_):
-        calls.append(1)
-        return seed_state(self, st_)
-
-    monkeypatch.setattr(poisson.CoordinateChart, "seed_state", counting)
-    field_obs = [pohlmeyer_observable(InvariantSpec("-", (0,)), 256),
-                 pohlmeyer_observable(InvariantSpec("+", (1, 2), symmetrized=True), 256),
-                 virasoro_mode(state, "-", 1, 256)]
-    invariance_report(field_obs, state, 2, n_samples=256)
-    assert len(calls) == 0
-    ddf_obs = [ddf_invariant_observable(DDFInvariantSpec(left=[(1, 1)], right=[(2, 1)], level=1),
-                                        frame4, 256),
-               ddf_invariant_observable(DDFInvariantSpec(left=[], right=[], level=1,
-                                                         allow_unmatched=True), frame4, 256)]
-    invariance_report(field_obs + ddf_obs, state, 2, n_samples=256)
-    assert len(calls) == 0
 
 
 def _sweep_observables(chart, frame4):
