@@ -1,14 +1,14 @@
 """Named verification suites producing machine-readable report rows.
 
-Each suite maps a state to a list of check rows {name, inputs, measured,
-tolerance, comparison, pass}.  Rows with comparison "le" pass when
-measured <= tolerance; negative controls use "ge".  Checks across states
-run in a thread pool (pure functions, so row content is independent of
-the thread count); row order is canonical.  The pool workers are the
-parallelism: while :func:`run_suites` runs, a loaded OpenBLAS is held to
-one thread, since the suites' products are too small for BLAS threads to
-help and two per worker oversubscribe the cores.  The previous count is
-restored when the call returns or raises.
+Each suite maps a state's :class:`StateRecord` to check rows {name, inputs,
+measured, tolerance, comparison, pass}; "le" rows pass when measured <=
+tolerance, negative controls ("ge") when measured >= tolerance.  A thread
+pool runs one job per state and one for the ensemble suite, so workers
+beyond states + 1 sit idle.  Suites are pure, so rows do not depend on the
+thread count, and their order is canonical.  While :func:`run_suites` runs,
+a loaded OpenBLAS is held to one thread: the workers are the parallelism,
+and two BLAS threads per worker oversubscribe the cores for products too
+small to gain from them.  The previous count is restored afterwards.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from . import __version__
 from .ddf import DDFInvariantSpec, compute_R, ddf_modes, reconstruct_field
 from .numerics import TAU, grid_sigma, invert_monotone, trig_interpolate
 from .phase_space import _complex_field, _non_real, eta_dot, eval_field, state_to_json
-from .pohlmeyer import InvariantSpec, pohlmeyer_invariant, pohlmeyer_via_ddf, reparam_check
+from .pohlmeyer import InvariantSpec, align_base_point, pohlmeyer_invariant, reparam_check
 from .poisson import (chart_for, ddf_invariant_observable, gradient,
                       invariance_report, pohlmeyer_observable, virasoro_mode)
 from .reparam import pullback_weight_one, random_diffeo
@@ -71,16 +71,30 @@ def _row(name, digest, measured, tol, comparison="le"):
     }
 
 
-# per worker thread, the JSON text of each state of the running job's
-# run_suites call, by id(state); that call holds the states, so ids stay unique
-_ENCODED = threading.local()
+class StateRecord:
+    """A state with its frame and params, and the pieces several suites read:
+    its JSON text and both chiralities' clocks R and DDF modes A_m (at params
+    n and m_out), each built on first use and kept as long as the record."""
+
+    def __init__(self, state, frame, params):
+        self.state, self.frame, self.params = state, frame, params
+
+    @cached_property
+    def text(self):
+        return state_to_json(self.state)
+
+    @cached_property
+    def clocks(self):
+        return {c: compute_R(self.state, self.frame, c, self.params["n"]) for c in ("-", "+")}
+
+    @cached_property
+    def modes(self):
+        m_out, n = self.params["m_out"], self.params["n"]
+        return {c: ddf_modes(self.state, self.frame, c, m_out, n) for c in ("-", "+")}
 
 
-def _digest(state, **extras):
-    text = getattr(_ENCODED, "texts", {}).get(id(state))
-    if text is None:
-        text = state_to_json(state)
-    payload = {"state": text, **{k: repr(v) for k, v in extras.items()}}
+def _digest(record, **extras):
+    payload = {"state": record.text, **{k: repr(v) for k, v in extras.items()}}
     blob = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:12]
 
@@ -114,53 +128,49 @@ class RotationMap:
 # ----------------------------------------------------------------------
 
 @_suite("reality")
-def suite_reality(state, frame, params, tols):
+def suite_reality(record, tols):
     # the residue eval_field checks and discards, on the same samples
-    n = params["n"]
-    tol = tols["reality"]
-    rows = []
-    for chir in ("-", "+"):
-        resid = _non_real(_complex_field(state, chir, n))
-        rows.append(_row(f"reality[{chir}]", _digest(state, n=n), resid, tol))
-    return rows
+    n = record.params["n"]
+    return [_row(f"reality[{chir}]", _digest(record, n=n),
+                 _non_real(_complex_field(record.state, chir, n)), tols["reality"])
+            for chir in ("-", "+")]
 
 
 @_suite("periodicity")
-def suite_periodicity(state, frame, params, tols):
-    n = params["n"]
+def suite_periodicity(record, tols):
+    n = record.params["n"]
     tol = tols["periodicity"]
     rows = []
     for chir in ("-", "+"):
-        cmap = compute_R(state, frame, chir, n)
-        inv = invert_monotone(cmap)
+        cmap = record.clocks[chir]
         # winding R(sigma+2pi) = R(sigma)+2pi is exact by representation;
         # measure R(R^-1(sigma)) = sigma through R's exact interpolant
-        pts = inv.values()
+        pts = invert_monotone(cmap).values()
         fwd = pts + trig_interpolate(cmap.periodic, pts)
         err = float(np.max(np.abs(fwd - grid_sigma(n))))
-        rows.append(_row(f"roundtrip[{chir}]", _digest(state, n=n), err, tol))
+        rows.append(_row(f"roundtrip[{chir}]", _digest(record, n=n), err, tol))
     return rows
 
 
 @_suite("transversality")
-def suite_transversality(state, frame, params, tols):
-    n, m_out = params["n"], params["m_out"]
+def suite_transversality(record, tols):
+    n, m_out = record.params["n"], record.params["m_out"]
     tol = tols["transversality"]
     rows = []
     for chir in ("-", "+"):
-        modes = ddf_modes(state, frame, chir, m_out, n)
-        kdots = np.abs(eta_dot(modes.modes, frame.k))
+        modes = record.modes[chir]
+        kdots = np.abs(eta_dot(modes.modes, record.frame.k))
         kdots[m_out] = 0.0  # m = 0 carries the full k.p
         resid = float(kdots.max()) / max(float(np.max(np.abs(modes.modes))), 1e-300)
-        rows.append(_row(f"transversality[{chir}]", _digest(state, n=n, m_out=m_out), resid, tol))
+        rows.append(_row(f"transversality[{chir}]", _digest(record, n=n, m_out=m_out), resid, tol))
     return rows
 
 
 @_suite("shuffle")
-def suite_shuffle(state, frame, params, tols):
-    n = params["n"]
-    field = eval_field(state, "-", n)
-    d = state.dim
+def suite_shuffle(record, tols):
+    n = record.params["n"]
+    field = eval_field(record.state, "-", n)
+    d = record.state.dim
     rows = []
 
     z1 = {mu: pohlmeyer_invariant(field, InvariantSpec("-", (mu,))) for mu in range(d)}
@@ -169,7 +179,7 @@ def suite_shuffle(state, frame, params, tols):
     scale2 = max(abs(v) for v in z2.values()) + max(abs(v) ** 2 for v in z1.values())
     worst2 = max(abs(z1[mu] * z1[nu] - z2[(mu, nu)] - z2[(nu, mu)]) / scale2
                  for mu in range(d) for nu in range(d))
-    rows.append(_row("shuffle[deg2]", _digest(state, n=n), worst2, tols["shuffle2"]))
+    rows.append(_row("shuffle[deg2]", _digest(record, n=n), worst2, tols["shuffle2"]))
 
     words = [(0, 1, 2), (1, 0, 2), (2, 3, 0), (3, 1, 1)] if d >= 4 else [(0, 1, 1)]
     needed = {w for mu, nu, rho in words for w in ((mu, nu, rho), (nu, mu, rho), (nu, rho, mu))}
@@ -179,15 +189,15 @@ def suite_shuffle(state, frame, params, tols):
     worst3 = max(abs(z1[mu] * z2[(nu, rho)]
                      - z3[(mu, nu, rho)] - z3[(nu, mu, rho)] - z3[(nu, rho, mu)]) / scale3
                  for mu, nu, rho in words)
-    rows.append(_row("shuffle[deg3]", _digest(state, n=n), worst3, tols["shuffle3"]))
+    rows.append(_row("shuffle[deg3]", _digest(record, n=n), worst3, tols["shuffle3"]))
     return rows
 
 
 @_suite("reparam")
-def suite_reparam(state, frame, params, tols):
-    n = params["n"]
+def suite_reparam(record, tols):
+    n = record.params["n"]
     tol = tols["reparam"]
-    field = eval_field(state, "-", n)
+    field = eval_field(record.state, "-", n)
     rows = []
 
     spec_raw = InvariantSpec("-", (0, 1))
@@ -196,7 +206,7 @@ def suite_reparam(state, frame, params, tols):
         cmap = random_diffeo(seed, order=3, amplitude=0.5, fix_base_point=True)
         direct, pulled = reparam_check(field, cmap, spec_raw)
         worst_raw = max(worst_raw, abs(direct - pulled) / (abs(direct) + _power_scale(field, 2)))
-    rows.append(_row("reparam[raw,fixed-base]", _digest(state, n=n), worst_raw, tol))
+    rows.append(_row("reparam[raw,fixed-base]", _digest(record, n=n), worst_raw, tol))
 
     spec_sym = InvariantSpec("-", (0, 1), symmetrized=True)
     direct = pohlmeyer_invariant(field, spec_sym)
@@ -204,59 +214,54 @@ def suite_reparam(state, frame, params, tols):
     for j in range(5):
         pulled = pohlmeyer_invariant(pullback_weight_one(field, RotationMap(0.5 + 1.1 * j)), spec_sym)
         worst_sym = max(worst_sym, abs(direct - pulled) / (abs(direct) + _power_scale(field, 2)))
-    rows.append(_row("reparam[symmetrized,rotations]", _digest(state, n=n), worst_sym, tol))
+    rows.append(_row("reparam[symmetrized,rotations]", _digest(record, n=n), worst_sym, tol))
     return rows
 
 
 @_suite("substitution")
-def suite_substitution(state, frame, params, tols):
-    from .pohlmeyer import align_base_point
-
-    n, m_out = params["n"], params["m_out"]
+def suite_substitution(record, tols):
+    n, m_out = record.params["n"], record.params["m_out"]
     tol = tols["substitution"]
     rows = []
     for chir in ("-", "+"):
-        field = eval_field(state, chir, n)
-        # one extraction per chirality; the invariants share the rebuilt field
-        aligned = align_base_point(ddf_modes(state, frame, chir, m_out, n),
-                                   compute_R(state, frame, chir, n))
-        rebuilt = reconstruct_field(aligned, n)
+        field = eval_field(record.state, chir, n)
+        # the record's modes, aligned by its clock; the invariants share the rebuilt field
+        rebuilt = reconstruct_field(align_base_point(record.modes[chir], record.clocks[chir]), n)
         for deg in (1, 2, 3, 4):
-            word = tuple(i % state.dim for i in range(deg))
+            word = tuple(i % record.state.dim for i in range(deg))
             spec = InvariantSpec(chir, word)
             direct = pohlmeyer_invariant(field, spec)
             via = pohlmeyer_invariant(rebuilt, spec)
             scale = abs(direct) + _power_scale(field, deg)
             rows.append(_row(f"substitution[{chir},n={deg}]",
-                             _digest(state, n=n, m_out=m_out, deg=deg),
+                             _digest(record, n=n, m_out=m_out, deg=deg),
                              abs(direct - via) / scale, tol))
     return rows
 
 
 @_suite("poisson")
-def suite_poisson(state, frame, params, tols):
-    window = params["m_window"]
-    n = params["obs_n"]
+def suite_poisson(record, tols):
+    window, n = record.params["m_window"], record.params["obs_n"]
     tol = tols["poisson"]
     specs = [InvariantSpec("-", (0,)),
              InvariantSpec("-", (0, 1), symmetrized=True),
              InvariantSpec("+", (1, 2), symmetrized=True)]
     observables = [pohlmeyer_observable(s, n) for s in specs]
     observables.append(ddf_invariant_observable(
-        DDFInvariantSpec(left=[(1, 1)], right=[(2, 1)], level=1), frame, n))
-    reports = invariance_report(observables, state, window, n_samples=n, threshold=tol)
-    digest = _digest(state, window=window)
+        DDFInvariantSpec(left=[(1, 1)], right=[(2, 1)], level=1), record.frame, n))
+    reports = invariance_report(observables, record.state, window, n_samples=n, threshold=tol)
+    digest = _digest(record, window=window)
     return [_row(f"poisson[{obs.name}]", digest, max(r["residue"] for r in rep), tol)
             for obs, rep in zip(observables, reports)]
 
 
 @_suite("witt")
-def suite_witt(state, frame, params, tols):
+def suite_witt(record, tols):
     # {L_m, L_k} = -i (m - k) L_{m+k} over |m|, |k| <= w: gradients of the
     # window from one reverse pass, values for |m| <= 2w from one evaluation
-    window = params["m_window"]
-    n = params["obs_n"]
+    window, n = record.params["m_window"], record.params["obs_n"]
     tol = tols["witt"]
+    state = record.state
     chart = chart_for(state)
     ms = np.arange(-window, window + 1)
     grads = gradient(virasoro_mode(state, "-", ms, n), state, chart, check=False)
@@ -266,7 +271,7 @@ def suite_witt(state, frame, params, tols):
     norms = np.linalg.norm(grads, axis=-1)
     denom = np.outer(norms, norms) * chart.omega_norm()
     worst = float(np.max(np.abs(brackets - target) / np.maximum(denom, 1e-300)))
-    return [_row("witt[-]", _digest(state, window=window), worst, tol)]
+    return [_row("witt[-]", _digest(record, window=window), worst, tol)]
 
 
 NEGATIVE_CONTROLS = [
@@ -277,19 +282,18 @@ NEGATIVE_CONTROLS = [
 
 
 @_suite("negative-controls")
-def suite_negative_controls(states, frame, params, tols):
+def suite_negative_controls(records, tols):
     # ensemble check: each unmatched control must produce a residue >= tol
     # somewhere on the state ensemble (its normalized size is state-dependent,
     # so single tame states are not failures of the control)
-    window = params["m_window"]
-    n = params["obs_n"]
+    window, n = records[0].params["m_window"], records[0].params["obs_n"]
     tol = tols["negative-controls"]
-    observables = [ddf_invariant_observable(spec, frame, n) for spec in NEGATIVE_CONTROLS]
+    observables = [ddf_invariant_observable(spec, records[0].frame, n) for spec in NEGATIVE_CONTROLS]
     loudest = [0.0] * len(observables)
-    for state in states:
-        reports = invariance_report(observables, state, window, n_samples=n)
+    for record in records:
+        reports = invariance_report(observables, record.state, window, n_samples=n)
         loudest = [max(peak, max(r["residue"] for r in rep)) for peak, rep in zip(loudest, reports)]
-    return [_row(f"negative-control[{i}]", _digest(states[0], i=i, states=len(states)),
+    return [_row(f"negative-control[{i}]", _digest(records[0], i=i, states=len(records)),
                  peak, tol, comparison="ge")
             for i, peak in enumerate(loudest)]
 
@@ -401,6 +405,10 @@ def run_suites(names, states, frame, params=None, tolerances=None, threads=None,
                provenance=None):
     """Run the named suites over all states and assemble the report.
 
+    One job per state runs the suites in the order given on that state's
+    :class:`StateRecord`, dropped when the job ends, and one more job runs
+    the ensemble suite on records of all states.  A clock or DDF extraction
+    is charged to the ``timings`` of the first suite that asks for it.
     ``provenance`` (state paths, generator seeds) is echoed into the report
     so a run can be reproduced exactly from its own output.  For the
     duration of the call a loaded OpenBLAS runs one thread, whatever the
@@ -424,40 +432,32 @@ def run_suites(names, states, frame, params=None, tolerances=None, threads=None,
         if not 1 <= params["m_window"] <= limit:
             raise ValueError(f"m_window must be in 1..{limit} (min M/2 over the states), "
                              f"got {params['m_window']}")
-    # each state is encoded once, for the input digests of all its rows
-    texts = {id(s): state_to_json(s) for s in states}
-    jobs = []
-    for nm in names:
-        if getattr(SUITES[nm], "ensemble", False):
-            jobs.append((nm, -1, states))
-        else:
-            jobs.extend((nm, idx, state) for idx, state in enumerate(states))
+    ensemble = [nm for nm in names if getattr(SUITES[nm], "ensemble", False)]
+    per_state = [nm for nm in names if nm not in ensemble]
+    jobs = [(ensemble, -1)] + [(per_state, idx) for idx in range(len(states))]
 
     def run(job):
-        nm, idx, payload = job
-        outer = getattr(_ENCODED, "texts", {})
-        _ENCODED.texts = texts
-        try:
+        suites, idx = job
+        payload = ([StateRecord(s, frame, params) for s in states] if idx < 0
+                   else StateRecord(states[idx], frame, params))
+        results = []
+        for nm in suites:
             t0, c0 = time.perf_counter(), time.thread_time()
-            out = SUITES[nm](payload, frame, params, tols)
-        finally:
-            _ENCODED.texts = outer
-        for r in out:
-            r["suite"] = nm
-            r["state_index"] = idx
-        return nm, (t0, time.perf_counter(), time.thread_time() - c0), out
+            out = [{**r, "suite": nm, "state_index": idx} for r in SUITES[nm](payload, tols)]
+            results.append((nm, (t0, time.perf_counter(), time.thread_time() - c0), out))
+        return results
 
     with _BLAS_CAP.held() as blas_threads:
         if workers == 1:
-            results = [run(j) for j in jobs]
+            done = [run(j) for j in jobs]
         else:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(run, jobs))
+                done = list(pool.map(run, jobs))
 
     # per suite: wall_s spans its first job start to its last job end (jobs
     # overlap across workers); cpu_s sums its jobs' worker-thread CPU time
     spans, rows = {}, []
-    for nm, (t0, t1, cpu), out in results:
+    for nm, (t0, t1, cpu), out in (res for job in done for res in job):
         first, last, total = spans.get(nm, (t0, t1, 0.0))
         spans[nm] = (min(first, t0), max(last, t1), total + cpu)
         rows.extend(out)

@@ -161,13 +161,15 @@ def test_thread_env_rejects_bad_value(monkeypatch, capsys, value):
 
 
 def test_verify_thread_count_independence(tmp_path):
-    sp = tmp_path / "s.json"
-    run(["generate", "--seed", "7", "--out", str(sp)])
+    given = []
+    for seed in ("7", "8"):
+        sp = tmp_path / f"s{seed}.json"
+        run(["generate", "--seed", seed, "--out", str(sp)])
+        given += ["--state", str(sp)]
     reports = []
     for threads in ("1", "4"):
         rp = tmp_path / f"r{threads}.json"
-        assert run(["verify", "--state", str(sp), "--suite", "reality",
-                    "--suite", "shuffle", "--grid", "1024",
+        assert run(["verify", *given, "--suite", "all", "--grid", "1024", "--modes-out", "128",
                     "--threads", threads, "--report", str(rp)]) == 0
         doc = json.loads(rp.read_text())
         doc["config"].pop("threads")

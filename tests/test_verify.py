@@ -61,7 +61,7 @@ def before():
 
 
 def _probe(seen, wait=None):
-    def suite(state, frame, params, tols):
+    def suite(record, tols):
         if wait is not None:
             wait()
         seen.append(_count())
@@ -83,7 +83,7 @@ def test_suites_see_one_blas_thread(monkeypatch, frame, states, before, threads)
 
 
 def test_count_restored_after_a_suite_raises(monkeypatch, frame, states, before):
-    def failing(state, frame, params, tols):
+    def failing(record, tols):
         raise RuntimeError("suite failed")
 
     monkeypatch.setitem(verify.SUITES, PROBE, failing)
@@ -155,7 +155,7 @@ def _witt_residue_per_mode(state, window, n):
 def test_witt_suite_matches_per_mode_oracle(frame, seed):
     state = cs.random_state(4, 8, seed=seed, frame=frame)
     params = verify.default_params()
-    [row] = verify.suite_witt(state, frame, params, verify.DEFAULT_TOLERANCES)
+    [row] = verify.suite_witt(verify.StateRecord(state, frame, params), verify.DEFAULT_TOLERANCES)
     want = _witt_residue_per_mode(state, params["m_window"], params["obs_n"])
     # residues are normalized to at most about 1, so the bound is absolute on that scale
     assert row["measured"] == pytest.approx(want, rel=0, abs=1e-12)
@@ -195,3 +195,33 @@ def test_row_inputs_match_the_digest_of_each_row(frame):
     assert {r["suite"] for r in report["rows"]} == set(verify.SUITES)
     for row in report["rows"]:
         assert row["inputs"] == _row_digest(row, states, params), row["name"]
+
+
+@pytest.mark.parametrize("threads", [1, 3])
+def test_each_clock_and_extraction_is_made_once_per_state(monkeypatch, frame, threads):
+    # per state and chirality: one extraction (its substitution makes and
+    # inverts one clock) and the record's clock, inverted once by periodicity
+    from closedstring import ddf
+
+    n = 1024
+    states = [cs.random_state(4, 8, seed=s, frame=frame) for s in (1, 2)]
+    calls, lock = {}, threading.Lock()
+
+    def counted(name, fn, grid=None):
+        def wrapper(*args, **kwargs):
+            if grid is None or args[3] == grid:
+                with lock:
+                    calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(verify, "ddf_modes", counted("ddf_modes", verify.ddf_modes))
+    for mod in (verify, ddf):
+        monkeypatch.setattr(mod, "invert_monotone", counted("invert_monotone", mod.invert_monotone))
+        monkeypatch.setattr(mod, "compute_R", counted("compute_R", mod.compute_R, grid=n))
+    report = verify.run_suites(verify.suite_names(), states, frame,
+                               params={"n": n, "m_out": 128}, threads=threads)
+    assert report["pass"]
+    per_state = {name: count / len(states) for name, count in calls.items()}
+    assert per_state == {"ddf_modes": 2, "invert_monotone": 4, "compute_R": 4}
