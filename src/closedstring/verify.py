@@ -1,14 +1,16 @@
 """Named verification suites producing machine-readable report rows.
 
-Each suite maps a state's :class:`StateRecord` to check rows {name, inputs,
-measured, tolerance, comparison, pass}; "le" rows pass when measured <=
-tolerance, negative controls ("ge") when measured >= tolerance.  A thread
-pool runs one job per state and one for the ensemble suite, so workers
-beyond states + 1 sit idle.  Suites are pure, so rows do not depend on the
-thread count, and their order is canonical.  While :func:`run_suites` runs,
-a loaded OpenBLAS is held to one thread: the workers are the parallelism,
-and two BLAS threads per worker oversubscribe the cores for products too
-small to gain from them.  The previous count is restored afterwards.
+Each suite maps a state's :class:`StateRecord` to a list of check rows
+{name, inputs, measured, tolerance, comparison, pass}.  Rows with
+comparison "le" pass when measured <= tolerance; negative controls use
+"ge".  A thread pool runs one job per state, which runs the suites on that
+state in turn, plus one job for the ensemble suite when it runs, so
+workers beyond states + 1 sit idle (pure functions, so row content is
+independent of the thread count); row order is canonical.  The pool workers are the
+parallelism: while :func:`run_suites` runs, a loaded OpenBLAS is held to
+one thread, since the suites' products are too small for BLAS threads to
+help and two per worker oversubscribe the cores.  The previous count is
+restored when the call returns or raises.
 """
 
 from __future__ import annotations
@@ -131,9 +133,12 @@ class RotationMap:
 def suite_reality(record, tols):
     # the residue eval_field checks and discards, on the same samples
     n = record.params["n"]
-    return [_row(f"reality[{chir}]", _digest(record, n=n),
-                 _non_real(_complex_field(record.state, chir, n)), tols["reality"])
-            for chir in ("-", "+")]
+    tol = tols["reality"]
+    rows = []
+    for chir in ("-", "+"):
+        resid = _non_real(_complex_field(record.state, chir, n))
+        rows.append(_row(f"reality[{chir}]", _digest(record, n=n), resid, tol))
+    return rows
 
 
 @_suite("periodicity")
@@ -143,9 +148,10 @@ def suite_periodicity(record, tols):
     rows = []
     for chir in ("-", "+"):
         cmap = record.clocks[chir]
+        inv = invert_monotone(cmap)
         # winding R(sigma+2pi) = R(sigma)+2pi is exact by representation;
         # measure R(R^-1(sigma)) = sigma through R's exact interpolant
-        pts = invert_monotone(cmap).values()
+        pts = inv.values()
         fwd = pts + trig_interpolate(cmap.periodic, pts)
         err = float(np.max(np.abs(fwd - grid_sigma(n))))
         rows.append(_row(f"roundtrip[{chir}]", _digest(record, n=n), err, tol))
@@ -225,8 +231,9 @@ def suite_substitution(record, tols):
     rows = []
     for chir in ("-", "+"):
         field = eval_field(record.state, chir, n)
-        # the record's modes, aligned by its clock; the invariants share the rebuilt field
-        rebuilt = reconstruct_field(align_base_point(record.modes[chir], record.clocks[chir]), n)
+        # one extraction per chirality; the invariants share the rebuilt field
+        aligned = align_base_point(record.modes[chir], record.clocks[chir])
+        rebuilt = reconstruct_field(aligned, n)
         for deg in (1, 2, 3, 4):
             word = tuple(i % record.state.dim for i in range(deg))
             spec = InvariantSpec(chir, word)
@@ -241,7 +248,8 @@ def suite_substitution(record, tols):
 
 @_suite("poisson")
 def suite_poisson(record, tols):
-    window, n = record.params["m_window"], record.params["obs_n"]
+    window = record.params["m_window"]
+    n = record.params["obs_n"]
     tol = tols["poisson"]
     specs = [InvariantSpec("-", (0,)),
              InvariantSpec("-", (0, 1), symmetrized=True),
@@ -259,7 +267,8 @@ def suite_poisson(record, tols):
 def suite_witt(record, tols):
     # {L_m, L_k} = -i (m - k) L_{m+k} over |m|, |k| <= w: gradients of the
     # window from one reverse pass, values for |m| <= 2w from one evaluation
-    window, n = record.params["m_window"], record.params["obs_n"]
+    window = record.params["m_window"]
+    n = record.params["obs_n"]
     tol = tols["witt"]
     state = record.state
     chart = chart_for(state)
@@ -286,7 +295,8 @@ def suite_negative_controls(records, tols):
     # ensemble check: each unmatched control must produce a residue >= tol
     # somewhere on the state ensemble (its normalized size is state-dependent,
     # so single tame states are not failures of the control)
-    window, n = records[0].params["m_window"], records[0].params["obs_n"]
+    window = records[0].params["m_window"]
+    n = records[0].params["obs_n"]
     tol = tols["negative-controls"]
     observables = [ddf_invariant_observable(spec, records[0].frame, n) for spec in NEGATIVE_CONTROLS]
     loudest = [0.0] * len(observables)
@@ -405,10 +415,11 @@ def run_suites(names, states, frame, params=None, tolerances=None, threads=None,
                provenance=None):
     """Run the named suites over all states and assemble the report.
 
-    One job per state runs the suites in the order given on that state's
-    :class:`StateRecord`, dropped when the job ends, and one more job runs
-    the ensemble suite on records of all states.  A clock or DDF extraction
-    is charged to the ``timings`` of the first suite that asks for it.
+    When per-state suites are selected, one job per state runs them in the
+    order given on that state's :class:`StateRecord`, dropped when the job
+    ends; when an ensemble suite is selected, one more job runs it on
+    records of all states.  A clock or DDF extraction is charged to the
+    ``timings`` of the first suite that asks for it.
     ``provenance`` (state paths, generator seeds) is echoed into the report
     so a run can be reproduced exactly from its own output.  For the
     duration of the call a loaded OpenBLAS runs one thread, whatever the
@@ -434,7 +445,8 @@ def run_suites(names, states, frame, params=None, tolerances=None, threads=None,
                              f"got {params['m_window']}")
     ensemble = [nm for nm in names if getattr(SUITES[nm], "ensemble", False)]
     per_state = [nm for nm in names if nm not in ensemble]
-    jobs = [(ensemble, -1)] + [(per_state, idx) for idx in range(len(states))]
+    jobs = [(ensemble, -1)] * bool(ensemble) + [(per_state, idx) for idx in range(len(states))
+                                                if per_state]
 
     def run(job):
         suites, idx = job
@@ -443,7 +455,10 @@ def run_suites(names, states, frame, params=None, tolerances=None, threads=None,
         results = []
         for nm in suites:
             t0, c0 = time.perf_counter(), time.thread_time()
-            out = [{**r, "suite": nm, "state_index": idx} for r in SUITES[nm](payload, tols)]
+            out = SUITES[nm](payload, tols)
+            for r in out:
+                r["suite"] = nm
+                r["state_index"] = idx
             results.append((nm, (t0, time.perf_counter(), time.thread_time() - c0), out))
         return results
 

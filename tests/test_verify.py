@@ -225,3 +225,21 @@ def test_each_clock_and_extraction_is_made_once_per_state(monkeypatch, frame, th
     assert report["pass"]
     per_state = {name: count / len(states) for name, count in calls.items()}
     assert per_state == {"ddf_modes": 2, "invert_monotone": 4, "compute_R": 4}
+
+
+@pytest.mark.parametrize("names, records", [(["reality"], 2), (["negative-controls"], 2),
+                                            (["negative-controls", "reality"], 4)])
+def test_jobs_run_only_for_selected_suites(monkeypatch, frame, names, records):
+    # one record per state job and one per state for the ensemble job, each
+    # only when a suite of its kind is selected
+    made = []
+
+    class Counted(verify.StateRecord):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(verify, "StateRecord", Counted)
+    states = [cs.random_state(4, 8, seed=s, frame=frame) for s in (1, 2)]
+    verify.run_suites(names, states, frame, params={"n": 256}, threads=1)
+    assert len(made) == records
