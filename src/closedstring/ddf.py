@@ -35,7 +35,8 @@ import numpy as np
 
 from .errors import DegenerateFrame, LevelMismatch, NonMonotone
 from .numerics import (TAU, MonotoneCircleMap, grid_to_modes, invert_monotone,
-                       modes_to_grid, real_modes, weight_one_pullback)
+                       modes_to_grid, periodic_antiderivative, real_modes,
+                       weight_one_pullback)
 from .phase_space import (FieldGrid, LightlikeFrame, StringState, _grid_guard, _orientation,
                           _real_field, eta_dot, eval_field, minkowski)
 
@@ -251,26 +252,25 @@ def _ddf_invariant_reverse(state: StringState, frame: LightlikeFrame, spec: DDFI
         G_P[j, mu_f] += w_f c E_f[j],
         G_R[j]       += w_f c (-i o m_f) E_f[j] P^{mu_f}(sigma_j).
 
-    The clock depends on alpha_m through a (eta k).alpha_m, a = sqrt(4 pi T)/k.p;
-    with H(m) = sum_j G_R[j] e^{-i o m sigma_j} from one grid_to_modes,
-    dF/dRe alpha_m = a (-i o/m)(H(-m) - H(m)) eta k and dF/dIm alpha_m =
-    a (o/m)(H(-m) + H(m)) eta k.  phi0 = 4 pi T k.x/k.p enters R as -o phi0,
-    and the oscillator part rho + o phi0 of R scales as 1/k.p, so
+    Over the oscillators the clock is R - sigma = -o phi0 + a sqrt(2 pi)
+    A0[eta(k, P)], a = sqrt(4 pi T)/k.p, with A0 the zero-mean spectral
+    antiderivative; A0^T = -A0, so the clock adds the field cotangent
+    -a sqrt(2 pi) (A0 G_R) (eta k) to G_P.  phi0 = 4 pi T k.x/k.p enters R
+    as -o phi0, and the oscillator part rho + o phi0 of R scales as 1/k.p, so
 
         dF/dphi0 = i (N - sum m_f) F - sum_sides o sum_j G_R[j],
         dF/dk.p  = -sum_sides sum_j G_R[j] (rho_j + o phi0)/k.p - (phi0/k.p) dF/dphi0.
 
-    Returns (dx, dp, sides): dF/dx and the k.p part of dF/dp, each (D,), and
-    per chirality with factors (G_P (n, D), dF/dRe alpha (M, D), dF/dIm alpha
-    (M, D)), the last two through the clock alone.  The value and all
-    pieces (E_f, P, R) come from the evaluation :func:`ddf_invariant` makes,
-    so with K distinct m per side a gradient costs O(K D N + D N log N),
-    whatever M.
+    Returns (dx, dp, sides): dF/dx and the k.p part of dF/dp, each (D,),
+    and per chirality with factors its field cotangent dF/dP_chir(sigma_j)
+    (n, D), clock part included, for the transposed field transform.  The
+    value and all pieces (E_f, P, R) come from the evaluation
+    :func:`ddf_invariant` makes, so with K distinct m per side a gradient
+    costs O(K D N + D N log N), whatever M.
     """
     phi0, sides = _invariant_factors(state, frame, spec, n)
     kp = float(_kp(state, frame))
     eta_k = minkowski(state.dim) * frame.k
-    big_m = state.truncation
     c = np.sqrt(TAU) / n
     a = np.sqrt(2.0 * TAU * state.tension) / kp
     shifts = {m: np.exp(-1j * float(m) * phi0) for _, factors, *_ in sides for _, m in factors}
@@ -296,16 +296,12 @@ def _ddf_invariant_reverse(state: StringState, frame: LightlikeFrame, spec: DDFI
         for mu, m in factors:
             coef[ms.index(m), mu] += prefix[f] * suffix[f + 1] * shifts[m]
             f += 1
-        g_p = c * (weights.T @ coef)
         marr = np.asarray(ms, float)
         g_r = c * ((-1j * o * marr)[:, None] * weights * (coef @ field.T)).sum(axis=0)
-        h = n * grid_to_modes(g_r, big_m, o)
-        pos, neg = h[big_m + 1:], h[big_m - 1::-1]
-        inv_m = o / np.arange(1, big_m + 1)
-        d_re = (a * -1j * inv_m * (neg - pos))[:, None] * eta_k
-        d_im = (a * inv_m * (neg + pos))[:, None] * eta_k
-        out[chir] = (g_p, d_re, d_im)
-        d_phi0 -= o * h[big_m]
+        a0_g_r, _ = periodic_antiderivative(g_r)
+        a0_g_r = a0_g_r - a0_g_r.mean()
+        out[chir] = c * (weights.T @ coef) - (a * np.sqrt(TAU)) * a0_g_r[:, None] * eta_k
+        d_phi0 -= o * g_r.sum()
         d_kp -= np.dot(g_r, cmap.periodic + o * phi0) / kp
     d_kp -= (phi0 / kp) * d_phi0
     return d_phi0 * (2.0 * TAU * state.tension / kp) * eta_k, d_kp * eta_k, out

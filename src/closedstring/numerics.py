@@ -242,12 +242,13 @@ def _nested_close(state, f):
 class _PrefixIntegrals:
     """Nested-integral states along the prefix path of the last word.
 
-    :meth:`integral` takes the factors of a word as columns of one (N, D)
-    sample array, keeps the sigma-polynomial state after each letter of the
-    word but the last, reuses the longest common prefix with the previous
-    word and steps only the new letters; the last integral closes by end
-    weights.  A degree-n word alone costs n(n - 1) transforms; the D^n words
-    of degree n in lexicographic order share prefixes and cost
+    :meth:`walk` takes the letters of a prefix as columns of one (N, D)
+    sample array and returns the sigma-polynomial state before the first
+    letter and after each one; it reuses the longest common prefix with the
+    previous walk and steps only the new letters.  :meth:`integral` walks a
+    word's prefix and closes the last integral by end weights.  A degree-n
+    word alone costs n(n - 1) transforms; the D^n words of degree n in
+    lexicographic order share prefixes and cost
     sum_{0<j<n} D^j 2j = O(D^{n-1} n N log N).  The path of a degree-n
     word holds (n-1)(n+2)/2 grids.  The caller keeps the columns the same
     between calls, or clears the path.
@@ -260,17 +261,20 @@ class _PrefixIntegrals:
     def clear(self):
         del self.prefix[:], self.states[1:]
 
-    def integral(self, columns, word):
+    def walk(self, columns, prefix):
         keep = 0
-        for a, b in zip(self.prefix, word[:-1]):
+        for a, b in zip(self.prefix, prefix):
             if a != b:
                 break
             keep += 1
         del self.prefix[keep:], self.states[keep + 1:]
-        for mu in word[keep:-1]:
+        for mu in prefix[keep:]:
             self.states.append(_nested_step(self.states[-1], columns[:, mu]))
             self.prefix.append(mu)
-        return _nested_close(self.states[-1], columns[:, word[-1]])
+        return self.states
+
+    def integral(self, columns, word):
+        return _nested_close(self.walk(columns, word[:-1])[-1], columns[:, word[-1]])
 
 
 def simplex_iterated_integral(factors):

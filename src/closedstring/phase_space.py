@@ -170,10 +170,6 @@ class FieldGrid:
     def n_samples(self):
         return self.values.shape[0]
 
-    @property
-    def is_scalar(self):
-        return self.values.ndim == 1
-
     def sigma(self):
         return grid_sigma(self.n_samples)
 

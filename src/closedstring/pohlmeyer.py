@@ -31,7 +31,7 @@ import numpy as np
 
 from .ddf import DDFModes, compute_R, ddf_modes, reconstruct_field
 from .numerics import (TAU, _acc, _at_two_pi, _end_weights, _integral_to_two_pi,
-                       _nested_step, _PrefixIntegrals, _sigma_antiderivative)
+                       _PrefixIntegrals, _sigma_antiderivative)
 from .phase_space import FieldGrid, LightlikeFrame, StringState, _orientation
 from .reparam import ReparamMap, pullback_weight_one
 
@@ -99,36 +99,28 @@ def _word_cotangent(vals, spec):
     reflected sigma-polynomial gives (see :func:`_reflect`).  The product
     sum_p sigma^p h_p is weighted by the end weights of each power, so that
     sum_j G[j] dP(sigma_j) = int (dZ/dP) dP dsigma exactly for band-limited
-    perturbations.  A symmetrized word averages its rotations; their states
-    are kept per prefix for this call only, so rotations share them, and
-    nothing goes into the per-thread memo of :func:`_prefix_path`.  A
-    degree-n word costs 2n(n - 1) transforms.
+    perturbations.  A symmetrized word averages its rotations.  The prefix
+    and suffix states come from two fresh prefix paths, one on P and one on
+    the reflected field, each walked once per word, so nothing goes into the
+    per-thread memo of :func:`_prefix_path`.  A degree-n word costs
+    2n(n - 1) transforms.
     """
     n, dim = vals.shape
     words = _words(spec, dim)
-    prefix = _prefix_states(vals)
-    suffix = _prefix_states(vals[-np.arange(n) % n])
+    reflected = vals[-np.arange(n) % n]
+    prefix_path, suffix_path = _PrefixIntegrals(), _PrefixIntegrals()
     out = np.zeros((n, dim), complex)
     for word in words:
+        prefix = prefix_path.walk(vals, word[:-1])
+        # word[:0:-1] is w[1:] reversed, as the reflected field meets it; its
+        # state after len(word) - 1 - k letters is that of w[k+1:]
+        suffix = suffix_path.walk(reflected, word[:0:-1])
         for k, mu in enumerate(word):
-            # word[:k:-1] is w[k+1:] reversed, the suffix as the reflected field meets it
-            after = _reflect(suffix(word[:k:-1]), n)
-            for p, a in prefix(word[:k]).items():
+            after = _reflect(suffix[len(word) - 1 - k], n)
+            for p, a in prefix[k].items():
                 for q, b in after.items():
                     out[:, mu] += _end_weights(n, p + q) * (a * b)
     return out / len(words)
-
-
-def _prefix_states(columns):
-    """prefix -> its nested-integral state on ``columns``, each stepped once from its parent."""
-    states = {(): {0: 1.0}}
-
-    def state(prefix):
-        if prefix not in states:
-            states[prefix] = _nested_step(state(prefix[:-1]), columns[:, prefix[-1]])
-        return states[prefix]
-
-    return state
 
 
 def _reflect(state, n):

@@ -13,8 +13,8 @@ evaluations.  One that depends on the state only through one chiral field
 P_chir on its grid -- a Virasoro mode or window, a Pohlmeyer word -- has
 its functional derivative dF/dP_chir(sigma_j) pulled back by one
 transposed field transform (reverse mode).  A DDF invariant adds, per
-side, the cotangent of its clock R and of the phase phi0, which reach x, p
-and the oscillators through k.x, k.p and (eta k).alpha_m.  Coordinate and
+side, the cotangent of its clock R, which becomes a field cotangent through
+the oscillators and reaches x and p through k.x and k.p.  Coordinate and
 smeared observables are linear and homogeneous in the chart, so one plain
 evaluation per chart axis gives each gradient column exactly, and a
 product observable takes the product rule.  Every gradient can be
@@ -30,7 +30,7 @@ import numpy as np
 
 from .ddf import DDFInvariantSpec, _ddf_invariant_reverse, ddf_invariant
 from .errors import GradientMismatch
-from .numerics import TAU, _basis, grid_sigma
+from .numerics import TAU, _basis, grid_sigma, grid_to_modes
 from .phase_space import (LightlikeFrame, StringState, _eval_field_transpose, _orientation,
                           eta_dot, eval_field, minkowski, position_field, virasoro_density)
 from .pohlmeyer import InvariantSpec, _word_cotangent, pohlmeyer_invariant
@@ -240,9 +240,9 @@ def ddf_invariant_observable(spec: DDFInvariantSpec, frame: LightlikeFrame,
                              n_samples=DEFAULT_OBS_GRID) -> Observable:
     """:func:`~closedstring.ddf.ddf_invariant` as an observable, with its reverse-mode gradient.
 
-    Each side's field cotangent goes through one transposed field transform;
-    the clock and phi0 parts of :func:`~closedstring.ddf._ddf_invariant_reverse`
-    fill x, p and that side's oscillator blocks.
+    Each side's field cotangent, its clock's part included, goes through one
+    transposed field transform; the phi0 and k.p parts of
+    :func:`~closedstring.ddf._ddf_invariant_reverse` fill x and p.
     """
     def fn(state):
         return ddf_invariant(state, frame, spec, n_samples)
@@ -253,11 +253,8 @@ def ddf_invariant_observable(spec: DDFInvariantSpec, frame: LightlikeFrame,
         out = np.zeros(chart.size, complex)
         out[b["x"]] = dx
         out[b["p"]] = dp
-        for chirality, (g_p, d_re, d_im) in sides.items():
-            sector = "left" if chirality == "-" else "right"
-            out += chart._field_gradient(g_p, chirality, state.tension)
-            out[b[f"re_{sector}"]] += d_re.ravel()
-            out[b[f"im_{sector}"]] += d_im.ravel()
+        for chirality, cot in sides.items():
+            out += chart._field_gradient(cot, chirality, state.tension)
         return out
 
     tag = "matched" if spec.is_matched else "unmatched"
@@ -270,22 +267,26 @@ def virasoro_mode(state: StringState, chirality: str, m, n_samples=DEFAULT_OBS_G
 
     L_m = (1/2) oint e^{-i m sigma} eta(P_-, P_-) dsigma and the mirrored
     phase for +.  An int m gives the scalar L_m; a sequence of ints gives
-    the vector of those L_m, all from one density by one (K, n) phase
-    product.  The functional derivative dL_m/dP(sigma_j) =
-    (2 pi/n) e^{-i o m sigma_j} eta P(sigma_j) shares that phase, so every
-    gradient of a window comes from one plain field evaluation and one
-    transposed transform.  |m| <= M keeps the window aliasing-safe on the
-    truncated space.
+    the vector of those L_m, all from one density by one transform:
+    L_m = pi c_m with c_m the :func:`~closedstring.numerics.grid_to_modes`
+    coefficients of the density.  The functional derivative dL_m/dP(sigma_j) =
+    (2 pi/n) e^{-i o m sigma_j} eta P(sigma_j) takes the phase as a (K, n)
+    array, so every gradient of a window comes from one plain field
+    evaluation and one transposed transform.  |m| <= M keeps the window
+    aliasing-safe on the truncated space.
     """
     modes = np.atleast_1d(np.asarray(m, dtype=int))
-    if np.any(np.abs(modes) > state.truncation):
-        raise ValueError(f"|m| = {int(np.max(np.abs(modes)))} exceeds the truncation M = {state.truncation}")
+    k_max = int(np.max(np.abs(modes), initial=0))
+    if k_max > state.truncation:
+        raise ValueError(f"|m| = {k_max} exceeds the truncation M = {state.truncation}")
+    o = _orientation(chirality)
     # (K, n): e^{-i o m sigma_j}, contiguous along the grid
-    phase = _basis(grid_sigma(n_samples), -_orientation(chirality) * modes).T
+    phase = _basis(grid_sigma(n_samples), -o * modes).T
     eta = minkowski(state.dim)
 
     def fn(st):
-        out = 0.5 * (TAU / n_samples) * (phase @ virasoro_density(st, chirality, n_samples).values)
+        density = virasoro_density(st, chirality, n_samples).values
+        out = np.pi * grid_to_modes(density, k_max, o)[modes + k_max]
         return out if np.ndim(m) else out[0]
 
     def cotangent(st):

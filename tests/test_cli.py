@@ -98,6 +98,19 @@ def test_verify_report_and_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_readme_verify_example_passes_on_a_tame_state(tmp_path, capsys):
+    # seed 44 alone fails the negative-controls ensemble check (each unmatched
+    # control must reach its floor on some state); README's example adds seeds
+    sp, rp = tmp_path / "s.json", tmp_path / "report.json"
+    assert run(["generate", "--dim", "4", "--modes", "8", "--seed", "44", "--out", str(sp)]) == 0
+    assert run(["verify", "--state", str(sp), "--seeds", "1,2,3", "--suite", "all",
+                "--report", str(rp)]) == 0
+    report = json.loads(rp.read_text())
+    assert report["pass"] is True
+    assert report["config"]["provenance"]["generator_seeds"] == [1, 2, 3]
+    capsys.readouterr()
+
+
 def test_verify_usage_and_degenerate_exit_codes(tmp_path, capsys):
     assert run(["verify"]) == 2  # no states
 

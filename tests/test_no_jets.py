@@ -1,4 +1,5 @@
-"""The evaluation pipeline runs on plain ndarrays: no module but ``jets`` uses jets."""
+"""The evaluation pipeline runs on plain ndarrays: no module but ``jets`` uses jets,
+and ``jets`` itself is an empty stub."""
 
 import ast
 from pathlib import Path
@@ -31,3 +32,11 @@ def test_pipeline_does_not_use_jets():
     uses = [f"{p.name} line {n}: {what}" for p in modules
             for n, what in _jet_uses(ast.parse(p.read_text(), filename=str(p)))]
     assert not uses, "; ".join(uses)
+
+
+def test_jets_module_is_a_method_less_stub():
+    tree = ast.parse((SRC / "jets.py").read_text())
+    defs = [node for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda))]
+    assert [(type(node).__name__, getattr(node, "name", None)) for node in defs] == \
+        [("ClassDef", "Jet")]
