@@ -312,9 +312,9 @@ def _ddf_invariant_reverse(state: StringState, frame: LightlikeFrame, spec: DDFI
 # ----------------------------------------------------------------------
 
 def reconstruct_field(modes: DDFModes, n: int) -> FieldGrid:
-    """Mode-sum quasi-local field, (1/sqrt(2 pi)) sum_m A_m e^{+-i m sigma}."""
+    """Mode-sum quasi-local field, (1/sqrt(2 pi)) sum_m A_m e^{+-i m sigma}, of bandwidth m_max."""
     return _real_field(modes_to_grid(modes.modes, n, _orientation(modes.chirality)), 1e-8,
-                       "reconstructed field")
+                       "reconstructed field", modes.m_max)
 
 
 def substitute(state: StringState, frame: LightlikeFrame, chirality: str, n: int):

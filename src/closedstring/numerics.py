@@ -13,7 +13,10 @@ degree-one circle maps.  All functions take plain ndarrays.
 Costs of the iterated integrals: one degree-n word is O(n^2 N log N), the
 last of its n integrals, needed only at 2*pi, closing by end weights at no
 transform; the D^n words of degree n in lexicographic order, sharing
-prefixes, are O(D^{n-1} n N log N).
+prefixes, are O(D^{n-1} n N log N).  On a field of known bandwidth K,
+:func:`_alias_free_samples` strides the N samples to the smallest exact grid
+N' > 2nK, a power of two at most 4nK, at O(N); a word then costs
+O(n^2 N' log N') whatever N is.
 """
 
 from __future__ import annotations
@@ -251,15 +254,19 @@ class _PrefixIntegrals:
     lexicographic order share prefixes and cost
     sum_{0<j<n} D^j 2j = O(D^{n-1} n N log N).  The path of a degree-n
     word holds (n-1)(n+2)/2 grids.  The caller keeps the columns the same
-    between calls, or clears the path.
+    between calls, or clears the path.  A path may own the columns its
+    states were stepped on as ``samples`` (None: the caller holds them);
+    :meth:`clear` drops them with the states.
     """
 
     def __init__(self):
         self.prefix = []
         self.states = [{0: 1.0}]
+        self.samples = None
 
     def clear(self):
         del self.prefix[:], self.states[1:]
+        self.samples = None
 
     def walk(self, columns, prefix):
         keep = 0
@@ -275,6 +282,24 @@ class _PrefixIntegrals:
 
     def integral(self, columns, word):
         return _nested_close(self.walk(columns, word[:-1])[-1], columns[:, word[-1]])
+
+
+def _alias_free_samples(values, bandwidth, degree):
+    """The samples a degree-``degree`` product of the field needs: values[::n // n'].
+
+    ``values`` are n samples (axis 0) of a real trigonometric polynomial of
+    degree ``bandwidth``; every product, sigma-antiderivative and end weight
+    of ``degree`` such factors is one of degree ``degree * bandwidth``, exact
+    on any grid n' > 2 * degree * bandwidth.  Returns the strided view on the
+    smallest such power of two n', the exact samples of the same polynomial;
+    ``values`` itself when the bandwidth is None (not known), or when n' does
+    not divide n (n' >= n among them).
+    """
+    n = values.shape[0]
+    if bandwidth is None:
+        return values
+    n_min = 1 << (2 * degree * bandwidth).bit_length()  # smallest power of two > 2 degree K
+    return values if n_min >= n or n % n_min else values[::n // n_min]
 
 
 def simplex_iterated_integral(factors):

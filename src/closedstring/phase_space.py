@@ -14,6 +14,7 @@ total momentum integral reproduces p identically.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -156,15 +157,29 @@ class FieldGrid:
     """Uniform samples of a periodic field on [0, 2*pi); vector or scalar.
 
     Values are a read-only copy, so no handle can write them and
-    invariants cached per field stay valid.
+    invariants cached per field stay valid.  ``bandwidth`` K, when not
+    None, promises that the samples are those of a real trigonometric
+    polynomial of degree <= K; Pohlmeyer words and Wilson loops then run on
+    the smallest grid that is exact for them (see
+    :func:`~closedstring.numerics._alias_free_samples`).  :func:`eval_field`
+    sets it to the state's truncation M and
+    :func:`~closedstring.ddf.reconstruct_field` to the modes' m_max; every
+    other producer (pullbacks, the direct substitution, grids built from
+    plain samples) leaves it None, and words then run on all n samples.
     """
 
     values: np.ndarray
+    bandwidth: int | None = None
 
     def __post_init__(self):
         arr = np.array(self.values)
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
+        if self.bandwidth is not None:
+            k = operator.index(self.bandwidth)
+            if k < 0 or 2 * k + 2 > arr.shape[0]:
+                raise ValueError(f"bandwidth {k} needs 0 <= K and 2K + 2 <= n = {arr.shape[0]}")
+            object.__setattr__(self, "bandwidth", k)
 
     @property
     def n_samples(self):
@@ -262,12 +277,12 @@ def _non_real(vals):
     return im / max(re, 1e-300)
 
 
-def _real_field(vals, tol, what):
+def _real_field(vals, tol, what, bandwidth):
     """FieldGrid of sqrt(2 pi)-scaled complex samples, checked real to ``tol``."""
     resid = _non_real(vals)
     if resid > tol:
         raise ValueError(f"{what} has relative non-real residue {resid:.3e}")
-    return FieldGrid(vals.real * _INV_SQRT_TAU)
+    return FieldGrid(vals.real * _INV_SQRT_TAU, bandwidth)
 
 
 def eval_field(state: StringState, chirality: str, n: int) -> FieldGrid:
@@ -275,9 +290,9 @@ def eval_field(state: StringState, chirality: str, n: int) -> FieldGrid:
 
     The modes go through :func:`~closedstring.numerics.modes_to_grid`; the
     result is real up to a checked 1e-13 relative residue, which is then
-    discarded.
+    discarded.  Its bandwidth is the truncation M.
     """
-    return _real_field(_complex_field(state, chirality, n), 1e-13, "field")
+    return _real_field(_complex_field(state, chirality, n), 1e-13, "field", state.truncation)
 
 
 def _eval_field_transpose(cot, chirality, truncation):

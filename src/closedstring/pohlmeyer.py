@@ -12,12 +12,19 @@ are invariant under base-point-preserving circle diffeos; full rotation
 invariance additionally needs cyclic symmetrization, and both forms are
 exposed.
 
-Words evaluated one after another on one field share their prefixes: one
-degree-n word costs O(n^2 N log N), the D^n words of degree n in
-lexicographic order O(D^{n-1} n N log N) together.  The functional
-derivative dZ/dP on the grid, from which :mod:`~closedstring.poisson`
-takes a word's chart gradient, costs the same order by Chen's identity
-(prefix states times reflected suffix states).
+Every product, sigma-antiderivative and end weight of a degree-n word on a
+field of bandwidth K is a trigonometric polynomial of degree <= nK, so the
+word is exact on any grid N' > 2nK.  A :class:`~closedstring.phase_space.FieldGrid`
+with a bandwidth runs its words, word gradients and Wilson loops on the
+smallest such power of two (N' <= 4nK), strided from its N samples at O(N);
+one without runs on all N samples, N' = N.  Words evaluated one after
+another on one field share their prefixes: one degree-n word costs
+O(n^2 N' log N'), the D^n words of degree n in lexicographic order
+O(D^{n-1} n N' log N') together.  The functional derivative dZ/dP on the
+N'-grid, from which :mod:`~closedstring.poisson` takes a word's chart
+gradient, costs the same order by Chen's identity (prefix states times
+reflected suffix states).  A Wilson loop of order n_max with d x d
+matrices costs O(n_max N' d^3 + N D), the N D for its remainder bound.
 """
 
 from __future__ import annotations
@@ -30,8 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ddf import DDFModes, compute_R, ddf_modes, reconstruct_field
-from .numerics import (TAU, _acc, _at_two_pi, _end_weights, _integral_to_two_pi,
-                       _PrefixIntegrals, _sigma_antiderivative)
+from .numerics import (TAU, _acc, _alias_free_samples, _at_two_pi, _end_weights,
+                       _integral_to_two_pi, _PrefixIntegrals, _sigma_antiderivative)
 from .phase_space import FieldGrid, LightlikeFrame, StringState, _orientation
 from .reparam import ReparamMap, pullback_weight_one
 
@@ -72,12 +79,11 @@ def pohlmeyer_invariant(field: FieldGrid, spec: InvariantSpec):
     lexicographic order costs one step per new letter and none for the last;
     the rotations of a symmetrized word share their prefixes the same way.
     """
-    vals = field.values
-    words = _words(spec, vals.shape[1])
-    path = _prefix_path(vals)
+    words = _words(spec, field.values.shape[1])
+    path, columns = _prefix_path(field, spec.degree)
     total = 0.0
     for word in words:
-        total = total + path.integral(vals, word)
+        total = total + path.integral(columns, word)
     return total / len(words)
 
 
@@ -89,8 +95,8 @@ def _words(spec, dim):
     return [w[r:] + w[:r] for r in range(spec.degree)] if spec.symmetrized else [w]
 
 
-def _word_cotangent(vals, spec):
-    """dZ/dP(sigma_j) on (N, D) samples, by Chen's identity.
+def _word_cotangent(field, spec):
+    """dZ/dP(sigma_j) on the (n', D) samples the word runs on, by Chen's identity.
 
     dZ_w/dP^{w_k}(sigma) is the prefix state of w[:k] at sigma times the
     suffix integral of w[k+1:] from sigma to 2 pi.  The suffix is the prefix
@@ -103,8 +109,12 @@ def _word_cotangent(vals, spec):
     and suffix states come from two fresh prefix paths, one on P and one on
     the reflected field, each walked once per word, so nothing goes into the
     per-thread memo of :func:`_prefix_path`.  A degree-n word costs
-    2n(n - 1) transforms.
+    2n(n - 1) transforms on the grid of
+    :func:`~closedstring.numerics._alias_free_samples`, n' samples when the
+    field has a bandwidth and all n otherwise; the transposed field
+    transform reads n' from the cotangent's shape.
     """
+    vals = _alias_free_samples(field.values, field.bandwidth, spec.degree)
     n, dim = vals.shape
     words = _words(spec, dim)
     reflected = vals[-np.arange(n) % n]
@@ -141,27 +151,38 @@ def _reflect(state, n):
 _memo = threading.local()
 
 
-def _prefix_path(vals):
-    """The prefix path for one call on the field samples ``vals``.
+def _prefix_path(field, degree):
+    """(path, columns) for one call of words of ``degree`` on ``field``.
 
-    One memo entry per thread: the most recent field, matched by identity
+    The columns are the field's samples on the grid of
+    :func:`~closedstring.numerics._alias_free_samples`.  One memo entry per
+    thread: the most recent field's read-only samples, matched by identity
     through a weak reference, with the nested-integral states along the
-    last word's prefix.  A different field replaces the entry, and the
-    states go when their field does, so the memo never outlives the
+    last word's prefix.  The path owns a copy of the strided columns its
+    states were stepped on; a word that needs another grid clears the path
+    and starts afresh.  A different field replaces the entry, and states and
+    columns go when their field does, so the memo never outlives the
     caller's field.  The first word on a field keeps no states: it gets a
     throwaway path, since calls that alternate between fields can share no
     prefix, and their states would only add to peak memory.  Only
     read-only arrays (as :class:`FieldGrid` stores them) get a memo entry,
     so the states can never go stale.
     """
+    vals = field.values
+    columns = _alias_free_samples(vals, field.bandwidth, degree)
     entry = getattr(_memo, "entry", None)
     if entry is not None and entry[0]() is vals:
-        return entry[1]
+        path = entry[1]
+        held = vals if path.samples is None else path.samples
+        if held.shape[0] != columns.shape[0]:
+            path.clear()
+            path.samples = None if columns is vals else columns.copy()
+        return path, vals if path.samples is None else path.samples
     _memo.entry = None
     if not vals.flags.writeable:
         path = _PrefixIntegrals()
         _memo.entry = (weakref.ref(vals, lambda _: path.clear()), path)
-    return _PrefixIntegrals()
+    return _PrefixIntegrals(), columns
 
 
 def align_base_point(modes: DDFModes, clock) -> DDFModes:
@@ -228,11 +249,13 @@ def wilson_loop(field: FieldGrid, config: WilsonConfig):
     """Truncated path-ordered exponential Tr P exp(int P.A dsigma).
 
     One cumulative matrix integral per order (never enumerating index
-    tuples), the top order closed by end weights; returns (value,
-    remainder_bound) with the factorial tail bound (C*||A||)^{n_max+1}/(n_max+1)!,
-    C = 2 pi max_sigma sum_mu |P^mu(sigma)|.
+    tuples), the top order closed by end weights, on the samples of
+    :func:`~closedstring.numerics._alias_free_samples` for degree n_max;
+    returns (value, remainder_bound) with the factorial tail bound
+    (C*||A||)^{n_max+1}/(n_max+1)!, C = 2 pi max_sigma sum_mu |P^mu(sigma)|
+    taken over all n samples, since a coarser grid can miss the peak.
     """
-    vals = np.asarray(field.values)
+    vals = _alias_free_samples(field.values, field.bandwidth, config.n_max)
     d = config.matrix_dim
     b = np.einsum("nm,mij->nij", vals, config.matrices)
 
@@ -246,7 +269,7 @@ def wilson_loop(field: FieldGrid, config: WilsonConfig):
     value += complex(_integral_to_two_pi((k, np.einsum("...ij,...ji->...", g, b))
                                          for k, g in acc.items()))
 
-    c_factor = TAU * float(np.max(np.sum(np.abs(vals), axis=1)))
+    c_factor = TAU * float(np.max(np.sum(np.abs(field.values), axis=1)))
     a_norm = float(max(np.linalg.norm(m, 2) for m in config.matrices))
     x = c_factor * a_norm
     remainder = x ** (config.n_max + 1) / math.factorial(config.n_max + 1)

@@ -25,6 +25,8 @@ route for a function with no known gradient.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -72,10 +74,7 @@ class CoordinateChart:
         return 2 * self.dim + 4 * self.truncation * self.dim
 
     def _blocks(self):
-        d, m = self.dim, self.truncation
-        edges = np.cumsum([0, d, d, m * d, m * d, m * d, m * d])
-        names = ("x", "p", "re_left", "im_left", "re_right", "im_right")
-        return {nm: slice(int(a), int(b)) for nm, a, b in zip(names, edges[:-1], edges[1:])}
+        return _chart_blocks(self.dim, self.truncation)
 
     def pack(self, state: StringState) -> np.ndarray:
         b = self._blocks()
@@ -123,8 +122,7 @@ class CoordinateChart:
         are those of the dense matrix.
         """
         b = self._blocks()
-        eta = minkowski(self.dim)
-        half_m = np.kron(np.arange(1, self.truncation + 1) / 2.0, eta)
+        eta, half_m = _omega_weights(self.dim, self.truncation)
         out = np.empty(np.shape(v), np.result_type(v, float))
         out[..., b["x"]] = eta * v[..., b["p"]]
         out[..., b["p"]] = -eta * v[..., b["x"]]
@@ -152,6 +150,25 @@ class CoordinateChart:
                 else:
                     out[j] = f"{name}[m={i // self.dim + 1},mu={i % self.dim}]"
         return out
+
+
+@lru_cache(maxsize=64)
+def _chart_blocks(dim, truncation):
+    """Read-only map from block name to chart slice, built once per (dim, M)."""
+    d, m = dim, truncation
+    edges = np.cumsum([0, d, d, m * d, m * d, m * d, m * d])
+    names = ("x", "p", "re_left", "im_left", "re_right", "im_right")
+    return MappingProxyType({nm: slice(int(a), int(b)) for nm, a, b in zip(names, edges[:-1], edges[1:])})
+
+
+@lru_cache(maxsize=64)
+def _omega_weights(dim, truncation):
+    """Read-only eta and the (m/2) eta of every oscillator block, built once per (dim, M)."""
+    eta = minkowski(dim)
+    half_m = np.kron(np.arange(1, truncation + 1) / 2.0, eta)
+    eta.setflags(write=False)
+    half_m.setflags(write=False)
+    return eta, half_m
 
 
 def chart_for(state: StringState) -> CoordinateChart:
@@ -231,7 +248,7 @@ def pohlmeyer_observable(spec: InvariantSpec, n_samples=DEFAULT_OBS_GRID) -> Obs
         return pohlmeyer_invariant(eval_field(state, spec.chirality, n_samples), spec)
 
     def cotangent(state):
-        return _word_cotangent(eval_field(state, spec.chirality, n_samples).values, spec)
+        return _word_cotangent(eval_field(state, spec.chirality, n_samples), spec)
 
     return _field_observable(f"Z[{spec.chirality}]({word},{tag})", fn, spec.chirality, cotangent)
 

@@ -10,7 +10,7 @@ from closedstring.numerics import (TAU, MonotoneCircleMap, grid_sigma,
                                    grid_to_modes, invert_monotone,
                                    modes_to_grid, periodic_antiderivative,
                                    real_modes, simplex_iterated_integral,
-                                   trig_interpolate, _basis)
+                                   trig_interpolate, _alias_free_samples, _basis)
 from oracles import (antiderivative_quad, basis_longdouble, invert_monotone_brentq,
                      iterated_integral_modes)
 
@@ -250,6 +250,35 @@ def test_simplex_shuffle_degree_three(rng):
 def test_simplex_empty_rejected():
     with pytest.raises(ValueError):
         simplex_iterated_integral([])
+
+
+def test_alias_free_samples_take_the_smallest_power_of_two_above_2nK():
+    values = np.arange(4096.0 * 3).reshape(4096, 3)
+    for bandwidth, degree, n_min in [(8, 1, 32), (8, 4, 128), (8, 3, 64), (0, 5, 1),
+                                     (1, 1, 4), (512, 1, 2048), (16, 4, 256)]:
+        got = _alias_free_samples(values, bandwidth, degree)
+        assert got.shape == (n_min, 3)
+        assert np.shares_memory(got, values)
+        assert np.array_equal(got, values[::4096 // n_min])
+    # no known bandwidth, a grid no smaller than n, or one that does not divide n
+    assert _alias_free_samples(values, None, 4) is values
+    assert _alias_free_samples(values, 512, 2) is values
+    assert _alias_free_samples(values, 1024, 4) is values
+    odd = np.ones((96, 2))
+    assert _alias_free_samples(odd, 7, 2).shape == (32, 2)
+    assert _alias_free_samples(odd, 8, 4) is odd
+
+
+def test_words_on_alias_free_samples_match_the_full_grid(rng):
+    # a degree-n product of bandwidth-K factors is exact on any grid n' > 2nK
+    n, k = 1024, 6
+    fs = np.column_stack([band_limited(rng, n, k) for _ in range(4)])
+    for word in [(0,), (1, 2), (3, 0, 2), (2, 2, 1, 0), (0, 1, 2, 3, 1)]:
+        cols = _alias_free_samples(fs, k, len(word))
+        assert cols.shape[0] < n
+        full = simplex_iterated_integral([fs[:, mu] for mu in word])
+        fast = simplex_iterated_integral([cols[:, mu] for mu in word])
+        assert abs(fast - full) <= 1e-14 * (abs(full) + (TAU * np.max(np.abs(fs))) ** len(word))
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import math
 import sys
 import threading
 
@@ -8,7 +9,7 @@ import pytest
 
 import closedstring as cs
 from closedstring import pohlmeyer, poisson
-from closedstring.numerics import TAU, simplex_iterated_integral
+from closedstring.numerics import TAU, simplex_iterated_integral, _alias_free_samples
 from closedstring.pohlmeyer import (InvariantSpec, WilsonConfig,
                                     pohlmeyer_invariant, pohlmeyer_via_ddf,
                                     reparam_check, wilson_loop)
@@ -119,13 +120,15 @@ def test_lexicographic_words_share_prefixes(state_bank, monkeypatch):
 
 
 def test_word_order_does_not_change_values(state_bank):
+    # each word runs on the strided columns of its alias-free grid
     field = cs.eval_field(state_bank[2], "-", 256)
     lex = dict(zip(WORDS4, _all_words(field, WORDS4)))
     shuffled = list(WORDS4)
     np.random.default_rng(5).shuffle(shuffled)
     for w, z in zip(shuffled, _all_words(field, shuffled)):
         assert z == lex[w]
-        assert z == simplex_iterated_integral([field.values[:, mu] for mu in w])
+        columns = _alias_free_samples(field.values, field.bandwidth, len(w))
+        assert z == simplex_iterated_integral([columns[:, mu] for mu in w])
 
 
 def test_words_in_random_order_vs_mode_oracle():
@@ -217,6 +220,167 @@ def test_prefix_memo_goes_with_its_field(state_bank):
     gc.collect()
     assert ref() is None
     assert path.states == [{0: 1.0}] and path.prefix == []
+
+
+# ----------------------------------------------------------------------
+# words and Wilson loops on the smallest alias-free grid
+# ----------------------------------------------------------------------
+
+def _power_scale(values, degree):
+    # the acceptance gate's scale (2 pi max|P|)^n / n!
+    return (TAU * float(np.max(np.abs(values)))) ** degree / math.factorial(degree)
+
+
+def _anti_hermitian(rng, dim, d, norm):
+    herm = rng.standard_normal((dim, d, d)) + 1j * rng.standard_normal((dim, d, d))
+    anti = 0.5 * (herm - np.conj(np.transpose(herm, (0, 2, 1))))
+    return anti * (norm / max(np.linalg.norm(m, 2) for m in anti))
+
+
+def _record_fft_lengths(monkeypatch):
+    lengths = []
+    for name in ("fft", "ifft"):
+        def recorded(x, axis=0, _fn=getattr(np.fft, name)):
+            lengths.append(np.shape(x)[axis])
+            return _fn(x, axis=axis)
+        monkeypatch.setattr(np.fft, name, recorded)
+    return lengths
+
+
+@pytest.mark.parametrize("m", [1, 8, 16])
+def test_eval_field_keeps_its_bandwidth_promise(m):
+    state = cs.random_state(4, m, seed=m)
+    for chir in ("-", "+"):
+        field = cs.eval_field(state, chir, 4096)
+        assert field.bandwidth == m
+        spec = np.abs(np.fft.fft(field.values, axis=0))
+        freqs = np.abs(np.fft.fftfreq(4096, 1.0 / 4096))
+        assert np.max(spec[freqs > m]) <= 1e-15 * np.max(spec)
+
+
+def test_only_exact_producers_set_a_bandwidth(state_bank, frame4):
+    state = state_bank[0]
+    modes = cs.ddf_modes(state, frame4, "-", 64, 512)
+    assert cs.reconstruct_field(modes, 512).bandwidth == 64
+    assert cs.reconstruct_field_direct(state, frame4, "-", 512).bandwidth is None
+    field = cs.eval_field(state, "-", 512)
+    assert pullback_weight_one(field, random_diffeo(3)).bandwidth is None
+    assert cs.FieldGrid(field.values).bandwidth is None
+
+
+def test_field_grid_rejects_a_bandwidth_it_cannot_hold():
+    vals = np.ones((8, 2))
+    assert cs.FieldGrid(vals, bandwidth=3).bandwidth == 3
+    assert cs.FieldGrid(vals, bandwidth=np.int64(0)).bandwidth == 0
+    for bad in (-1, 4, 100):
+        with pytest.raises(ValueError):
+            cs.FieldGrid(vals, bandwidth=bad)
+    with pytest.raises(TypeError):
+        cs.FieldGrid(vals, bandwidth=2.5)
+
+
+def test_words_and_wilson_on_the_reduced_grid_match_the_full_grid(state_bank):
+    field = cs.eval_field(state_bank[0], "-", 4096)
+    full = cs.FieldGrid(field.values)
+    for w, fast, slow in zip(WORDS4, _all_words(field, WORDS4), _all_words(full, WORDS4)):
+        assert abs(fast - slow) <= 1e-14 * (abs(slow) + _power_scale(field.values, len(w)))
+    config = WilsonConfig(_anti_hermitian(np.random.default_rng(4), 4, 2, 0.05), n_max=4)
+    (fast, fast_rem), (slow, slow_rem) = wilson_loop(field, config), wilson_loop(full, config)
+    assert abs(fast - slow) <= 1e-14 * abs(slow)
+    assert fast_rem == slow_rem
+
+
+def test_word_cotangent_on_the_reduced_grid_gives_the_full_grid_gradient(state_bank):
+    state = state_bank[1]
+    chart = poisson.chart_for(state)
+    for chir in ("-", "+"):
+        field = cs.eval_field(state, chir, 512)
+        for spec in [InvariantSpec(chir, (0, 1, 2)), InvariantSpec(chir, (3, 1, 1, 2), True)]:
+            fast = pohlmeyer._word_cotangent(field, spec)
+            slow = pohlmeyer._word_cotangent(cs.FieldGrid(field.values), spec)
+            assert fast.shape == (64 if spec.degree == 3 else 128, 4) and slow.shape == (512, 4)
+            got = chart._field_gradient(fast, chir, state.tension)
+            want = chart._field_gradient(slow, chir, state.tension)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_words_in_random_order_on_the_reduced_grid_vs_mode_oracle():
+    for m, seed in ((2, 3), (3, 8)):
+        field = cs.eval_field(cs.random_state(4, m, seed=seed), "-", 256)
+        rng = np.random.default_rng(seed)
+        specs = [InvariantSpec("-", tuple(rng.integers(0, 4, deg)), bool(sym))
+                 for deg, sym in zip(rng.integers(1, 5, 12), rng.integers(0, 2, 12))]
+        for spec in specs:
+            z = pohlmeyer_invariant(field, spec)
+            words = pohlmeyer._words(spec, 4)
+            oracle = sum(iterated_integral_modes([field.values[:, mu] for mu in w])
+                         for w in words) / len(words)
+            assert abs(z - oracle) <= 1e-9 * (abs(oracle) + 1e-6)
+
+
+def test_fields_without_bandwidth_run_on_all_samples(state_bank, monkeypatch):
+    field = cs.eval_field(state_bank[4], "-", 256)
+    config = WilsonConfig(_anti_hermitian(np.random.default_rng(6), 4, 2, 0.05), n_max=3)
+    spec = InvariantSpec("-", (2, 0, 1), symmetrized=True)
+    for plain in (pullback_weight_one(field, random_diffeo(5)), cs.FieldGrid(field.values)):
+        lengths = _record_fft_lengths(monkeypatch)
+        for w in WORDS4[:60]:
+            z = pohlmeyer_invariant(plain, InvariantSpec("-", w))
+            assert z == simplex_iterated_integral([plain.values[:, mu] for mu in w])
+        wilson_loop(plain, config)
+        cot = pohlmeyer._word_cotangent(plain, spec)
+        monkeypatch.undo()
+        assert cot.shape == (256, 4)
+        assert lengths and set(lengths) == {256}
+
+
+def test_benchmark_shaped_cycle_of_fields():
+    # a pool of 24 fields, cycled as a benchmark cycles through its inputs,
+    # each with every word in order of degree and then a Wilson loop; the
+    # strided views of one call are freed before the next, so their
+    # addresses recur: every word must run on its own field's strided
+    # columns, and the Wilson loop must match its index expansion
+    words = [w for deg in range(1, 5) for w in itertools.product(range(4), repeat=deg)]
+    pool = [cs.eval_field(cs.random_state(4, 8, seed=seed), "-", 4096) for seed in range(100, 124)]
+    rng = np.random.default_rng(24)
+    for field in pool:
+        z = {w: pohlmeyer_invariant(field, InvariantSpec("-", w)) for w in words}
+        for w in words:
+            columns = _alias_free_samples(field.values, field.bandwidth, len(w))
+            assert z[w] == simplex_iterated_integral([columns[:, mu] for mu in w])
+        peak = TAU * np.max(np.sum(np.abs(field.values), axis=1))
+        anti = _anti_hermitian(rng, 4, 2, 0.3 / peak)
+        value, _ = wilson_loop(field, WilsonConfig(anti, n_max=4))
+        total = 2.0 + sum(z[w] * np.trace(np.linalg.multi_dot([np.eye(2)] + [anti[mu] for mu in w]))
+                          for w in words)
+        assert abs(value - total) <= 1e-9 * (1.0 + abs(total))
+
+
+def test_constant_field_runs_on_one_sample():
+    # bandwidth 0: Z^w = prod_k c_{w_k} (2 pi)^n / n!, and the Wilson loop is
+    # the truncated exponential of 2 pi c.A
+    c = np.array([0.7, -1.1, 0.4])
+    field = cs.FieldGrid(np.tile(c, (64, 1)), bandwidth=0)
+    for w in [(0,), (1, 2), (2, 2, 0), (0, 1, 2, 1), (1, 0, 2, 2, 1)]:
+        z = pohlmeyer_invariant(field, InvariantSpec("-", w))
+        exact = np.prod(c[list(w)]) * TAU ** len(w) / math.factorial(len(w))
+        assert abs(z - exact) <= 1e-14 * abs(exact)
+    anti = _anti_hermitian(np.random.default_rng(2), 3, 2, 0.1)
+    gen = TAU * np.einsum("m,mij->ij", c, anti)
+    exact = sum(np.trace(np.linalg.matrix_power(gen, k)) / math.factorial(k) for k in range(6))
+    value, _ = wilson_loop(field, WilsonConfig(anti, n_max=5))
+    assert abs(value - exact) <= 1e-14 * abs(exact)
+
+
+def test_wilson_remainder_sees_a_peak_between_coarse_samples():
+    # |P| peaks at sample 3 of 64; the n' = 8 grid of n_max = 2 misses it
+    sig = cs.FieldGrid(np.zeros((64, 1))).sigma()
+    field = cs.FieldGrid(np.cos(sig - sig[3])[:, None], bandwidth=1)
+    config = WilsonConfig(np.array([[[0.0, 0.2], [-0.2, 0.0]]], complex), n_max=2)
+    coarse = _alias_free_samples(field.values, 1, 2)
+    assert coarse.shape[0] == 8 and np.max(np.abs(coarse)) < 0.96
+    _, remainder = wilson_loop(field, config)
+    assert abs(remainder - (TAU * 0.2) ** 3 / 6) <= 1e-15 * remainder
 
 
 # ----------------------------------------------------------------------
