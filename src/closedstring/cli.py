@@ -129,7 +129,7 @@ def main(argv=None) -> int:
     except (DegenerateFrame, NonMonotone) as exc:
         print(f"degenerate input: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (ValueError, KeyError, OSError, LevelMismatch) as exc:
+    except (ValueError, TypeError, KeyError, OSError, LevelMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -29,6 +29,7 @@ truncation.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,8 +94,10 @@ class DDFInvariantSpec:
     allow_unmatched: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "left", tuple((int(mu), int(m)) for mu, m in self.left))
-        object.__setattr__(self, "right", tuple((int(nu), int(m)) for nu, m in self.right))
+        object.__setattr__(self, "left", tuple((operator.index(mu), operator.index(m))
+                                               for mu, m in self.left))
+        object.__setattr__(self, "right", tuple((operator.index(nu), operator.index(m))
+                                                for nu, m in self.right))
         if not self.allow_unmatched and not self.is_matched:
             raise LevelMismatch(
                 f"sum(left)={self.left_sum}, sum(right)={self.right_sum}, level={self.level}")

@@ -13,7 +13,10 @@ degree-one circle maps.  All functions take plain ndarrays.
 Costs of the iterated integrals: one degree-n word is O(n^2 N log N), the
 last of its n integrals, needed only at 2*pi, closing by end weights at no
 transform; the D^n words of degree n in lexicographic order, sharing
-prefixes, are O(D^{n-1} n N log N).  On a field of known bandwidth K,
+prefixes, are O(D^{n-1} n N log N), in D^{n-2} batched steps and closes of
+all D^2 words under one head.  Every sum over samples is one
+:func:`_sample_sum`, whose bits do not depend on the batch width, so batched
+and single words agree bit for bit.  On a field of known bandwidth K,
 :func:`_alias_free_samples` strides the N samples to the smallest exact grid
 N' > 2nK, a power of two at most 4nK, at O(N); a word then costs
 O(n^2 N' log N') whatever N is.
@@ -144,7 +147,7 @@ def _sigma_antiderivative(terms):
                 coef = coef * inv_im * -p
         del coef
     # the zero mode that makes power 0 vanish at 0; every other row of power 0 is kept as is
-    out[0][0] = out[0][0] - out[0].sum(axis=0)
+    out[0][0] = out[0][0] - _sample_sum(out[0])
     for p, mean in means.items():
         if p in out:
             out[p][0] = out[p][0] + mean
@@ -201,23 +204,32 @@ def _end_weights(n, k):
     return w
 
 
-def _integral_to_two_pi(terms):
-    """int_0^{2 pi} sum_k s^k h_k(s) ds for periodic grids h_k, by end weights.
+def _end_weighted(n, terms):
+    """sum_k w_k h_k on the n-grid, w_k the end weights of :func:`_end_weights`.
 
-    Costs no transform: one weighted sum over the sample axis per term;
-    trailing axes (matrices) ride along.
+    Its :func:`_sample_sum` is int_0^{2 pi} sum_k s^k h_k(s) ds for periodic
+    grids (or constants) h_k; trailing axes (matrices, letters) ride along.
     """
-    total = 0.0
+    total = None
     for k, h in terms:
-        total = total + _weighted_sum(_end_weights(h.shape[0], k), h)
+        w = _end_weights(n, k)
+        term = (w if np.ndim(h) < 2 else w.reshape(w.shape + (1,) * (h.ndim - 1))) * h
+        total = term if total is None else total + term
     return total
 
 
-def _weighted_sum(w, h):
-    """sum_j w[j] h[j] over axis 0; trailing axes (matrices) ride along."""
-    if h.ndim == 1:
-        return w @ h
-    return (w @ h.reshape(h.shape[0], -1)).reshape(h.shape[1:])
+def _sample_sum(x):
+    """sum_j x[j] over the sample axis 0, with bits independent of the trailing shape.
+
+    Every sum over samples goes through here, so that a column summed
+    alone and the same column summed among others agree bit for bit: a
+    1-D input takes numpy's pairwise sum, and a stacked one is laid out
+    with the sample axis last and contiguous (no copy when it already is),
+    where each row takes the same pairwise sum.
+    """
+    if x.ndim == 1:
+        return np.add.reduce(x)
+    return np.add.reduce(np.ascontiguousarray(np.moveaxis(x, 0, -1)), axis=-1)
 
 
 def periodic_antiderivative(values):
@@ -237,36 +249,93 @@ def _nested_step(state, f):
 
 
 def _nested_close(state, f):
-    """int_0^{2 pi} f(s) G(s) ds for G as in :func:`_nested_step`, with the real cut."""
-    out = complex(_integral_to_two_pi((k, g * f) for k, g in state.items()))
-    return out.real if abs(out.imag) <= 1e-9 * (1.0 + abs(out)) else out
+    """int_0^{2 pi} f(s) G(s) ds for G as in :func:`_nested_step`, with the real cut.
+
+    One product and one :func:`_sample_sum`: the end-weighted state
+    sum_k w_k G_k (see :func:`_end_weighted`) times f.
+    """
+    weighted = _end_weighted(f.shape[0], state.items())
+    return _real_cut(complex(_sample_sum(weighted * f)))
+
+
+def _real_cut(z):
+    """z as a float when its imaginary part is roundoff, else z."""
+    return z.real if abs(z.imag) <= 1e-9 * (1.0 + abs(z)) else z
+
+
+# complex elements in one product of :func:`_block_close` (4 MiB)
+_CLOSE_CHUNK = 1 << 18
+
+
+def _block_close(weighted, columns):
+    """int_0^{2 pi} f_b(s) G_a(s) ds for every letter a of a wide state and column f_b.
+
+    ``weighted`` is the (N, A) end-weighted state of :func:`_end_weighted`
+    with a trailing letter axis a, ``columns`` the (N, D) f_b.  Returns the
+    (A, D) complex totals before the real cut, each bit-identical to
+    :func:`_nested_close` of column a against f_b: the same products and
+    :func:`_sample_sum`.  The products are written with the sample axis
+    last and contiguous, where :func:`_sample_sum` reads them in place, a
+    few letters at a time, so that none holds more than ``_CLOSE_CHUNK``
+    elements.
+    """
+    n, d = columns.shape
+    rows = weighted.shape[1]
+    step = max(1, _CLOSE_CHUNK // (n * d))
+    out = np.empty((rows, d), complex)
+    for lo in range(0, rows, step):
+        part = weighted[:, lo:lo + step]
+        products = np.empty((part.shape[1], d, n), np.result_type(part, columns))
+        np.multiply(part.T[:, None, :], columns.T[None, :, :], out=products)
+        out[lo:lo + step] = _sample_sum(np.moveaxis(products, -1, 0))
+    return out
 
 
 class _PrefixIntegrals:
-    """Nested-integral states along the prefix path of the last word.
+    """Nested-integral states along the prefix path of the last word, and word blocks.
 
     :meth:`walk` takes the letters of a prefix as columns of one (N, D)
     sample array and returns the sigma-polynomial state before the first
     letter and after each one; it reuses the longest common prefix with the
-    previous walk and steps only the new letters.  :meth:`integral` walks a
+    previous walk and steps only the new letters, and keeps the longer path
+    when the prefix is one of its own.  :meth:`integral` walks a
     word's prefix and closes the last integral by end weights.  A degree-n
-    word alone costs n(n - 1) transforms; the D^n words of degree n in
-    lexicographic order share prefixes and cost
-    sum_{0<j<n} D^j 2j = O(D^{n-1} n N log N).  The path of a degree-n
-    word holds (n-1)(n+2)/2 grids.  The caller keeps the columns the same
-    between calls, or clears the path.  A path may own the columns its
-    states were stepped on as ``samples`` (None: the caller holds them);
-    :meth:`clear` drops them with the states.
+    word alone costs n(n - 1) transforms; words in lexicographic order
+    share prefixes, and the D^n words of degree n cost
+    sum_{0<j<n} D^j 2j = O(D^{n-1} n N log N) word by word.
+
+    :meth:`read` serves a degree-n word from the block of its head
+    h = word[:n-2]: one step of h's state with all D columns as a trailing
+    letter axis (2(n - 1) transforms of (N, D) grids) and one
+    :func:`_block_close` give all D^2 words (h, a, b) at once (at n = 1
+    the block is the D integrals of the columns).  In lexicographic order
+    the D^n words of degree n take D^{n-2} batched steps and closes, plus
+    the walks of their heads, sum_{0<j<n-1} D^j 2j transforms.  One entry
+    per degree, ``blocks[n] = [head, block, reads]``, holds at most D^2
+    values.  A block is built on the third word in a row under its head,
+    or on the first when the degree's previous head served at least D
+    words (a sweep of siblings); every other word goes word by word, so a
+    stream of unrelated words, or of the rotations of symmetrized words,
+    pays for no D^2 words it does not read.  Values do not depend on the
+    route or on the order of the calls: block and word closes agree bit
+    for bit.
+
+    The path of a degree-n word holds (n-1)(n+2)/2 grids.  The caller keeps
+    the columns the same between calls, or clears the path.  A path may own
+    the columns its states were stepped on as ``samples`` (None: the caller
+    holds them); :meth:`clear` drops them with the states and blocks.
     """
 
     def __init__(self):
         self.prefix = []
         self.states = [{0: 1.0}]
         self.samples = None
+        self.blocks = {}
 
     def clear(self):
         del self.prefix[:], self.states[1:]
         self.samples = None
+        self.blocks.clear()
 
     def walk(self, columns, prefix):
         keep = 0
@@ -274,14 +343,38 @@ class _PrefixIntegrals:
             if a != b:
                 break
             keep += 1
-        del self.prefix[keep:], self.states[keep + 1:]
-        for mu in prefix[keep:]:
-            self.states.append(_nested_step(self.states[-1], columns[:, mu]))
-            self.prefix.append(mu)
-        return self.states
+        if keep < len(prefix):
+            del self.prefix[keep:], self.states[keep + 1:]
+            for mu in prefix[keep:]:
+                self.states.append(_nested_step(self.states[-1], columns[:, mu]))
+                self.prefix.append(mu)
+        return self.states[:len(prefix) + 1]
 
     def integral(self, columns, word):
         return _nested_close(self.walk(columns, word[:-1])[-1], columns[:, word[-1]])
+
+    def read(self, columns, word):
+        degree = len(word)
+        head = word[:max(degree - 2, 0)]
+        entry = self.blocks.get(degree)
+        swept = False
+        if entry is None or entry[0] != head:
+            swept = entry is not None and entry[2] >= columns.shape[1]
+            entry = self.blocks[degree] = [head, None, 0]
+        entry[2] += 1
+        if entry[1] is None:
+            if not swept and entry[2] < 3:
+                return self.integral(columns, word)
+            entry[1] = self._block(columns, head, degree)
+        return _real_cut(complex(entry[1][word[-2:]]))
+
+    def _block(self, columns, head, degree):
+        n = columns.shape[0]
+        if degree == 1:
+            return _block_close(_end_weighted(n, self.states[0].items())[:, None], columns)[0]
+        state = self.walk(columns, head)[-1]
+        wide = _sigma_antiderivative((k, np.expand_dims(g, -1) * columns) for k, g in state.items())
+        return _block_close(_end_weighted(n, wide.items()), columns)
 
 
 def _alias_free_samples(values, bandwidth, degree):

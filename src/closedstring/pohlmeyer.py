@@ -18,18 +18,25 @@ word is exact on any grid N' > 2nK.  A :class:`~closedstring.phase_space.FieldGr
 with a bandwidth runs its words, word gradients and Wilson loops on the
 smallest such power of two (N' <= 4nK), strided from its N samples at O(N);
 one without runs on all N samples, N' = N.  Words evaluated one after
-another on one field share their prefixes: one degree-n word costs
-O(n^2 N' log N'), the D^n words of degree n in lexicographic order
-O(D^{n-1} n N' log N') together.  The functional derivative dZ/dP on the
-N'-grid, from which :mod:`~closedstring.poisson` takes a word's chart
-gradient, costs the same order by Chen's identity (prefix states times
-reflected suffix states).  A Wilson loop of order n_max with d x d
+another on one field share their prefixes, and words that share their head
+w[:n-2] are read from one block: the head's state is stepped once with all
+D letters as a trailing axis, and all D^2 words (head, a, b) close together
+(see :class:`~closedstring.numerics._PrefixIntegrals`).  One degree-n word
+costs O(n^2 N' log N'); the D^n words of degree n in lexicographic order
+take D^{n-2} batched steps and closes, O(D^{n-1} n N' log N') transform
+work in D^{n-2} calls, plus the walks of their heads.  A word's value does
+not depend on the call order or on the route that served it.  The
+functional derivative dZ/dP on the N'-grid, from which
+:mod:`~closedstring.poisson` takes a word's chart gradient, costs the same
+order as one word by Chen's identity (prefix states times reflected suffix
+states).  A Wilson loop of order n_max with d x d
 matrices costs O(n_max N' d^3 + N D), the N D for its remainder bound.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import threading
 import weakref
 from dataclasses import dataclass
@@ -37,8 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ddf import DDFModes, compute_R, ddf_modes, reconstruct_field
-from .numerics import (TAU, _acc, _alias_free_samples, _at_two_pi, _end_weights,
-                       _integral_to_two_pi, _PrefixIntegrals, _sigma_antiderivative)
+from .numerics import (TAU, _acc, _alias_free_samples, _at_two_pi, _end_weighted, _end_weights,
+                       _PrefixIntegrals, _sample_sum, _sigma_antiderivative)
 from .phase_space import FieldGrid, LightlikeFrame, StringState, _orientation
 from .reparam import ReparamMap, pullback_weight_one
 
@@ -60,7 +67,7 @@ class InvariantSpec:
     symmetrized: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
+        object.__setattr__(self, "indices", tuple(operator.index(i) for i in self.indices))
         if len(self.indices) < 1:
             raise ValueError("need at least one index")
         if self.chirality not in ("+", "-"):
@@ -75,15 +82,16 @@ def pohlmeyer_invariant(field: FieldGrid, spec: InvariantSpec):
     """Z for one index word; cyclic average over rotations if symmetrized.
 
     Successive calls on one field reuse the nested integrals of the
-    previous word's prefix (see :func:`_prefix_path`), so listing words in
-    lexicographic order costs one step per new letter and none for the last;
-    the rotations of a symmetrized word share their prefixes the same way.
+    previous word's prefix and the block of all words that share its head
+    (see :func:`_prefix_path`), so listing words in lexicographic order
+    costs one batched step per head of the degree.  The value does not
+    depend on the order of the calls or on the route that served it.
     """
     words = _words(spec, field.values.shape[1])
-    path, columns = _prefix_path(field, spec.degree)
+    read, columns = _prefix_path(field, spec.degree)
     total = 0.0
     for word in words:
-        total = total + path.integral(columns, word)
+        total = total + read(columns, word)
     return total / len(words)
 
 
@@ -152,21 +160,25 @@ _memo = threading.local()
 
 
 def _prefix_path(field, degree):
-    """(path, columns) for one call of words of ``degree`` on ``field``.
+    """(read, columns) for one call of words of ``degree`` on ``field``.
 
     The columns are the field's samples on the grid of
-    :func:`~closedstring.numerics._alias_free_samples`.  One memo entry per
-    thread: the most recent field's read-only samples, matched by identity
-    through a weak reference, with the nested-integral states along the
-    last word's prefix.  The path owns a copy of the strided columns its
-    states were stepped on; a word that needs another grid clears the path
-    and starts afresh.  A different field replaces the entry, and states and
+    :func:`~closedstring.numerics._alias_free_samples`, and ``read(columns,
+    word)`` gives the word's value.  One memo entry per thread: the most
+    recent field's read-only samples, matched by identity through a weak
+    reference, with a :class:`~closedstring.numerics._PrefixIntegrals`
+    holding the nested-integral states along the last word's prefix and
+    one block of sibling words per degree, read through its
+    :meth:`~closedstring.numerics._PrefixIntegrals.read`.  The path owns
+    a copy of the strided columns its states were stepped on; a word that
+    needs another grid clears the path, blocks included, and starts
+    afresh.  A different field replaces the entry, and states, blocks and
     columns go when their field does, so the memo never outlives the
-    caller's field.  The first word on a field keeps no states: it gets a
-    throwaway path, since calls that alternate between fields can share no
-    prefix, and their states would only add to peak memory.  Only
-    read-only arrays (as :class:`FieldGrid` stores them) get a memo entry,
-    so the states can never go stale.
+    caller's field.  The first word on a field keeps nothing: it goes word
+    by word on a throwaway path, since calls that alternate between fields
+    can share no prefix, and their states would only add to peak memory.
+    Only read-only arrays (as :class:`FieldGrid` stores them) get a memo
+    entry, so states and blocks can never go stale.
     """
     vals = field.values
     columns = _alias_free_samples(vals, field.bandwidth, degree)
@@ -177,12 +189,12 @@ def _prefix_path(field, degree):
         if held.shape[0] != columns.shape[0]:
             path.clear()
             path.samples = None if columns is vals else columns.copy()
-        return path, vals if path.samples is None else path.samples
+        return path.read, vals if path.samples is None else path.samples
     _memo.entry = None
     if not vals.flags.writeable:
         path = _PrefixIntegrals()
         _memo.entry = (weakref.ref(vals, lambda _: path.clear()), path)
-    return _PrefixIntegrals(), columns
+    return _PrefixIntegrals().integral, columns
 
 
 def align_base_point(modes: DDFModes, clock) -> DDFModes:
@@ -266,8 +278,8 @@ def wilson_loop(field: FieldGrid, config: WilsonConfig):
         value += complex(np.trace(_at_two_pi(acc)))
     # the top order is needed only at 2 pi, and only its trace: end weights
     # on the sampled Tr(g_k b), no transform and no matrix product
-    value += complex(_integral_to_two_pi((k, np.einsum("...ij,...ji->...", g, b))
-                                         for k, g in acc.items()))
+    traces = ((k, np.einsum("...ij,...ji->...", g, b)) for k, g in acc.items())
+    value += complex(_sample_sum(_end_weighted(b.shape[0], traces)))
 
     c_factor = TAU * float(np.max(np.sum(np.abs(field.values), axis=1)))
     a_norm = float(max(np.linalg.norm(m, 2) for m in config.matrices))

@@ -137,6 +137,17 @@ def test_bracket_accepts_bare_invariant_request(tmp_path, capsys):
     assert doc["f"].startswith("Z[-]")
 
 
+def test_bracket_rejects_non_integer_indices(tmp_path, capsys):
+    sp = tmp_path / "s.json"
+    run(["generate", "--seed", "8", "--out", str(sp)])
+    g = json.dumps({"type": "virasoro", "chirality": "+", "m": 1})
+    for f in ({"chirality": "-", "indices": [0, 1.5]},
+              {"type": "ddf", "left": [[1, 1.0]], "right": [[2, 1]], "level": 1}):
+        assert run(["bracket", "--state", str(sp), "--f", json.dumps(f), "--g", g,
+                    "--grid", "256"]) == 2
+        assert "integer" in capsys.readouterr().err
+
+
 def test_verify_seeds_provenance(tmp_path):
     rp = tmp_path / "r.json"
     assert run(["verify", "--seeds", "5,9", "--suite", "reality",

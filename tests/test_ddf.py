@@ -233,6 +233,18 @@ def test_ddf_invariant_level_guard():
     assert not spec.is_matched
 
 
+def test_ddf_spec_rejects_non_integer_factors():
+    # a float index or mode number is an error, not silently truncated
+    for left in ([(0.7, 1)], [(1, 1.9)], [(1, np.float64(1.0))]):
+        with pytest.raises(TypeError):
+            cs.DDFInvariantSpec(left=left, right=[(1, 1)], level=1)
+    with pytest.raises(TypeError):
+        cs.DDFInvariantSpec(left=[(1, 1)], right=[(np.float64(2.5), 1)], level=1)
+    spec = cs.DDFInvariantSpec(left=[(np.int64(1), np.int32(1))], right=[(2, np.int64(1))], level=1)
+    assert spec.left == ((1, 1),) and spec.right == ((2, 1),)
+    assert all(type(i) is int for pair in spec.left + spec.right for i in pair)
+
+
 def test_ddf_invariant_stripped_vs_unstripped_routes(state_bank, frame4):
     # same object through both factorizations:
     # prod(a) prod(~a) e^{+iN phi0}  ==  prod(A) prod(~A) e^{-iN phi0}

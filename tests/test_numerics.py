@@ -10,7 +10,8 @@ from closedstring.numerics import (TAU, MonotoneCircleMap, grid_sigma,
                                    grid_to_modes, invert_monotone,
                                    modes_to_grid, periodic_antiderivative,
                                    real_modes, simplex_iterated_integral,
-                                   trig_interpolate, _alias_free_samples, _basis)
+                                   trig_interpolate, _alias_free_samples, _basis,
+                                   _sample_sum, _sigma_antiderivative)
 from oracles import (antiderivative_quad, basis_longdouble, invert_monotone_brentq,
                      iterated_integral_modes)
 
@@ -206,6 +207,29 @@ def test_end_weights_integrate_sigma_powers():
                 for j in range(k))
             got = w @ np.exp(1j * m * sig)
             assert abs(got - exact) <= 1e-13 * TAU ** (k + 1)
+
+
+@pytest.mark.parametrize("n", [8, 100, 4096])
+def test_sample_sum_bits_do_not_depend_on_the_width(rng, n):
+    # a block close sums the columns of many words at once and must give
+    # each word the bits of its own close
+    x = rng.standard_normal((n, 26)) + 1j * rng.standard_normal((n, 26))
+    alone = _sample_sum(x[:, 0])
+    for width in (1, 4, 26):
+        assert _sample_sum(x[:, :width])[0] == alone
+        assert _sample_sum(x[:, None, :width])[0, 0] == alone
+    assert _sample_sum(x.real[:, :4])[0] == _sample_sum(x.real[:, 0])
+
+
+def test_sigma_antiderivative_columns_do_not_depend_on_the_width(rng):
+    # the zero-mode constant of power 0 is a sample sum, the rest is per column
+    g = rng.standard_normal((64, 26)) + 1j * rng.standard_normal((64, 26))
+    wide = _sigma_antiderivative([(0, g), (1, 0.5 * g)])
+    for a in (0, 7, 25):
+        alone = _sigma_antiderivative([(0, g[:, a]), (1, 0.5 * g[:, a])])
+        assert list(alone) == list(wide)
+        for p, grid in alone.items():
+            assert np.array_equal(wide[p][:, a], grid)
 
 
 def test_simplex_frozen_values():

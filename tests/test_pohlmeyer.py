@@ -9,7 +9,8 @@ import pytest
 
 import closedstring as cs
 from closedstring import pohlmeyer, poisson
-from closedstring.numerics import TAU, simplex_iterated_integral, _alias_free_samples
+from closedstring.numerics import (TAU, simplex_iterated_integral, _alias_free_samples,
+                                   _PrefixIntegrals)
 from closedstring.pohlmeyer import (InvariantSpec, WilsonConfig,
                                     pohlmeyer_invariant, pohlmeyer_via_ddf,
                                     reparam_check, wilson_loop)
@@ -72,6 +73,15 @@ def test_index_out_of_range(state_bank):
         pohlmeyer_invariant(field, InvariantSpec("-", (0, 7)))
 
 
+def test_spec_rejects_non_integer_indices():
+    # a float index is an error, not silently truncated; numpy integers pass
+    for indices in ((0.7, 1.9), (np.float64(2.5),), (0, 1.0)):
+        with pytest.raises(TypeError):
+            InvariantSpec("-", indices)
+    spec = InvariantSpec("-", (np.int64(2), np.int32(0), 1))
+    assert spec.indices == (2, 0, 1) and all(type(i) is int for i in spec.indices)
+
+
 def test_shuffle_identities(state_bank):
     state = state_bank[3]
     field = cs.eval_field(state, "-", 1024)
@@ -103,20 +113,107 @@ def _all_words(field, words):
 
 
 def test_lexicographic_words_share_prefixes(state_bank, monkeypatch):
-    # each prefix of length j is stepped once at 2j transforms (the top power
-    # of a step is a constant, filled without one) and the last letter costs
-    # none: sum_{0<j<n} D^j 2j for all words to degree n
-    _all_words(cs.eval_field(state_bank[1], "-", 64), WORDS4)  # warm the cached weights
-    field = cs.eval_field(state_bank[0], "-", 64)
+    # on one grid (no bandwidth, so no degree switches grids and clears the
+    # path), each head of j <= 2 letters is walked once at 2j transforms, and
+    # each head of a degree-m word is stepped once with all D letters at
+    # 2(m - 1) (the top power of a step is a constant, filled without one);
+    # the last letter costs none.  The first head of degree 4 serves its
+    # first two words word by word, and those step their third letter alone
+    # once: sum_{0<j<=2} D^j 2j + sum_{1<m<=4} D^(m-2) 2(m-1) + 2*3 = 192.
+    # With the bandwidth, degree-1 words run on 32 samples and the rest on
+    # 64, so each first letter a starts afresh: its first words of degrees
+    # 2-4 walk (a), (a, 0), (a, 0, 0) alone (2 + 4 + 6), then D degree-4
+    # blocks (6 each, D - 1 of them walking a new second letter at 4), one
+    # degree-3 block (4) and one degree-2 block (2): 216 in all
+    banded = [cs.eval_field(state_bank[i], "-", 64) for i in (1, 0)]
+    plain = [cs.FieldGrid(f.values) for f in banded]
     calls = []
     for name in ("fft", "ifft"):
         def counted(x, axis=0, _fn=getattr(np.fft, name)):
             calls.append(name)
             return _fn(x, axis=axis)
         monkeypatch.setattr(np.fft, name, counted)
-    _all_words(field, WORDS4)
     assert len(WORDS4) == 340
-    assert len(calls) == sum(4 ** j * 2 * j for j in range(1, 4))
+    for (warm, field), want in ((plain, (sum(4 ** j * 2 * j for j in range(1, 3))
+                                         + sum(4 ** (m - 2) * 2 * (m - 1) for m in range(2, 5))
+                                         + 2 * 3)),
+                                (banded, 4 * (2 + 4 + 6 + 4 * 6 + 3 * 4 + 4 + 2))):
+        _all_words(warm, WORDS4)  # fill the cached weights
+        calls.clear()
+        _all_words(field, WORDS4)
+        assert len(calls) == want
+
+
+@pytest.mark.parametrize("dim,degree", [(4, 4), (26, 3)])
+def test_block_values_equal_word_values(dim, degree):
+    # blocks serve lexicographic and reversed sweeps, random order and the
+    # rotations of symmetrized words go mostly word by word; every value is
+    # bit-identical to the word's own close, whatever route served it.
+    # Symmetrized words at D=26 run in one order only: 18,278 of them take
+    # three closes each, nearly all word by word
+    # grids of 16 samples and more, where numpy's pairwise sums unroll
+    field = cs.eval_field(cs.random_state(dim, 8 if dim == 4 else 4, seed=dim), "-", 256)
+    words = [w for deg in range(1, degree + 1) for w in itertools.product(range(dim), repeat=deg)]
+    raw = {}
+    for w in words:
+        columns = _alias_free_samples(field.values, field.bandwidth, len(w))
+        raw[w] = simplex_iterated_integral([columns[:, mu] for mu in w])
+    shuffled = [words[i] for i in np.random.default_rng(dim).permutation(len(words))]
+    for symmetrized, orders in ((False, (words, words[::-1], shuffled)),
+                                (True, (shuffled,) if dim > 4 else (words, words[::-1], shuffled))):
+        for listed in orders:
+            for w in listed:
+                spec = InvariantSpec("-", w, symmetrized)
+                z = pohlmeyer_invariant(field, spec)
+                # the rotations summed as pohlmeyer_invariant sums them
+                rotations = pohlmeyer._words(spec, dim)
+                want = 0.0
+                for r in rotations:
+                    want = want + raw[r]
+                want = want / len(rotations)
+                assert z == want and type(z) is type(want)
+
+
+def test_random_word_stream_pays_for_no_block(monkeypatch):
+    # unrelated words at D=26 go word by word: the same transforms, of the
+    # same sizes, as a lone prefix path, and no block is built
+    field = cs.FieldGrid(cs.eval_field(cs.random_state(26, 8, seed=4), "-", 4096).values)
+    rng = np.random.default_rng(26)
+    words = [tuple(rng.integers(0, 26, deg)) for deg in rng.integers(3, 5, 40)]
+    for deg in (3, 4):  # no head comes three times in a row within a degree
+        heads = [w[:-2] for w in words if len(w) == deg]
+        assert not any(a == b == c for a, b, c in zip(heads, heads[1:], heads[2:]))
+    _PrefixIntegrals().integral(field.values, (0, 1, 2, 3))  # fill the cached end weights
+    sizes = _record_fft_lengths(monkeypatch, size=True)
+    lone = _PrefixIntegrals()
+    want = [lone.integral(field.values, w) for w in words]
+    alone = list(sizes)
+    pohlmeyer_invariant(field, InvariantSpec("-", (0, 1)))  # the cold first word
+    sizes.clear()
+    got = [pohlmeyer_invariant(field, InvariantSpec("-", w)) for w in words]
+    assert all(entry[1] is None for entry in pohlmeyer._memo.entry[1].blocks.values())
+    assert got == want
+    assert sizes == alone
+
+
+def test_blocks_are_built_on_a_third_word_or_after_a_sweep(state_bank):
+    field = cs.eval_field(state_bank[3], "-", 256)
+    pohlmeyer_invariant(field, InvariantSpec("-", (0,)))  # cold
+    path = pohlmeyer._memo.entry[1]
+    # two words under one head go word by word; the third builds the block
+    for k, w in enumerate([(1, 2, 0, 1), (1, 2, 3, 3), (1, 2, 2, 0)]):
+        pohlmeyer_invariant(field, InvariantSpec("-", w))
+        assert path.blocks[4][:1] == [(1, 2)]
+        assert (path.blocks[4][1] is None) == (k < 2)
+    # a sweep of at least D words builds the next head's block at once ...
+    for w in itertools.product(range(4), repeat=2):
+        pohlmeyer_invariant(field, InvariantSpec("-", (1, 2) + w))
+    assert path.blocks[4][2] == 19
+    pohlmeyer_invariant(field, InvariantSpec("-", (3, 0, 0, 0)))
+    assert path.blocks[4][0] == (3, 0) and path.blocks[4][1] is not None
+    # ... but a head that served fewer does not
+    pohlmeyer_invariant(field, InvariantSpec("-", (2, 2, 0, 0)))
+    assert path.blocks[4][0] == (2, 2) and path.blocks[4][1] is None
 
 
 def test_word_order_does_not_change_values(state_bank):
@@ -208,6 +305,31 @@ def test_prefix_memo_is_small(state_bank):
     held = sum(g.nbytes for state in path.states for g in state.values()
                if isinstance(g, np.ndarray))
     assert 0 < held <= 1 << 20
+    # one block of at most D^2 values per degree, whatever the stream
+    rng = np.random.default_rng(6)
+    built = 0
+    for w in WORDS4 + WORDS4[::-1] + [WORDS4[i] for i in rng.permutation(len(WORDS4))]:
+        pohlmeyer_invariant(field, InvariantSpec("-", w))
+        for degree, (head, block, reads) in path.blocks.items():
+            assert len(head) == max(degree - 2, 0) and reads >= 1
+            assert block is None or block.shape == ((4, 4) if degree > 1 else (4,))
+            built += block is not None
+    assert built
+    path.clear()
+    assert path.blocks == {} and path.states == [{0: 1.0}]
+
+
+def test_grid_switch_drops_the_blocks(state_bank):
+    # degree-4 words run on a 128-grid, degree-2 words on a 64-grid
+    field = cs.eval_field(state_bank[6], "-", 4096)
+    pohlmeyer_invariant(field, InvariantSpec("-", (0,)))  # cold
+    path = pohlmeyer._memo.entry[1]
+    for w in itertools.product(range(4), repeat=4):
+        pohlmeyer_invariant(field, InvariantSpec("-", w))
+    assert path.blocks[4][1] is not None and path.samples.shape == (128, 4)
+    pohlmeyer_invariant(field, InvariantSpec("-", (0, 1)))
+    assert path.samples.shape == (64, 4)
+    assert list(path.blocks) == [2] and path.blocks[2][1] is None
 
 
 def test_prefix_memo_goes_with_its_field(state_bank):
@@ -216,10 +338,13 @@ def test_prefix_memo_goes_with_its_field(state_bank):
         pohlmeyer_invariant(field, InvariantSpec("-", (0, 1, 2)))
     ref, path = pohlmeyer._memo.entry
     assert len(path.states) == 3
+    for w in itertools.product(range(4), repeat=3):
+        pohlmeyer_invariant(field, InvariantSpec("-", w))
+    assert path.blocks[3][1] is not None
     del field
     gc.collect()
     assert ref() is None
-    assert path.states == [{0: 1.0}] and path.prefix == []
+    assert path.states == [{0: 1.0}] and path.prefix == [] and path.blocks == {}
 
 
 # ----------------------------------------------------------------------
@@ -237,11 +362,12 @@ def _anti_hermitian(rng, dim, d, norm):
     return anti * (norm / max(np.linalg.norm(m, 2) for m in anti))
 
 
-def _record_fft_lengths(monkeypatch):
+def _record_fft_lengths(monkeypatch, size=False):
+    """Record each transform's length along its axis, or its whole size."""
     lengths = []
     for name in ("fft", "ifft"):
         def recorded(x, axis=0, _fn=getattr(np.fft, name)):
-            lengths.append(np.shape(x)[axis])
+            lengths.append(np.size(x) if size else np.shape(x)[axis])
             return _fn(x, axis=axis)
         monkeypatch.setattr(np.fft, name, recorded)
     return lengths
