@@ -320,22 +320,15 @@ class _PrefixIntegrals:
     route or on the order of the calls: block and word closes agree bit
     for bit.
 
-    The path of a degree-n word holds (n-1)(n+2)/2 grids.  The caller keeps
-    the columns the same between calls, or clears the path.  A path may own
-    the columns its states were stepped on as ``samples`` (None: the caller
-    holds them); :meth:`clear` drops them with the states and blocks.
+    The path of a degree-n word holds (n-1)(n+2)/2 grids.  The caller passes
+    the same columns on every call; a field keeps one path per grid (see
+    :class:`~closedstring.phase_space.FieldGrid`).
     """
 
     def __init__(self):
         self.prefix = []
         self.states = [{0: 1.0}]
-        self.samples = None
         self.blocks = {}
-
-    def clear(self):
-        del self.prefix[:], self.states[1:]
-        self.samples = None
-        self.blocks.clear()
 
     def walk(self, columns, prefix):
         keep = 0

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import operator
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -152,7 +153,7 @@ def _orientation(chirality):
     return +1 if chirality == "-" else -1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FieldGrid:
     """Uniform samples of a periodic field on [0, 2*pi); vector or scalar.
 
@@ -166,6 +167,10 @@ class FieldGrid:
     :func:`~closedstring.ddf.reconstruct_field` to the modes' m_max; every
     other producer (pullbacks, the direct substitution, grids built from
     plain samples) leaves it None, and words then run on all n samples.
+
+    The field owns its word paths, ``{N': path}`` per thread (see
+    :func:`~closedstring.pohlmeyer._prefix_path`), so ``==`` is ``is``, and a
+    copy or an unpickled field starts with none.
     """
 
     values: np.ndarray
@@ -180,6 +185,10 @@ class FieldGrid:
             if k < 0 or 2 * k + 2 > arr.shape[0]:
                 raise ValueError(f"bandwidth {k} needs 0 <= K and 2K + 2 <= n = {arr.shape[0]}")
             object.__setattr__(self, "bandwidth", k)
+        object.__setattr__(self, "_word_paths", threading.local())
+
+    def __reduce__(self):
+        return FieldGrid, (self.values, self.bandwidth)
 
     @property
     def n_samples(self):

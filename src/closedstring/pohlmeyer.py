@@ -17,8 +17,8 @@ field of bandwidth K is a trigonometric polynomial of degree <= nK, so the
 word is exact on any grid N' > 2nK.  A :class:`~closedstring.phase_space.FieldGrid`
 with a bandwidth runs its words, word gradients and Wilson loops on the
 smallest such power of two (N' <= 4nK), strided from its N samples at O(N);
-one without runs on all N samples, N' = N.  Words evaluated one after
-another on one field share their prefixes, and words that share their head
+one without runs on all N samples, N' = N.  Words on one field share their
+prefixes on the field's own path for N', and words that share their head
 w[:n-2] are read from one block: the head's state is stepped once with all
 D letters as a trailing axis, and all D^2 words (head, a, b) close together
 (see :class:`~closedstring.numerics._PrefixIntegrals`).  One degree-n word
@@ -37,8 +37,6 @@ from __future__ import annotations
 
 import math
 import operator
-import threading
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,8 +79,8 @@ class InvariantSpec:
 def pohlmeyer_invariant(field: FieldGrid, spec: InvariantSpec):
     """Z for one index word; cyclic average over rotations if symmetrized.
 
-    Successive calls on one field reuse the nested integrals of the
-    previous word's prefix and the block of all words that share its head
+    Calls on one field reuse the nested integrals of the field's previous
+    word on the same grid and the block of all words that share its head
     (see :func:`_prefix_path`), so listing words in lexicographic order
     costs one batched step per head of the degree.  The value does not
     depend on the order of the calls or on the route that served it.
@@ -116,7 +114,7 @@ def _word_cotangent(field, spec):
     perturbations.  A symmetrized word averages its rotations.  The prefix
     and suffix states come from two fresh prefix paths, one on P and one on
     the reflected field, each walked once per word, so nothing goes into the
-    per-thread memo of :func:`_prefix_path`.  A degree-n word costs
+    field's own paths of :func:`_prefix_path`.  A degree-n word costs
     2n(n - 1) transforms on the grid of
     :func:`~closedstring.numerics._alias_free_samples`, n' samples when the
     field has a bandwidth and all n otherwise; the transposed field
@@ -156,45 +154,24 @@ def _reflect(state, n):
     return out
 
 
-_memo = threading.local()
-
-
 def _prefix_path(field, degree):
     """(read, columns) for one call of words of ``degree`` on ``field``.
 
-    The columns are the field's samples on the grid of
+    The columns are the field's samples on the N'-grid of
     :func:`~closedstring.numerics._alias_free_samples`, and ``read(columns,
-    word)`` gives the word's value.  One memo entry per thread: the most
-    recent field's read-only samples, matched by identity through a weak
-    reference, with a :class:`~closedstring.numerics._PrefixIntegrals`
-    holding the nested-integral states along the last word's prefix and
-    one block of sibling words per degree, read through its
-    :meth:`~closedstring.numerics._PrefixIntegrals.read`.  The path owns
-    a copy of the strided columns its states were stepped on; a word that
-    needs another grid clears the path, blocks included, and starts
-    afresh.  A different field replaces the entry, and states, blocks and
-    columns go when their field does, so the memo never outlives the
-    caller's field.  The first word on a field keeps nothing: it goes word
-    by word on a throwaway path, since calls that alternate between fields
-    can share no prefix, and their states would only add to peak memory.
-    Only read-only arrays (as :class:`FieldGrid` stores them) get a memo
-    entry, so states and blocks can never go stale.
+    word)`` gives the word's value from this thread's
+    :class:`~closedstring.numerics._PrefixIntegrals` for N' on the field,
+    made on first use.  A field whose values were made writable again gets
+    a throwaway path, so states and blocks can never go stale.
     """
-    vals = field.values
-    columns = _alias_free_samples(vals, field.bandwidth, degree)
-    entry = getattr(_memo, "entry", None)
-    if entry is not None and entry[0]() is vals:
-        path = entry[1]
-        held = vals if path.samples is None else path.samples
-        if held.shape[0] != columns.shape[0]:
-            path.clear()
-            path.samples = None if columns is vals else columns.copy()
-        return path.read, vals if path.samples is None else path.samples
-    _memo.entry = None
-    if not vals.flags.writeable:
-        path = _PrefixIntegrals()
-        _memo.entry = (weakref.ref(vals, lambda _: path.clear()), path)
-    return _PrefixIntegrals().integral, columns
+    columns = _alias_free_samples(field.values, field.bandwidth, degree)
+    if field.values.flags.writeable:
+        return _PrefixIntegrals().integral, columns
+    paths = vars(field._word_paths)  # this thread's {N': path}
+    path = paths.get(columns.shape[0])
+    if path is None:
+        path = paths[columns.shape[0]] = _PrefixIntegrals()
+    return path.read, columns
 
 
 def align_base_point(modes: DDFModes, clock) -> DDFModes:
@@ -247,10 +224,12 @@ class WilsonConfig:
             raise ValueError("matrices must have shape (dim, d, d)")
         if not np.all(np.isfinite(arr.view(float))):
             raise ValueError("matrices must be finite")
-        if self.n_max < 1:
+        n_max = operator.index(self.n_max)
+        if n_max < 1:
             raise ValueError("n_max must be >= 1")
         arr.setflags(write=False)
         object.__setattr__(self, "matrices", arr)
+        object.__setattr__(self, "n_max", n_max)
 
     @property
     def matrix_dim(self):

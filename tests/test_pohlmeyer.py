@@ -1,8 +1,11 @@
+import copy
 import gc
 import itertools
 import math
+import pickle
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -112,19 +115,26 @@ def _all_words(field, words):
     return [pohlmeyer_invariant(field, InvariantSpec("-", w)) for w in words]
 
 
+def _paths(field):
+    """This thread's {N': path} on ``field``."""
+    return vars(field._word_paths)
+
+
+def _path(field, degree):
+    """This thread's path on ``field`` for words of ``degree``."""
+    return _paths(field)[_alias_free_samples(field.values, field.bandwidth, degree).shape[0]]
+
+
 def test_lexicographic_words_share_prefixes(state_bank, monkeypatch):
-    # on one grid (no bandwidth, so no degree switches grids and clears the
-    # path), each head of j <= 2 letters is walked once at 2j transforms, and
-    # each head of a degree-m word is stepped once with all D letters at
-    # 2(m - 1) (the top power of a step is a constant, filled without one);
-    # the last letter costs none.  The first head of degree 4 serves its
-    # first two words word by word, and those step their third letter alone
-    # once: sum_{0<j<=2} D^j 2j + sum_{1<m<=4} D^(m-2) 2(m-1) + 2*3 = 192.
-    # With the bandwidth, degree-1 words run on 32 samples and the rest on
-    # 64, so each first letter a starts afresh: its first words of degrees
-    # 2-4 walk (a), (a, 0), (a, 0, 0) alone (2 + 4 + 6), then D degree-4
-    # blocks (6 each, D - 1 of them walking a new second letter at 4), one
-    # degree-3 block (4) and one degree-2 block (2): 216 in all
+    # each head of j <= 2 letters is walked once at 2j transforms, and each
+    # head of a degree-m word is stepped once with all D letters at 2(m - 1)
+    # (the top power of a step is a constant, filled without one); the last
+    # letter costs none.  The first head of degree 4 serves its first two
+    # words word by word, and those step their third letter alone once:
+    # sum_{0<j<=2} D^j 2j + sum_{1<m<=4} D^(m-2) 2(m-1) + 2*3 = 192.  With the
+    # bandwidth, degree-1 words run on 32 samples and the rest on 64, each
+    # grid on its own path of the field, and degree-1 words cost no
+    # transform on either, so the count is the same
     banded = [cs.eval_field(state_bank[i], "-", 64) for i in (1, 0)]
     plain = [cs.FieldGrid(f.values) for f in banded]
     calls = []
@@ -134,14 +144,66 @@ def test_lexicographic_words_share_prefixes(state_bank, monkeypatch):
             return _fn(x, axis=axis)
         monkeypatch.setattr(np.fft, name, counted)
     assert len(WORDS4) == 340
-    for (warm, field), want in ((plain, (sum(4 ** j * 2 * j for j in range(1, 3))
-                                         + sum(4 ** (m - 2) * 2 * (m - 1) for m in range(2, 5))
-                                         + 2 * 3)),
-                                (banded, 4 * (2 + 4 + 6 + 4 * 6 + 3 * 4 + 4 + 2))):
+    want = (sum(4 ** j * 2 * j for j in range(1, 3))
+            + sum(4 ** (m - 2) * 2 * (m - 1) for m in range(2, 5)) + 2 * 3)
+    assert want == 192
+    for warm, field in (plain, banded):
         _all_words(warm, WORDS4)  # fill the cached weights
         calls.clear()
         _all_words(field, WORDS4)
         assert len(calls) == want
+
+
+def test_words_alternating_between_two_fields_keep_their_paths(state_bank, monkeypatch):
+    # a stream that alternates between a field and another one, as a
+    # substitution check alternates between the direct and the rebuilt
+    # field, takes the transforms of each field's words alone
+    pairs = [(cs.eval_field(state_bank[2], "-", 64), cs.eval_field(state_bank[3], "-", 64)),
+             (cs.FieldGrid(cs.eval_field(state_bank[2], "-", 64).values),
+              cs.eval_field(state_bank[3], "-", 64))]
+    words = WORDS4[::2]
+    for pair in pairs:
+        for f in pair:  # fill the cached weights
+            _all_words(cs.FieldGrid(f.values, f.bandwidth), words)
+        want, alone = [], []
+        for f in pair:
+            sizes = _record_fft_lengths(monkeypatch, size=True)
+            want.append(_all_words(cs.FieldGrid(f.values, f.bandwidth), words))
+            monkeypatch.undo()
+            alone += sizes
+        sizes = _record_fft_lengths(monkeypatch, size=True)
+        got = [[], []]
+        for w in words:
+            for out, f in zip(got, pair):
+                out.append(pohlmeyer_invariant(f, InvariantSpec("-", w)))
+        monkeypatch.undo()
+        assert got == want
+        assert sorted(sizes) == sorted(alone)
+
+
+def test_substitution_stream_at_high_resolution_shares_prefixes(state_bank, frame4, monkeypatch):
+    # the word stream of a high-resolution substitution check: words
+    # (0), (0, 1), (0, 1, 2), (0, 1, 2, 3), each on the field and then on the
+    # rebuilt field.  The field (K = 8) runs degrees 2-3 on 64 samples and
+    # degree 4 on 128, and walks (0) at 2 and (0, 1) at 4 on the first and
+    # (0, 1, 2) at 2 + 4 + 6 on the second: 18.  The rebuilt field
+    # (m_max = 1024) runs every degree on all 8192 samples, one path: 2 + 4 + 6.
+    # With one path per field and grid that is 30 transforms, where each word
+    # alone walks its whole prefix, 2 (0 + 2 + 6 + 12) = 40
+    state, n = state_bank[1], 8192
+    field = cs.eval_field(state, "-", n)
+    modes = cs.ddf_modes(state, frame4, "-", n // 8, n)
+    rebuilt = cs.reconstruct_field(pohlmeyer.align_base_point(modes, cs.compute_R(state, frame4, "-", n)), n)
+    specs = [InvariantSpec("-", tuple(range(deg))) for deg in range(1, 5)]
+    for f in (field, rebuilt):  # fill the cached weights
+        for spec in specs:
+            pohlmeyer_invariant(cs.FieldGrid(f.values, f.bandwidth), spec)
+    lengths = _record_fft_lengths(monkeypatch)
+    for spec in specs:
+        for f in (field, rebuilt):
+            pohlmeyer_invariant(f, spec)
+    assert len(lengths) == 30
+    assert sorted(set(lengths)) == [64, 128, n]
 
 
 @pytest.mark.parametrize("dim,degree", [(4, 4), (26, 3)])
@@ -188,18 +250,18 @@ def test_random_word_stream_pays_for_no_block(monkeypatch):
     lone = _PrefixIntegrals()
     want = [lone.integral(field.values, w) for w in words]
     alone = list(sizes)
-    pohlmeyer_invariant(field, InvariantSpec("-", (0, 1)))  # the cold first word
     sizes.clear()
     got = [pohlmeyer_invariant(field, InvariantSpec("-", w)) for w in words]
-    assert all(entry[1] is None for entry in pohlmeyer._memo.entry[1].blocks.values())
+    assert list(_paths(field)) == [4096]
+    assert all(entry[1] is None for entry in _path(field, 4).blocks.values())
     assert got == want
     assert sizes == alone
 
 
 def test_blocks_are_built_on_a_third_word_or_after_a_sweep(state_bank):
     field = cs.eval_field(state_bank[3], "-", 256)
-    pohlmeyer_invariant(field, InvariantSpec("-", (0,)))  # cold
-    path = pohlmeyer._memo.entry[1]
+    pohlmeyer_invariant(field, InvariantSpec("-", (0, 1, 2, 3)))  # makes the path
+    path = _path(field, 4)
     # two words under one head go word by word; the third builds the block
     for k, w in enumerate([(1, 2, 0, 1), (1, 2, 3, 3), (1, 2, 2, 0)]):
         pohlmeyer_invariant(field, InvariantSpec("-", w))
@@ -241,23 +303,19 @@ def test_words_in_random_order_vs_mode_oracle():
         assert abs(z - oracle) <= 1e-9 * (abs(oracle) + 1e-6)
 
 
-def test_threads_with_different_fields_match_serial(state_bank):
+def _run_threads(work, count):
     # more threads than cores and a short switch interval, so the threads'
-    # words interleave; each thread keeps its own path
-    fields = [cs.eval_field(state_bank[i], "-", 256) for i in (3, 4, 7, 8)]
-    words = WORDS4[::3]
-    serial = [_all_words(f, words) for f in fields]
-    results = [None] * len(fields)
-    barrier = threading.Barrier(len(fields))
+    # words interleave
+    barrier = threading.Barrier(count)
 
-    def work(i):
+    def run(i):
         barrier.wait()
-        results[i] = _all_words(fields[i], words)
+        work(i)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(fields))]
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(count)]
         for t in threads:
             t.start()
         for t in threads:
@@ -265,7 +323,36 @@ def test_threads_with_different_fields_match_serial(state_bank):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
+
+
+def test_threads_with_different_fields_match_serial(state_bank):
+    fields = [cs.eval_field(state_bank[i], "-", 256) for i in (3, 4, 7, 8)]
+    words = WORDS4[::3]
+    serial = [_all_words(cs.FieldGrid(f.values, f.bandwidth), words) for f in fields]
+    results = [None] * len(fields)
+
+    def work(i):
+        results[i] = _all_words(fields[i], words)
+
+    _run_threads(work, len(fields))
     assert results == serial
+
+
+def test_threads_sharing_one_field_match_serial(state_bank):
+    # each thread keeps its own paths on the shared field, and walks the
+    # words in its own order
+    field = cs.eval_field(state_bank[5], "-", 256)
+    serial = dict(zip(WORDS4, _all_words(cs.FieldGrid(field.values, field.bandwidth), WORDS4)))
+    orders = [WORDS4, WORDS4[::-1]] + [[WORDS4[i] for i in np.random.default_rng(seed).permutation(340)]
+                                       for seed in (1, 2)]
+    results = [None] * len(orders)
+
+    def work(i):
+        results[i] = dict(zip(orders[i], _all_words(field, orders[i])))
+
+    _run_threads(work, len(orders))
+    assert all(r == serial for r in results)
+    assert list(_paths(field)) == []  # the main thread walked nothing on it
 
 
 def test_field_values_are_read_only(state_bank):
@@ -295,56 +382,72 @@ def test_prefix_memo_is_small(state_bank):
     field = cs.eval_field(state_bank[6], "-", 4096)
     other = cs.eval_field(state_bank[5], "-", 4096)
     for f in (field, other, field):
-        # words that alternate between fields keep no states
+        # words that alternate between fields keep each field's states
         pohlmeyer_invariant(f, InvariantSpec("-", (0, 1, 2, 3)))
-        assert pohlmeyer._memo.entry[1].states == [{0: 1.0}]
-    pohlmeyer_invariant(field, InvariantSpec("-", (0, 1, 2, 3)))
-    ref, path = pohlmeyer._memo.entry
-    assert len(path.states) == 4
-    assert ref() is field.values
+        assert len(_path(f, 4).states) == 4
+    assert list(_paths(field)) == list(_paths(other)) == [128]
+    path = _path(field, 4)
     held = sum(g.nbytes for state in path.states for g in state.values()
                if isinstance(g, np.ndarray))
     assert 0 < held <= 1 << 20
-    # one block of at most D^2 values per degree, whatever the stream
+    # one block of at most D^2 values per degree and grid, whatever the stream
     rng = np.random.default_rng(6)
     built = 0
     for w in WORDS4 + WORDS4[::-1] + [WORDS4[i] for i in rng.permutation(len(WORDS4))]:
         pohlmeyer_invariant(field, InvariantSpec("-", w))
-        for degree, (head, block, reads) in path.blocks.items():
-            assert len(head) == max(degree - 2, 0) and reads >= 1
-            assert block is None or block.shape == ((4, 4) if degree > 1 else (4,))
-            built += block is not None
+        for n_grid, grid_path in _paths(field).items():
+            for degree, (head, block, reads) in grid_path.blocks.items():
+                assert _alias_free_samples(field.values, field.bandwidth, degree).shape[0] == n_grid
+                assert len(head) == max(degree - 2, 0) and reads >= 1
+                assert block is None or block.shape == ((4, 4) if degree > 1 else (4,))
+                built += block is not None
     assert built
-    path.clear()
-    assert path.blocks == {} and path.states == [{0: 1.0}]
-
-
-def test_grid_switch_drops_the_blocks(state_bank):
-    # degree-4 words run on a 128-grid, degree-2 words on a 64-grid
-    field = cs.eval_field(state_bank[6], "-", 4096)
-    pohlmeyer_invariant(field, InvariantSpec("-", (0,)))  # cold
-    path = pohlmeyer._memo.entry[1]
-    for w in itertools.product(range(4), repeat=4):
-        pohlmeyer_invariant(field, InvariantSpec("-", w))
-    assert path.blocks[4][1] is not None and path.samples.shape == (128, 4)
-    pohlmeyer_invariant(field, InvariantSpec("-", (0, 1)))
-    assert path.samples.shape == (64, 4)
-    assert list(path.blocks) == [2] and path.blocks[2][1] is None
+    # one path per grid: degree 1 on 32 samples, degrees 2 and 3 on 64, 4 on 128
+    assert sorted(_paths(field)) == [32, 64, 128]
 
 
 def test_prefix_memo_goes_with_its_field(state_bank):
     field = cs.eval_field(state_bank[7], "-", 256)
     for _ in range(2):
         pohlmeyer_invariant(field, InvariantSpec("-", (0, 1, 2)))
-    ref, path = pohlmeyer._memo.entry
+    path = _path(field, 3)
     assert len(path.states) == 3
     for w in itertools.product(range(4), repeat=3):
         pohlmeyer_invariant(field, InvariantSpec("-", w))
     assert path.blocks[3][1] is not None
-    del field
+    field_ref, path_ref = weakref.ref(field), weakref.ref(path)
+    del field, path
     gc.collect()
-    assert ref() is None
-    assert path.states == [{0: 1.0}] and path.prefix == [] and path.blocks == {}
+    assert field_ref() is None and path_ref() is None
+
+
+def test_copies_of_a_warm_field_start_with_no_paths(state_bank):
+    field = cs.eval_field(state_bank[8], "-", 256)
+    words = WORDS4[::5]
+    want = _all_words(field, words)
+    assert _paths(field)
+    for copied in (copy.deepcopy(field), copy.copy(field), pickle.loads(pickle.dumps(field))):
+        assert type(copied) is cs.FieldGrid and copied is not field
+        assert copied.bandwidth == field.bandwidth
+        assert np.array_equal(copied.values, field.values) and not copied.values.flags.writeable
+        assert _paths(copied) == {}
+        assert _all_words(copied, words) == want
+
+
+def test_fields_compare_and_hash_by_identity():
+    a = cs.FieldGrid(np.ones((8, 2)))
+    b = cs.FieldGrid(np.ones((8, 2)))
+    assert a == a and a != b and not (a == b)
+    assert len({a, b, a}) == 2 and hash(a) == hash(a)
+
+
+def test_writable_again_values_get_a_throwaway_path(state_bank):
+    field = cs.eval_field(state_bank[4], "-", 256)
+    field.values.setflags(write=True)
+    z = _all_words(field, WORDS4[:30])
+    assert _paths(field) == {}
+    fresh = cs.FieldGrid(field.values, field.bandwidth)
+    assert z == _all_words(fresh, WORDS4[:30])
 
 
 # ----------------------------------------------------------------------
@@ -498,6 +601,17 @@ def test_constant_field_runs_on_one_sample():
     assert abs(value - exact) <= 1e-14 * abs(exact)
 
 
+def test_wilson_config_rejects_a_non_integer_order():
+    matrices = np.zeros((2, 2, 2), complex)
+    for bad in (3.0, 2.5, np.float64(3.0)):
+        with pytest.raises(TypeError):
+            WilsonConfig(matrices, n_max=bad)
+    config = WilsonConfig(matrices, n_max=np.int64(3))
+    assert config.n_max == 3 and type(config.n_max) is int
+    with pytest.raises(ValueError):
+        WilsonConfig(matrices, n_max=0)
+
+
 def test_wilson_remainder_sees_a_peak_between_coarse_samples():
     # |P| peaks at sample 3 of 64; the n' = 8 grid of n_max = 2 misses it
     sig = cs.FieldGrid(np.zeros((64, 1))).sigma()
@@ -531,12 +645,14 @@ def test_word_gradient_leaves_the_prefix_memo_alone(state_bank):
     field = cs.eval_field(state, "-", 256)
     pohlmeyer_invariant(field, InvariantSpec("-", (0, 1, 2)))
     pohlmeyer_invariant(field, InvariantSpec("-", (0, 1, 3)))
-    before = pohlmeyer._memo.entry
-    states = list(before[1].states)
-    obs = poisson.pohlmeyer_observable(InvariantSpec("-", (0, 1, 2), symmetrized=True), 256)
-    poisson.gradient(obs, state, check=False)
-    assert pohlmeyer._memo.entry is before
-    assert before[1].states == states
+    paths = dict(_paths(field))
+    path = _path(field, 3)
+    states, blocks = list(path.states), dict(path.blocks)
+    poisson.gradient(poisson.pohlmeyer_observable(InvariantSpec("-", (0, 1, 2), True), 256),
+                     state, check=False)
+    pohlmeyer._word_cotangent(field, InvariantSpec("-", (0, 1, 2), symmetrized=True))
+    assert _paths(field) == paths
+    assert path.states == states and path.blocks == blocks
 
 
 # ----------------------------------------------------------------------
