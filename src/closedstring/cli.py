@@ -248,8 +248,5 @@ def _dispatch(args) -> int:
     raise ValueError(f"unknown command {args.command!r}")
 
 
-run = main  # canonical name for the argv -> exit-code entry point
-
-
 if __name__ == "__main__":
     sys.exit(main())

@@ -30,7 +30,9 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import reduce
+from itertools import accumulate
 
 import numpy as np
 
@@ -201,28 +203,37 @@ def ddf_modes(state: StringState, frame: LightlikeFrame, chirality: str,
 
 def strip_zero_mode(modes: DDFModes, state: StringState, frame: LightlikeFrame) -> DDFModes:
     """Remove the k.x phase: a_m = A_m e^{-i m phi0} (x-independent by construction)."""
-    phi0 = zero_mode_phase(state, frame)
+    return _rotate_modes(modes, -zero_mode_phase(state, frame))
+
+
+def _rotate_modes(modes, theta):
+    """Mode m times e^{i m theta}: :func:`reconstruct_field` moves from sigma to sigma +- theta."""
     ms = np.arange(-modes.m_max, modes.m_max + 1, dtype=float)
-    phases = np.exp(-1j * ms[:, None] * phi0)
-    return DDFModes(chirality=modes.chirality, m_max=modes.m_max,
-                    modes=modes.modes * phases, k=modes.k)
+    return replace(modes, modes=modes.modes * np.exp(1j * (ms * theta))[:, None])
 
 
 def _invariant_factors(state, frame, spec, n):
-    """phi0, and per chirality with factors (chirality, factors, ms, integrals, weights, field, clock).
+    """phi0, the stripped factors with their phases, and the pieces of each side.
 
-    ms lists the distinct mode numbers of that side in ascending order, and
-    the rest is :func:`_mode_quadrature` over them.
+    The factors a_f = A_f e^{-i m_f phi0} and phases e^{-i m_f phi0} are two
+    lists in spec order, left then right.  Per chirality with factors, the
+    side is (chirality, factors, ms, weights, field, clock): ms lists the
+    distinct mode numbers of that side in ascending order, and the rest is
+    :func:`_mode_quadrature` over them.
     """
     if not spec.allow_unmatched and not spec.is_matched:
         raise LevelMismatch("spec is not level-matched")
     phi0 = zero_mode_phase(state, frame)
-    sides = []
+    stripped, phases, sides = [], [], []
     for chir, factors in (("-", spec.left), ("+", spec.right)):
         if factors:
             ms = sorted({m for _, m in factors})
-            sides.append((chir, factors, ms, *_mode_quadrature(state, frame, chir, ms, n)))
-    return phi0, sides
+            raw, *pieces = _mode_quadrature(state, frame, chir, ms, n)
+            for mu, m in factors:
+                phases.append(np.exp(-1j * float(m) * phi0))
+                stripped.append(raw[ms.index(m), mu] * phases[-1])
+            sides.append((chir, factors, ms, *pieces))
+    return phi0, stripped, phases, sides
 
 
 def ddf_invariant(state: StringState, frame: LightlikeFrame, spec: DDFInvariantSpec,
@@ -233,14 +244,8 @@ def ddf_invariant(state: StringState, frame: LightlikeFrame, spec: DDFInvariantS
     level phase uses the same phi0 as strip_zero_mode so that matching
     cancels the x-dependence between the two factorizations.
     """
-    phi0, sides = _invariant_factors(state, frame, spec, n)
-    out = np.exp(1j * float(spec.level) * phi0)
-    for _, factors, ms, raw, *_ in sides:
-        lookup = {m: i for i, m in enumerate(ms)}
-        for mu, m in factors:
-            stripped = raw[lookup[m], mu] * np.exp(-1j * float(m) * phi0)
-            out = out * stripped
-    return out
+    phi0, stripped, _, _ = _invariant_factors(state, frame, spec, n)
+    return reduce(operator.mul, stripped, np.exp(1j * float(spec.level) * phi0))
 
 
 def _ddf_invariant_reverse(state: StringState, frame: LightlikeFrame, spec: DDFInvariantSpec,
@@ -271,19 +276,15 @@ def _ddf_invariant_reverse(state: StringState, frame: LightlikeFrame, spec: DDFI
     :func:`ddf_invariant` makes, so with K distinct m per side a gradient
     costs O(K D N + D N log N), whatever M.
     """
-    phi0, sides = _invariant_factors(state, frame, spec, n)
+    phi0, stripped, phases, sides = _invariant_factors(state, frame, spec, n)
     kp = float(_kp(state, frame))
     eta_k = minkowski(state.dim) * frame.k
     c = np.sqrt(TAU) / n
     a = np.sqrt(2.0 * TAU * state.tension) / kp
-    shifts = {m: np.exp(-1j * float(m) * phi0) for _, factors, *_ in sides for _, m in factors}
-    # the factors a_f = A_f e^{-i m_f phi0} in the order ddf_invariant multiplies them;
-    # prefix[f] holds e^{i N phi0} a_0 ... a_{f-1}, suffix[f] holds a_f ... a_last
-    stripped = [raw[ms.index(m), mu] * shifts[m]
-                for _, factors, ms, raw, *_ in sides for mu, m in factors]
-    prefix = [np.exp(1j * float(spec.level) * phi0)]
-    for s in stripped:
-        prefix.append(prefix[-1] * s)
+    # prefix[f] holds e^{i N phi0} a_0 ... a_{f-1}, as ddf_invariant multiplies
+    # them, and suffix[f] holds a_f ... a_last
+    prefix = list(accumulate(stripped, operator.mul,
+                             initial=np.exp(1j * float(spec.level) * phi0)))
     suffix = [1.0 + 0.0j]
     for s in reversed(stripped):
         suffix.append(s * suffix[-1])
@@ -292,12 +293,12 @@ def _ddf_invariant_reverse(state: StringState, frame: LightlikeFrame, spec: DDFI
     d_phi0 = 1j * level_left * prefix[-1]
     d_kp = 0.0
     out, f = {}, 0
-    for chir, factors, ms, _, weights, field, cmap in sides:
+    for chir, factors, ms, weights, field, cmap in sides:
         o = _orientation(chir)
         # dF/dA per (distinct m, mu)
         coef = np.zeros((len(ms), state.dim), complex)
         for mu, m in factors:
-            coef[ms.index(m), mu] += prefix[f] * suffix[f + 1] * shifts[m]
+            coef[ms.index(m), mu] += prefix[f] * suffix[f + 1] * phases[f]
             f += 1
         marr = np.asarray(ms, float)
         g_r = c * ((-1j * o * marr)[:, None] * weights * (coef @ field.T)).sum(axis=0)

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ddf import DDFModes, compute_R, ddf_modes, reconstruct_field
+from .ddf import DDFModes, _rotate_modes, compute_R, ddf_modes, reconstruct_field
 from .numerics import (TAU, _acc, _alias_free_samples, _at_two_pi, _end_weighted, _end_weights,
                        _PrefixIntegrals, _sample_sum, _sigma_antiderivative)
 from .phase_space import FieldGrid, LightlikeFrame, StringState, _orientation
@@ -165,9 +165,8 @@ def _prefix_path(field, degree):
     a throwaway path, so states and blocks can never go stale.
     """
     columns = _alias_free_samples(field.values, field.bandwidth, degree)
-    if field.values.flags.writeable:
-        return _PrefixIntegrals().integral, columns
-    paths = vars(field._word_paths)  # this thread's {N': path}
+    # this thread's {N': path} on the field, or a throwaway one
+    paths = {} if field.values.flags.writeable else vars(field._word_paths)
     path = paths.get(columns.shape[0])
     if path is None:
         path = paths[columns.shape[0]] = _PrefixIntegrals()
@@ -183,11 +182,7 @@ def align_base_point(modes: DDFModes, clock) -> DDFModes:
     nonzero mean, so the substitution is compared in its base-point-
     preserving form: mode m picks up e^{+-i m R(0)}.
     """
-    r0 = clock.values()[0]
-    ms = np.arange(-modes.m_max, modes.m_max + 1, dtype=float)
-    phases = np.exp((_orientation(modes.chirality) * 1j) * (ms * r0))
-    rotated = modes.modes * phases[:, None]
-    return DDFModes(chirality=modes.chirality, m_max=modes.m_max, modes=rotated, k=modes.k)
+    return _rotate_modes(modes, _orientation(modes.chirality) * clock.values()[0])
 
 
 def pohlmeyer_via_ddf(state: StringState, frame: LightlikeFrame, spec: InvariantSpec,

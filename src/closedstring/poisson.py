@@ -24,6 +24,7 @@ route for a function with no known gradient.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
@@ -220,24 +221,12 @@ def _linear_observable(name, fn):
 
 
 def coordinate_observable(chart: CoordinateChart, index: int) -> Observable:
-    labels = chart.labels()
-
-    def fn(state):
-        b = chart._blocks()
-        for name, sl in b.items():
-            if sl.start <= index < sl.stop:
-                i = index - sl.start
-                if name == "x":
-                    return state.x[i]
-                if name == "p":
-                    return state.p[i]
-                sector = state.left if name.endswith("left") else state.right
-                entry = sector[i // chart.dim, i % chart.dim]
-                part = entry.real if name.startswith("re") else entry.imag
-                return part
-        raise IndexError(index)
-
-    return _linear_observable(f"coord:{labels[index]}", fn)
+    """The chart coordinate y_index, read from :meth:`CoordinateChart.pack`."""
+    index = operator.index(index)
+    if not 0 <= index < chart.size:
+        raise IndexError(f"chart index {index} is outside 0..{chart.size - 1}")
+    return _linear_observable(f"coord:{chart.labels()[index]}",
+                              lambda state: chart.pack(state)[index])
 
 
 def pohlmeyer_observable(spec: InvariantSpec, n_samples=DEFAULT_OBS_GRID) -> Observable:

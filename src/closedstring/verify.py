@@ -258,7 +258,7 @@ def suite_poisson(record, tols):
     observables = [pohlmeyer_observable(s, n) for s in specs]
     observables.append(ddf_invariant_observable(
         DDFInvariantSpec(left=[(1, 1)], right=[(2, 1)], level=1), record.frame, n))
-    reports = invariance_report(observables, record.state, window, n_samples=n, threshold=tol)
+    reports = invariance_report(observables, record.state, window, n_samples=n)
     digest = _digest(record, window=window)
     return [_row(f"poisson[{obs.name}]", digest, max(r["residue"] for r in rep), tol)
             for obs, rep in zip(observables, reports)]
@@ -416,6 +416,7 @@ def run_suites(names, states, frame, params=None, tolerances=None, threads=None,
                provenance=None):
     """Run the named suites over all states and assemble the report.
 
+    A suite named more than once runs once, in the order of its first name.
     When per-state suites are selected, one job per state runs them in the
     order given on that state's :class:`StateRecord`, dropped when the job
     ends; when an ensemble suite is selected, one more job runs it on
@@ -427,15 +428,20 @@ def run_suites(names, states, frame, params=None, tolerances=None, threads=None,
     worker count; the count before the call is restored when it returns or
     raises.  The report's ``config`` records the workers (``threads``) and
     the BLAS threads in force (``blas_threads``, null without OpenBLAS).
-    Before any job starts it raises ValueError for ``threads`` < 1 and, when
+    Before any job starts it raises KeyError for an unknown suite or
+    tolerance name, ValueError for ``threads`` < 1 and, when
     a Virasoro suite (poisson, witt, negative-controls) is selected, for an
     ``m_window`` outside 1..min(M)//2 over the states.
     """
     params = {**default_params(), **(params or {})}
-    tols = {**DEFAULT_TOLERANCES, **(tolerances or {})}
+    names = list(dict.fromkeys(names))
     unknown = [nm for nm in names if nm not in SUITES]
     if unknown:
         raise KeyError(f"unknown suites: {unknown}; known: {suite_names()}")
+    unknown = [nm for nm in (tolerances or {}) if nm not in DEFAULT_TOLERANCES]
+    if unknown:
+        raise KeyError(f"unknown tolerances: {unknown}; known: {sorted(DEFAULT_TOLERANCES)}")
+    tols = {**DEFAULT_TOLERANCES, **(tolerances or {})}
     workers = thread_count() if threads is None else threads
     if workers < 1:
         raise ValueError(f"threads must be >= 1, got {workers}")

@@ -253,3 +253,22 @@ def test_verify_rejects_zero_threads(capsys):
     assert run(["verify", "--seeds", "1", "--suite", "reality", "--grid", "256",
                 "--threads", "0"]) == 2
     assert "threads" in capsys.readouterr().err
+
+
+def test_verify_runs_a_suite_named_twice_once(tmp_path):
+    rp = tmp_path / "r.json"
+    assert run(["verify", "--seeds", "1,2", "--suite", "reality", "--suite", "periodicity",
+                "--suite", "reality", "--grid", "256", "--report", str(rp)]) == 0
+    report = json.loads(rp.read_text())
+    assert report["config"]["suites"] == ["reality", "periodicity"]
+    names = [(r["suite"], r["state_index"], r["name"]) for r in report["rows"]]
+    assert len(names) == len(set(names)) == 8  # 2 suites x 2 states x 2 chiralities
+
+
+def test_verify_rejects_an_unknown_tolerance_name(capsys):
+    # a misspelt name used to land in config.tolerances while the run passed
+    # on the default reality tolerance
+    assert run(["verify", "--seeds", "1", "--suite", "reality", "--grid", "256",
+                "--tolerance", "realty=1e-30"]) == 2
+    err = capsys.readouterr().err
+    assert "realty" in err and "'reality'" in err

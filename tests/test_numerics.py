@@ -166,10 +166,12 @@ def test_simplex_transform_count(monkeypatch):
 
 
 def test_simplex_memory_bound():
-    # a degree-n word keeps about 2n + 5 complex grids alive at its peak: the
-    # previous step's n grids, the last step's n + 1 spectra, each freed once
-    # transformed, and a few temporaries; holding every input, spectrum and
-    # output of a step at once took about 4n + 6
+    # a degree-n word keeps its prefix path alive, n(n - 1)/2 complex grids
+    # (the top power of each state is a broadcast constant), with the n real
+    # factor columns, the last step's spectra, each freed once transformed,
+    # and a few temporaries: 22.5 grids at n = 6, where a loop holding only
+    # the current state took 11; holding every input, spectrum and output of
+    # a step at once took about 4n + 6
     n_grid = 1 << 16
     f = np.cos(grid_sigma(n_grid)) + 0.5
     for n in (1, 2, 4, 6):

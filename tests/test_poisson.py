@@ -103,6 +103,31 @@ def test_gradient_of_coordinate_is_unit_vector(state, chart):
         assert np.max(np.abs(g - e)) < 1e-14
 
 
+def test_coordinate_observable_reads_the_packed_chart(state, chart):
+    # every coordinate of the D=4, M=8 chart reads chart.pack, and its label
+    # names the state entry it holds
+    y = chart.pack(state)
+    assert chart.size == 2 * 4 + 4 * 8 * 4
+    for i in range(chart.size):
+        obs = coordinate_observable(chart, i)
+        assert obs.fn(state) == y[i]
+        block, _, where = obs.name.removeprefix("coord:").rstrip("]").partition("[")
+        if block in ("x", "p"):
+            assert y[i] == getattr(state, block)[int(where)]
+        else:
+            m, mu = (int(part.split("=")[1]) for part in where.split(","))
+            part, sector = block.split("_")
+            entry = getattr(state, sector)[m - 1, mu]
+            assert y[i] == (entry.real if part == "re" else entry.imag)
+
+
+def test_coordinate_observable_rejects_an_index_outside_the_chart(chart):
+    # -1 used to construct, and failed only when evaluated
+    for index in (-1, chart.size):
+        with pytest.raises(IndexError):
+            coordinate_observable(chart, index)
+
+
 def test_gradient_degree_one_closed_form(state, chart):
     # Z^mu = sqrt(2 pi) alpha_0^mu = sqrt(2 pi) p^mu / sqrt(4 pi T):
     # gradient lives in the p-block only
