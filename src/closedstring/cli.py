@@ -23,12 +23,15 @@ from .phase_space import (DEFAULT_DECAY, DEFAULT_TENSION, LightlikeFrame,
 from .pohlmeyer import InvariantSpec, pohlmeyer_invariant, pohlmeyer_via_ddf
 from .poisson import bracket as poisson_bracket
 from .poisson import observable_from_config
-from .verify import default_params, run_suites, suite_names
+from .verify import run_suites, suite_names
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_DEGENERATE = 3
+
+# the generator's state shape, for `generate` and `verify --seeds`
+DEFAULT_DIM, DEFAULT_MODES = 4, 8
 
 
 def _parse_frame(text, dim):
@@ -56,8 +59,8 @@ def build_parser():
     sub = ap.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="emit a seeded random state as JSON")
-    g.add_argument("--dim", type=int, default=4)
-    g.add_argument("--modes", type=int, default=8, help="oscillator truncation M")
+    g.add_argument("--dim", type=int, default=DEFAULT_DIM)
+    g.add_argument("--modes", type=int, default=DEFAULT_MODES, help="oscillator truncation M")
     g.add_argument("--seed", type=int, required=True)
     g.add_argument("--decay", type=float, default=DEFAULT_DECAY)
     g.add_argument("--margin", type=float, default=0.2)
@@ -144,10 +147,13 @@ def _dispatch(args) -> int:
             fh.write("\n")
         return EXIT_OK
 
-    if args.command == "eval":
+    if args.command != "verify":  # eval, ddf, pohlmeyer, bracket: one state in one frame
         state = _load_state(args.state)
-        chir = _chirality(args.chirality)
         frame = _parse_frame(args.frame, state.dim)
+        m_out = args.grid // 8 if getattr(args, "modes_out", None) is None else args.modes_out
+
+    if args.command == "eval":
+        chir = _chirality(args.chirality)
         if args.quantity == "field":
             grid = eval_field(state, chir, args.grid)
             header = ["sigma"] + [f"value{i}" for i in range(state.dim)]
@@ -170,9 +176,6 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "ddf":
-        state = _load_state(args.state)
-        frame = _parse_frame(args.frame, state.dim)
-        m_out = args.modes_out if args.modes_out is not None else args.grid // 8
         modes = ddf_modes(state, frame, _chirality(args.chirality), m_out, args.grid)
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(ddfmodes_to_json(modes))
@@ -180,8 +183,6 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "pohlmeyer":
-        state = _load_state(args.state)
-        frame = _parse_frame(args.frame, state.dim)
         indices = tuple(int(v) for v in args.indices.split(","))
         spec = InvariantSpec(_chirality(args.chirality), indices, symmetrized=args.symmetrized)
         out = {"indices": list(indices), "chirality": spec.chirality,
@@ -189,7 +190,6 @@ def _dispatch(args) -> int:
         field = eval_field(state, spec.chirality, args.grid)
         out["direct"] = float(pohlmeyer_invariant(field, spec))
         if args.via_ddf:
-            m_out = args.modes_out if args.modes_out is not None else args.grid // 8
             out["via_ddf"] = float(pohlmeyer_via_ddf(state, frame, spec, m_out, args.grid,
                                                      align=not args.raw_substitution))
             out["abs_difference"] = abs(out["direct"] - out["via_ddf"])
@@ -197,8 +197,6 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "bracket":
-        state = _load_state(args.state)
-        frame = _parse_frame(args.frame, state.dim)
         f = observable_from_config(json.loads(args.f), frame, args.grid, state)
         g = observable_from_config(json.loads(args.g), frame, args.grid, state)
         val = poisson_bracket(f, g, state)
@@ -210,26 +208,21 @@ def _dispatch(args) -> int:
         states = [_load_state(p) for p in args.state]
         seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else []
         # the frame comes first: generated states keep their R' margin in it
-        frame = _parse_frame(args.frame, states[0].dim if states else 4)
-        states.extend(random_state(4, 8, s, frame=frame) for s in seeds)
+        frame = _parse_frame(args.frame, states[0].dim if states else DEFAULT_DIM)
+        states.extend(random_state(DEFAULT_DIM, DEFAULT_MODES, s, frame=frame) for s in seeds)
         if not states:
             raise ValueError("verify needs --state or --seeds")
         provenance = {"state_paths": list(args.state), "generator_seeds": seeds,
-                      "generator_defaults": {"dim": 4, "modes": 8}}
-        suites = args.suite or ["all"]
-        if "all" in suites:
-            suites = suite_names()
-        params = default_params()
-        for key, given in (("n", args.grid), ("m_out", args.modes_out), ("m_window", args.m_window)):
-            if given is not None:
-                params[key] = given
+                      "generator_defaults": {"dim": DEFAULT_DIM, "modes": DEFAULT_MODES}}
+        params = {key: given for key, given in (("n", args.grid), ("m_out", args.modes_out),
+                                                ("m_window", args.m_window)) if given is not None}
         tols = {}
         for item in args.tolerance:
             name, _, value = item.partition("=")
             if not value:
                 raise ValueError(f"bad --tolerance {item!r}, expected name=value")
             tols[name] = float(value)
-        report = run_suites(suites, states, frame, params=params,
+        report = run_suites(args.suite or ["all"], states, frame, params=params,
                             tolerances=tols, threads=args.threads,
                             provenance=provenance)
         text = json.dumps(report, sort_keys=True, indent=1)

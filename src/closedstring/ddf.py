@@ -40,8 +40,9 @@ from .errors import DegenerateFrame, LevelMismatch, NonMonotone
 from .numerics import (TAU, MonotoneCircleMap, grid_to_modes, invert_monotone,
                        modes_to_grid, periodic_antiderivative, real_modes,
                        weight_one_pullback)
-from .phase_space import (FieldGrid, LightlikeFrame, StringState, _grid_guard, _orientation,
-                          _real_field, eta_dot, eval_field, minkowski)
+from .phase_space import (FieldGrid, LightlikeFrame, StringState, _check_chirality, _cpx_rows,
+                          _grid_guard, _orientation, _real_field, _rows_cpx, eta_dot,
+                          eval_field, minkowski)
 
 __all__ = [
     "DDFModes",
@@ -71,6 +72,12 @@ class DDFModes:
     m_max: int
     modes: np.ndarray  # (2*m_max + 1, dim)
     k: np.ndarray      # frame vector the modes were built with
+
+    def __post_init__(self):
+        _check_chirality(self.chirality)
+        want = (2 * self.m_max + 1, len(self.k))
+        if np.shape(self.modes) != want:
+            raise ValueError(f"modes must have shape {want}, got {np.shape(self.modes)}")
 
     def mode(self, m):
         if abs(m) > self.m_max:
@@ -339,13 +346,12 @@ def reconstruct_field_direct(state: StringState, frame: LightlikeFrame,
 # ----------------------------------------------------------------------
 
 def ddfmodes_to_json(modes: DDFModes) -> str:
-    arr = np.asarray(modes.modes)
     doc = {
         "format": "ddfmodes-v1",
         "chirality": modes.chirality,
         "m_max": modes.m_max,
         "k": [float(v) for v in modes.k],
-        "modes": [[[float(z.real), float(z.imag)] for z in row] for row in arr],
+        "modes": _cpx_rows(modes.modes),
     }
     return json.dumps(doc, sort_keys=True, indent=1)
 
@@ -354,7 +360,5 @@ def ddfmodes_from_json(text: str) -> DDFModes:
     doc = json.loads(text)
     if doc.get("format") != "ddfmodes-v1":
         raise ValueError(f"unsupported modes format {doc.get('format')!r}")
-    arr = np.asarray(doc["modes"], float)
-    modes = arr[..., 0] + 1j * arr[..., 1]
     return DDFModes(chirality=doc["chirality"], m_max=int(doc["m_max"]),
-                    modes=modes, k=np.asarray(doc["k"], float))
+                    modes=_rows_cpx(doc["modes"], "modes"), k=np.asarray(doc["k"], float))

@@ -25,7 +25,7 @@ O(n^2 N' log N') whatever N is.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -392,20 +392,20 @@ def simplex_iterated_integral(factors):
     """Iterated integral over 0 <= s_1 <= ... <= s_n <= 2*pi of prod f_i(s_i).
 
     The first factor is attached to the innermost integration variable.
-    Computed as the word (0, ..., n-1) of a fresh :class:`_PrefixIntegrals`
-    over the factors as columns, by the cumulative recursion
-    G_j = int_0^sigma f_j G_{j-1}, where G_j is a polynomial of degree j in
-    sigma with periodic coefficients: step j costs 2j transforms and the last
-    integral, needed only at 2*pi, closes by end weights at no transform:
-    n(n - 1) for the word, i.e. O(n^2 N log N) instead of the O(N^n) of
-    direct quadrature.
+    Computed by the cumulative recursion G_j = int_0^sigma f_j G_{j-1}
+    (:func:`_nested_step`), where G_j is a polynomial of degree j in sigma
+    with periodic coefficients: step j costs 2j transforms and the last
+    integral, needed only at 2*pi, closes by end weights at no transform
+    (:func:`_nested_close`): n(n - 1) for the word, i.e. O(n^2 N log N)
+    instead of the O(N^n) of direct quadrature.  Only the current G_j is
+    kept, not the prefix path a :class:`_PrefixIntegrals` word keeps.
     """
     grids = [_as_scalar_grid(f) for f in factors]
     if not grids:
         raise ValueError("need at least one factor")
     if any(g.shape != grids[0].shape for g in grids):
         raise ValueError("all factors must share one grid")
-    return _PrefixIntegrals().integral(np.column_stack(grids), tuple(range(len(grids))))
+    return _nested_close(reduce(_nested_step, grids[:-1], {0: 1.0}), grids[-1])
 
 
 def _as_scalar_grid(f):

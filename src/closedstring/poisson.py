@@ -444,6 +444,17 @@ def bracket(f: Observable, g: Observable, state: StringState,
     return complex(gf @ chart.apply_omega(gg))
 
 
+def _window_gradients(state, chirality, m_window, chart, n_samples):
+    """(grad L_m, Omega grad L_m, ||grad L_m||) over -m_window <= m <= m_window, rows by m.
+
+    The one Virasoro window sweep of :func:`invariance_report` and verify's
+    Witt suite: every gradient of the window from one reverse pass.
+    """
+    grads = gradient(virasoro_mode(state, chirality, range(-m_window, m_window + 1), n_samples),
+                     state, chart, check=False)
+    return grads, chart.apply_omega(grads), np.linalg.norm(grads, axis=-1)
+
+
 def invariance_report(observables, state: StringState, m_window: int,
                       chart: CoordinateChart | None = None,
                       n_samples=DEFAULT_OBS_GRID, threshold: float = 1e-5) -> list:
@@ -461,13 +472,12 @@ def invariance_report(observables, state: StringState, m_window: int,
         raise ValueError("m_window must be in 0..M/2 for an aliasing-safe sweep")
     chart = chart or chart_for(state)
     onorm = chart.omega_norm()
-    window = range(-m_window, m_window + 1)
     gobs = [gradient(obs, state, chart, check=False) for obs in observables]
     nobs = [float(np.linalg.norm(g)) for g in gobs]
     reports = [[] for _ in gobs]
     for chirality in ("+", "-"):
-        gl = gradient(virasoro_mode(state, chirality, window, n_samples), state, chart, check=False)
-        for m, omega_gl, nl in zip(window, chart.apply_omega(gl), np.linalg.norm(gl, axis=-1)):
+        _, omega_gls, nls = _window_gradients(state, chirality, m_window, chart, n_samples)
+        for m, omega_gl, nl in zip(range(-m_window, m_window + 1), omega_gls, nls):
             for obs, g, ng, rows in zip(observables, gobs, nobs, reports):
                 resid = abs(complex(g @ omega_gl)) / max(ng * float(nl) * onorm, 1e-300)
                 rows.append({

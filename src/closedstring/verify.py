@@ -33,9 +33,9 @@ from .ddf import DDFInvariantSpec, compute_R, ddf_modes, reconstruct_field
 from .numerics import TAU, grid_sigma, invert_monotone, trig_interpolate
 from .phase_space import _complex_field, _non_real, eta_dot, eval_field, state_to_json
 from .pohlmeyer import InvariantSpec, align_base_point, pohlmeyer_invariant, reparam_check
-from .poisson import (chart_for, ddf_invariant_observable, gradient,
+from .poisson import (_window_gradients, chart_for, ddf_invariant_observable,
                       invariance_report, pohlmeyer_observable, virasoro_mode)
-from .reparam import pullback_weight_one, random_diffeo
+from .reparam import random_diffeo
 
 THREAD_ENV = "CLOSEDSTRING_THREADS"
 
@@ -203,25 +203,17 @@ def suite_shuffle(record, tols):
 @_suite("reparam")
 def suite_reparam(record, tols):
     n = record.params["n"]
-    tol = tols["reparam"]
     field = eval_field(record.state, "-", n)
+    scale = _power_scale(field, 2)
+    checks = (("raw,fixed-base", InvariantSpec("-", (0, 1)),
+               [random_diffeo(seed, order=3, amplitude=0.5, fix_base_point=True) for seed in range(5)]),
+              ("symmetrized,rotations", InvariantSpec("-", (0, 1), symmetrized=True),
+               [RotationMap(0.5 + 1.1 * j) for j in range(5)]))
     rows = []
-
-    spec_raw = InvariantSpec("-", (0, 1))
-    worst_raw = 0.0
-    for seed in range(5):
-        cmap = random_diffeo(seed, order=3, amplitude=0.5, fix_base_point=True)
-        direct, pulled = reparam_check(field, cmap, spec_raw)
-        worst_raw = max(worst_raw, abs(direct - pulled) / (abs(direct) + _power_scale(field, 2)))
-    rows.append(_row("reparam[raw,fixed-base]", _digest(record, n=n), worst_raw, tol))
-
-    spec_sym = InvariantSpec("-", (0, 1), symmetrized=True)
-    direct = pohlmeyer_invariant(field, spec_sym)
-    worst_sym = 0.0
-    for j in range(5):
-        pulled = pohlmeyer_invariant(pullback_weight_one(field, RotationMap(0.5 + 1.1 * j)), spec_sym)
-        worst_sym = max(worst_sym, abs(direct - pulled) / (abs(direct) + _power_scale(field, 2)))
-    rows.append(_row("reparam[symmetrized,rotations]", _digest(record, n=n), worst_sym, tol))
+    for label, spec, maps in checks:
+        worst = max(abs(direct - pulled) / (abs(direct) + scale)
+                    for direct, pulled in (reparam_check(field, cmap, spec) for cmap in maps))
+        rows.append(_row(f"reparam[{label}]", _digest(record, n=n), worst, tols["reparam"]))
     return rows
 
 
@@ -274,11 +266,10 @@ def suite_witt(record, tols):
     state = record.state
     chart = chart_for(state)
     ms = np.arange(-window, window + 1)
-    grads = gradient(virasoro_mode(state, "-", ms, n), state, chart, check=False)
+    grads, omega_grads, norms = _window_gradients(state, "-", window, chart, n)
     values = virasoro_mode(state, "-", range(-2 * window, 2 * window + 1), n).fn(state)
-    brackets = grads @ chart.apply_omega(grads).T
+    brackets = grads @ omega_grads.T
     target = -1j * np.subtract.outer(ms, ms) * values[np.add.outer(ms, ms) + 2 * window]
-    norms = np.linalg.norm(grads, axis=-1)
     denom = np.outer(norms, norms) * chart.omega_norm()
     worst = float(np.max(np.abs(brackets - target) / np.maximum(denom, 1e-300)))
     return [_row("witt[-]", _digest(record, window=window), worst, tol)]
@@ -416,7 +407,10 @@ def run_suites(names, states, frame, params=None, tolerances=None, threads=None,
                provenance=None):
     """Run the named suites over all states and assemble the report.
 
-    A suite named more than once runs once, in the order of its first name.
+    ``all`` stands for every suite in sorted order, in its place among the
+    names; a suite named more than once, by itself or through ``all``, runs
+    once, in the order of its first name.  Missing ``params`` keys take
+    :func:`default_params`.
     When per-state suites are selected, one job per state runs them in the
     order given on that state's :class:`StateRecord`, dropped when the job
     ends; when an ensemble suite is selected, one more job runs it on
@@ -434,7 +428,7 @@ def run_suites(names, states, frame, params=None, tolerances=None, threads=None,
     ``m_window`` outside 1..min(M)//2 over the states.
     """
     params = {**default_params(), **(params or {})}
-    names = list(dict.fromkeys(names))
+    names = list(dict.fromkeys(x for nm in names for x in (suite_names() if nm == "all" else [nm])))
     unknown = [nm for nm in names if nm not in SUITES]
     if unknown:
         raise KeyError(f"unknown suites: {unknown}; known: {suite_names()}")
@@ -469,12 +463,8 @@ def run_suites(names, states, frame, params=None, tolerances=None, threads=None,
             results.append((nm, (t0, time.perf_counter(), time.thread_time() - c0), out))
         return results
 
-    with _BLAS_CAP.held() as blas_threads:
-        if workers == 1:
-            done = [run(j) for j in jobs]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                done = list(pool.map(run, jobs))
+    with _BLAS_CAP.held() as blas_threads, ThreadPoolExecutor(max_workers=workers) as pool:
+        done = list(pool.map(run, jobs))
 
     # per suite: wall_s spans its first job start to its last job end (jobs
     # overlap across workers); cpu_s sums its jobs' worker-thread CPU time

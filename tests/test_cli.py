@@ -191,7 +191,7 @@ def test_verify_thread_count_independence(tmp_path):
         run(["generate", "--seed", seed, "--out", str(sp)])
         given += ["--state", str(sp)]
     reports = []
-    for threads in ("1", "4"):
+    for threads in ("1", "2", "4"):
         rp = tmp_path / f"r{threads}.json"
         assert run(["verify", *given, "--suite", "all", "--grid", "1024", "--modes-out", "128",
                     "--threads", threads, "--report", str(rp)]) == 0
@@ -199,7 +199,7 @@ def test_verify_thread_count_independence(tmp_path):
         doc["config"].pop("threads")
         doc.pop("timings")
         reports.append(doc)
-    assert reports[0] == reports[1]
+    assert reports[0] == reports[1] == reports[2]
 
 
 def test_verify_suite_timings_are_wall_and_cpu():
@@ -263,6 +263,28 @@ def test_verify_runs_a_suite_named_twice_once(tmp_path):
     assert report["config"]["suites"] == ["reality", "periodicity"]
     names = [(r["suite"], r["state_index"], r["name"]) for r in report["rows"]]
     assert len(names) == len(set(names)) == 8  # 2 suites x 2 states x 2 chiralities
+
+
+def test_verify_rejects_an_unknown_suite_beside_all(monkeypatch, capsys):
+    # `all` used to replace every other name, so a misspelt one was dropped
+    from closedstring import verify
+
+    ran = []
+    for name in verify.suite_names():
+        monkeypatch.setitem(verify.SUITES, name, lambda record, tols: ran.append(record) or [])
+    assert run(["verify", "--seeds", "1", "--suite", "all", "--suite", "bogus"]) == 2
+    assert ran == []
+    assert "bogus" in capsys.readouterr().err
+
+
+def test_verify_expands_all_in_place(tmp_path):
+    rp = tmp_path / "r.json"
+    assert run(["verify", "--seeds", "1,2", "--suite", "reality", "--suite", "all", "--grid", "1024",
+                "--modes-out", "128", "--report", str(rp)]) == 0
+    from closedstring.verify import suite_names
+
+    suites = json.loads(rp.read_text())["config"]["suites"]
+    assert suites == ["reality"] + [nm for nm in suite_names() if nm != "reality"]
 
 
 def test_verify_rejects_an_unknown_tolerance_name(capsys):

@@ -322,3 +322,25 @@ def test_ddfmodes_json_round_trip(state_bank, frame4):
     assert back.chirality == "+"
     assert np.array_equal(back.modes, modes.modes)
     assert np.array_equal(back.k, modes.k)
+
+
+def _flat_modes(doc):
+    doc["modes"] = [z for row in doc["modes"] for z in row]
+
+
+def _one_row(doc):
+    doc["m_max"], doc["modes"] = 1, doc["modes"][:1]
+
+
+def _bad_chirality(doc):
+    doc["chirality"] = "x"
+
+
+@pytest.mark.parametrize("corrupt", [_flat_modes, _one_row, _bad_chirality])
+def test_ddfmodes_json_rejects_malformed_input(state_bank, frame4, corrupt):
+    # the state reader's checks: rows of [re, im] pairs, one row per mode
+    # number, and a known chirality
+    doc = json.loads(cs.ddfmodes_to_json(cs.ddf_modes(state_bank[0], frame4, "-", 1, 64)))
+    corrupt(doc)
+    with pytest.raises(ValueError):
+        cs.ddfmodes_from_json(json.dumps(doc))

@@ -166,15 +166,15 @@ def test_simplex_transform_count(monkeypatch):
 
 
 def test_simplex_memory_bound():
-    # a degree-n word keeps its prefix path alive, n(n - 1)/2 complex grids
-    # (the top power of each state is a broadcast constant), with the n real
-    # factor columns, the last step's spectra, each freed once transformed,
-    # and a few temporaries: 22.5 grids at n = 6, where a loop holding only
-    # the current state took 11; holding every input, spectrum and output of
-    # a step at once took about 4n + 6
+    # the step loop holds only the current state, about n complex grids (the
+    # top power is a broadcast constant), with the next state, the step's
+    # spectra, each freed once transformed, and a few temporaries: 11 grids
+    # at n = 6 and 15 at n = 8; keeping the whole prefix path, n(n - 1)/2
+    # grids, took 22.5 and 35.6, and holding every input, spectrum and
+    # output of a step at once about 4n + 6
     n_grid = 1 << 16
     f = np.cos(grid_sigma(n_grid)) + 0.5
-    for n in (1, 2, 4, 6):
+    for n in (1, 2, 4, 6, 7, 8):
         tracemalloc.start()
         try:
             simplex_iterated_integral([f] * n)
