@@ -21,8 +21,8 @@ from .phase_space import (DEFAULT_DECAY, DEFAULT_TENSION, LightlikeFrame,
                           default_frame, eval_field, random_state, state_from_json,
                           state_to_json, virasoro_density)
 from .pohlmeyer import InvariantSpec, pohlmeyer_invariant, pohlmeyer_via_ddf
+from .poisson import DEFAULT_OBS_GRID, observable_from_config
 from .poisson import bracket as poisson_bracket
-from .poisson import observable_from_config
 from .verify import run_suites, suite_names
 
 EXIT_OK = 0
@@ -100,7 +100,7 @@ def build_parser():
     b.add_argument("--state", type=str, required=True)
     b.add_argument("--f", type=str, required=True, help="observable JSON")
     b.add_argument("--g", type=str, required=True, help="observable JSON")
-    b.add_argument("--grid", type=int, default=512)
+    b.add_argument("--grid", type=int, default=DEFAULT_OBS_GRID)
     b.add_argument("--frame", type=str, default=None)
 
     v = sub.add_parser("verify", help="run named verification suites")
@@ -132,7 +132,7 @@ def main(argv=None) -> int:
     except (DegenerateFrame, NonMonotone) as exc:
         print(f"degenerate input: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (ValueError, TypeError, KeyError, OSError, LevelMismatch) as exc:
+    except (ValueError, TypeError, KeyError, IndexError, OSError, LevelMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
@@ -197,8 +197,8 @@ def _dispatch(args) -> int:
         return EXIT_OK
 
     if args.command == "bracket":
-        f = observable_from_config(json.loads(args.f), frame, args.grid, state)
-        g = observable_from_config(json.loads(args.g), frame, args.grid, state)
+        f = observable_from_config(json.loads(args.f), frame, args.grid)
+        g = observable_from_config(json.loads(args.g), frame, args.grid)
         val = poisson_bracket(f, g, state)
         print(json.dumps({"f": f.name, "g": g.name,
                           "bracket_re": val.real, "bracket_im": val.imag}, sort_keys=True))

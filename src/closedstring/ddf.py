@@ -226,10 +226,14 @@ def _invariant_factors(state, frame, spec, n):
     lists in spec order, left then right.  Per chirality with factors, the
     side is (chirality, factors, ms, weights, field, clock): ms lists the
     distinct mode numbers of that side in ascending order, and the rest is
-    :func:`_mode_quadrature` over them.
+    :func:`_mode_quadrature` over them.  A factor index mu outside
+    0..D-1 raises IndexError.
     """
     if not spec.allow_unmatched and not spec.is_matched:
         raise LevelMismatch("spec is not level-matched")
+    for factor in spec.left + spec.right:
+        if not 0 <= factor[0] < state.dim:
+            raise IndexError(f"factor {factor} has mu outside 0..{state.dim - 1} (D = {state.dim})")
     phi0 = zero_mode_phase(state, frame)
     stripped, phases, sides = [], [], []
     for chir, factors in (("-", spec.left), ("+", spec.right)):

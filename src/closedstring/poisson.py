@@ -184,8 +184,8 @@ def chart_for(state: StringState) -> CoordinateChart:
 class Observable:
     """Named smooth map StringState -> complex (scalar or array), with its chart gradient.
 
-    ``chart_gradient(state, chart)`` gives the exact gradient, shape
-    value.shape + (S,), from plain evaluations.  A function with no known
+    ``chart_gradient(state)`` gives the exact gradient on the state's chart,
+    shape value.shape + (S,), from plain evaluations.  A function with no known
     gradient gets none: :func:`finite_difference_gradient` reads only
     ``fn``, so it differentiates such a function directly.
     """
@@ -201,8 +201,8 @@ def _field_observable(name, fn, chirality, cotangent):
     ``cotangent(state)`` gives dF/dP_chir(sigma_j), shape value.shape + (n, D),
     and one transposed field transform takes it to the chart.
     """
-    def chart_gradient(state, chart):
-        return chart._field_gradient(cotangent(state), chirality, state.tension)
+    def chart_gradient(state):
+        return chart_for(state)._field_gradient(cotangent(state), chirality, state.tension)
 
     return Observable(name=name, fn=fn, chart_gradient=chart_gradient)
 
@@ -213,7 +213,8 @@ def _linear_observable(name, fn):
     Then F(y) = sum_i y_i F(e_i), so gradient column i is F at the unit
     chart vector e_i: S plain evaluations, exact up to their rounding.
     """
-    def chart_gradient(state, chart):
+    def chart_gradient(state):
+        chart = chart_for(state)
         return np.stack([np.asarray(fn(chart.unpack(e, state)), complex) for e in np.eye(chart.size)],
                         axis=-1)
 
@@ -253,8 +254,9 @@ def ddf_invariant_observable(spec: DDFInvariantSpec, frame: LightlikeFrame,
     def fn(state):
         return ddf_invariant(state, frame, spec, n_samples)
 
-    def chart_gradient(state, chart):
+    def chart_gradient(state):
         dx, dp, sides = _ddf_invariant_reverse(state, frame, spec, n_samples)
+        chart = chart_for(state)
         b = chart._blocks()
         out = np.zeros(chart.size, complex)
         out[b["x"]] = dx
@@ -268,7 +270,7 @@ def ddf_invariant_observable(spec: DDFInvariantSpec, frame: LightlikeFrame,
                       fn=fn, chart_gradient=chart_gradient)
 
 
-def virasoro_mode(state: StringState, chirality: str, m, n_samples=DEFAULT_OBS_GRID) -> Observable:
+def virasoro_mode(chirality: str, m, n_samples=DEFAULT_OBS_GRID) -> Observable:
     """L_m (chirality -) or ~L_m (chirality +) as an observable.
 
     L_m = (1/2) oint e^{-i m sigma} eta(P_-, P_-) dsigma and the mirrored
@@ -279,24 +281,27 @@ def virasoro_mode(state: StringState, chirality: str, m, n_samples=DEFAULT_OBS_G
     (2 pi/n) e^{-i o m sigma_j} eta P(sigma_j) takes the phase as a (K, n)
     array, so every gradient of a window comes from one plain field
     evaluation and one transposed transform.  |m| <= M keeps the window
-    aliasing-safe on the truncated space.
+    aliasing-safe on the truncated space: the value and the gradient raise
+    ValueError on a state of truncation M < max |m|, and take D from it.
     """
     modes = np.atleast_1d(np.asarray(m, dtype=int))
     k_max = int(np.max(np.abs(modes), initial=0))
-    if k_max > state.truncation:
-        raise ValueError(f"|m| = {k_max} exceeds the truncation M = {state.truncation}")
     o = _orientation(chirality)
     # (K, n): e^{-i o m sigma_j}, contiguous along the grid
     phase = _basis(grid_sigma(n_samples), -o * modes).T
-    eta = minkowski(state.dim)
+
+    def sampled(evaluate, st):
+        if k_max > st.truncation:
+            raise ValueError(f"|m| = {k_max} exceeds the truncation M = {st.truncation}")
+        return evaluate(st, chirality, n_samples).values
 
     def fn(st):
-        density = virasoro_density(st, chirality, n_samples).values
+        density = sampled(virasoro_density, st)
         out = np.pi * grid_to_modes(density, k_max, o)[modes + k_max]
         return out if np.ndim(m) else out[0]
 
     def cotangent(st):
-        eta_p = eta * eval_field(st, chirality, n_samples).values
+        eta_p = minkowski(st.dim) * sampled(eval_field, st)
         out = (TAU / n_samples) * phase[:, :, None] * eta_p
         return out if np.ndim(m) else out[0]
 
@@ -342,16 +347,16 @@ def _test_function(harmonic, kind, n):
 
 def product_observable(f: Observable, g: Observable) -> Observable:
     """f * g, with its gradient by the product rule on the factors' gradients."""
-    def chart_gradient(state, chart):
+    def chart_gradient(state):
         fv, gv = (np.asarray(h.fn(state))[..., None] for h in (f, g))
-        return f.chart_gradient(state, chart) * gv + fv * g.chart_gradient(state, chart)
+        return f.chart_gradient(state) * gv + fv * g.chart_gradient(state)
 
     return Observable(name=f"({f.name})*({g.name})", fn=lambda s: f.fn(s) * g.fn(s),
                       chart_gradient=chart_gradient)
 
 
 def observable_from_config(cfg: dict, frame: LightlikeFrame,
-                           n_samples=DEFAULT_OBS_GRID, state: StringState | None = None) -> Observable:
+                           n_samples=DEFAULT_OBS_GRID) -> Observable:
     """Build an observable from its JSON description (CLI surface)."""
     kind = cfg.get("type")
     if kind is None and "indices" in cfg:
@@ -361,9 +366,7 @@ def observable_from_config(cfg: dict, frame: LightlikeFrame,
                              symmetrized=bool(cfg.get("symmetrized", False)))
         return pohlmeyer_observable(spec, cfg.get("n", n_samples))
     if kind == "virasoro":
-        if state is None:
-            raise ValueError("virasoro observable needs a state for the mode window")
-        return virasoro_mode(state, cfg["chirality"], int(cfg["m"]), cfg.get("n", n_samples))
+        return virasoro_mode(cfg["chirality"], int(cfg["m"]), cfg.get("n", n_samples))
     if kind == "ddf":
         spec = DDFInvariantSpec(left=[tuple(t) for t in cfg.get("left", [])],
                                 right=[tuple(t) for t in cfg.get("right", [])],
@@ -377,9 +380,8 @@ def observable_from_config(cfg: dict, frame: LightlikeFrame,
 # gradients and brackets
 # ----------------------------------------------------------------------
 
-def gradient(obs: Observable, state: StringState, chart: CoordinateChart | None = None,
-             *, check: bool = True) -> np.ndarray:
-    """Chart gradient of the observable, shape value.shape + (S,), from its ``chart_gradient``.
+def gradient(obs: Observable, state: StringState, *, check: bool = True) -> np.ndarray:
+    """``obs.chart_gradient`` on the state's chart, shape value.shape + (S,).
 
     :func:`virasoro_mode`, :func:`pohlmeyer_observable` and
     :func:`ddf_invariant_observable` take the reverse route: their
@@ -392,10 +394,9 @@ def gradient(obs: Observable, state: StringState, chart: CoordinateChart | None 
     element's gradient scale) raises GradientMismatch naming the element.
     The observable's own gradient is returned either way.
     """
-    chart = chart or chart_for(state)
-    grad = obs.chart_gradient(state, chart)
+    grad = obs.chart_gradient(state)
     if check:
-        fd = finite_difference_gradient(obs, state, chart)
+        fd = finite_difference_gradient(obs, state)
         scale = np.maximum(np.abs(grad).max(axis=-1, keepdims=True),
                            np.abs(fd).max(axis=-1, keepdims=True)).clip(min=1e-300)
         err = np.abs(grad - fd)
@@ -409,19 +410,18 @@ def gradient(obs: Observable, state: StringState, chart: CoordinateChart | None 
     return grad
 
 
-def finite_difference_gradient(obs: Observable, state: StringState,
-                               chart: CoordinateChart | None = None,
-                               step: float = 1e-5) -> np.ndarray:
-    """Central differences of ``obs.fn``, shape value.shape + (S,).
+def finite_difference_gradient(obs: Observable, state: StringState) -> np.ndarray:
+    """Central differences of ``obs.fn`` on the state's chart, shape value.shape + (S,).
 
+    Coordinate y_i steps by h_i = 1e-5*(1 + |y_i|).
     Only ``obs.fn`` is read, so this is also the gradient of a function with
     no known chart gradient: pass ``Observable(name, fn, chart_gradient=None)``.
     """
-    chart = chart or chart_for(state)
+    chart = chart_for(state)
     y0 = chart.pack(state)
     columns = []
     for i in range(chart.size):
-        h = step * (1.0 + abs(y0[i]))
+        h = 1e-5 * (1.0 + abs(y0[i]))
         yp, ym = y0.copy(), y0.copy()
         yp[i] += h
         ym[i] -= h
@@ -431,52 +431,48 @@ def finite_difference_gradient(obs: Observable, state: StringState,
     return np.stack(columns, axis=-1)
 
 
-def bracket(f: Observable, g: Observable, state: StringState,
-            chart: CoordinateChart | None = None, *, check: bool = True) -> complex:
-    """{f, g} = grad f . Omega . grad g at the state (complex bilinear).
+def bracket(f: Observable, g: Observable, state: StringState, *, check: bool = True) -> complex:
+    """{f, g} = grad f . Omega . grad g on the state's chart (complex bilinear).
 
     Gradients inherit the finite-difference cross-check (and its
     GradientMismatch) unless ``check`` is disabled.
     """
-    chart = chart or chart_for(state)
-    gf = gradient(f, state, chart, check=check)
-    gg = gradient(g, state, chart, check=check)
-    return complex(gf @ chart.apply_omega(gg))
+    gf = gradient(f, state, check=check)
+    gg = gradient(g, state, check=check)
+    return complex(gf @ chart_for(state).apply_omega(gg))
 
 
-def _window_gradients(state, chirality, m_window, chart, n_samples):
+def _window_gradients(state, chirality, m_window, n_samples):
     """(grad L_m, Omega grad L_m, ||grad L_m||) over -m_window <= m <= m_window, rows by m.
 
     The one Virasoro window sweep of :func:`invariance_report` and verify's
     Witt suite: every gradient of the window from one reverse pass.
     """
-    grads = gradient(virasoro_mode(state, chirality, range(-m_window, m_window + 1), n_samples),
-                     state, chart, check=False)
-    return grads, chart.apply_omega(grads), np.linalg.norm(grads, axis=-1)
+    grads = gradient(virasoro_mode(chirality, range(-m_window, m_window + 1), n_samples),
+                     state, check=False)
+    return grads, chart_for(state).apply_omega(grads), np.linalg.norm(grads, axis=-1)
 
 
 def invariance_report(observables, state: StringState, m_window: int,
-                      chart: CoordinateChart | None = None,
-                      n_samples=DEFAULT_OBS_GRID, threshold: float = 1e-5) -> list:
+                      n_samples=DEFAULT_OBS_GRID) -> list:
     """Normalized residues |{obs, L_m}| of each observable over the Virasoro window.
 
     Returns one row list per observable, in the order given; each list runs
     over chirality "+" then "-" and ascending m.  Residues are
     |{obs, L_m}| / (||grad obs|| ||grad L_m|| ||Omega||), so the pass
-    threshold is scale-free.  One sweep takes every L_m gradient of a
+    threshold 1e-5 is scale-free.  One sweep takes every L_m gradient of a
     chirality from one window gradient, with Omega grad L_m and its norm,
     once for all observables: k observables over the window |m| <= w cost
     k + 2 gradients, each by its observable's own route (see :func:`gradient`).
     """
     if not 0 <= m_window <= state.truncation // 2:
         raise ValueError("m_window must be in 0..M/2 for an aliasing-safe sweep")
-    chart = chart or chart_for(state)
-    onorm = chart.omega_norm()
-    gobs = [gradient(obs, state, chart, check=False) for obs in observables]
+    onorm = chart_for(state).omega_norm()
+    gobs = [gradient(obs, state, check=False) for obs in observables]
     nobs = [float(np.linalg.norm(g)) for g in gobs]
     reports = [[] for _ in gobs]
     for chirality in ("+", "-"):
-        _, omega_gls, nls = _window_gradients(state, chirality, m_window, chart, n_samples)
+        _, omega_gls, nls = _window_gradients(state, chirality, m_window, n_samples)
         for m, omega_gl, nl in zip(range(-m_window, m_window + 1), omega_gls, nls):
             for obs, g, ng, rows in zip(observables, gobs, nobs, reports):
                 resid = abs(complex(g @ omega_gl)) / max(ng * float(nl) * onorm, 1e-300)
@@ -485,6 +481,6 @@ def invariance_report(observables, state: StringState, m_window: int,
                     "m": m,
                     "chirality": chirality,
                     "residue": resid,
-                    "pass": bool(resid <= threshold),
+                    "pass": bool(resid <= 1e-5),
                 })
     return reports

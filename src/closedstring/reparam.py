@@ -57,8 +57,9 @@ class ReparamMap:
 def random_diffeo(seed, order=3, amplitude=0.5, fix_base_point=True) -> ReparamMap:
     """Seeded random circle diffeo with sum j*c_j = amplitude (<= 0.9).
 
-    With ``fix_base_point`` the first harmonic keeps half the budget and its
-    phase solves sum_j c_j sin(theta_j) = 0 exactly, so phi(0) = 0.
+    With ``fix_base_point`` the first harmonic keeps half the budget (all of
+    it at order 1) and its phase solves sum_j c_j sin(theta_j) = 0 exactly,
+    so phi(0) = 0.
     """
     if not (0.0 <= amplitude <= 0.9):
         raise ValueError("amplitude must lie in [0, 0.9]")
@@ -74,12 +75,12 @@ def random_diffeo(seed, order=3, amplitude=0.5, fix_base_point=True) -> ReparamM
         # j=1 keeps half the weighted budget, so c_1 >= sum_{j>=2} c_j and
         # c_1 sin(theta_1) = -sum_{j>=2} c_j sin(theta_j) is always solvable
         c = np.empty(order)
-        c[0] = 0.5 * amplitude
         if order > 1:
+            c[0] = 0.5 * amplitude
             c[1:] = raw[1:] / np.sum(j[1:] * raw[1:]) * (0.5 * amplitude)
             s = float(np.sum(c[1:] * np.sin(theta[1:])))
         else:
-            s = 0.0
+            c[0], s = amplitude, 0.0
         theta[0] = np.arcsin(np.clip(-s / c[0], -1.0, 1.0))
     else:
         c = raw / np.sum(j * raw) * amplitude

@@ -33,7 +33,7 @@ from .ddf import DDFInvariantSpec, compute_R, ddf_modes, reconstruct_field
 from .numerics import TAU, grid_sigma, invert_monotone, trig_interpolate
 from .phase_space import _complex_field, _non_real, eta_dot, eval_field, state_to_json
 from .pohlmeyer import InvariantSpec, align_base_point, pohlmeyer_invariant, reparam_check
-from .poisson import (_window_gradients, chart_for, ddf_invariant_observable,
+from .poisson import (DEFAULT_OBS_GRID, _window_gradients, chart_for, ddf_invariant_observable,
                       invariance_report, pohlmeyer_observable, virasoro_mode)
 from .reparam import random_diffeo
 
@@ -264,13 +264,12 @@ def suite_witt(record, tols):
     n = record.params["obs_n"]
     tol = tols["witt"]
     state = record.state
-    chart = chart_for(state)
     ms = np.arange(-window, window + 1)
-    grads, omega_grads, norms = _window_gradients(state, "-", window, chart, n)
-    values = virasoro_mode(state, "-", range(-2 * window, 2 * window + 1), n).fn(state)
+    grads, omega_grads, norms = _window_gradients(state, "-", window, n)
+    values = virasoro_mode("-", range(-2 * window, 2 * window + 1), n).fn(state)
     brackets = grads @ omega_grads.T
     target = -1j * np.subtract.outer(ms, ms) * values[np.add.outer(ms, ms) + 2 * window]
-    denom = np.outer(norms, norms) * chart.omega_norm()
+    denom = np.outer(norms, norms) * chart_for(state).omega_norm()
     worst = float(np.max(np.abs(brackets - target) / np.maximum(denom, 1e-300)))
     return [_row("witt[-]", _digest(record, window=window), worst, tol)]
 
@@ -308,7 +307,7 @@ suite_negative_controls.ensemble = True
 # ----------------------------------------------------------------------
 
 def default_params():
-    return {"n": 4096, "m_out": 512, "m_window": 4, "obs_n": 512}
+    return {"n": 4096, "m_out": 512, "m_window": 4, "obs_n": DEFAULT_OBS_GRID}
 
 
 def thread_count():
@@ -422,16 +421,19 @@ def run_suites(names, states, frame, params=None, tolerances=None, threads=None,
     worker count; the count before the call is restored when it returns or
     raises.  The report's ``config`` records the workers (``threads``) and
     the BLAS threads in force (``blas_threads``, null without OpenBLAS).
-    Before any job starts it raises KeyError for an unknown suite or
-    tolerance name, ValueError for ``threads`` < 1 and, when
+    Before any job starts it raises KeyError for an unknown suite,
+    parameter or tolerance name, ValueError for ``threads`` < 1 and, when
     a Virasoro suite (poisson, witt, negative-controls) is selected, for an
     ``m_window`` outside 1..min(M)//2 over the states.
     """
-    params = {**default_params(), **(params or {})}
     names = list(dict.fromkeys(x for nm in names for x in (suite_names() if nm == "all" else [nm])))
     unknown = [nm for nm in names if nm not in SUITES]
     if unknown:
         raise KeyError(f"unknown suites: {unknown}; known: {suite_names()}")
+    unknown = [nm for nm in (params or {}) if nm not in default_params()]
+    if unknown:
+        raise KeyError(f"unknown params: {unknown}; known: {sorted(default_params())}")
+    params = {**default_params(), **(params or {})}
     unknown = [nm for nm in (tolerances or {}) if nm not in DEFAULT_TOLERANCES]
     if unknown:
         raise KeyError(f"unknown tolerances: {unknown}; known: {sorted(DEFAULT_TOLERANCES)}")

@@ -158,7 +158,7 @@ def test_a6_witt_algebra(state_bank):
         omega = dense_omega(chart)
         onorm = np.linalg.norm(omega, 2)
         for chir in chiralities:
-            grads = {m: gradient(virasoro_mode(state, chir, m, OBS_N), state, chart, check=False)
+            grads = {m: gradient(virasoro_mode(chir, m, OBS_N), state, check=False)
                      for m in range(-8, 9)}
             vals = {m: virasoro_mode_direct(state, chir, m) for m in range(-8, 9)}
             for m in range(-4, 5):
@@ -183,9 +183,9 @@ def test_a7_canonical_bracket_oracle(state_bank):
     worst = 0.0
     for ea, eb, eta_ab in [(e1, e1, 1.0), (e0, e0, -1.0), (e1, np.array([0.0, 0, 1, 0]), 0.0)]:
         gx = {b: gradient(smeared_position_observable(b[1], b[0], ea, 256),
-                          state, chart, check=False) for b in basis}
+                          state, check=False) for b in basis}
         gp = {b: gradient(smeared_momentum_observable(b[1], b[0], eb, 256),
-                          state, chart, check=False) for b in basis}
+                          state, check=False) for b in basis}
         for b1 in basis:
             for b2 in basis:
                 val = complex(gx[b1] @ (omega @ gp[b2]))
@@ -309,16 +309,15 @@ def test_a11_bruteforce_simplex_oracle(state_bank):
 
 def test_a12_gradient_cross_validation(state_bank, frame4):
     state = state_bank[0]
-    chart = chart_for(state)
     observables = [pohlmeyer_observable(s, OBS_N) for s in A4_SPECS]
     observables += [ddf_invariant_observable(s, frame4, OBS_N)
                     for s in A5_MATCHED + A5_UNMATCHED]
-    observables += [virasoro_mode(state, c, m, OBS_N)
+    observables += [virasoro_mode(c, m, OBS_N)
                     for c in ("-", "+") for m in (0, 2, -3)]
     worst = 0.0
     for obs in observables:
-        ad = gradient(obs, state, chart, check=False)
-        fd = finite_difference_gradient(obs, state, chart)
+        ad = gradient(obs, state, check=False)
+        fd = finite_difference_gradient(obs, state)
         scale = max(float(np.max(np.abs(ad))), 1e-300)
         rel = np.abs(ad - fd) / (np.abs(ad) + scale)
         worst = max(worst, float(rel.max()))

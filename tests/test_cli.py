@@ -148,6 +148,31 @@ def test_bracket_rejects_non_integer_indices(tmp_path, capsys):
         assert "integer" in capsys.readouterr().err
 
 
+def _assert_usage_error(argv, capsys, *needles):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    for needle in needles:
+        assert needle in err
+
+
+def test_out_of_range_indices_are_usage_errors(tmp_path, capsys):
+    # an index outside 0..D-1 is a usage error (exit 2, not the check-failed
+    # 1), and a DDF factor mu = -1 must not wrap around to mu = D - 1
+    sp = tmp_path / "s.json"
+    run(["generate", "--seed", "8", "--out", str(sp)])
+    _assert_usage_error(["pohlmeyer", "--state", str(sp), "--indices", "0,9", "--grid", "256"],
+                        capsys, "dim 4")
+    g = json.dumps({"type": "virasoro", "chirality": "-", "m": 1})
+    for f, needles in (({"chirality": "-", "indices": [0, 4]}, ("dim 4",)),
+                       ({"type": "ddf", "left": [[4, 1]], "right": [[2, 1]], "level": 1},
+                        ("(4, 1)", "D = 4")),
+                       ({"type": "ddf", "left": [[1, 1]], "right": [[-1, 1]], "level": 1},
+                        ("(-1, 1)", "D = 4"))):
+        _assert_usage_error(["bracket", "--state", str(sp), "--f", json.dumps(f), "--g", g,
+                             "--grid", "256"], capsys, *needles)
+
+
 def test_verify_seeds_provenance(tmp_path):
     rp = tmp_path / "r.json"
     assert run(["verify", "--seeds", "5,9", "--suite", "reality",

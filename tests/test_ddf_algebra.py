@@ -79,14 +79,14 @@ def test_ddf_mode_virasoro_brackets_closed_form(frame4):
         # A_m^mu alone: its stripping phase e^{-i m phi0} and the level phase e^{i m phi0} cancel
         obs = ddf_invariant_observable(DDFInvariantSpec(left=[(mu, m)], right=[], level=m,
                                                         allow_unmatched=True), frame4, 512)
-        ga = gradient(obs, state, chart, check=False)
+        ga = gradient(obs, state, check=False)
         a_val = complex(obs.fn(state))
         for n in (1, 2, -2):
-            gl = gradient(virasoro_mode(state, "-", n, 512), state, chart, check=False)
+            gl = gradient(virasoro_mode("-", n, 512), state, check=False)
             same = complex(ga @ (omega @ gl))
             assert abs(same) <= 1e-8 * (1 + abs(a_val))
 
-            glt = gradient(virasoro_mode(state, "+", n, 512), state, chart, check=False)
+            glt = gradient(virasoro_mode("+", n, 512), state, check=False)
             opp = complex(ga @ (omega @ glt))
             predicted = 1j * m * a_val * root * np.sum(eta * frame4.k * tilde_mode(n)) / kp
             assert abs(opp - predicted) <= 1e-12 * (1 + abs(predicted))

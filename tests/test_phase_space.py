@@ -187,7 +187,7 @@ def test_density_mean_matches_l0(state_bank, frame4):
 
     state = state_bank[1]
     dens = cs.virasoro_density(state, "-", 1024)
-    l0 = complex(virasoro_mode(state, "-", 0, 1024).fn(state))
+    l0 = complex(virasoro_mode("-", 0, 1024).fn(state))
     assert abs(dens.values.mean() - l0.real / np.pi) < 1e-12 * (1 + abs(l0))
 
 

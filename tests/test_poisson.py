@@ -73,12 +73,12 @@ def test_mode_brackets_from_chart(state, chart):
             im_idx = b["im_left"].start + (m - 1) * d + mu
             f = coordinate_observable(chart, re_idx)
             g = coordinate_observable(chart, im_idx)
-            val = bracket(f, g, state, chart)
+            val = bracket(f, g, state)
             assert val == pytest.approx(m / 2.0 * eta[mu])
     # cross-sector vanishes
     f = coordinate_observable(chart, b["re_left"].start)
     g = coordinate_observable(chart, b["im_right"].start)
-    assert bracket(f, g, state, chart) == pytest.approx(0.0, abs=1e-14)
+    assert bracket(f, g, state) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_zero_mode_bracket(state, chart):
@@ -88,7 +88,7 @@ def test_zero_mode_bracket(state, chart):
             f = coordinate_observable(chart, mu)
             g = coordinate_observable(chart, 4 + nu)
             expected = -1.0 if mu == nu == 0 else (1.0 if mu == nu else 0.0)
-            assert bracket(f, g, state, chart) == pytest.approx(expected, abs=1e-14)
+            assert bracket(f, g, state) == pytest.approx(expected, abs=1e-14)
 
 
 # ----------------------------------------------------------------------
@@ -97,7 +97,7 @@ def test_zero_mode_bracket(state, chart):
 
 def test_gradient_of_coordinate_is_unit_vector(state, chart):
     for idx in (0, 5, 17, chart.size - 1):
-        g = gradient(coordinate_observable(chart, idx), state, chart, check=False)
+        g = gradient(coordinate_observable(chart, idx), state, check=False)
         e = np.zeros(chart.size)
         e[idx] = 1.0
         assert np.max(np.abs(g - e)) < 1e-14
@@ -132,37 +132,37 @@ def test_gradient_degree_one_closed_form(state, chart):
     # Z^mu = sqrt(2 pi) alpha_0^mu = sqrt(2 pi) p^mu / sqrt(4 pi T):
     # gradient lives in the p-block only
     obs = pohlmeyer_observable(InvariantSpec("-", (2,)), 256)
-    g = gradient(obs, state, chart, check=False)
+    g = gradient(obs, state, check=False)
     expected = np.zeros(chart.size, complex)
     expected[4 + 2] = np.sqrt(TAU) / np.sqrt(2 * TAU * state.tension)
     assert np.max(np.abs(g - expected)) < 1e-11
 
 
-def test_gradient_virasoro_vs_finite_differences(state, chart):
-    obs = virasoro_mode(state, "-", 0, 256)
-    g = gradient(obs, state, chart, check=False)
-    fd = finite_difference_gradient(obs, state, chart)
+def test_gradient_virasoro_vs_finite_differences(state):
+    obs = virasoro_mode("-", 0, 256)
+    g = gradient(obs, state, check=False)
+    fd = finite_difference_gradient(obs, state)
     scale = np.max(np.abs(g))
     assert np.max(np.abs(g - fd)) < 1e-6 * scale
 
 
-def test_gradient_check_contract(state, chart):
+def test_gradient_check_contract(state):
     # the built-in cross-check passes for honest observables ...
-    gradient(virasoro_mode(state, "-", 1, 256), state, chart, check=True)
+    gradient(virasoro_mode("-", 1, 256), state, check=True)
     # ... and trips on one whose chart gradient is wrong
     broken = Observable(name="broken", fn=lambda s: complex(s.p[0]),
-                        chart_gradient=lambda s, c: np.zeros(c.size, complex))
+                        chart_gradient=lambda s: np.zeros(chart_for(s).size, complex))
     with pytest.raises(GradientMismatch):
-        gradient(broken, state, chart, check=True)
+        gradient(broken, state, check=True)
 
 
 # ----------------------------------------------------------------------
 # brackets
 # ----------------------------------------------------------------------
 
-def test_bracket_antisymmetry(state, chart):
-    obs = virasoro_mode(state, "-", 2, 256)
-    assert abs(bracket(obs, obs, state, chart)) < 1e-12
+def test_bracket_antisymmetry(state):
+    obs = virasoro_mode("-", 2, 256)
+    assert abs(bracket(obs, obs, state)) < 1e-12
 
 
 def test_bracket_leibniz_random_triples(state, chart):
@@ -172,14 +172,14 @@ def test_bracket_leibniz_random_triples(state, chart):
         f = coordinate_observable(chart, int(i))
         g = coordinate_observable(chart, int(j))
         h = coordinate_observable(chart, int(k))
-        lhs = bracket(f, product_observable(g, h), state, chart)
-        rhs = (complex(g.fn(state)) * bracket(f, h, state, chart)
-               + bracket(f, g, state, chart) * complex(h.fn(state)))
+        lhs = bracket(f, product_observable(g, h), state)
+        rhs = (complex(g.fn(state)) * bracket(f, h, state)
+               + bracket(f, g, state) * complex(h.fn(state)))
         scale = abs(lhs) + abs(complex(g.fn(state))) + abs(complex(h.fn(state))) + 1.0
         assert abs(lhs - rhs) < 1e-6 * scale
 
 
-def test_smeared_canonical_pairing(state, chart):
+def test_smeared_canonical_pairing(state):
     # {int phi eta(e, X), int psi eta(e', P)} = eta(e, e') oint phi psi
     e1 = np.array([0.0, 1.0, 0.0, 0.0])
     e0 = np.array([1.0, 0.0, 0.0, 0.0])
@@ -193,14 +193,14 @@ def test_smeared_canonical_pairing(state, chart):
     for (k1, h1), (k2, h2), ea, eb, expected in cases:
         f = smeared_position_observable(h1, k1, ea, 256)
         g = smeared_momentum_observable(h2, k2, eb, 256)
-        val = bracket(f, g, state, chart)
+        val = bracket(f, g, state)
         assert abs(val - expected) < 1e-8 * (1 + abs(expected))
 
 
 def test_virasoro_observable_matches_mode_formula(state):
     for chir in ("-", "+"):
         for m in (0, 1, -2, 4):
-            quad = complex(virasoro_mode(state, chir, m, 512).fn(state))
+            quad = complex(virasoro_mode(chir, m, 512).fn(state))
             direct = virasoro_mode_direct(state, chir, m)
             assert abs(quad - direct) < 1e-12 * (1 + abs(direct))
 
@@ -210,18 +210,18 @@ def test_virasoro_zero_oscillator_value():
     st_ = cs.StringState(dim=4, tension=cs.DEFAULT_TENSION, truncation=2,
                          x=np.zeros(4), p=p,
                          left=np.zeros((2, 4), complex), right=np.zeros((2, 4), complex))
-    l0 = complex(virasoro_mode(st_, "-", 0, 128).fn(st_))
+    l0 = complex(virasoro_mode("-", 0, 128).fn(st_))
     alpha0 = st_.alpha0
     assert l0 == pytest.approx(0.5 * cs.eta_dot(alpha0, alpha0))
     c = p / (TAU * np.sqrt(2 * st_.tension))
     assert l0 == pytest.approx(np.pi * cs.eta_dot(c, c))
-    assert abs(complex(virasoro_mode(st_, "-", 2, 128).fn(st_))) < 1e-15
+    assert abs(complex(virasoro_mode("-", 2, 128).fn(st_))) < 1e-15
 
 
 def test_witt_algebra_small_window(state, chart):
     omega = dense_omega(chart)
     onorm = np.linalg.norm(omega, 2)
-    grads = {m: gradient(virasoro_mode(state, "-", m, 512), state, chart, check=False)
+    grads = {m: gradient(virasoro_mode("-", m, 512), state, check=False)
              for m in range(-4, 5)}
     vals = {m: virasoro_mode_direct(state, "-", m) for m in range(-4, 5)}
     for m in (-2, 0, 1, 2):
@@ -241,18 +241,18 @@ WINDOW = range(-4, 5)
 
 @pytest.mark.parametrize("chir", ["-", "+"])
 def test_window_rows_are_the_scalar_gradients(state, chart, chir):
-    rows = gradient(virasoro_mode(state, chir, WINDOW, 512), state, chart, check=False)
+    rows = gradient(virasoro_mode(chir, WINDOW, 512), state, check=False)
     assert rows.shape == (len(WINDOW), chart.size)
     for m, row in zip(WINDOW, rows):
-        scalar = gradient(virasoro_mode(state, chir, m, 512), state, chart, check=False)
+        scalar = gradient(virasoro_mode(chir, m, 512), state, check=False)
         assert np.max(np.abs(row - scalar)) <= 1e-13 * np.max(np.abs(scalar))
 
 
 @pytest.mark.parametrize("chir", ["-", "+"])
-def test_window_gradient_matches_finite_differences(state, chart, chir):
-    window = virasoro_mode(state, chir, WINDOW, 512)
-    ad = gradient(window, state, chart, check=False)
-    fd = finite_difference_gradient(window, state, chart)
+def test_window_gradient_matches_finite_differences(state, chir):
+    window = virasoro_mode(chir, WINDOW, 512)
+    ad = gradient(window, state, check=False)
+    fd = finite_difference_gradient(window, state)
     assert fd.shape == ad.shape
     # A12's measure, per element
     scale = np.max(np.abs(ad), axis=-1, keepdims=True)
@@ -261,18 +261,18 @@ def test_window_gradient_matches_finite_differences(state, chart, chir):
 
 @pytest.mark.parametrize("chir", ["-", "+"])
 def test_window_values_match_mode_formula(state, chir):
-    values = virasoro_mode(state, chir, WINDOW, 512).fn(state)
+    values = virasoro_mode(chir, WINDOW, 512).fn(state)
     for m, val in zip(WINDOW, values):
         direct = virasoro_mode_direct(state, chir, m)
         assert abs(val - direct) < 1e-12 * (1 + abs(direct))
 
 
 @pytest.mark.parametrize("chir", ["-", "+"])
-def test_window_gradient_check(state, chart, chir):
-    gradient(virasoro_mode(state, chir, WINDOW, 256), state, chart, check=True)
+def test_window_gradient_check(state, chir):
+    gradient(virasoro_mode(chir, WINDOW, 256), state, check=True)
     # a vector observable whose second element carries a wrong derivative
-    def chart_gradient(s, c):
-        out = np.zeros((2, c.size), complex)
+    def chart_gradient(s):
+        out = np.zeros((2, chart_for(s).size), complex)
         out[0, 4] = 1.0
         return out
 
@@ -280,12 +280,31 @@ def test_window_gradient_check(state, chart, chir):
                         fn=lambda s: np.asarray([complex(s.p[0]), complex(s.p[1])]),
                         chart_gradient=chart_gradient)
     with pytest.raises(GradientMismatch, match=r"element \(1,\)"):
-        gradient(broken, state, chart, check=True)
+        gradient(broken, state, check=True)
 
 
 def test_window_beyond_truncation_raises(state):
+    window = virasoro_mode("-", [0, 9])
     with pytest.raises(ValueError, match="exceeds the truncation"):
-        virasoro_mode(state, "-", [0, 9])
+        window.fn(state)
+    with pytest.raises(ValueError, match="exceeds the truncation"):
+        gradient(window, state, check=False)
+
+
+def test_window_takes_its_truncation_and_dimension_from_the_state():
+    # one observable over |m| <= 6 serves every state with M >= 6, whatever its D
+    window = virasoro_mode("-", range(-6, 7))
+    big = cs.random_state(4, 8, 1)
+    values = window.fn(big)
+    assert values.shape == (13,)
+    for m, value in zip(range(-6, 7), values):
+        assert value == pytest.approx(virasoro_mode_direct(big, "-", m), rel=1e-12, abs=1e-12)
+    assert gradient(window, big, check=False).shape == (13, chart_for(big).size)
+    assert gradient(window, cs.random_state(3, 8, 2), check=False).shape == (13, 2 * 3 + 4 * 8 * 3)
+    small = cs.random_state(4, 4, 1)
+    for read in (window.fn, lambda st: gradient(window, st, check=False)):
+        with pytest.raises(ValueError, match="M = 4"):
+            read(small)
 
 
 # ----------------------------------------------------------------------
@@ -335,8 +354,8 @@ def test_virasoro_reverse_route_matches_stencil(truncation, chir):
         st_ = cs.random_state(4, truncation, seed)
         chart = chart_for(st_)
         for m in (range(-w, w + 1), range(-truncation, truncation + 1), 0, 1, -truncation):
-            obs = virasoro_mode(st_, chir, m, 512)
-            got = gradient(obs, st_, chart, check=False)
+            obs = virasoro_mode(chir, m, 512)
+            got = gradient(obs, st_, check=False)
             oracle = stencil_gradient(obs, st_, chart)
             assert got.shape == oracle.shape
             assert _worst_row_rel(got, oracle) <= 1e-13
@@ -354,7 +373,7 @@ def test_ddf_reverse_route_matches_oracles(truncation, frame4):
         st_ = cs.random_state(4, truncation, seed, frame=frame4)
         chart = chart_for(st_)
         observables = [ddf_invariant_observable(spec, frame4, 512) for spec in DDF_SPECS]
-        got = np.array([gradient(obs, st_, chart, check=False) for obs in observables])
+        got = np.array([gradient(obs, st_, check=False) for obs in observables])
         scale = np.max(np.abs(got), axis=-1, keepdims=True)
         exact = ddf_invariant_oscillator_derivatives(st_, frame4, DDF_SPECS, 512)
         assert np.max(np.abs(got[:, 2 * st_.dim:] - exact) / scale) <= 1e-12
@@ -397,13 +416,13 @@ def test_sweep_residues_match_direct_brackets(state, chart, frame4):
     observables = _sweep_observables(chart, frame4)
     omega = dense_omega(chart)
     onorm = np.linalg.norm(omega, 2)
-    grads = {(c, m): gradient(virasoro_mode(state, c, m, 256), state, chart, check=False)
+    grads = {(c, m): gradient(virasoro_mode(c, m, 256), state, check=False)
              for c in "+-" for m in range(-2, 3)}
     reports = invariance_report(observables, state, 2, n_samples=256)
     for obs, rows in zip(observables, reports):
         assert [(r["observable"], r["chirality"], r["m"]) for r in rows] == \
             [(obs.name, c, m) for c in "+-" for m in range(-2, 3)]
-        gf = gradient(obs, state, chart, check=False)
+        gf = gradient(obs, state, check=False)
         for r in rows:
             gl = grads[(r["chirality"], r["m"])]
             want = abs(gf @ omega @ gl) / (np.linalg.norm(gf) * np.linalg.norm(gl) * onorm)

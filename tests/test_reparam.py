@@ -26,6 +26,8 @@ def test_random_diffeo_monotone_budget(seed, order, amplitude):
     cmap = random_diffeo(seed, order, amplitude, fix_base_point=True)
     j = np.arange(1, cmap.order + 1)
     assert np.sum(j * np.abs(cmap.amplitudes)) <= 0.9 + 1e-9
+    # the whole budget is spent, at order 1 too
+    assert np.sum(j * np.abs(cmap.amplitudes)) == pytest.approx(amplitude, rel=1e-12, abs=1e-15)
     sig = grid_sigma(4096)
     assert cmap.deriv(sig).min() >= 0.1 - 1e-9
     assert abs(cmap(0.0)) < 1e-12  # base point fixed

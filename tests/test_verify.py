@@ -140,7 +140,7 @@ def _witt_residue_per_mode(state, window, n):
     omega = dense_omega(chart)
     onorm = np.linalg.norm(omega, 2)
     modes = range(-window, window + 1)
-    grads = {m: gradient(virasoro_mode(state, "-", m, n), state, chart, check=False) for m in modes}
+    grads = {m: gradient(virasoro_mode("-", m, n), state, check=False) for m in modes}
     worst = 0.0
     for m in modes:
         for k in modes:
@@ -243,3 +243,12 @@ def test_jobs_run_only_for_selected_suites(monkeypatch, frame, names, records):
     states = [cs.random_state(4, 8, seed=s, frame=frame) for s in (1, 2)]
     verify.run_suites(names, states, frame, params={"n": 256}, threads=1)
     assert len(made) == records
+
+
+def test_run_suites_rejects_an_unknown_param_name():
+    # a misspelt name (obs_grid for obs_n) must not run on the default
+    frame = cs.default_frame(4)
+    with pytest.raises(KeyError, match="obs_grid") as err:
+        verify.run_suites(["reality"], [cs.random_state(4, 8, 1, frame=frame)], frame,
+                          params={"obs_grid": 256}, threads=1)
+    assert "'obs_n'" in str(err.value)
