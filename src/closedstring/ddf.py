@@ -18,8 +18,12 @@ Q(tau) = (R^{-1})'(tau) P(R^{-1}(tau)):
     A_m = (1/sqrt(2 pi)) int Q(tau) e^{-+ i m tau} dtau,
 
 so all modes |m| <= m_out come from one FFT of Q on the uniform tau-grid.
-Building Q (clock, Newton inversion, interpolation of the band-limited P)
-costs O(N M) and the FFT O(N log N), with no m_out x N work array.
+Building Q costs O(iterations N K) for K <= M + 1 kept frequencies m >= 0:
+each Newton step of the inversion evaluates the clock on one real basis of
+width 2K, and its last basis gives (R^{-1})' and P o R^{-1} by one Taylor
+step, P read from the state's modes, not from samples.  With the FFTs of
+the clock and of Q that is O(N M + N log N), with no m_out x N work array
+and no (N, 2M + 1) complex one.
 
 Quasi-local fields are recovered either by the mode sum over A_m or by the
 direct weight-one substitution through R^{-1}; the two agree up to mode
@@ -38,11 +42,10 @@ import numpy as np
 
 from .errors import DegenerateFrame, LevelMismatch, NonMonotone
 from .numerics import (TAU, MonotoneCircleMap, grid_to_modes, invert_monotone,
-                       modes_to_grid, periodic_antiderivative, real_modes,
-                       weight_one_pullback)
+                       modes_to_grid, periodic_antiderivative, real_modes)
 from .phase_space import (FieldGrid, LightlikeFrame, StringState, _check_chirality, _cpx_rows,
-                          _grid_guard, _orientation, _real_field, _rows_cpx, eta_dot,
-                          eval_field, minkowski)
+                          _field_half_spectrum, _grid_guard, _orientation, _real_field, _rows_cpx,
+                          eta_dot, eval_field, minkowski)
 
 __all__ = [
     "DDFModes",
@@ -333,10 +336,17 @@ def reconstruct_field(modes: DDFModes, n: int) -> FieldGrid:
 
 
 def substitute(state: StringState, frame: LightlikeFrame, chirality: str, n: int):
-    """Weight-one substituted field Q = (R^{-1})' * P o R^{-1} on the n-grid, (n, D)."""
+    """Weight-one substituted field Q = (R^{-1})' * P o R^{-1} on the n-grid, (n, D).
+
+    P is read from the inversion's own basis: its half spectrum from the
+    state's modes (:func:`~closedstring.phase_space._field_half_spectrum`) rides
+    through :func:`~closedstring.numerics.invert_monotone`, which returns
+    P(s_j) at s_j = R^{-1}(sigma_j) with (R^{-1})'(sigma_j) = 1/R'(s_j); so
+    Q = P(s)/R'(s), with no field samples and no FFT of P.
+    """
     cmap = compute_R(state, frame, chirality, n)
-    inv = invert_monotone(cmap)
-    return weight_one_pullback(eval_field(state, chirality, n).values, inv.values(), inv.deriv)
+    inverse, field = invert_monotone(cmap, _field_half_spectrum(state, chirality))
+    return field * inverse.deriv[:, None]
 
 
 def reconstruct_field_direct(state: StringState, frame: LightlikeFrame,

@@ -4,7 +4,9 @@ Everything lives on the uniform periodic grid sigma_j = 2*pi*j/N, and every
 field is a real trigonometric polynomial given by its modes.  The
 workhorses are the one mode/grid transform pair (:func:`modes_to_grid`,
 :func:`grid_to_modes`, with :func:`real_modes` assembling a real series),
-the trigonometric interpolant at off-grid points, one closed-form
+the trigonometric interpolant of real samples at off-grid points (a real
+series read by its half spectrum, frequencies m >= 0, on one real basis of
+cosines and sines), one closed-form
 spectral antiderivative of sigma-polynomials with periodic coefficients
 (behind the periodic antiderivative, the nested simplex (iterated)
 integrals and the Wilson loops), and safeguarded inversion of monotone
@@ -45,7 +47,6 @@ __all__ = [
     "MonotoneCircleMap",
     "invert_monotone",
     "trig_interpolate",
-    "weight_one_pullback",
 ]
 
 
@@ -424,7 +425,8 @@ class MonotoneCircleMap:
     """Degree-one circle map R stored through its periodic part R(sigma)-sigma.
 
     The winding relation R(sigma + 2*pi) = R(sigma) + 2*pi holds exactly by
-    this representation.  ``deriv`` carries samples of R'.
+    this representation.  ``deriv`` carries samples of R' = 1 + (R - sigma)',
+    the same polynomial as the derivative of ``periodic``'s interpolant.
     """
 
     periodic: np.ndarray
@@ -441,51 +443,48 @@ class MonotoneCircleMap:
         return float(np.min(self.deriv.real))
 
 
-def _pruned_spectrum(samples, rel):
-    """Frequencies and coefficients c_m = fft/n of periodic samples, pruned.
-
-    A frequency is dropped when its coefficients are all below ``rel``
-    times the largest.  ``freqs`` is shaped to broadcast against ``coeffs``.
-    """
-    n = samples.shape[0]
-    spec = np.fft.fft(samples, axis=0)
-    keep = _significant(spec, rel)
-    freqs = _int_freqs(n, spec.ndim)[keep].astype(float)
-    return freqs, spec[keep] / n
-
-
 def _significant(spec, rel):
     mags = np.abs(spec).reshape(spec.shape[0], -1).max(axis=1)
     return mags > rel * max(mags.max(), 1e-300)
 
 
-# :func:`_basis` takes a true exponential at every multiple of this power
+# :func:`_powers` takes a true exponential at every multiple of this power
 _ANCHOR = 16
+
+
+def _powers(s, ks):
+    """e^{i k s} for plain points s, one array per nonnegative k of the ascending ``ks``.
+
+    One complex ``exp`` gives z = e^{is}; the powers follow in increasing k
+    by one product with z each, re-anchored by a true ``exp`` at every
+    multiple of 16 and wherever k - 1 is not among the ``ks``, so no product
+    chain is longer than 15 and the error stays that of the ``exp`` route
+    (about |k s| machine epsilons).  Cost: one ``exp`` per point per 16
+    powers, not one per (point, frequency).  A repeated k yields the same
+    array again.
+    """
+    z = np.exp(1j * s)
+    power, last = np.ones_like(z), 0
+    for k in ks:
+        if k != last:
+            power = power * z if k == last + 1 and k % _ANCHOR else np.exp(1j * k * s)
+            last = k
+        yield power
 
 
 def _basis(points, freqs):
     """e^{i m s} for plain points s (rows) and integer frequencies m (columns).
 
-    One complex ``exp`` gives z = e^{is}; the powers e^{i|m|s} follow in
-    increasing |m| by one product with z each, re-anchored by a true ``exp``
-    at every multiple of 16 and wherever |m| - 1 is not among the
-    frequencies, so no product chain is longer than 15 and the error stays
-    that of the ``exp`` route (about |m s| machine epsilons); negative m
-    take the conjugate.  Cost: one ``exp`` per point per 16 powers, not one
-    per (point, frequency).  The columns are rows of one (frequencies,
-    points) buffer, filled contiguously and returned as its (points,
-    frequencies) view.
+    The powers e^{i|m|s} of :func:`_powers`, in increasing |m|; negative m
+    take the conjugate.  The columns are rows of one (frequencies, points)
+    buffer, filled contiguously and returned as its (points, frequencies)
+    view.
     """
     s = np.asarray(points, float)
     m = freqs.ravel().astype(np.int64)
     out = np.empty(m.shape + s.shape, complex)
-    z = np.exp(1j * s)
-    power, last = np.ones_like(z), 0
-    for col in np.argsort(np.abs(m), kind="stable"):
-        k = abs(m[col])
-        if k != last:
-            power = power * z if k == last + 1 and k % _ANCHOR else np.exp(1j * k * s)
-            last = k
+    order = np.argsort(np.abs(m), kind="stable")
+    for col, power in zip(order, _powers(s, np.abs(m[order]))):
         if m[col] >= 0:
             out[col] = power
         else:
@@ -493,46 +492,108 @@ def _basis(points, freqs):
     return np.moveaxis(out, 0, -1)
 
 
+def _half_basis(points, freqs):
+    """cos(m s) and sin(m s) for plain points s and ascending frequencies m >= 0, real.
+
+    The real and imaginary parts of the :func:`_powers`, as the rows
+    cos(m_0 s), ..., cos(m_{K-1} s), sin(m_0 s), ..., sin(m_{K-1} s) of one
+    (2K,) + points.shape array, filled contiguously: the basis on which
+    :func:`_real_rows` coefficients give real series by one real matrix
+    product, each series a contiguous row.
+    """
+    s = np.asarray(points, float)
+    out = np.empty((2, len(freqs)) + s.shape)
+    for col, power in enumerate(_powers(s, freqs)):
+        out[0, col] = power.real
+        out[1, col] = power.imag
+    return out.reshape((2 * len(freqs),) + s.shape)
+
+
+def _real_rows(half):
+    """Coefficients on :func:`_half_basis` of the real series Re sum_m h_m e^{i m s}.
+
+    ``half`` holds h_m on the basis frequencies (axis 0; one column per
+    series on axis 1): Re(h e^{ims}) = Re h cos(ms) - Im h sin(ms), so the
+    rows are [Re h; -Im h], and ``_real_rows(half).T @ basis`` holds one
+    series per row.
+    """
+    return np.concatenate([half.real, -half.imag])
+
+
+def _half_spectrum(samples, rel):
+    """Frequencies m >= 0 and weights h_m of real periodic samples, pruned.
+
+    One ``rfft`` gives c_m = rfft/n; the samples are the real series
+    Re sum_{m>=0} h_m e^{i m sigma} with h_0 = c_0, h_m = 2 c_m and, for even
+    n, h_{n/2} = c_{n/2} (the Nyquist mode, the cosine cos(n sigma/2)).  A
+    frequency is dropped when its coefficients c_m are all below ``rel``
+    times the largest: the rule of the two-sided spectrum, whose c_{-m} =
+    conj(c_m) have the same magnitudes.
+    """
+    n = samples.shape[0]
+    c = np.fft.rfft(samples, axis=0) / n
+    keep = _significant(c, rel)
+    c[1:(n + 1) // 2] *= 2.0  # every m with a partner -m; the Nyquist mode of even n has none
+    return np.flatnonzero(keep), c[keep]
+
+
 def trig_interpolate(samples, points):
-    """Evaluate the trigonometric interpolant of periodic samples at points.
+    """Evaluate the trigonometric interpolant of real periodic samples at points.
 
-    Modes with |c_m| below 1e-15 of the largest coefficient are dropped;
-    exact (to roundoff) for band-limited data.  Real samples give a real
-    interpolant: the real part, which takes the Nyquist mode as its cosine.
+    Samples (axis 0; trailing axes ride along) are read by their half
+    spectrum (:func:`_half_spectrum`), with frequencies whose coefficients
+    are below 1e-15 of the largest dropped, and evaluated on one
+    :func:`_half_basis` of width 2K for K kept frequencies m >= 0; the
+    Nyquist mode is its cosine.  Exact (to roundoff) for band-limited data.
+    Complex samples raise TypeError.
     """
-    freqs, coeffs = _pruned_spectrum(samples, 1e-15)
-    out = _basis(points, freqs) @ coeffs
-    return out.real if np.isrealobj(samples) else out
+    if np.iscomplexobj(samples):
+        raise TypeError("trig_interpolate takes real samples")
+    freqs, half = _half_spectrum(np.asarray(samples, float), 1e-15)
+    rows = _real_rows(half.reshape(len(freqs), -1))
+    out = np.tensordot(rows, _half_basis(points, freqs), axes=(0, 0))  # one row per series
+    return np.moveaxis(out, 0, -1).reshape(np.shape(points) + half.shape[1:])
 
 
-def weight_one_pullback(samples, points, slope):
-    """Samples (F o phi) * phi' of the weight-one pullback on the grid.
-
-    ``samples`` are F on the grid (trailing axes ride along), ``points``
-    are phi(sigma_j) and ``slope`` is phi'(sigma_j); F o phi comes from
-    :func:`trig_interpolate`, so a real field pulls back to a real one.
-    """
-    moved = trig_interpolate(samples, points)
-    return moved * slope[(slice(None),) + (None,) * (moved.ndim - 1)]
-
-
-def invert_monotone(cmap: MonotoneCircleMap, tol=1e-13, max_iter=60):
-    """Inverse of a monotone circle map on the uniform grid.
+def invert_monotone(cmap: MonotoneCircleMap, carry=None, tol=1e-13, max_iter=60):
+    """Inverse of a monotone circle map on the uniform grid, optionally carrying a series.
 
     Each R^{-1}(sigma_j) is found by bisection-bracketed Newton on the
-    trigonometric interpolant of the periodic part; derivative samples are
-    (R^{-1})' = 1/R' o R^{-1}.  A bracket end moves only on a residual of
-    its own strict sign, and a Newton step falls back to bisection only when
-    it lands strictly outside the bracket and is larger than ``tol``, so
-    converged points stay put and convergence is quadratic.  Newton starts
-    from the sampled inverse R(sigma_j) -> sigma_j, interpolated linearly
-    and periodically and clipped to the bracket: clocks of default states
-    (M=8) at N=4096 take 2-3 iterations, the last only confirming
-    convergence, with no bisection; steep clocks with min R' down to 1e-3
-    take at most 4.  Each iteration evaluates the interpolant on one
-    :func:`_basis`, i.e. one ``exp`` per point per 16 powers of e^{is}.  Raises
+    trigonometric interpolant of the periodic part rho = R - sigma, read by
+    its half spectrum (``rfft``, frequencies below 1e-16 of the largest
+    dropped).  A bracket end moves only on a residual of its own strict
+    sign, and a Newton step falls back to bisection only when it lands
+    strictly outside the bracket and is larger than ``tol``, so converged
+    points stay put and convergence is quadratic.  Newton starts from the
+    sampled inverse R(sigma_j) -> sigma_j, interpolated linearly and
+    periodically and clipped to the bracket: clocks of default states (M=8)
+    at N=4096 take 2-3 iterations, the last only confirming convergence,
+    with no bisection; steep clocks with min R' down to 1e-3 take at most 4.
+    Each iteration evaluates rho and rho' by one real product with one
+    :func:`_half_basis`, of width 2K for K frequencies m >= 0: one ``exp``
+    per point per 16 powers of e^{is}.  Raises
     :class:`~closedstring.errors.NotConverged` when ``max_iter`` iterations
     leave some step above ``tol``.
+
+    The last basis is reused: every inverse point s lies within
+    |delta| <= ``tol`` of the point it was built at, so one first-order
+    Taylor step F(s) = F(s - delta) + F'(s - delta) delta, exact to
+    O(tol^2), moves each series read on it.  R' is one such series, read
+    from the half spectrum of ``cmap.deriv`` (the samples of 1 + rho', as
+    :func:`~closedstring.ddf.compute_R` makes them; frequencies below 1e-15
+    of the largest dropped), and (R^{-1})' = 1/(R' + R'' delta).  rho's own
+    spectrum is not differentiated for it: the rounding that rho's zero mode
+    leaves on its samples passes the 1e-16 rule at isolated high
+    frequencies (n/4, n/2), where m times it reaches 1e-12 of R'.
+
+    ``carry``, when given, is the half spectrum of a real series
+    F(s) = Re sum_{m>=0} h_m e^{ims}, rows m = 0..K (axis 0; trailing axes
+    ride along), with h_0 = c_0 and h_m = 2 c_m; its frequencies whose
+    weights are all below 1e-16 of the largest are dropped, the rest (like
+    those of R') join the basis, and the result is the pair
+    (inverse, F(R^{-1}(sigma_j))), the latter of shape (n,) + trailing.
+    Cost O(iterations N K) for the basis and its products, plus one ``rfft``
+    each of rho and R'.
     """
     if cmap.min_deriv() <= 0.0:
         raise NonMonotone(f"min R' = {cmap.min_deriv():.3e} <= 0")
@@ -540,11 +601,22 @@ def invert_monotone(cmap: MonotoneCircleMap, tol=1e-13, max_iter=60):
     sigma = grid_sigma(n)
     rho_v = cmap.periodic
 
-    freqs, coeffs = _pruned_spectrum(rho_v, 1e-16)
-
-    def rho_and_drho(s):
-        basis = _basis(s, freqs)
-        return (basis @ coeffs).real, (basis @ (1j * freqs * coeffs)).real
+    freqs, rho_h = _half_spectrum(rho_v, 1e-16)
+    # R' is read from its own samples, whose spectrum has none of the
+    # rounding that the zero mode of rho leaves on rho's high frequencies
+    carried = [_half_spectrum(cmap.deriv, 1e-15)]
+    if carry is not None:
+        carry = np.asarray(carry)
+        flat = carry.reshape(carry.shape[0], -1)
+        kept = np.flatnonzero(_significant(flat, 1e-16))
+        carried.append((kept, flat[kept]))
+    union = reduce(np.union1d, (f for f, _ in carried), freqs)
+    rho_h = _on_frequencies(union, freqs, rho_h)
+    series = np.concatenate([_on_frequencies(union, f, h.reshape(len(f), -1)) for f, h in carried],
+                            axis=1)
+    freqs = union
+    m = freqs.astype(float)
+    newton = _real_rows(np.stack([rho_h, 1j * m * rho_h], axis=1))
 
     # the continuum extrema of rho can overshoot the grid extrema between
     # samples; pad the bracket by a bound on that overshoot
@@ -552,11 +624,16 @@ def invert_monotone(cmap: MonotoneCircleMap, tol=1e-13, max_iter=60):
     lo = sigma - rho_v.max() - pad
     hi = sigma - rho_v.min() + pad
     # start from the sampled inverse R(sigma_j) -> sigma_j, interpolated
-    # linearly; R^{-1}(t) - t = -rho(R^{-1}(t)) is 2 pi-periodic in t
-    s = np.clip(sigma + np.interp(sigma, sigma + rho_v, -rho_v, period=TAU), lo, hi)
+    # linearly, one period of the table (R(sigma_j), sigma_j) closed by
+    # (R(0) + 2 pi, 2 pi), each target moved into it by a whole period
+    ends = sigma + rho_v
+    t = ends[0] + (sigma - ends[0]) % TAU
+    s = np.interp(t, np.append(ends, ends[0] + TAU), np.append(sigma, TAU)) + (sigma - t)
+    s = np.clip(s, lo, hi)
     moved = np.inf
     for _ in range(max_iter):
-        r, dr = rho_and_drho(s)
+        basis = _half_basis(s, freqs)
+        r, dr = newton.T @ basis
         resid = s + r - sigma
         hi = np.where(resid > 0, np.minimum(hi, s), hi)
         lo = np.where(resid < 0, np.maximum(lo, s), lo)
@@ -565,12 +642,27 @@ def invert_monotone(cmap: MonotoneCircleMap, tol=1e-13, max_iter=60):
         bad = ((s_new < lo) | (s_new > hi)) & (np.abs(step) > tol)
         s_new = np.where(bad, 0.5 * (lo + hi), s_new)
         moved = float(np.max(np.abs(s_new - s)))
-        s = s_new
         if moved <= tol:
             break
+        s = s_new
     else:
         raise NotConverged(f"monotone inversion: last step {moved:.3e} > tol {tol:.1e} "
                            f"after {max_iter} iterations")
 
-    return MonotoneCircleMap(periodic=s - sigma, deriv=1.0 / trig_interpolate(cmap.deriv, s))
+    # the last basis sits at s, within |delta| <= tol of the inverse s_new:
+    # F(s_new) = F(s) + F'(s) delta for R' and the carried series
+    delta = s_new - s
+    both = _real_rows(np.concatenate([series, 1j * m[:, None] * series], axis=1)).T @ basis
+    width = series.shape[1]
+    at = both[:width] + both[width:] * delta
+    inverse = MonotoneCircleMap(periodic=s_new - sigma, deriv=1.0 / at[0])
+    if carry is None:
+        return inverse
+    return inverse, at[1:].T.reshape((n,) + carry.shape[1:])
 
+
+def _on_frequencies(freqs, own, coeffs):
+    """Coefficients given on the frequencies ``own``, placed on their superset ``freqs`` (0 elsewhere)."""
+    out = np.zeros((len(freqs),) + coeffs.shape[1:], complex)
+    out[np.searchsorted(freqs, own)] = coeffs
+    return out

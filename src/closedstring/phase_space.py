@@ -280,6 +280,19 @@ def _complex_field(state, chirality, n):
     return modes_to_grid(real_modes(state.alpha0, state.modes(chirality)), n, _orientation(chirality))
 
 
+def _field_half_spectrum(state, chirality):
+    """Weights h_m, m = 0..M, of P_chir = Re sum_m h_m e^{+i m sigma}: (M + 1, D).
+
+    h_0 = alpha_0/sqrt(2 pi) and h_m = 2 c_m, with c_m = alpha_m/sqrt(2 pi)
+    for P_- and conj(~alpha_m)/sqrt(2 pi) for P_+, whose modes ride on
+    e^{-i m sigma}.
+    """
+    rows = state.modes(chirality)
+    if _orientation(chirality) < 0:
+        rows = np.conj(rows)
+    return np.concatenate([state.alpha0[None], 2.0 * rows]) * _INV_SQRT_TAU
+
+
 def _non_real(vals):
     """Relative imaginary residue max|Im P| / max|Re P| of sqrt(2 pi) P samples."""
     im, re = (float(np.max(np.abs(part))) * _INV_SQRT_TAU for part in (vals.imag, vals.real))

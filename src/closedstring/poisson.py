@@ -355,25 +355,53 @@ def product_observable(f: Observable, g: Observable) -> Observable:
                       chart_gradient=chart_gradient)
 
 
+# the keys each observable type reads from its JSON description; a bare
+# invariant request (no "type", with "indices") is a "pohlmeyer" one
+_CONFIG_KEYS = {
+    "pohlmeyer": ("type", "chirality", "indices", "symmetrized", "n"),
+    "virasoro": ("type", "chirality", "m", "n"),
+    "ddf": ("type", "left", "right", "level", "allow_unmatched", "n"),
+}
+
+
+def _config_flag(cfg, key):
+    """A JSON boolean of ``cfg`` (default false); any other value raises TypeError."""
+    value = cfg.get(key, False)
+    if not isinstance(value, bool):
+        raise TypeError(f"{key!r} must be a JSON boolean (true or false), got {value!r}")
+    return value
+
+
 def observable_from_config(cfg: dict, frame: LightlikeFrame,
                            n_samples=DEFAULT_OBS_GRID) -> Observable:
-    """Build an observable from its JSON description (CLI surface)."""
+    """Build an observable from its JSON description (CLI surface).
+
+    Raises ValueError for an unknown type or a key its type does not read
+    (a misspelt key would otherwise fall back to its default without a
+    word), and TypeError for a flag that is not a JSON boolean.
+    """
+    if not isinstance(cfg, dict):
+        raise TypeError(f"an observable is a JSON object, got {cfg!r}")
     kind = cfg.get("type")
     if kind is None and "indices" in cfg:
-        kind = "pohlmeyer"  # bare invariant request {"chirality","indices","symmetrized"}
+        kind = "pohlmeyer"
+    if kind not in _CONFIG_KEYS:
+        raise ValueError(f"unknown observable type {kind!r}; known: {sorted(_CONFIG_KEYS)}")
+    unknown = sorted(set(cfg) - set(_CONFIG_KEYS[kind]))
+    if unknown:
+        raise ValueError(f"unknown keys for a {kind!r} observable: {unknown}; "
+                         f"known: {list(_CONFIG_KEYS[kind])}")
     if kind == "pohlmeyer":
         spec = InvariantSpec(chirality=cfg["chirality"], indices=cfg["indices"],
-                             symmetrized=bool(cfg.get("symmetrized", False)))
+                             symmetrized=_config_flag(cfg, "symmetrized"))
         return pohlmeyer_observable(spec, cfg.get("n", n_samples))
     if kind == "virasoro":
         return virasoro_mode(cfg["chirality"], int(cfg["m"]), cfg.get("n", n_samples))
-    if kind == "ddf":
-        spec = DDFInvariantSpec(left=[tuple(t) for t in cfg.get("left", [])],
-                                right=[tuple(t) for t in cfg.get("right", [])],
-                                level=int(cfg["level"]),
-                                allow_unmatched=bool(cfg.get("allow_unmatched", False)))
-        return ddf_invariant_observable(spec, frame, cfg.get("n", n_samples))
-    raise ValueError(f"unknown observable type {kind!r}")
+    spec = DDFInvariantSpec(left=[tuple(t) for t in cfg.get("left", [])],
+                            right=[tuple(t) for t in cfg.get("right", [])],
+                            level=int(cfg["level"]),
+                            allow_unmatched=_config_flag(cfg, "allow_unmatched"))
+    return ddf_invariant_observable(spec, frame, cfg.get("n", n_samples))
 
 
 # ----------------------------------------------------------------------

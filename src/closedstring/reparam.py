@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import TAU, grid_sigma, weight_one_pullback
+from .numerics import TAU, grid_sigma, trig_interpolate
 from .phase_space import FieldGrid
 
 __all__ = ["ReparamMap", "random_diffeo", "pullback_weight_one"]
@@ -88,6 +88,11 @@ def random_diffeo(seed, order=3, amplitude=0.5, fix_base_point=True) -> ReparamM
 
 
 def pullback_weight_one(field: FieldGrid, cmap) -> FieldGrid:
-    """Weight-one pullback (F o phi) * phi' on the field's own grid."""
+    """Weight-one pullback (F o phi) * phi' on the field's own grid.
+
+    F o phi is the :func:`~closedstring.numerics.trig_interpolate` of the
+    field's samples at phi(sigma_j), so a real field pulls back to a real one.
+    """
     sig = grid_sigma(field.n_samples)
-    return FieldGrid(weight_one_pullback(field.values, cmap(sig), cmap.deriv(sig)))
+    moved = trig_interpolate(field.values, cmap(sig))
+    return FieldGrid(moved * cmap.deriv(sig).reshape((-1,) + (1,) * (moved.ndim - 1)))

@@ -6,11 +6,13 @@ integrals are integrated in closed form over Fourier-mode tuples
 Virasoro modes come straight from the oscillator bilinears, and DDF modes
 are a dense sigma-grid quadrature against e^{-+ i m R(sigma)}, with no clock
 inversion and no FFT of the substituted field.  Monotone inverses are
-per-point Brent root finds, and trigonometric bases are long-double
-cosines and sines.  DDF-invariant gradients are checked along oscillator
-axes by the exact directional derivative of the quadrature (field and
-clock are affine in the oscillators), and along x and p by an eighth-order
-central stencil; neither uses a transposed transform.  Gradients of
+per-point Brent root finds, the substituted field Q is read from field
+samples through a dense two-sided interpolant at those roots, and
+trigonometric bases are long-double cosines and sines.  DDF-invariant
+gradients are checked along oscillator axes by the exact directional
+derivative of the quadrature (field and clock are affine in the
+oscillators), and along x and p by an eighth-order central stencil;
+neither uses a transposed transform.  Gradients of
 polynomials of degree <= 4 in the chart (Virasoro windows, words of degree
 <= 4) are checked by the five-point central stencil, exact for them.
 """
@@ -150,16 +152,17 @@ def dense_omega(chart):
     return omega
 
 
-def invert_monotone_brentq(periodic):
-    """R^{-1}(sigma_j) for R(s) = s + rho(s), one scipy brentq root per grid point.
+def invert_monotone_brentq(periodic, targets=None):
+    """R^{-1}(t) for R(s) = s + rho(s), one scipy brentq root per target t.
 
-    rho is the trigonometric interpolant of the samples ``periodic``, summed
-    mode by mode in Python; each root is bracketed by
-    [sigma_j - max rho, sigma_j - min rho], padded.
+    rho is the trigonometric interpolant of the samples ``periodic``, with
+    the modes below 1e-15 of the largest dropped, summed mode by mode in
+    Python; each root is bracketed by [t - max rho, t - min rho], padded.
+    The targets default to the grid points sigma_j of the samples.
     """
     from scipy.optimize import brentq
 
-    modes = _grid_modes(periodic)
+    modes = _grid_modes(periodic, 1e-15)
 
     def resid(s, t):
         return s + sum((c * cmath.exp(1j * f * s)).real for f, c in modes) - t
@@ -167,8 +170,43 @@ def invert_monotone_brentq(periodic):
     n = len(periodic)
     pad = 1e-3 + TAU / n
     lo, hi = -np.max(periodic) - pad, -np.min(periodic) + pad
+    if targets is None:
+        targets = TAU * np.arange(n) / n
     return np.array([brentq(resid, t + lo, t + hi, args=(t,), xtol=1e-15, rtol=4 * np.finfo(float).eps)
-                     for t in TAU * np.arange(n) / n])
+                     for t in targets])
+
+
+def dense_interpolate(samples, points):
+    """Trigonometric interpolant of real periodic samples at points, by a dense ``exp``.
+
+    The full two-sided spectrum of the samples (axis 0; one trailing axis
+    rides along), frequencies below 1e-15 of the largest dropped, against
+    the (points, frequencies) matrix e^{i m s}; the real part takes the
+    Nyquist mode as its cosine.
+    """
+    n = samples.shape[0]
+    spec = np.fft.fft(samples, axis=0) / n
+    mags = np.abs(spec).reshape(n, -1).max(axis=1)
+    keep = mags > 1e-15 * mags.max()
+    freqs = np.fft.fftfreq(n, 1.0 / n)[keep]
+    return (np.exp(1j * np.multiply.outer(points, freqs)) @ spec[keep]).real
+
+
+def substitute_by_samples(state, frame, chirality, n, targets):
+    """Q = (R^{-1})' P o R^{-1} at the targets t by the route of field samples.
+
+    P and R' are sampled on the n-grid (``eval_field``, ``compute_R``) and
+    read at s = R^{-1}(t) through :func:`dense_interpolate`; s comes from
+    :func:`invert_monotone_brentq` on the clock's samples, and
+    (R^{-1})'(t) = 1/R'(s).  Returns (len(targets), D).
+    """
+    from closedstring.ddf import compute_R
+    from closedstring.phase_space import eval_field
+
+    cmap = compute_R(state, frame, chirality, n)
+    s = invert_monotone_brentq(cmap.periodic, targets)
+    field = dense_interpolate(eval_field(state, chirality, n).values, s)
+    return field / dense_interpolate(cmap.deriv, s)[:, None]
 
 
 def basis_longdouble(points, freqs):

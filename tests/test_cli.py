@@ -148,6 +148,41 @@ def test_bracket_rejects_non_integer_indices(tmp_path, capsys):
         assert "integer" in capsys.readouterr().err
 
 
+def test_bracket_rejects_unknown_observable_keys(tmp_path, capsys):
+    # a misspelt key must not fall back to its default: "symetrized" would
+    # bracket the raw word and exit 0
+    sp = tmp_path / "s.json"
+    run(["generate", "--seed", "8", "--out", str(sp)])
+    g = json.dumps({"type": "virasoro", "chirality": "-", "m": 1})
+    for f, key, known in (
+            ({"type": "pohlmeyer", "chirality": "-", "indices": [0, 1], "symetrized": True},
+             "symetrized", "'symmetrized'"),
+            ({"chirality": "-", "indices": [0, 1], "sym": True}, "sym", "'indices'"),
+            ({"type": "virasoro", "chirality": "-", "m": 1, "n_samples": 128},
+             "n_samples", "'m'"),
+            ({"type": "ddf", "left": [[1, 1]], "right": [[2, 1]], "level": 1,
+              "allow_unmached": True}, "allow_unmached", "'allow_unmatched'")):
+        _assert_usage_error(["bracket", "--state", str(sp), "--f", json.dumps(f), "--g", g,
+                             "--grid", "256"], capsys, repr(key), known)
+
+
+def test_bracket_requires_json_booleans_for_flags(tmp_path, capsys):
+    # the string "false" is truthy: read through bool() it meant true
+    sp = tmp_path / "s.json"
+    run(["generate", "--seed", "8", "--out", str(sp)])
+    g = json.dumps({"type": "virasoro", "chirality": "-", "m": 1})
+    for f, key in (({"type": "pohlmeyer", "chirality": "-", "indices": [0, 1],
+                     "symmetrized": "false"}, "symmetrized"),
+                   ({"chirality": "-", "indices": [0, 1], "symmetrized": 1}, "symmetrized"),
+                   ({"type": "ddf", "left": [[1, 1]], "right": [[2, 2]], "level": 1,
+                     "allow_unmatched": "true"}, "allow_unmatched")):
+        _assert_usage_error(["bracket", "--state", str(sp), "--f", json.dumps(f), "--g", g,
+                             "--grid", "256"], capsys, repr(key), "JSON boolean")
+    for f in ([0, 1], "pohlmeyer"):
+        _assert_usage_error(["bracket", "--state", str(sp), "--f", json.dumps(f), "--g", g,
+                             "--grid", "256"], capsys, "JSON object")
+
+
 def _assert_usage_error(argv, capsys, *needles):
     assert run(argv) == 2
     err = capsys.readouterr().err

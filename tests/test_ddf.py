@@ -7,7 +7,8 @@ import pytest
 import closedstring as cs
 from closedstring.errors import DegenerateFrame, LevelMismatch, NonMonotone
 from closedstring.numerics import TAU, grid_sigma, trig_interpolate
-from oracles import ddf_modes_quadrature
+from closedstring.ddf import substitute
+from oracles import ddf_modes_quadrature, substitute_by_samples
 
 
 def zero_osc_state(p, x):
@@ -305,6 +306,32 @@ def test_reconstruction_equivalence_tightens_with_m_out(state_bank, frame4):
     for a, b in zip(errs, errs[1:]):
         assert b <= a + 1e-12
     assert errs[-1] < 1e-6
+
+
+def _assert_substitute_matches_sample_route(state, frame, chir):
+    # Q at the 1024-grid targets, every 8th point of the 8192-grid
+    targets = grid_sigma(1024)
+    for n in (1024, 8192):
+        got = substitute(state, frame, chir, n)[::n // 1024]
+        ref = substitute_by_samples(state, frame, chir, n, targets)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), (chir, n)
+
+
+@pytest.mark.parametrize("m", [8, 32])
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_substitute_matches_the_sample_route(frame4, seed, m):
+    # P and R' read from the inversion's basis against field samples,
+    # interpolated densely at Brent roots
+    state = cs.random_state(4, m, seed=seed, frame=frame4)
+    for chir in ("-", "+"):
+        _assert_substitute_matches_sample_route(state, frame4, chir)
+
+
+def test_substitute_matches_the_sample_route_on_a_steep_clock(frame4):
+    # rescaled to the margin: min R' = 1e-2, so (R^{-1})' reaches 100
+    state = cs.random_state(4, 8, seed=1, decay=3.0, margin=0.01, frame=frame4)
+    assert cs.compute_R(state, frame4, "+", 8192).min_deriv() == pytest.approx(1e-2, rel=0.05)
+    _assert_substitute_matches_sample_route(state, frame4, "+")
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,7 @@ from closedstring.numerics import (TAU, MonotoneCircleMap, grid_sigma,
                                    grid_to_modes, invert_monotone,
                                    modes_to_grid, periodic_antiderivative,
                                    real_modes, simplex_iterated_integral,
-                                   trig_interpolate, _alias_free_samples, _basis,
+                                   trig_interpolate, _alias_free_samples, _basis, _half_basis,
                                    _sample_sum, _sigma_antiderivative)
 from oracles import (antiderivative_quad, basis_longdouble, invert_monotone_brentq,
                      iterated_integral_modes)
@@ -308,6 +308,66 @@ def test_words_on_alias_free_samples_match_the_full_grid(rng):
 
 
 # ----------------------------------------------------------------------
+# interpolation
+# ----------------------------------------------------------------------
+
+def test_trig_interpolate_takes_the_nyquist_mode_as_its_cosine(rng):
+    # the half spectrum weights m = n/2 once: (-1)^j samples are cos(n s/2)
+    n = 64
+    f = band_limited(rng, n, 5)
+    a = 0.7
+    pts = rng.uniform(-1.0, TAU + 1.0, 50)
+    got = trig_interpolate(f + a * (-1.0) ** np.arange(n), pts)
+    assert np.max(np.abs(got - trig_interpolate(f, pts) - a * np.cos(n * pts / 2))) <= 1e-13
+
+
+def test_trig_interpolate_reads_band_limited_samples_exactly(rng):
+    n, k = 128, 9
+    coeffs = (rng.standard_normal(k + 1) + 1j * rng.standard_normal(k + 1)) * np.exp(-np.arange(k + 1) / 3)
+    pts = rng.uniform(-1.0, TAU + 1.0, 200)
+
+    def series(s):
+        return (np.exp(1j * np.multiply.outer(s, np.arange(k + 1))) @ coeffs).real
+
+    assert np.max(np.abs(trig_interpolate(series(grid_sigma(n)), pts) - series(pts))) <= 1e-13
+
+
+def test_trig_interpolate_carries_trailing_axes(rng):
+    n = 128
+    f = np.empty((n, 3, 2))
+    for j in range(3):
+        for i in range(2):
+            f[:, j, i] = band_limited(rng, n, 4 + i + j)
+    pts = rng.uniform(0.0, TAU, 40)
+    got = trig_interpolate(f, pts)
+    assert got.shape == (40, 3, 2)
+    for j in range(3):
+        for i in range(2):
+            one = trig_interpolate(f[:, j, i], pts)
+            assert np.max(np.abs(got[:, j, i] - one)) <= 1e-14 * np.max(np.abs(one))
+    assert trig_interpolate(f[:, 0, 0], pts.reshape(8, 5)).shape == (8, 5)
+
+
+def test_trig_interpolate_rejects_complex_samples():
+    with pytest.raises(TypeError):
+        trig_interpolate(np.ones(16, complex), np.zeros(3))
+
+
+@pytest.mark.parametrize("freqs", [np.arange(9), np.array([0, 2, 3, 15, 16, 17, 40, 300, 2047])])
+def test_half_basis_matches_long_double(rng, freqs):
+    pts = rng.uniform(-1.0, TAU + 1.0, 300)
+    re, im = basis_longdouble(pts, freqs)
+    basis = _half_basis(pts, freqs)
+    k = len(freqs)
+    assert basis.shape == (2 * k, 300)
+    full = _basis(pts, freqs.astype(float))
+    assert np.array_equal(basis[:k].T, full.real) and np.array_equal(basis[k:].T, full.imag)
+    err = max(np.max(np.abs(basis[:k].T - re)), np.max(np.abs(basis[k:].T - im)))
+    ref = np.exp(1j * np.multiply.outer(pts, freqs.astype(float)))
+    assert err <= 2.0 * max(np.max(np.abs(ref.real - re)), np.max(np.abs(ref.imag - im)))
+
+
+# ----------------------------------------------------------------------
 # monotone inversion
 # ----------------------------------------------------------------------
 
@@ -349,6 +409,39 @@ def test_invert_steep_clock_matches_brentq(a, n):
     s = invert_monotone(cmap).values()
     assert np.max(np.abs(s - invert_monotone_brentq(cmap.periodic))) <= 1e-12
     assert np.max(np.abs(s + a * np.sin(3 * s) / 3 - sig)) <= 1e-12
+
+
+@pytest.mark.parametrize("a", [0.9, 0.99, 0.999])
+@pytest.mark.parametrize("n", [64, 256, 4096])
+def test_invert_deriv_matches_the_interpolated_clock_slope(a, n):
+    # (R^{-1})' by one Taylor step on the last Newton basis against R'
+    # interpolated at the converged points
+    sig = grid_sigma(n)
+    cmap = MonotoneCircleMap(periodic=a * np.sin(3 * sig) / 3, deriv=1 + a * np.cos(3 * sig))
+    inv = invert_monotone(cmap)
+    ref = 1.0 / trig_interpolate(cmap.deriv, inv.values())
+    assert np.max(np.abs(inv.deriv - ref) / ref) <= 1e-12
+
+
+@pytest.mark.parametrize("a", [0.5, 0.99])
+def test_invert_carries_a_series_to_the_inverse_points(rng, a):
+    # the carried half spectrum h_0 = c_0, h_m = 2 c_m, read at R^{-1}(sigma_j)
+    n, k = 512, 7
+    sig = grid_sigma(n)
+    cmap = MonotoneCircleMap(periodic=0.4 + a * np.sin(3 * sig + 1.0) / 3,
+                             deriv=1 + a * np.cos(3 * sig + 1.0))
+    coeffs = (rng.standard_normal((k + 1, 2, 3)) + 1j * rng.standard_normal((k + 1, 2, 3)))
+    coeffs[0] = coeffs[0].real
+    half = np.concatenate([coeffs[:1], 2.0 * coeffs[1:]])
+    inv, moved = invert_monotone(cmap, half)
+    assert moved.shape == (n, 2, 3)
+    s = inv.values()
+    exact = np.einsum("jm,m...->j...", np.exp(1j * np.multiply.outer(s, np.arange(k + 1))), half).real
+    assert np.max(np.abs(moved - exact)) <= 1e-13 * np.max(np.abs(exact))
+    # the carried frequencies widen the Newton basis, which moves only last bits
+    plain = invert_monotone(cmap)
+    assert np.max(np.abs(plain.periodic - inv.periodic)) <= 1e-14
+    assert np.max(np.abs(plain.deriv - inv.deriv) / plain.deriv) <= 1e-12
 
 
 @pytest.mark.parametrize("freqs", [
