@@ -210,8 +210,6 @@ def _dispatch(args) -> int:
         # the frame comes first: generated states keep their R' margin in it
         frame = _parse_frame(args.frame, states[0].dim if states else DEFAULT_DIM)
         states.extend(random_state(DEFAULT_DIM, DEFAULT_MODES, s, frame=frame) for s in seeds)
-        if not states:
-            raise ValueError("verify needs --state or --seeds")
         provenance = {"state_paths": list(args.state), "generator_seeds": seeds,
                       "generator_defaults": {"dim": DEFAULT_DIM, "modes": DEFAULT_MODES}}
         params = {key: given for key, given in (("n", args.grid), ("m_out", args.modes_out),

@@ -472,26 +472,6 @@ def _powers(s, ks):
         yield power
 
 
-def _basis(points, freqs):
-    """e^{i m s} for plain points s (rows) and integer frequencies m (columns).
-
-    The powers e^{i|m|s} of :func:`_powers`, in increasing |m|; negative m
-    take the conjugate.  The columns are rows of one (frequencies, points)
-    buffer, filled contiguously and returned as its (points, frequencies)
-    view.
-    """
-    s = np.asarray(points, float)
-    m = freqs.ravel().astype(np.int64)
-    out = np.empty(m.shape + s.shape, complex)
-    order = np.argsort(np.abs(m), kind="stable")
-    for col, power in zip(order, _powers(s, np.abs(m[order]))):
-        if m[col] >= 0:
-            out[col] = power
-        else:
-            np.conjugate(power, out=out[col])
-    return np.moveaxis(out, 0, -1)
-
-
 def _half_basis(points, freqs):
     """cos(m s) and sin(m s) for plain points s and ascending frequencies m >= 0, real.
 

@@ -44,7 +44,7 @@ import numpy as np
 from .ddf import DDFModes, _rotate_modes, compute_R, ddf_modes, reconstruct_field
 from .numerics import (TAU, _acc, _alias_free_samples, _at_two_pi, _end_weighted, _end_weights,
                        _PrefixIntegrals, _sample_sum, _sigma_antiderivative)
-from .phase_space import FieldGrid, LightlikeFrame, StringState, _orientation
+from .phase_space import FieldGrid, LightlikeFrame, StringState, _check_chirality, _orientation
 from .reparam import ReparamMap, pullback_weight_one
 
 __all__ = [
@@ -68,8 +68,7 @@ class InvariantSpec:
         object.__setattr__(self, "indices", tuple(operator.index(i) for i in self.indices))
         if len(self.indices) < 1:
             raise ValueError("need at least one index")
-        if self.chirality not in ("+", "-"):
-            raise ValueError("chirality must be '+' or '-'")
+        _check_chirality(self.chirality)
 
     @property
     def degree(self):

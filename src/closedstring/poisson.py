@@ -33,7 +33,7 @@ import numpy as np
 
 from .ddf import DDFInvariantSpec, _ddf_invariant_reverse, ddf_invariant
 from .errors import GradientMismatch
-from .numerics import TAU, _basis, grid_sigma, grid_to_modes
+from .numerics import TAU, _half_basis, grid_sigma, grid_to_modes
 from .phase_space import (LightlikeFrame, StringState, _eval_field_transpose, _orientation,
                           eta_dot, eval_field, minkowski, position_field, virasoro_density)
 from .pohlmeyer import InvariantSpec, _word_cotangent, pohlmeyer_invariant
@@ -287,8 +287,11 @@ def virasoro_mode(chirality: str, m, n_samples=DEFAULT_OBS_GRID) -> Observable:
     modes = np.atleast_1d(np.asarray(m, dtype=int))
     k_max = int(np.max(np.abs(modes), initial=0))
     o = _orientation(chirality)
-    # (K, n): e^{-i o m sigma_j}, contiguous along the grid
-    phase = _basis(grid_sigma(n_samples), -o * modes).T
+    # (K, n): e^{-i o m sigma_j} = cos(|m| sigma_j) - i o sign(m) sin(|m| sigma_j),
+    # contiguous along the grid, from one basis row pair per distinct |m|
+    freqs, rows = np.unique(np.abs(modes), return_inverse=True)
+    cos, sin = np.split(_half_basis(grid_sigma(n_samples), freqs), 2)
+    phase = cos[rows] - 1j * (o * np.sign(modes))[:, None] * sin[rows]
 
     def sampled(evaluate, st):
         if k_max > st.truncation:

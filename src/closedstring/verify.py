@@ -6,25 +6,18 @@ comparison "le" pass when measured <= tolerance; negative controls use
 "ge".  A thread pool runs one job per state, which runs the suites on that
 state in turn, plus one job for the ensemble suite when it runs, so
 workers beyond states + 1 sit idle (pure functions, so row content is
-independent of the thread count); row order is canonical.  The pool workers are the
-parallelism: while :func:`run_suites` runs, a loaded OpenBLAS is held to
-one thread, since the suites' products are too small for BLAS threads to
-help and two per worker oversubscribe the cores.  The previous count is
-restored when the call returns or raises.
+independent of the thread count); row order is canonical.
 """
 
 from __future__ import annotations
 
-import ctypes
 import hashlib
 import itertools
 import json
 import os
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -328,80 +321,6 @@ def thread_count():
     return count
 
 
-# (get, set) symbol pairs of OpenBLAS's thread count: numpy's scipy-openblas
-# build, then a plain OpenBLAS
-_OPENBLAS_SYMBOLS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-)
-
-
-@lru_cache(maxsize=1)
-def _openblas():
-    """(get, set) thread-count functions of the OpenBLAS this process has loaded, or None.
-
-    Looked up among the process's own mapped objects on the first call, then
-    cached; None on a platform without /proc/self/maps or with another BLAS.
-    """
-    try:
-        with open("/proc/self/maps", encoding="utf-8", errors="replace") as fh:
-            # address, perms, offset, dev, inode, path: only a path can name openblas
-            paths = sorted({line.split(maxsplit=5)[-1].strip() for line in fh
-                            if "openblas" in line.lower()})
-    except OSError:
-        return None
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for get_name, set_name in _OPENBLAS_SYMBOLS:
-            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                return get, set_
-    return None
-
-
-class _BlasCap:
-    """Holds the loaded OpenBLAS at one thread while any caller is inside :meth:`held`.
-
-    OpenBLAS keeps one thread count per process, so overlapping holders
-    share one depth count: the first in saves the count and sets 1, the
-    last out restores it.
-    """
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._depth = 0
-        self._saved = None
-
-    @contextmanager
-    def held(self):
-        """Yield the BLAS thread count in force (1), or None when no OpenBLAS is loaded."""
-        blas = _openblas()
-        if blas is None:
-            yield None
-            return
-        get, set_ = blas
-        with self._lock:
-            if not self._depth:
-                self._saved = get()
-                set_(1)
-            self._depth += 1
-        try:
-            yield get()
-        finally:
-            with self._lock:
-                self._depth -= 1
-                if not self._depth:
-                    set_(self._saved)
-
-
-_BLAS_CAP = _BlasCap()
-
-
 def run_suites(names, states, frame, params=None, tolerances=None, threads=None,
                provenance=None):
     """Run the named suites over all states and assemble the report.
@@ -416,13 +335,10 @@ def run_suites(names, states, frame, params=None, tolerances=None, threads=None,
     records of all states.  A clock or DDF extraction is charged to the
     ``timings`` of the first suite that asks for it.
     ``provenance`` (state paths, generator seeds) is echoed into the report
-    so a run can be reproduced exactly from its own output.  For the
-    duration of the call a loaded OpenBLAS runs one thread, whatever the
-    worker count; the count before the call is restored when it returns or
-    raises.  The report's ``config`` records the workers (``threads``) and
-    the BLAS threads in force (``blas_threads``, null without OpenBLAS).
-    Before any job starts it raises KeyError for an unknown suite,
-    parameter or tolerance name, ValueError for ``threads`` < 1 and, when
+    so a run can be reproduced exactly from its own output, and the
+    report's ``config`` records the workers (``threads``).  Before any job
+    starts it raises KeyError for an unknown suite, parameter or tolerance
+    name, ValueError for an empty ``states``, for ``threads`` < 1 and, when
     a Virasoro suite (poisson, witt, negative-controls) is selected, for an
     ``m_window`` outside 1..min(M)//2 over the states.
     """
@@ -438,6 +354,8 @@ def run_suites(names, states, frame, params=None, tolerances=None, threads=None,
     if unknown:
         raise KeyError(f"unknown tolerances: {unknown}; known: {sorted(DEFAULT_TOLERANCES)}")
     tols = {**DEFAULT_TOLERANCES, **(tolerances or {})}
+    if not states:
+        raise ValueError("verify needs at least one state")
     workers = thread_count() if threads is None else threads
     if workers < 1:
         raise ValueError(f"threads must be >= 1, got {workers}")
@@ -465,7 +383,7 @@ def run_suites(names, states, frame, params=None, tolerances=None, threads=None,
             results.append((nm, (t0, time.perf_counter(), time.thread_time() - c0), out))
         return results
 
-    with _BLAS_CAP.held() as blas_threads, ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         done = list(pool.map(run, jobs))
 
     # per suite: wall_s spans its first job start to its last job end (jobs
@@ -489,7 +407,6 @@ def run_suites(names, states, frame, params=None, tolerances=None, threads=None,
             "states": len(states),
             "provenance": provenance or {},
             "threads": workers,
-            "blas_threads": blas_threads,
         },
         "rows": rows,
         "pass": all(r["pass"] for r in rows),

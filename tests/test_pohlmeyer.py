@@ -85,6 +85,11 @@ def test_spec_rejects_non_integer_indices():
     assert spec.indices == (2, 0, 1) and all(type(i) is int for i in spec.indices)
 
 
+def test_spec_error_names_a_bad_chirality():
+    with pytest.raises(ValueError, match="got 'L'"):
+        InvariantSpec("L", (0,))
+
+
 def test_shuffle_identities(state_bank):
     state = state_bank[3]
     field = cs.eval_field(state, "-", 1024)

@@ -1,9 +1,7 @@
-"""The verify runner holds a loaded OpenBLAS to one thread for its duration only.
-
-Without an OpenBLAS in the process every count reads None, and the same
-assertions check that the runner leaves BLAS alone.  The witt suite is
-checked against a per-mode recomputation of the Witt residues, and every
-row's input digest against the digest formula applied row by row.
+"""The verify runner: its argument checks, its report config and errors
+raised inside a suite.  The witt suite is checked against a per-mode
+recomputation of the Witt residues, and every row's input digest against
+the digest formula applied row by row.
 """
 
 import hashlib
@@ -20,22 +18,7 @@ from closedstring.phase_space import state_to_json
 from closedstring.poisson import chart_for, gradient, virasoro_mode
 from oracles import dense_omega, virasoro_mode_direct
 
-PROBE = "blas-probe"
-
-
-# the loaded library, looked up before any test replaces the lookup
-BLAS = verify._openblas()
-# the count a suite sees inside run_suites
-INSIDE = 1 if BLAS else None
-
-
-def _count():
-    return BLAS[0]() if BLAS else None
-
-
-def _set_count(k):
-    if BLAS:
-        BLAS[1](k)
+PROBE = "probe"
 
 
 @pytest.fixture
@@ -48,41 +31,22 @@ def states(frame):
     return [cs.random_state(4, 2, seed=s, frame=frame) for s in (1, 2)]
 
 
-@pytest.fixture
-def before():
-    """A caller's count of 2 (where the machine allows it), restored afterwards."""
-    saved = _count()
-    _set_count(2)
-    try:
-        yield _count()
-    finally:
-        if saved is not None:
-            _set_count(saved)
+@pytest.mark.parametrize("threads", [1, 2])
+def test_config_records_the_worker_count(monkeypatch, frame, states, threads):
+    seen = []
 
-
-def _probe(seen, wait=None):
-    def suite(record, tols):
-        if wait is not None:
-            wait()
-        seen.append(_count())
+    def probe(record, tols):
+        seen.append(record.state)
         return [{"name": "probe", "pass": True}]
 
-    return suite
-
-
-@pytest.mark.parametrize("threads", [1, 2])
-def test_suites_see_one_blas_thread(monkeypatch, frame, states, before, threads):
-    seen = []
-    monkeypatch.setitem(verify.SUITES, PROBE, _probe(seen))
+    monkeypatch.setitem(verify.SUITES, PROBE, probe)
     report = verify.run_suites([PROBE], states, frame, threads=threads)
     assert report["pass"]
-    assert seen == [INSIDE] * len(states)
+    assert sorted(map(id, seen)) == sorted(map(id, states))
     assert report["config"]["threads"] == threads
-    assert report["config"]["blas_threads"] == INSIDE
-    assert _count() == before
 
 
-def test_count_restored_after_a_suite_raises(monkeypatch, frame, states, before):
+def test_an_error_in_a_suite_propagates(monkeypatch, frame, states):
     def failing(record, tols):
         raise RuntimeError("suite failed")
 
@@ -90,48 +54,16 @@ def test_count_restored_after_a_suite_raises(monkeypatch, frame, states, before)
     for threads in (1, 2):
         with pytest.raises(RuntimeError, match="suite failed"):
             verify.run_suites([PROBE], states, frame, threads=threads)
-        assert _count() == before
 
 
-def test_overlapping_calls_restore_the_count(monkeypatch, frame, states, before):
-    # more callers than cores, each round all of them inside run_suites at once
-    callers, rounds = 4, 3
-    barrier = threading.Barrier(callers)
-    seen, errors = [], []
-    monkeypatch.setitem(verify.SUITES, PROBE, _probe(seen, lambda: barrier.wait(timeout=20)))
-
-    def call():
-        try:
-            for _ in range(rounds):
-                verify.run_suites([PROBE], states[:1], frame, threads=2)
-        except Exception as exc:  # reported below; a broken barrier fails the test
-            errors.append(exc)
-            barrier.abort()
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        workers = [threading.Thread(target=call) for _ in range(callers)]
-        for w in workers:
-            w.start()
-        for w in workers:
-            w.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(w.is_alive() for w in workers)
-    assert errors == []
-    assert seen == [INSIDE] * (callers * rounds)
-    assert _count() == before
-
-
-def test_no_openblas_found(monkeypatch, frame, states, before):
-    seen = []
-    monkeypatch.setattr(verify, "_openblas", lambda: None)
-    monkeypatch.setitem(verify.SUITES, PROBE, _probe(seen))
-    report = verify.run_suites([PROBE, "reality"], states, frame, params={"n": 256}, threads=2)
-    assert report["pass"]
-    assert report["config"]["blas_threads"] is None
-    assert seen == [before] * len(states)
+@pytest.mark.parametrize("names", [["reality"], ["witt"], ["negative-controls"]])
+def test_run_suites_rejects_an_empty_state_list(monkeypatch, frame, names):
+    # an empty ensemble has no rows to fail, so it must not read as a pass
+    started = []
+    monkeypatch.setattr(verify, "StateRecord", lambda *args: started.append(args))
+    with pytest.raises(ValueError, match="at least one state"):
+        verify.run_suites(names, [], frame, threads=1)
+    assert started == []
 
 
 def _witt_residue_per_mode(state, window, n):
