@@ -524,12 +524,15 @@ def trig_interpolate(samples, points):
     spectrum (:func:`_half_spectrum`), with frequencies whose coefficients
     are below 1e-15 of the largest dropped, and evaluated on one
     :func:`_half_basis` of width 2K for K kept frequencies m >= 0; the
-    Nyquist mode is its cosine.  Exact (to roundoff) for band-limited data.
+    Nyquist mode is its cosine.  Exact (to roundoff) for band-limited data;
+    all-zero samples give zeros of shape ``points.shape + trailing``.
     Complex samples raise TypeError.
     """
     if np.iscomplexobj(samples):
         raise TypeError("trig_interpolate takes real samples")
     freqs, half = _half_spectrum(np.asarray(samples, float), 1e-15)
+    if not freqs.size:  # all-zero samples keep no frequency
+        return np.zeros(np.shape(points) + half.shape[1:])
     rows = _real_rows(half.reshape(len(freqs), -1))
     out = np.tensordot(rows, _half_basis(points, freqs), axes=(0, 0))  # one row per series
     return np.moveaxis(out, 0, -1).reshape(np.shape(points) + half.shape[1:])

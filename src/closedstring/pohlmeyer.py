@@ -268,8 +268,14 @@ def wilson_loop(field: FieldGrid, config: WilsonConfig):
 def reparam_check(field: FieldGrid, cmap: ReparamMap, spec: InvariantSpec):
     """(direct, pulled_back) pair for the invariant under a weight-one pullback.
 
-    Requires a base-point-preserving map unless the word is symmetrized;
-    symmetrized words tolerate rigid rotations too.
+    The pullback is :func:`~closedstring.reparam.pullback_weight_one`, one
+    trigonometric interpolation of the field's samples, and the pulled field
+    carries no bandwidth, so its word runs on all n samples.  ``cmap`` is a
+    circle map with ``__call__``, ``deriv`` and ``fixes_base_point`` (a
+    :class:`~closedstring.reparam.ReparamMap`).  It must preserve the base
+    point unless the word is symmetrized; symmetrized words tolerate rigid
+    rotations too (the verify suite rotates the state's modes instead, which
+    is exact).
     """
     if not spec.symmetrized and not cmap.fixes_base_point(tol=1e-10):
         raise ValueError("raw coefficients need a base-point-preserving map")

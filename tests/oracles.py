@@ -8,10 +8,12 @@ are a dense sigma-grid quadrature against e^{-+ i m R(sigma)}, with no clock
 inversion and no FFT of the substituted field.  Monotone inverses are
 per-point Brent root finds, the substituted field Q is read from field
 samples through a dense two-sided interpolant at those roots, and
-trigonometric bases are long-double cosines and sines.  DDF-invariant
-gradients are checked along oscillator axes by the exact directional
-derivative of the quadrature (field and clock are affine in the
-oscillators), and along x and p by an eighth-order central stencil;
+trigonometric bases are long-double cosines and sines.  Rigid rotations
+F(sigma + c) are weight-one pullbacks of the samples by trigonometric
+interpolation through a test-local :class:`RotationMap`, not phases on the
+modes.  DDF-invariant gradients are checked along oscillator axes by the
+exact directional derivative of the quadrature (field and clock are affine
+in the oscillators), and along x and p by an eighth-order central stencil;
 neither uses a transposed transform.  Gradients of
 polynomials of degree <= 4 in the chart (Virasoro windows, words of degree
 <= 4) are checked by the five-point central stencil, exact for them.
@@ -190,6 +192,22 @@ def dense_interpolate(samples, points):
     keep = mags > 1e-15 * mags.max()
     freqs = np.fft.fftfreq(n, 1.0 / n)[keep]
     return (np.exp(1j * np.multiply.outer(points, freqs)) @ spec[keep]).real
+
+
+class RotationMap:
+    """Rigid rotation phi(sigma) = sigma + c, pullback-compatible."""
+
+    def __init__(self, c):
+        self.c = float(c)
+
+    def __call__(self, sigma):
+        return np.asarray(sigma, float) + self.c
+
+    def deriv(self, sigma):
+        return np.ones_like(np.asarray(sigma, float))
+
+    def fixes_base_point(self, tol=1e-12):
+        return abs(self.c) % TAU < tol
 
 
 def substitute_by_samples(state, frame, chirality, n, targets):

@@ -18,9 +18,8 @@ from closedstring.poisson import (chart_for, ddf_invariant_observable,
                                   smeared_momentum_observable,
                                   smeared_position_observable, virasoro_mode)
 from closedstring.reparam import pullback_weight_one, random_diffeo
-from closedstring.verify import RotationMap
 from conftest import record_acceptance
-from oracles import dense_omega, iterated_integral_modes, virasoro_mode_direct
+from oracles import RotationMap, dense_omega, iterated_integral_modes, virasoro_mode_direct
 
 N_DEFAULT = 4096
 M_OUT_DEFAULT = 512

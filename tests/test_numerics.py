@@ -346,6 +346,10 @@ def test_trig_interpolate_carries_trailing_axes(rng):
             one = trig_interpolate(f[:, j, i], pts)
             assert np.max(np.abs(got[:, j, i] - one)) <= 1e-14 * np.max(np.abs(one))
     assert trig_interpolate(f[:, 0, 0], pts.reshape(8, 5)).shape == (8, 5)
+    # all-zero samples keep no frequency and still give zeros of that shape
+    for zero in (np.zeros(n), np.zeros((n, 3, 2))):
+        out = trig_interpolate(zero, pts.reshape(8, 5))
+        assert out.shape == (8, 5) + zero.shape[1:] and not np.any(out)
 
 
 def test_trig_interpolate_rejects_complex_samples():

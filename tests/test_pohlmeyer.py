@@ -18,8 +18,7 @@ from closedstring.pohlmeyer import (InvariantSpec, WilsonConfig,
                                     pohlmeyer_invariant, pohlmeyer_via_ddf,
                                     reparam_check, wilson_loop)
 from closedstring.reparam import random_diffeo, pullback_weight_one
-from closedstring.verify import RotationMap
-from oracles import iterated_integral_modes, stencil_gradient
+from oracles import RotationMap, iterated_integral_modes, stencil_gradient
 
 
 def zero_osc_state(p, x=None):

@@ -16,7 +16,8 @@ import closedstring as cs
 from closedstring import verify
 from closedstring.phase_space import state_to_json
 from closedstring.poisson import chart_for, gradient, virasoro_mode
-from oracles import dense_omega, virasoro_mode_direct
+from closedstring.reparam import pullback_weight_one
+from oracles import RotationMap, dense_omega, virasoro_mode_direct
 
 PROBE = "probe"
 
@@ -132,8 +133,10 @@ def test_row_inputs_match_the_digest_of_each_row(frame):
 @pytest.mark.parametrize("threads", [1, 3])
 def test_each_clock_and_extraction_is_made_once_per_state(monkeypatch, frame, threads):
     # per state and chirality: one extraction (its substitution makes and
-    # inverts one clock) and the record's clock, inverted once by periodicity
-    from closedstring import ddf
+    # inverts one clock) and the record's clock, inverted once by periodicity;
+    # per state, 7 interpolations: periodicity's 2 round trips and reparam's 5
+    # diffeo pullbacks (its rotations are phases on the modes)
+    from closedstring import ddf, reparam
 
     n = 1024
     states = [cs.random_state(4, 8, seed=s, frame=frame) for s in (1, 2)]
@@ -152,11 +155,25 @@ def test_each_clock_and_extraction_is_made_once_per_state(monkeypatch, frame, th
     for mod in (verify, ddf):
         monkeypatch.setattr(mod, "invert_monotone", counted("invert_monotone", mod.invert_monotone))
         monkeypatch.setattr(mod, "compute_R", counted("compute_R", mod.compute_R, grid=n))
+    for mod in (verify, reparam):
+        monkeypatch.setattr(mod, "trig_interpolate", counted("trig_interpolate", mod.trig_interpolate))
     report = verify.run_suites(verify.suite_names(), states, frame,
                                params={"n": n, "m_out": 128}, threads=threads)
     assert report["pass"]
     per_state = {name: count / len(states) for name, count in calls.items()}
-    assert per_state == {"ddf_modes": 2, "invert_monotone": 4, "compute_R": 4}
+    assert per_state == {"ddf_modes": 2, "invert_monotone": 4, "compute_R": 4, "trig_interpolate": 7}
+
+
+@pytest.mark.parametrize("c", [0.5, 1.6, 3.8, 4.9, -2.3, 7.0])
+def test_mode_rotation_matches_the_interpolated_pullback(state_bank, c):
+    # the reparam suite's exact rotation against the independent route:
+    # F(sigma + c) interpolated from the unrotated samples
+    for state in state_bank[:5]:
+        field = cs.eval_field(state, "-", 1024)
+        rotated = verify._rotated_field(state, c, 1024)
+        assert rotated.bandwidth == state.truncation
+        want = pullback_weight_one(field, RotationMap(c)).values
+        assert np.max(np.abs(rotated.values - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("names, records", [(["reality"], 2), (["negative-controls"], 2),
