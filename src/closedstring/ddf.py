@@ -203,11 +203,19 @@ def ddf_modes(state: StringState, frame: LightlikeFrame, chirality: str,
     uniform tau-grid quadrature of the tau = R(sigma) integral.  Cost
     O(N log N + N M) time and O(N (M + D)) memory, independent of m_out.
     """
+    _check_modes(state, m_out, n)
+    return _modes_of(substitute(state, frame, chirality, n), frame, chirality, m_out)
+
+
+def _check_modes(state, m_out, n):
     if m_out < 0:
         raise ValueError("m_out must be >= 0")
     _check_grid(state, m_out, n)
-    modes = grid_to_modes(substitute(state, frame, chirality, n), m_out,
-                          _orientation(chirality)) * np.sqrt(TAU)
+
+
+def _modes_of(q, frame, chirality, m_out):
+    """DDFModes |m| <= m_out from the substituted field Q of :func:`_substitution`."""
+    modes = grid_to_modes(q, m_out, _orientation(chirality)) * np.sqrt(TAU)
     return DDFModes(chirality=chirality, m_max=m_out, modes=modes, k=frame.k)
 
 
@@ -344,9 +352,13 @@ def substitute(state: StringState, frame: LightlikeFrame, chirality: str, n: int
     P(s_j) at s_j = R^{-1}(sigma_j) with (R^{-1})'(sigma_j) = 1/R'(s_j); so
     Q = P(s)/R'(s), with no field samples and no FFT of P.
     """
-    cmap = compute_R(state, frame, chirality, n)
+    return _substitution(state, chirality, compute_R(state, frame, chirality, n))[1]
+
+
+def _substitution(state, chirality, cmap):
+    """(R^{-1}, Q) from one inversion of the clock ``cmap`` carrying P: the one substitution route."""
     inverse, field = invert_monotone(cmap, _field_half_spectrum(state, chirality))
-    return field * inverse.deriv[:, None]
+    return inverse, field * inverse.deriv[:, None]
 
 
 def reconstruct_field_direct(state: StringState, frame: LightlikeFrame,

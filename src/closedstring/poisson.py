@@ -498,12 +498,20 @@ def invariance_report(observables, state: StringState, m_window: int,
     """
     if not 0 <= m_window <= state.truncation // 2:
         raise ValueError("m_window must be in 0..M/2 for an aliasing-safe sweep")
+    return _invariance_rows(observables, state, lambda chirality: _window_gradients(
+        state, chirality, m_window, n_samples))
+
+
+def _invariance_rows(observables, state, window):
+    """The rows of :func:`invariance_report`, with ``window(chirality)`` giving
+    that chirality's :func:`_window_gradients`; it is asked once per chirality."""
     onorm = chart_for(state).omega_norm()
     gobs = [gradient(obs, state, check=False) for obs in observables]
     nobs = [float(np.linalg.norm(g)) for g in gobs]
     reports = [[] for _ in gobs]
     for chirality in ("+", "-"):
-        _, omega_gls, nls = _window_gradients(state, chirality, m_window, n_samples)
+        _, omega_gls, nls = window(chirality)
+        m_window = (len(nls) - 1) // 2
         for m, omega_gl, nl in zip(range(-m_window, m_window + 1), omega_gls, nls):
             for obs, g, ng, rows in zip(observables, gobs, nobs, reports):
                 resid = abs(complex(g @ omega_gl)) / max(ng * float(nl) * onorm, 1e-300)

@@ -5,8 +5,10 @@ Each suite maps a state's :class:`StateRecord` to a list of check rows
 comparison "le" pass when measured <= tolerance; negative controls use
 "ge".  A thread pool runs one job per state, which runs the suites on that
 state in turn, plus one job for the ensemble suite when it runs, so
-workers beyond states + 1 sit idle (pure functions, so row content is
-independent of the thread count); row order is canonical.
+workers beyond states + 1 sit idle; every job reads the one record of
+its state(s).  Each piece of a record is a pure function of the state, so
+row content is independent of the thread count and of which suite built
+the piece; row order is canonical.
 """
 
 from __future__ import annotations
@@ -15,19 +17,22 @@ import hashlib
 import itertools
 import json
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from functools import cached_property
 
 import numpy as np
 
 from . import __version__
-from .ddf import DDFInvariantSpec, compute_R, ddf_modes, reconstruct_field
-from .numerics import TAU, grid_sigma, invert_monotone, trig_interpolate
+# ddf_modes is not called here (the record reads its modes from its own
+# inversions) but stays bound: perfbench's tracer test checks every binding
+from .ddf import (DDFInvariantSpec, _check_modes, _modes_of, _substitution, compute_R,
+                  ddf_modes, reconstruct_field)
+from .numerics import TAU, grid_sigma, trig_interpolate
 from .phase_space import _complex_field, _non_real, eta_dot, eval_field, state_to_json
 from .pohlmeyer import InvariantSpec, align_base_point, pohlmeyer_invariant, reparam_check
-from .poisson import (DEFAULT_OBS_GRID, _window_gradients, chart_for, ddf_invariant_observable,
-                      invariance_report, pohlmeyer_observable, virasoro_mode)
+from .poisson import (DEFAULT_OBS_GRID, _invariance_rows, _window_gradients, chart_for,
+                      ddf_invariant_observable, pohlmeyer_observable, virasoro_mode)
 from .reparam import random_diffeo
 
 THREAD_ENV = "CLOSEDSTRING_THREADS"
@@ -68,31 +73,92 @@ def _row(name, digest, measured, tol, comparison="le"):
 
 
 class StateRecord:
-    """A state with its frame and params, and the pieces several suites read:
-    its JSON text and both chiralities' clocks R and DDF modes A_m (at params
-    n and m_out), each built on first use and kept as long as the record."""
+    """A state with its frame and params, and the pieces several suites read.
+
+    :func:`run_suites` makes one record per state, read by the state's own
+    job and by the ensemble job.  Each piece is built on first use, once,
+    under a lock of its own, so two records, or two pieces of one record,
+    build at the same time, while two readers of one piece wait for one
+    build:
+
+    - ``clocks``: R of both chiralities on the n-grid;
+    - ``inversions``: per chirality [R^{-1}, Q], the one inversion of its
+      clock carrying P (:func:`~closedstring.ddf._substitution`, the route of
+      :func:`~closedstring.ddf.substitute`); periodicity reads R^{-1};
+    - ``modes``: the DDF modes |m| <= m_out, read from Q as
+      :func:`~closedstring.ddf.ddf_modes` reads them; Q is dropped then;
+    - ``field(chirality)``: P on the n-grid;
+    - ``window(chirality)``: the Virasoro window (grad L_m, Omega grad L_m,
+      norms), |m| <= m_window, at obs_n (:func:`~closedstring.poisson._window_gradients`);
+    - ``digest(**extras)``: the row digest of the state's JSON text and extras.
+
+    :meth:`release` drops the per-state pieces (clocks, inversions, modes
+    and fields) when the state's job ends; the windows and digests, which
+    the ensemble job also reads, stay with the record.
+    """
+
+    PER_STATE = ("clocks", "inversions", "modes", ("field", "-"), ("field", "+"))
 
     def __init__(self, state, frame, params):
         self.state, self.frame, self.params = state, frame, params
+        self._pieces, self._locks = {}, {}
+        self._guard = threading.Lock()
 
-    @cached_property
-    def text(self):
-        return state_to_json(self.state)
+    def _once(self, key, build):
+        with self._guard:
+            lock = self._locks.setdefault(key, threading.Lock())
+        with lock:
+            if key not in self._pieces:
+                self._pieces[key] = build()
+            return self._pieces[key]
 
-    @cached_property
+    def release(self):
+        for key in self.PER_STATE:
+            self._pieces.pop(key, None)
+
+    @property
     def clocks(self):
-        return {c: compute_R(self.state, self.frame, c, self.params["n"]) for c in ("-", "+")}
+        return self._once("clocks", lambda: {c: compute_R(self.state, self.frame, c, self.params["n"])
+                                             for c in ("-", "+")})
 
-    @cached_property
+    @property
+    def inversions(self):
+        # [R^{-1}, Q] per chirality; Q is read once, by the modes, and then dropped
+        return self._once("inversions", lambda: {c: list(_substitution(self.state, c, cmap))
+                                                 for c, cmap in self.clocks.items()})
+
+    @property
     def modes(self):
-        m_out, n = self.params["m_out"], self.params["n"]
-        return {c: ddf_modes(self.state, self.frame, c, m_out, n) for c in ("-", "+")}
+        def build():
+            m_out = self.params["m_out"]
+            _check_modes(self.state, m_out, self.params["n"])
+            inversions = self.inversions
+            modes = {c: _modes_of(q, self.frame, c, m_out) for c, (_, q) in inversions.items()}
+            # Q has no other reader: kept to the job's end, the two (n, D)
+            # arrays would sit under substitution's word sweeps
+            for pair in inversions.values():
+                pair[1] = None
+            return modes
 
+        return self._once("modes", build)
 
-def _digest(record, **extras):
-    payload = {"state": record.text, **{k: repr(v) for k, v in extras.items()}}
-    blob = json.dumps(payload, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()[:12]
+    def field(self, chirality):
+        return self._once(("field", chirality),
+                          lambda: eval_field(self.state, chirality, self.params["n"]))
+
+    def window(self, chirality):
+        return self._once(("window", chirality), lambda: _window_gradients(
+            self.state, chirality, self.params["m_window"], self.params["obs_n"]))
+
+    def digest(self, **extras):
+        extras = tuple(sorted((k, repr(v)) for k, v in extras.items()))
+
+        def build():
+            text = self._once("text", lambda: state_to_json(self.state))
+            blob = json.dumps({"state": text, **dict(extras)}, sort_keys=True).encode()
+            return hashlib.sha256(blob).hexdigest()[:12]
+
+        return self._once(("digest", extras), build)
 
 
 def _power_scale(field, degree):
@@ -125,7 +191,7 @@ def suite_reality(record, tols):
     rows = []
     for chir in ("-", "+"):
         resid = _non_real(_complex_field(record.state, chir, n))
-        rows.append(_row(f"reality[{chir}]", _digest(record, n=n), resid, tol))
+        rows.append(_row(f"reality[{chir}]", record.digest(n=n), resid, tol))
     return rows
 
 
@@ -136,13 +202,13 @@ def suite_periodicity(record, tols):
     rows = []
     for chir in ("-", "+"):
         cmap = record.clocks[chir]
-        inv = invert_monotone(cmap)
+        inverse, _ = record.inversions[chir]
         # winding R(sigma+2pi) = R(sigma)+2pi is exact by representation;
         # measure R(R^-1(sigma)) = sigma through R's exact interpolant
-        pts = inv.values()
+        pts = inverse.values()
         fwd = pts + trig_interpolate(cmap.periodic, pts)
         err = float(np.max(np.abs(fwd - grid_sigma(n))))
-        rows.append(_row(f"roundtrip[{chir}]", _digest(record, n=n), err, tol))
+        rows.append(_row(f"roundtrip[{chir}]", record.digest(n=n), err, tol))
     return rows
 
 
@@ -156,14 +222,14 @@ def suite_transversality(record, tols):
         kdots = np.abs(eta_dot(modes.modes, record.frame.k))
         kdots[m_out] = 0.0  # m = 0 carries the full k.p
         resid = float(kdots.max()) / max(float(np.max(np.abs(modes.modes))), 1e-300)
-        rows.append(_row(f"transversality[{chir}]", _digest(record, n=n, m_out=m_out), resid, tol))
+        rows.append(_row(f"transversality[{chir}]", record.digest(n=n, m_out=m_out), resid, tol))
     return rows
 
 
 @_suite("shuffle")
 def suite_shuffle(record, tols):
     n = record.params["n"]
-    field = eval_field(record.state, "-", n)
+    field = record.field("-")
     d = record.state.dim
     rows = []
 
@@ -173,7 +239,7 @@ def suite_shuffle(record, tols):
     scale2 = max(abs(v) for v in z2.values()) + max(abs(v) ** 2 for v in z1.values())
     worst2 = max(abs(z1[mu] * z1[nu] - z2[(mu, nu)] - z2[(nu, mu)]) / scale2
                  for mu in range(d) for nu in range(d))
-    rows.append(_row("shuffle[deg2]", _digest(record, n=n), worst2, tols["shuffle2"]))
+    rows.append(_row("shuffle[deg2]", record.digest(n=n), worst2, tols["shuffle2"]))
 
     # every degree-3 word, asked in sorted order: pohlmeyer_invariant serves the
     # D^2 words under each first letter from one block
@@ -183,7 +249,7 @@ def suite_shuffle(record, tols):
     worst3 = max(abs(z1[mu] * z2[(nu, rho)]
                      - z3[(mu, nu, rho)] - z3[(nu, mu, rho)] - z3[(nu, rho, mu)]) / scale3
                  for mu, nu, rho in z3)
-    rows.append(_row("shuffle[deg3]", _digest(record, n=n), worst3, tols["shuffle3"]))
+    rows.append(_row("shuffle[deg3]", record.digest(n=n), worst3, tols["shuffle3"]))
     return rows
 
 
@@ -199,7 +265,7 @@ def suite_reparam(record, tols):
     rotated field keeps bandwidth M and its words run on the alias-free grid.
     """
     n = record.params["n"]
-    field = eval_field(record.state, "-", n)
+    field = record.field("-")
     scale = _power_scale(field, 2)
     raw = InvariantSpec("-", (0, 1))
     diffeos = [reparam_check(field, random_diffeo(seed, order=3, amplitude=0.5,
@@ -212,7 +278,7 @@ def suite_reparam(record, tols):
     rows = []
     for label, checks in (("raw,fixed-base", diffeos), ("symmetrized,rotations", rotations)):
         worst = max(abs(d - p) / (abs(d) + scale) for d, p in checks)
-        rows.append(_row(f"reparam[{label}]", _digest(record, n=n), worst, tols["reparam"]))
+        rows.append(_row(f"reparam[{label}]", record.digest(n=n), worst, tols["reparam"]))
     return rows
 
 
@@ -222,7 +288,7 @@ def suite_substitution(record, tols):
     tol = tols["substitution"]
     rows = []
     for chir in ("-", "+"):
-        field = eval_field(record.state, chir, n)
+        field = record.field(chir)
         # one extraction per chirality; the invariants share the rebuilt field
         aligned = align_base_point(record.modes[chir], record.clocks[chir])
         rebuilt = reconstruct_field(aligned, n)
@@ -233,7 +299,7 @@ def suite_substitution(record, tols):
             via = pohlmeyer_invariant(rebuilt, spec)
             scale = abs(direct) + _power_scale(field, deg)
             rows.append(_row(f"substitution[{chir},n={deg}]",
-                             _digest(record, n=n, m_out=m_out, deg=deg),
+                             record.digest(n=n, m_out=m_out, deg=deg),
                              abs(direct - via) / scale, tol))
     return rows
 
@@ -249,8 +315,8 @@ def suite_poisson(record, tols):
     observables = [pohlmeyer_observable(s, n) for s in specs]
     observables.append(ddf_invariant_observable(
         DDFInvariantSpec(left=[(1, 1)], right=[(2, 1)], level=1), record.frame, n))
-    reports = invariance_report(observables, record.state, window, n_samples=n)
-    digest = _digest(record, window=window)
+    reports = _invariance_rows(observables, record.state, record.window)
+    digest = record.digest(window=window)
     return [_row(f"poisson[{obs.name}]", digest, max(r["residue"] for r in rep), tol)
             for obs, rep in zip(observables, reports)]
 
@@ -264,13 +330,13 @@ def suite_witt(record, tols):
     tol = tols["witt"]
     state = record.state
     ms = np.arange(-window, window + 1)
-    grads, omega_grads, norms = _window_gradients(state, "-", window, n)
+    grads, omega_grads, norms = record.window("-")
     values = virasoro_mode("-", range(-2 * window, 2 * window + 1), n).fn(state)
     brackets = grads @ omega_grads.T
     target = -1j * np.subtract.outer(ms, ms) * values[np.add.outer(ms, ms) + 2 * window]
     denom = np.outer(norms, norms) * chart_for(state).omega_norm()
     worst = float(np.max(np.abs(brackets - target) / np.maximum(denom, 1e-300)))
-    return [_row("witt[-]", _digest(record, window=window), worst, tol)]
+    return [_row("witt[-]", record.digest(window=window), worst, tol)]
 
 
 NEGATIVE_CONTROLS = [
@@ -285,15 +351,14 @@ def suite_negative_controls(records, tols):
     # ensemble check: each unmatched control must produce a residue >= tol
     # somewhere on the state ensemble (its normalized size is state-dependent,
     # so single tame states are not failures of the control)
-    window = records[0].params["m_window"]
     n = records[0].params["obs_n"]
     tol = tols["negative-controls"]
     observables = [ddf_invariant_observable(spec, records[0].frame, n) for spec in NEGATIVE_CONTROLS]
     loudest = [0.0] * len(observables)
     for record in records:
-        reports = invariance_report(observables, record.state, window, n_samples=n)
+        reports = _invariance_rows(observables, record.state, record.window)
         loudest = [max(peak, max(r["residue"] for r in rep)) for peak, rep in zip(loudest, reports)]
-    return [_row(f"negative-control[{i}]", _digest(records[0], i=i, states=len(records)),
+    return [_row(f"negative-control[{i}]", records[0].digest(i=i, states=len(records)),
                  peak, tol, comparison="ge")
             for i, peak in enumerate(loudest)]
 
@@ -335,11 +400,15 @@ def run_suites(names, states, frame, params=None, tolerances=None, threads=None,
     names; a suite named more than once, by itself or through ``all``, runs
     once, in the order of its first name.  Missing ``params`` keys take
     :func:`default_params`.
-    When per-state suites are selected, one job per state runs them in the
-    order given on that state's :class:`StateRecord`, dropped when the job
-    ends; when an ensemble suite is selected, one more job runs it on
-    records of all states.  A clock or DDF extraction is charged to the
-    ``timings`` of the first suite that asks for it.
+    One :class:`StateRecord` per state serves the whole call.  When
+    per-state suites are selected, one job per state runs them in the order
+    given on that state's record, and drops the record's per-state pieces
+    when it ends; when an ensemble suite is selected, one more job runs it
+    on the records of all states, sharing their Virasoro windows and
+    digests with the per-state jobs.  Each piece (clocks, inversions,
+    modes, field, window, digest) is made once and charged to the
+    ``timings`` of the first suite that asks for it, on whichever job asks
+    first.
     ``provenance`` (state paths, generator seeds) is echoed into the report
     so a run can be reproduced exactly from its own output, and the
     report's ``config`` records the workers (``threads``).  Before any job
@@ -374,11 +443,11 @@ def run_suites(names, states, frame, params=None, tolerances=None, threads=None,
     per_state = [nm for nm in names if nm not in ensemble]
     jobs = [(ensemble, -1)] * bool(ensemble) + [(per_state, idx) for idx in range(len(states))
                                                 if per_state]
+    records = [StateRecord(s, frame, params) for s in states]
 
     def run(job):
         suites, idx = job
-        payload = ([StateRecord(s, frame, params) for s in states] if idx < 0
-                   else StateRecord(states[idx], frame, params))
+        payload = records if idx < 0 else records[idx]
         results = []
         for nm in suites:
             t0, c0 = time.perf_counter(), time.thread_time()
@@ -387,6 +456,8 @@ def run_suites(names, states, frame, params=None, tolerances=None, threads=None,
                 r["suite"] = nm
                 r["state_index"] = idx
             results.append((nm, (t0, time.perf_counter(), time.thread_time() - c0), out))
+        if idx >= 0:
+            payload.release()
         return results
 
     with ThreadPoolExecutor(max_workers=workers) as pool:

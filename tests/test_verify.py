@@ -8,6 +8,7 @@ import hashlib
 import json
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -132,36 +133,132 @@ def test_row_inputs_match_the_digest_of_each_row(frame):
 
 @pytest.mark.parametrize("threads", [1, 3])
 def test_each_clock_and_extraction_is_made_once_per_state(monkeypatch, frame, threads):
-    # per state and chirality: one extraction (its substitution makes and
-    # inverts one clock) and the record's clock, inverted once by periodicity;
-    # per state, 7 interpolations: periodicity's 2 round trips and reparam's 5
-    # diffeo pullbacks (its rotations are phases on the modes)
-    from closedstring import ddf, reparam
+    # per state and chirality: one clock on the n-grid, inverted once (periodicity
+    # reads the inverse, the DDF modes its substituted field), one field on the
+    # n-grid and one Virasoro window (poisson, witt and negative-controls share
+    # them); per state, 7 interpolations: periodicity's 2 round trips and
+    # reparam's 5 diffeo pullbacks (its rotations are phases on the modes)
+    from closedstring import ddf, numerics, phase_space, poisson
 
     n = 1024
     states = [cs.random_state(4, 8, seed=s, frame=frame) for s in (1, 2)]
     calls, lock = {}, threading.Lock()
 
-    def counted(name, fn, grid=None):
+    def tally(home, name, wanted=lambda args: True):
+        # count every call, wherever the package binds the function
+        fn = getattr(home, name)
+
         def wrapper(*args, **kwargs):
-            if grid is None or args[3] == grid:
+            if wanted(args):
                 with lock:
                     calls[name] = calls.get(name, 0) + 1
             return fn(*args, **kwargs)
 
-        return wrapper
+        for mod in list(sys.modules.values()):
+            if mod is not None and mod.__name__.startswith("closedstring") \
+                    and getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, wrapper)
 
-    monkeypatch.setattr(verify, "ddf_modes", counted("ddf_modes", verify.ddf_modes))
-    for mod in (verify, ddf):
-        monkeypatch.setattr(mod, "invert_monotone", counted("invert_monotone", mod.invert_monotone))
-        monkeypatch.setattr(mod, "compute_R", counted("compute_R", mod.compute_R, grid=n))
-    for mod in (verify, reparam):
-        monkeypatch.setattr(mod, "trig_interpolate", counted("trig_interpolate", mod.trig_interpolate))
-    report = verify.run_suites(verify.suite_names(), states, frame,
-                               params={"n": n, "m_out": 128}, threads=threads)
+    def at_n(pos):
+        # a call on the n-grid for one of the states (not for a rotated copy)
+        return lambda args: args[pos] == n and any(args[0] is s for s in states)
+
+    tally(ddf, "ddf_modes")
+    tally(numerics, "invert_monotone")
+    tally(ddf, "compute_R", at_n(3))
+    tally(phase_space, "eval_field", at_n(2))
+    tally(poisson, "_window_gradients")
+    tally(numerics, "trig_interpolate")
+    # frequent switches, so that two jobs building one piece would show
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        report = verify.run_suites(verify.suite_names(), states, frame,
+                                   params={"n": n, "m_out": 128}, threads=threads)
+    finally:
+        sys.setswitchinterval(interval)
     assert report["pass"]
     per_state = {name: count / len(states) for name, count in calls.items()}
-    assert per_state == {"ddf_modes": 2, "invert_monotone": 4, "compute_R": 4, "trig_interpolate": 7}
+    assert per_state == {"invert_monotone": 2, "compute_R": 2, "eval_field": 2,
+                         "_window_gradients": 2, "trig_interpolate": 7}
+
+
+def test_two_records_build_their_clocks_at_once(monkeypatch, frame):
+    # each record locks its own pieces; one lock shared by every record (as
+    # functools.cached_property holds on Python 3.11) would hold the second
+    # build until the first ended, and the barrier would break
+    barrier = threading.Barrier(2, timeout=5)
+    compute_R = verify.compute_R
+
+    def meeting(*args):
+        barrier.wait()
+        return compute_R(*args)
+
+    monkeypatch.setattr(verify, "compute_R", meeting)
+    params = {**verify.default_params(), "n": 256}
+    records = [verify.StateRecord(cs.random_state(4, 8, seed=s, frame=frame), frame, params)
+               for s in (1, 2)]
+    errors = []
+
+    def build(record):
+        try:
+            record.clocks
+        except threading.BrokenBarrierError as exc:
+            errors.append(exc)
+
+    workers = [threading.Thread(target=build, args=(r,)) for r in records]
+    for w in workers:
+        w.start()
+    for w in workers:
+        w.join(timeout=30)
+    assert not any(w.is_alive() for w in workers)
+    assert errors == []
+    assert [sorted(r.clocks) for r in records] == [["+", "-"]] * 2
+
+
+def test_two_readers_of_one_window_build_it_once(monkeypatch, frame):
+    # the per-state job and the ensemble job may ask for one record's window at
+    # once: the second waits for the first build and reads it
+    started, built = threading.Event(), []
+    window_gradients = verify._window_gradients
+
+    def slow(*args):
+        built.append(args)
+        started.set()
+        time.sleep(0.2)
+        return window_gradients(*args)
+
+    monkeypatch.setattr(verify, "_window_gradients", slow)
+    record = verify.StateRecord(cs.random_state(4, 8, seed=1, frame=frame), frame,
+                                {**verify.default_params(), "obs_n": 256})
+    seen = []
+    first = threading.Thread(target=lambda: seen.append(record.window("-")))
+    first.start()
+    assert started.wait(timeout=5)
+    seen.append(record.window("-"))
+    first.join(timeout=30)
+    assert not first.is_alive()
+    assert len(built) == 1
+    assert seen[0] is seen[1]
+
+
+def test_rows_do_not_depend_on_suite_selection_or_order(frame):
+    # a piece built first by another suite, or not at all, must not move a row
+    states = [cs.random_state(4, 8, seed=s, frame=frame) for s in (1, 2)]
+
+    def rows_by_suite(names):
+        report = verify.run_suites(names, states, frame, params={"n": 1024, "m_out": 128},
+                                   threads=2)
+        out = {}
+        for row in report["rows"]:
+            out.setdefault(row["suite"], []).append(row)
+        return out
+
+    together = rows_by_suite(["all"])
+    backwards = rows_by_suite(verify.suite_names()[::-1])
+    assert backwards == together
+    for name in verify.suite_names():
+        assert rows_by_suite([name]) == {name: together[name]}
 
 
 @pytest.mark.parametrize("c", [0.5, 1.6, 3.8, 4.9, -2.3, 7.0])
@@ -177,10 +274,9 @@ def test_mode_rotation_matches_the_interpolated_pullback(state_bank, c):
 
 
 @pytest.mark.parametrize("names, records", [(["reality"], 2), (["negative-controls"], 2),
-                                            (["negative-controls", "reality"], 4)])
+                                            (["negative-controls", "reality"], 2)])
 def test_jobs_run_only_for_selected_suites(monkeypatch, frame, names, records):
-    # one record per state job and one per state for the ensemble job, each
-    # only when a suite of its kind is selected
+    # one record per state, read by the state's job and by the ensemble job
     made = []
 
     class Counted(verify.StateRecord):
