@@ -41,7 +41,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ddf import DDFModes, _rotate_modes, compute_R, ddf_modes, reconstruct_field
+# ddf_modes is not called here (pohlmeyer_via_ddf reads its modes from its own
+# clock's substitution) but stays bound: perfbench's tracer test checks every binding
+from .ddf import (DDFModes, _check_modes, _modes_of, _rotate_modes, _substitution, compute_R,
+                  ddf_modes, reconstruct_field)
 from .numerics import (TAU, _acc, _alias_free_samples, _at_two_pi, _end_weighted, _end_weights,
                        _PrefixIntegrals, _sample_sum, _sigma_antiderivative)
 from .phase_space import FieldGrid, LightlikeFrame, StringState, _check_chirality, _orientation
@@ -193,9 +196,11 @@ def pohlmeyer_via_ddf(state: StringState, frame: LightlikeFrame, spec: Invariant
     and symmetrized words alike; without it only cyclically symmetrized
     words are comparable.
     """
-    modes = ddf_modes(state, frame, spec.chirality, m_out, n)
+    # one clock serves the substitution (the route of ddf_modes) and the alignment
+    _check_modes(state, m_out, n)
+    clock = compute_R(state, frame, spec.chirality, n)
+    modes = _modes_of(_substitution(state, spec.chirality, clock)[1], frame, spec.chirality, m_out)
     if align:
-        clock = compute_R(state, frame, spec.chirality, n)
         modes = align_base_point(modes, clock)
     field = reconstruct_field(modes, n)
     return pohlmeyer_invariant(field, spec)

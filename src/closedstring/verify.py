@@ -3,12 +3,14 @@
 Each suite maps a state's :class:`StateRecord` to a list of check rows
 {name, inputs, measured, tolerance, comparison, pass}.  Rows with
 comparison "le" pass when measured <= tolerance; negative controls use
-"ge".  A thread pool runs one job per state, which runs the suites on that
-state in turn, plus one job for the ensemble suite when it runs, so
-workers beyond states + 1 sit idle; every job reads the one record of
-its state(s).  Each piece of a record is a pure function of the state, so
-row content is independent of the thread count and of which suite built
-the piece; row order is canonical.
+"ge".  A thread pool runs one job per state, so workers beyond the state
+count sit idle: the job makes its state's record, runs the selected suites
+on it in turn and drops it when it returns, so no record is read by two
+threads.  An ensemble suite returns a per-state part instead of rows, and
+its ``ensemble`` reduce makes the rows from every state's part after the
+pool.  Each piece of a record is a pure function of the state, so row
+content is independent of the thread count and of which suite built the
+piece; row order is canonical.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ import hashlib
 import itertools
 import json
 import os
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -72,14 +73,19 @@ def _row(name, digest, measured, tol, comparison="le"):
     }
 
 
+def _digest(text, **extras):
+    """The row digest: sha256 of a state's JSON text with the row's extras, 12 hex digits."""
+    blob = json.dumps({"state": text, **{k: repr(v) for k, v in extras.items()}},
+                      sort_keys=True).encode()
+    return hashlib.sha256(blob).hexdigest()[:12]
+
+
 class StateRecord:
     """A state with its frame and params, and the pieces several suites read.
 
-    :func:`run_suites` makes one record per state, read by the state's own
-    job and by the ensemble job.  Each piece is built on first use, once,
-    under a lock of its own, so two records, or two pieces of one record,
-    build at the same time, while two readers of one piece wait for one
-    build:
+    :func:`run_suites` makes one record per state inside the state's job,
+    and the record lives as long as that job, so only one thread ever reads
+    it.  Each piece is built on first use, once, and kept in a plain dict:
 
     - ``clocks``: R of both chiralities on the n-grid;
     - ``inversions``: per chirality [R^{-1}, Q], the one inversion of its
@@ -90,31 +96,18 @@ class StateRecord:
     - ``field(chirality)``: P on the n-grid;
     - ``window(chirality)``: the Virasoro window (grad L_m, Omega grad L_m,
       norms), |m| <= m_window, at obs_n (:func:`~closedstring.poisson._window_gradients`);
-    - ``digest(**extras)``: the row digest of the state's JSON text and extras.
-
-    :meth:`release` drops the per-state pieces (clocks, inversions, modes
-    and fields) when the state's job ends; the windows and digests, which
-    the ensemble job also reads, stay with the record.
+    - ``digest(**extras)``: the row digest (:func:`_digest`) of the state's
+      JSON text and extras.
     """
-
-    PER_STATE = ("clocks", "inversions", "modes", ("field", "-"), ("field", "+"))
 
     def __init__(self, state, frame, params):
         self.state, self.frame, self.params = state, frame, params
-        self._pieces, self._locks = {}, {}
-        self._guard = threading.Lock()
+        self._pieces = {}
 
     def _once(self, key, build):
-        with self._guard:
-            lock = self._locks.setdefault(key, threading.Lock())
-        with lock:
-            if key not in self._pieces:
-                self._pieces[key] = build()
-            return self._pieces[key]
-
-    def release(self):
-        for key in self.PER_STATE:
-            self._pieces.pop(key, None)
+        if key not in self._pieces:
+            self._pieces[key] = build()
+        return self._pieces[key]
 
     @property
     def clocks(self):
@@ -151,14 +144,9 @@ class StateRecord:
             self.state, chirality, self.params["m_window"], self.params["obs_n"]))
 
     def digest(self, **extras):
-        extras = tuple(sorted((k, repr(v)) for k, v in extras.items()))
-
-        def build():
-            text = self._once("text", lambda: state_to_json(self.state))
-            blob = json.dumps({"state": text, **dict(extras)}, sort_keys=True).encode()
-            return hashlib.sha256(blob).hexdigest()[:12]
-
-        return self._once(("digest", extras), build)
+        text = self._once("text", lambda: state_to_json(self.state))
+        key = ("digest", *sorted((k, repr(v)) for k, v in extras.items()))
+        return self._once(key, lambda: _digest(text, **extras))
 
 
 def _power_scale(field, degree):
@@ -347,23 +335,26 @@ NEGATIVE_CONTROLS = [
 
 
 @_suite("negative-controls")
-def suite_negative_controls(records, tols):
+def suite_negative_controls(record, tols):
+    # this state's peak residue per control; the rows come from the reduce
+    n = record.params["obs_n"]
+    observables = [ddf_invariant_observable(spec, record.frame, n) for spec in NEGATIVE_CONTROLS]
+    reports = _invariance_rows(observables, record.state, record.window)
+    return [max(r["residue"] for r in rep) for rep in reports]
+
+
+def _negative_control_rows(peaks, states, tols):
     # ensemble check: each unmatched control must produce a residue >= tol
     # somewhere on the state ensemble (its normalized size is state-dependent,
     # so single tame states are not failures of the control)
-    n = records[0].params["obs_n"]
-    tol = tols["negative-controls"]
-    observables = [ddf_invariant_observable(spec, records[0].frame, n) for spec in NEGATIVE_CONTROLS]
-    loudest = [0.0] * len(observables)
-    for record in records:
-        reports = _invariance_rows(observables, record.state, record.window)
-        loudest = [max(peak, max(r["residue"] for r in rep)) for peak, rep in zip(loudest, reports)]
-    return [_row(f"negative-control[{i}]", records[0].digest(i=i, states=len(records)),
-                 peak, tol, comparison="ge")
+    loudest = [max(0.0, *column) for column in zip(*peaks)]
+    text = state_to_json(states[0])
+    return [_row(f"negative-control[{i}]", _digest(text, i=i, states=len(states)),
+                 peak, tols["negative-controls"], comparison="ge")
             for i, peak in enumerate(loudest)]
 
 
-suite_negative_controls.ensemble = True
+suite_negative_controls.ensemble = _negative_control_rows
 
 
 # ----------------------------------------------------------------------
@@ -400,15 +391,14 @@ def run_suites(names, states, frame, params=None, tolerances=None, threads=None,
     names; a suite named more than once, by itself or through ``all``, runs
     once, in the order of its first name.  Missing ``params`` keys take
     :func:`default_params`.
-    One :class:`StateRecord` per state serves the whole call.  When
-    per-state suites are selected, one job per state runs them in the order
-    given on that state's record, and drops the record's per-state pieces
-    when it ends; when an ensemble suite is selected, one more job runs it
-    on the records of all states, sharing their Virasoro windows and
-    digests with the per-state jobs.  Each piece (clocks, inversions,
-    modes, field, window, digest) is made once and charged to the
-    ``timings`` of the first suite that asks for it, on whichever job asks
-    first.
+    One job per state makes the state's :class:`StateRecord`, runs the
+    suites on it in the order given and drops it when it returns, so a
+    record lives as long as its job.  Each piece (clocks, inversions,
+    modes, field, window, digest) is made once per state and charged to
+    the ``timings`` of the first suite in the job that asks for it.  An
+    ensemble suite's job returns that state's part; after the pool its
+    ``ensemble`` reduce makes the suite's rows from the parts in state
+    order, with ``state_index`` -1.
     ``provenance`` (state paths, generator seeds) is echoed into the report
     so a run can be reproduced exactly from its own output, and the
     report's ``config`` records the workers (``threads``).  Before any job
@@ -439,37 +429,35 @@ def run_suites(names, states, frame, params=None, tolerances=None, threads=None,
         if not 1 <= params["m_window"] <= limit:
             raise ValueError(f"m_window must be in 1..{limit} (min M/2 over the states), "
                              f"got {params['m_window']}")
-    ensemble = [nm for nm in names if getattr(SUITES[nm], "ensemble", False)]
-    per_state = [nm for nm in names if nm not in ensemble]
-    jobs = [(ensemble, -1)] * bool(ensemble) + [(per_state, idx) for idx in range(len(states))
-                                                if per_state]
-    records = [StateRecord(s, frame, params) for s in states]
 
-    def run(job):
-        suites, idx = job
-        payload = records if idx < 0 else records[idx]
+    def run(idx):
+        record = StateRecord(states[idx], frame, params)
         results = []
-        for nm in suites:
+        for nm in names:
             t0, c0 = time.perf_counter(), time.thread_time()
-            out = SUITES[nm](payload, tols)
-            for r in out:
-                r["suite"] = nm
-                r["state_index"] = idx
+            out = SUITES[nm](record, tols)
             results.append((nm, (t0, time.perf_counter(), time.thread_time() - c0), out))
-        if idx >= 0:
-            payload.release()
         return results
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        done = list(pool.map(run, jobs))
+        done = list(pool.map(run, range(len(states))))
 
     # per suite: wall_s spans its first job start to its last job end (jobs
     # overlap across workers); cpu_s sums its jobs' worker-thread CPU time
-    spans, rows = {}, []
+    spans, parts = {}, {}
     for nm, (t0, t1, cpu), out in (res for job in done for res in job):
         first, last, total = spans.get(nm, (t0, t1, 0.0))
         spans[nm] = (min(first, t0), max(last, t1), total + cpu)
-        rows.extend(out)
+        parts.setdefault(nm, []).append(out)
+    rows = []
+    for nm, outs in parts.items():
+        # an ensemble suite's rows come from its reduce over the states' parts
+        ensemble = getattr(SUITES[nm], "ensemble", None)
+        for idx, out in [(-1, ensemble(outs, states, tols))] if ensemble else enumerate(outs):
+            for r in out:
+                r["suite"] = nm
+                r["state_index"] = idx
+            rows.extend(out)
     timings = {nm: {"wall_s": t1 - t0, "cpu_s": cpu}
                for nm, (t0, t1, cpu) in sorted(spans.items())}
     rows.sort(key=lambda r: (r["suite"], r["state_index"], r["name"]))

@@ -740,6 +740,30 @@ def test_via_ddf_x_shift_invariance(state_bank, frame4):
     assert abs(base - moved) <= 1e-10 * (1 + abs(base))
 
 
+@pytest.mark.parametrize("align", [True, False])
+def test_via_ddf_builds_its_clock_once(monkeypatch, state_bank, frame4, align):
+    # one clock serves the substitution and the alignment, and the value is
+    # the one of the composed public route: ddf_modes, then the aligned clock
+    from closedstring import ddf
+
+    state = state_bank[0]
+    spec = InvariantSpec("+", (0, 1, 2))
+    modes = cs.ddf_modes(state, frame4, "+", 64, 1024)
+    if align:
+        modes = cs.align_base_point(modes, cs.compute_R(state, frame4, "+", 1024))
+    want = pohlmeyer_invariant(cs.reconstruct_field(modes, 1024), spec)
+    calls, compute_R = [], ddf.compute_R
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return compute_R(*args, **kwargs)
+
+    for mod in (ddf, pohlmeyer):
+        monkeypatch.setattr(mod, "compute_R", counted)
+    assert pohlmeyer_via_ddf(state, frame4, spec, 64, 1024, align=align) == want
+    assert len(calls) == 1
+
+
 # ----------------------------------------------------------------------
 # reparameterization checks
 # ----------------------------------------------------------------------

@@ -8,7 +8,6 @@ import hashlib
 import json
 import sys
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -184,9 +183,9 @@ def test_each_clock_and_extraction_is_made_once_per_state(monkeypatch, frame, th
 
 
 def test_two_records_build_their_clocks_at_once(monkeypatch, frame):
-    # each record locks its own pieces; one lock shared by every record (as
-    # functools.cached_property holds on Python 3.11) would hold the second
-    # build until the first ended, and the barrier would break
+    # two jobs build their own records' pieces at once; one lock shared by
+    # every record (as functools.cached_property holds on Python 3.11) would
+    # hold the second build until the first ended, and the barrier would break
     barrier = threading.Barrier(2, timeout=5)
     compute_R = verify.compute_R
 
@@ -216,30 +215,28 @@ def test_two_records_build_their_clocks_at_once(monkeypatch, frame):
     assert [sorted(r.clocks) for r in records] == [["+", "-"]] * 2
 
 
-def test_two_readers_of_one_window_build_it_once(monkeypatch, frame):
-    # the per-state job and the ensemble job may ask for one record's window at
-    # once: the second waits for the first build and reads it
-    started, built = threading.Event(), []
-    window_gradients = verify._window_gradients
+def test_each_record_is_read_by_one_thread(monkeypatch, frame):
+    # the job that makes a record is its only reader: every piece of it, the
+    # Virasoro windows that negative-controls, poisson and witt share
+    # included, is asked for on that job's thread
+    readers = {}
+    once = verify.StateRecord._once
 
-    def slow(*args):
-        built.append(args)
-        started.set()
-        time.sleep(0.2)
-        return window_gradients(*args)
+    def tracked(record, key, build):
+        readers.setdefault(record, set()).add(threading.get_ident())
+        return once(record, key, build)
 
-    monkeypatch.setattr(verify, "_window_gradients", slow)
-    record = verify.StateRecord(cs.random_state(4, 8, seed=1, frame=frame), frame,
-                                {**verify.default_params(), "obs_n": 256})
-    seen = []
-    first = threading.Thread(target=lambda: seen.append(record.window("-")))
-    first.start()
-    assert started.wait(timeout=5)
-    seen.append(record.window("-"))
-    first.join(timeout=30)
-    assert not first.is_alive()
-    assert len(built) == 1
-    assert seen[0] is seen[1]
+    monkeypatch.setattr(verify.StateRecord, "_once", tracked)
+    states = [cs.random_state(4, 8, seed=s, frame=frame) for s in (1, 2, 3)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        verify.run_suites(["negative-controls", "poisson", "witt"], states, frame,
+                          params={"obs_n": 256}, threads=2)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(readers) == len(states)
+    assert [len(threads) for threads in readers.values()] == [1] * len(states)
 
 
 def test_rows_do_not_depend_on_suite_selection_or_order(frame):
@@ -276,7 +273,8 @@ def test_mode_rotation_matches_the_interpolated_pullback(state_bank, c):
 @pytest.mark.parametrize("names, records", [(["reality"], 2), (["negative-controls"], 2),
                                             (["negative-controls", "reality"], 2)])
 def test_jobs_run_only_for_selected_suites(monkeypatch, frame, names, records):
-    # one record per state, read by the state's job and by the ensemble job
+    # one record per state, made by the state's job; the ensemble reduce
+    # after the pool reads the states' parts, not a record of its own
     made = []
 
     class Counted(verify.StateRecord):
