@@ -17,7 +17,8 @@ Q(tau) = (R^{-1})'(tau) P(R^{-1}(tau)):
 
     A_m = (1/sqrt(2 pi)) int Q(tau) e^{-+ i m tau} dtau,
 
-so all modes |m| <= m_out come from one FFT of Q on the uniform tau-grid.
+so all modes |m| <= m_out come from one FFT of Q on the uniform tau-grid,
+a real ``rfft``, as Q is real.
 Building Q costs O(iterations N K) for K <= M + 1 kept frequencies m >= 0:
 each Newton step of the inversion evaluates the clock on one real basis of
 width 2K, and its last basis gives (R^{-1})' and P o R^{-1} by one Taylor
@@ -340,7 +341,7 @@ def _ddf_invariant_reverse(state: StringState, frame: LightlikeFrame, spec: DDFI
 def reconstruct_field(modes: DDFModes, n: int) -> FieldGrid:
     """Mode-sum quasi-local field, (1/sqrt(2 pi)) sum_m A_m e^{+-i m sigma}, of bandwidth m_max."""
     return _real_field(modes_to_grid(modes.modes, n, _orientation(modes.chirality)), 1e-8,
-                       "reconstructed field", modes.m_max)
+                       "reconstructed field", modes.m_max)[0]
 
 
 def substitute(state: StringState, frame: LightlikeFrame, chirality: str, n: int):

@@ -10,7 +10,12 @@ cosines and sines), one closed-form
 spectral antiderivative of sigma-polynomials with periodic coefficients
 (behind the periodic antiderivative, the nested simplex (iterated)
 integrals and the Wilson loops), and safeguarded inversion of monotone
-degree-one circle maps.  All functions take plain ndarrays.
+degree-one circle maps.  All functions take plain ndarrays.  Real data
+take real transforms: the antiderivative of real grids (words of real
+fields, their blocks and cotangent paths) runs ``rfft``/``irfft`` on the
+half spectrum and keeps its states real, and a real grid's modes come from
+one ``rfft``; complex data (Wilson matrices, cotangents) take
+``fft``/``ifft`` in the same routines, with the same transform counts.
 
 Costs of the iterated integrals: one degree-n word is O(n^2 N log N), the
 last of its n integrals, needed only at 2*pi, closing by end weights at no
@@ -101,11 +106,18 @@ def modes_to_grid(coeffs, n: int, orientation: int = +1):
 
 
 def grid_to_modes(grid, k_max: int, orientation: int = +1):
-    """Coefficients c_m = (1/n) sum_j grid_j e^{-orientation*i*m*sigma_j}, m = -k_max..k_max."""
+    """Coefficients c_m = (1/n) sum_j grid_j e^{-orientation*i*m*sigma_j}, m = -k_max..k_max.
+
+    A real grid takes one ``rfft``, c_m for m = 0..k_max, and its c_{-m} =
+    conj(c_m) by :func:`real_modes`; a complex one takes one ``fft``.
+    """
     n = grid.shape[0]
     if k_max > n // 2 - 1:
         raise ValueError(f"k_max {k_max} exceeds n/2 - 1 for n = {n}")
-    return np.fft.fft(grid, axis=0)[(orientation * np.arange(-k_max, k_max + 1)) % n] / n
+    if np.iscomplexobj(grid):
+        return np.fft.fft(grid, axis=0)[(orientation * np.arange(-k_max, k_max + 1)) % n] / n
+    half = np.fft.rfft(grid, axis=0)[:k_max + 1] / n
+    return real_modes(half[0], half[1:] if orientation > 0 else np.conj(half[1:]))
 
 
 # ----------------------------------------------------------------------
@@ -126,7 +138,11 @@ def _sigma_antiderivative(terms):
     mean of g_K alone, so its grid is that constant, filled without a
     transform.  One FFT per input term and one IFFT per output power below
     the top; axis 0 is the sample axis and trailing axes (matrices) ride
-    along.  ``terms`` yields the (k, g_k) pairs and is read once: a
+    along.  Real grids (words of real fields and their blocks) take
+    ``rfft`` and ``irfft`` on the half spectrum m = 0..n/2 and give real
+    grids; complex ones (Wilson matrices, cotangents) take ``fft`` and
+    ``ifft``, with the same counts.  The first term sets the route.
+    ``terms`` yields the (k, g_k) pairs and is read once: a
     generator lets each input grid go as soon as its spectrum is taken,
     and each output spectrum goes once transformed, so a call holds
     about one grid per output power, not every input, spectrum and output
@@ -134,11 +150,13 @@ def _sigma_antiderivative(terms):
     """
     out, means = {}, {}
     for k, g in terms:
-        spec = np.fft.fft(g, axis=0)
-        del g
         if not out:
-            n = spec.shape[0]
-            inv_im = _spectral_divisors(n, spec.ndim)
+            n, real = g.shape[0], not np.iscomplexobj(g)
+            inv_im = _spectral_divisors(n, g.ndim)
+            if real:
+                inv_im = inv_im[:n // 2 + 1]
+        spec = np.fft.rfft(g, axis=0) if real else np.fft.fft(g, axis=0)
+        del g
         _acc(means, k + 1, spec[0] / (k + 1))
         coef = spec * inv_im
         del spec
@@ -147,15 +165,19 @@ def _sigma_antiderivative(terms):
             if p:
                 coef = coef * inv_im * -p
         del coef
-    # the zero mode that makes power 0 vanish at 0; every other row of power 0 is kept as is
-    out[0][0] = out[0][0] - _sample_sum(out[0])
+    # the zero mode that makes power 0 vanish at 0; every other row of power 0 is kept as is.
+    # A half spectrum's rows m = 1..n/2 - 1 stand for their conjugates at -m too (rows 0 and
+    # n/2 of power 0 are 0, as 1/(im) is)
+    zero = out[0]
+    zero[0] = zero[0] - (2.0 * _sample_sum(zero[1:]).real if real else _sample_sum(zero))
     for p, mean in means.items():
         if p in out:
             out[p][0] = out[p][0] + mean
     top = max(means)
-    row = means[top] / n
+    row = (means[top].real if real else means[top]) / n
     grids = {top: np.broadcast_to(row, (n,) + np.shape(row))}  # read-only, no copy
-    grids.update((p, np.fft.ifft(out.pop(p), axis=0)) for p in list(out))
+    grids.update((p, np.fft.irfft(out.pop(p), n, axis=0) if real else np.fft.ifft(out.pop(p), axis=0))
+                 for p in list(out))
     return grids
 
 
@@ -548,10 +570,15 @@ def invert_monotone(cmap: MonotoneCircleMap, carry=None, tol=1e-13, max_iter=60)
     sign, and a Newton step falls back to bisection only when it lands
     strictly outside the bracket and is larger than ``tol``, so converged
     points stay put and convergence is quadratic.  Newton starts from the
-    sampled inverse R(sigma_j) -> sigma_j, interpolated linearly and
-    periodically and clipped to the bracket: clocks of default states (M=8)
-    at N=4096 take 2-3 iterations, the last only confirming convergence,
-    with no bisection; steep clocks with min R' down to 1e-3 take at most 4.
+    sampled inverse R(sigma_j) -> sigma_j with its slopes 1/R'(sigma_j)
+    from ``cmap.deriv``, interpolated by cubic Hermite pieces, periodically,
+    and clipped to the bracket: its error is O(h^4), h = 2 pi/N.  On the
+    40 clocks of 20 default states (M=8), with no bisection, the start is
+    within ``tol`` at N=8192, so the first basis only confirms convergence
+    (1 basis per inversion, where the linear start took 2), and at N=4096
+    some clocks take one Newton step more (1.5 bases per inversion, where
+    the linear start took 2.4); steep clocks with min R' down to 1e-3 take
+    at most 4.
     Each iteration evaluates rho and rho' by one real product with one
     :func:`_half_basis`, of width 2K for K frequencies m >= 0: one ``exp``
     per point per 16 powers of e^{is}.  Raises
@@ -606,18 +633,21 @@ def invert_monotone(cmap: MonotoneCircleMap, carry=None, tol=1e-13, max_iter=60)
     pad = (TAU / n) * (float(np.max(np.abs(cmap.deriv - 1.0))) + 1.0)
     lo = sigma - rho_v.max() - pad
     hi = sigma - rho_v.min() + pad
-    # start from the sampled inverse R(sigma_j) -> sigma_j, interpolated
-    # linearly, one period of the table (R(sigma_j), sigma_j) closed by
-    # (R(0) + 2 pi, 2 pi), each target moved into it by a whole period
+    # start from the sampled inverse R(sigma_j) -> sigma_j with its slopes
+    # 1/R'(sigma_j), interpolated by cubic Hermite pieces on one period of
+    # the table (R(sigma_j), sigma_j) closed by (R(0) + 2 pi, 2 pi), each
+    # target moved into it by a whole period
     ends = sigma + rho_v
     t = ends[0] + (sigma - ends[0]) % TAU
-    s = np.interp(t, np.append(ends, ends[0] + TAU), np.append(sigma, TAU)) + (sigma - t)
+    s = _hermite(np.append(ends, ends[0] + TAU), np.append(sigma, TAU),
+                 1.0 / np.append(cmap.deriv, cmap.deriv[0]), t) + (sigma - t)
     s = np.clip(s, lo, hi)
     moved = np.inf
     for _ in range(max_iter):
         basis = _half_basis(s, freqs)
         r, dr = newton.T @ basis
-        resid = s + r - sigma
+        # (s - sigma) first: at steep points s + r rounds r's last bits away
+        resid = (s - sigma) + r
         hi = np.where(resid > 0, np.minimum(hi, s), hi)
         lo = np.where(resid < 0, np.maximum(lo, s), lo)
         step = resid / (1.0 + dr)
@@ -642,6 +672,22 @@ def invert_monotone(cmap: MonotoneCircleMap, carry=None, tol=1e-13, max_iter=60)
     if carry is None:
         return inverse
     return inverse, at[1:].T.reshape((n,) + carry.shape[1:])
+
+
+def _hermite(x, y, dy, t):
+    """Cubic Hermite interpolant of the values ``y`` and slopes ``dy`` at ascending ``x``, at t.
+
+    Each t in [x[0], x[-1]] is read on its piece [x[i], x[i+1]] (found by
+    one ``interp`` of the piece index, a guessed search for t in runs of
+    ascending order), as y_i + u (a + u (3 d - 2 a - b + u (a + b - 2 d)))
+    in u = (t - x_i)/h, with h = x_{i+1} - x_i, d = y_{i+1} - y_i and the
+    scaled slopes a = h dy_i, b = h dy_{i+1}: C^1, and exact for cubics.
+    """
+    i = np.minimum(np.interp(t, x, np.arange(len(x), dtype=float)).astype(np.intp), len(x) - 2)
+    h, d = np.diff(x), np.diff(y)
+    a, b = dy[:-1] * h, dy[1:] * h
+    u = (t - x[i]) / h[i]
+    return y[i] + u * (a[i] + u * ((3 * d - 2 * a - b)[i] + u * (a + b - 2 * d)[i]))
 
 
 def _on_frequencies(freqs, own, coeffs):

@@ -300,11 +300,14 @@ def _non_real(vals):
 
 
 def _real_field(vals, tol, what, bandwidth):
-    """FieldGrid of sqrt(2 pi)-scaled complex samples, checked real to ``tol``."""
+    """(FieldGrid, residue) of sqrt(2 pi)-scaled complex samples, checked real to ``tol``.
+
+    The residue is :func:`_non_real` of the samples.
+    """
     resid = _non_real(vals)
     if resid > tol:
         raise ValueError(f"{what} has relative non-real residue {resid:.3e}")
-    return FieldGrid(vals.real * _INV_SQRT_TAU, bandwidth)
+    return FieldGrid(vals.real * _INV_SQRT_TAU, bandwidth), resid
 
 
 def eval_field(state: StringState, chirality: str, n: int) -> FieldGrid:
@@ -314,6 +317,11 @@ def eval_field(state: StringState, chirality: str, n: int) -> FieldGrid:
     result is real up to a checked 1e-13 relative residue, which is then
     discarded.  Its bandwidth is the truncation M.
     """
+    return _checked_field(state, chirality, n)[0]
+
+
+def _checked_field(state, chirality, n):
+    """(:func:`eval_field`, the non-real residue it checks) from one :func:`_complex_field`."""
     return _real_field(_complex_field(state, chirality, n), 1e-13, "field", state.truncation)
 
 

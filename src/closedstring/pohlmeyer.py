@@ -24,7 +24,10 @@ D letters as a trailing axis, and all D^2 words (head, a, b) close together
 (see :class:`~closedstring.numerics._PrefixIntegrals`).  One degree-n word
 costs O(n^2 N' log N'); the D^n words of degree n in lexicographic order
 take D^{n-2} batched steps and closes, O(D^{n-1} n N' log N') transform
-work in D^{n-2} calls, plus the walks of their heads.  A word's value does
+work in D^{n-2} calls, plus the walks of their heads.  The fields are
+real, so every state of a word is a real grid, stepped by real transforms
+(``rfft``/``irfft`` on the half spectrum); a Wilson loop's matrix states
+are complex and take ``fft``/``ifft`` in the same routine.  A word's value does
 not depend on the call order or on the route that served it.  The
 functional derivative dZ/dP on the N'-grid, from which
 :mod:`~closedstring.poisson` takes a word's chart gradient, costs the same

@@ -30,7 +30,7 @@ from . import __version__
 from .ddf import (DDFInvariantSpec, _check_modes, _modes_of, _substitution, compute_R,
                   ddf_modes, reconstruct_field)
 from .numerics import TAU, grid_sigma, trig_interpolate
-from .phase_space import _complex_field, _non_real, eta_dot, eval_field, state_to_json
+from .phase_space import _checked_field, eta_dot, eval_field, state_to_json
 from .pohlmeyer import InvariantSpec, align_base_point, pohlmeyer_invariant, reparam_check
 from .poisson import (DEFAULT_OBS_GRID, _invariance_rows, _window_gradients, chart_for,
                       ddf_invariant_observable, pohlmeyer_observable, virasoro_mode)
@@ -93,7 +93,10 @@ class StateRecord:
       :func:`~closedstring.ddf.substitute`); periodicity reads R^{-1};
     - ``modes``: the DDF modes |m| <= m_out, read from Q as
       :func:`~closedstring.ddf.ddf_modes` reads them; Q is dropped then;
-    - ``field(chirality)``: P on the n-grid;
+    - ``field(chirality)``: P on the n-grid, from one complex evaluation of
+      its modes, whose relative non-real residue ``non_real(chirality)``
+      keeps (:func:`~closedstring.phase_space.eval_field` checks it and
+      drops it);
     - ``window(chirality)``: the Virasoro window (grad L_m, Omega grad L_m,
       norms), |m| <= m_window, at obs_n (:func:`~closedstring.poisson._window_gradients`);
     - ``digest(**extras)``: the row digest (:func:`_digest`) of the state's
@@ -136,8 +139,14 @@ class StateRecord:
         return self._once("modes", build)
 
     def field(self, chirality):
+        return self._checked(chirality)[0]
+
+    def non_real(self, chirality):
+        return self._checked(chirality)[1]
+
+    def _checked(self, chirality):
         return self._once(("field", chirality),
-                          lambda: eval_field(self.state, chirality, self.params["n"]))
+                          lambda: _checked_field(self.state, chirality, self.params["n"]))
 
     def window(self, chirality):
         return self._once(("window", chirality), lambda: _window_gradients(
@@ -173,14 +182,11 @@ def _rotated_field(state, c, n):
 
 @_suite("reality")
 def suite_reality(record, tols):
-    # the residue eval_field checks and discards, on the same samples
+    # the residue eval_field checks and discards, kept by the record's field
     n = record.params["n"]
     tol = tols["reality"]
-    rows = []
-    for chir in ("-", "+"):
-        resid = _non_real(_complex_field(record.state, chir, n))
-        rows.append(_row(f"reality[{chir}]", record.digest(n=n), resid, tol))
-    return rows
+    return [_row(f"reality[{chir}]", record.digest(n=n), record.non_real(chir), tol)
+            for chir in ("-", "+")]
 
 
 @_suite("periodicity")

@@ -99,11 +99,20 @@ def test_clock_inverse_converges_quadratically(ddf_bank):
 
 
 def test_clock_inverse_steps_from_interpolated_start(ddf_bank):
-    # from the interpolated inverse, every default clock needs at most 3
-    # Newton steps (the last one only confirms convergence)
+    # from the Hermite interpolant of the sampled inverse, every default clock
+    # at N=4096 needs at most 2 Newton bases (the last one only confirming
+    # convergence); the linear interpolant needed 3
     for entry in ddf_bank:
         for chir in ("-", "+"):
-            cs.invert_monotone(entry[chir]["clock"], max_iter=4)
+            cs.invert_monotone(entry[chir]["clock"], max_iter=2)
+
+
+def test_clock_inverse_converges_on_its_first_basis(state_bank, frame4):
+    # at N=8192 the Hermite start of every default clock is within tol of the
+    # inverse: the first basis confirms convergence
+    for state in state_bank:
+        for chir in ("-", "+"):
+            cs.invert_monotone(cs.compute_R(state, frame4, chir, 8192), max_iter=1)
 
 
 def test_clock_degenerate_frame(frame4):

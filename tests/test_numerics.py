@@ -38,6 +38,21 @@ def test_modes_to_grid_two_cosine():
     assert np.allclose(grid.real, 2 * np.cos(grid_sigma(16)), atol=1e-14)
 
 
+@pytest.mark.parametrize("n", [16, 256])
+@pytest.mark.parametrize("orientation", [+1, -1])
+def test_grid_to_modes_real_route_matches_the_complex_route(rng, n, orientation):
+    # a real grid's modes from one rfft and conjugate symmetry, against the
+    # fft of the grid + 0j, up to the largest k_max
+    grid = rng.standard_normal((n, 3))
+    for k_max in (0, 1, n // 4, n // 2 - 1):
+        real = grid_to_modes(grid, k_max, orientation)
+        cplx = grid_to_modes(grid + 0j, k_max, orientation)
+        assert real.shape == cplx.shape == (2 * k_max + 1, 3)
+        assert np.max(np.abs(real - cplx)) <= 16 * np.finfo(float).eps * np.max(np.abs(grid))
+        assert np.all(real[k_max].imag == 0.0)
+        assert np.array_equal(real[:k_max][::-1], np.conj(real[k_max + 1:]))
+
+
 def test_modes_to_grid_matches_direct_sum(rng):
     # oracle: the trigonometric sum written out per sample point
     coeffs = rng.standard_normal((7, 2)) + 1j * rng.standard_normal((7, 2))
@@ -134,9 +149,37 @@ def test_sigma_antiderivative_top_power_is_the_mean(rng):
     assert np.allclose(top.real, np.mean(g1) / 2, rtol=1e-14, atol=0.0)
 
 
+@pytest.mark.parametrize("n", [64, 4096])
+@pytest.mark.parametrize("letters", [None, 3])
+def test_sigma_antiderivative_real_route_matches_the_complex_route(rng, n, letters):
+    # real grids take rfft/irfft and stay real; the same grids + 0j take
+    # fft/ifft.  Both are exact on the band-limited data, so they differ by
+    # the transforms' rounding, a few eps log2(n) of the largest value
+    shape = (n,) if letters is None else (n, letters)
+    grids = [band_limited(rng, n * (letters or 1), 9).reshape(shape) for _ in range(3)]
+    real = _sigma_antiderivative(enumerate(grids))
+    cplx = _sigma_antiderivative((k, g + 0j) for k, g in enumerate(grids))
+    assert sorted(real) == sorted(cplx) == [0, 1, 2, 3]
+    for p, g in real.items():
+        assert g.dtype == np.float64 and cplx[p].dtype == np.complex128
+        assert g.shape == cplx[p].shape == shape
+        scale = np.max(np.abs(cplx[p]))
+        assert np.max(np.abs(g - cplx[p])) <= 64 * np.finfo(float).eps * scale
+
+
 # ----------------------------------------------------------------------
 # simplex integrals
 # ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [64, 4096])
+def test_simplex_real_route_matches_the_complex_route(rng, n):
+    factors = [band_limited(rng, n, 7) for _ in range(4)]
+    for degree in (1, 2, 4):
+        real = simplex_iterated_integral(factors[:degree])
+        cplx = simplex_iterated_integral([f + 0j for f in factors[:degree]])
+        assert isinstance(real, float) and isinstance(cplx, float)
+        assert abs(real - cplx) <= 64 * np.finfo(float).eps * (TAU * np.max(np.abs(factors))) ** degree
+
 
 def test_simplex_depth_one_constant():
     assert np.isclose(simplex_iterated_integral([np.ones(64)]), TAU)
@@ -151,14 +194,16 @@ def test_simplex_two_constants():
 
 def test_simplex_transform_count(monkeypatch):
     # step j of a degree-n word has j input terms and j + 1 output powers, the
-    # top one a constant that needs no transform; the last integral needs none
-    calls = []
-    for name in ("fft", "ifft"):
-        def counted(x, axis=0, _fn=getattr(np.fft, name)):
-            calls.append(name)
-            return _fn(x, axis=axis)
-        monkeypatch.setattr(np.fft, name, counted)
+    # top one a constant that needs no transform; the last integral needs none.
+    # Real words take the real transforms, counted with the complex ones
     f = np.cos(grid_sigma(64)) + 0.5
+    simplex_iterated_integral([f] * 6)  # fill the cached end weights
+    calls = []
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        def counted(x, *args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(x, *args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
     for n in (1, 2, 4, 6):
         calls.clear()
         simplex_iterated_integral([f] * n)
@@ -445,7 +490,7 @@ def test_invert_deriv_matches_the_interpolated_clock_slope(a, n):
     assert np.max(np.abs(inv.deriv - ref) / ref) <= 1e-12
 
 
-@pytest.mark.parametrize("a", [0.5, 0.99])
+@pytest.mark.parametrize("a", [0.5, 0.9, 0.99, 0.999])
 def test_invert_carries_a_series_to_the_inverse_points(rng, a):
     # the carried half spectrum h_0 = c_0, h_m = 2 c_m, read at R^{-1}(sigma_j)
     n, k = 512, 7

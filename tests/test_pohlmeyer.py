@@ -141,12 +141,7 @@ def test_lexicographic_words_share_prefixes(state_bank, monkeypatch):
     # transform on either, so the count is the same
     banded = [cs.eval_field(state_bank[i], "-", 64) for i in (1, 0)]
     plain = [cs.FieldGrid(f.values) for f in banded]
-    calls = []
-    for name in ("fft", "ifft"):
-        def counted(x, axis=0, _fn=getattr(np.fft, name)):
-            calls.append(name)
-            return _fn(x, axis=axis)
-        monkeypatch.setattr(np.fft, name, counted)
+    calls = _record_transforms(monkeypatch)
     assert len(WORDS4) == 340
     want = (sum(4 ** j * 2 * j for j in range(1, 3))
             + sum(4 ** (m - 2) * 2 * (m - 1) for m in range(2, 5)) + 2 * 3)
@@ -469,13 +464,28 @@ def _anti_hermitian(rng, dim, d, norm):
     return anti * (norm / max(np.linalg.norm(m, 2) for m in anti))
 
 
+def _record_transforms(monkeypatch):
+    """Record the name of each transform, real and complex alike."""
+    calls = []
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        def counted(x, *args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(x, *args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
 def _record_fft_lengths(monkeypatch, size=False):
-    """Record each transform's length along its axis, or its whole size."""
+    """Record each transform's length along its axis, or the whole size of its input.
+
+    Real and complex transforms alike; an ``irfft``'s length is that of its
+    output grid.
+    """
     lengths = []
-    for name in ("fft", "ifft"):
-        def recorded(x, axis=0, _fn=getattr(np.fft, name)):
-            lengths.append(np.size(x) if size else np.shape(x)[axis])
-            return _fn(x, axis=axis)
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        def recorded(x, n=None, axis=-1, _fn=getattr(np.fft, name)):
+            lengths.append(np.size(x) if size else n or np.shape(x)[axis])
+            return _fn(x, n, axis=axis)
         monkeypatch.setattr(np.fft, name, recorded)
     return lengths
 
@@ -829,6 +839,18 @@ def test_wilson_abelian_exponential(state_bank):
     z1 = np.array([pohlmeyer_invariant(field, InvariantSpec("-", (mu,))) for mu in range(4)])
     expected = np.exp(np.dot(a, z1))
     assert abs(value - expected) <= remainder + 1e-12 * abs(expected)
+
+
+def test_wilson_steps_its_complex_matrices_by_complex_transforms(state_bank, monkeypatch):
+    # the field is real but the connection complex: each step of the matrix
+    # recursion takes fft/ifft (step j: j of each, its top power a constant),
+    # and no real transform runs
+    field = cs.eval_field(state_bank[2], "-", 1024)
+    config = WilsonConfig(_anti_hermitian(np.random.default_rng(3), 4, 2, 0.05), n_max=4)
+    want = wilson_loop(field, config)  # fill the cached end weights
+    calls = _record_transforms(monkeypatch)
+    assert wilson_loop(field, config) == want
+    assert sorted(calls) == ["fft"] * 6 + ["ifft"] * 6
 
 
 def test_wilson_matches_index_enumeration(state_bank):

@@ -136,7 +136,9 @@ def test_each_clock_and_extraction_is_made_once_per_state(monkeypatch, frame, th
     # reads the inverse, the DDF modes its substituted field), one field on the
     # n-grid and one Virasoro window (poisson, witt and negative-controls share
     # them); per state, 7 interpolations: periodicity's 2 round trips and
-    # reparam's 5 diffeo pullbacks (its rotations are phases on the modes)
+    # reparam's 5 diffeo pullbacks (its rotations are phases on the modes), and
+    # 7 complex field evaluations on the n-grid: the 2 fields, whose residues
+    # reality reads, and reparam's 5 rotated fields
     from closedstring import ddf, numerics, phase_space, poisson
 
     n = 1024
@@ -165,7 +167,8 @@ def test_each_clock_and_extraction_is_made_once_per_state(monkeypatch, frame, th
     tally(ddf, "ddf_modes")
     tally(numerics, "invert_monotone")
     tally(ddf, "compute_R", at_n(3))
-    tally(phase_space, "eval_field", at_n(2))
+    tally(phase_space, "_checked_field", at_n(2))
+    tally(phase_space, "_complex_field", lambda args: args[2] == n)
     tally(poisson, "_window_gradients")
     tally(numerics, "trig_interpolate")
     # frequent switches, so that two jobs building one piece would show
@@ -178,8 +181,8 @@ def test_each_clock_and_extraction_is_made_once_per_state(monkeypatch, frame, th
         sys.setswitchinterval(interval)
     assert report["pass"]
     per_state = {name: count / len(states) for name, count in calls.items()}
-    assert per_state == {"invert_monotone": 2, "compute_R": 2, "eval_field": 2,
-                         "_window_gradients": 2, "trig_interpolate": 7}
+    assert per_state == {"invert_monotone": 2, "compute_R": 2, "_checked_field": 2,
+                         "_complex_field": 7, "_window_gradients": 2, "trig_interpolate": 7}
 
 
 def test_two_records_build_their_clocks_at_once(monkeypatch, frame):
