@@ -18,7 +18,9 @@ Q(tau) = (R^{-1})'(tau) P(R^{-1}(tau)):
     A_m = (1/sqrt(2 pi)) int Q(tau) e^{-+ i m tau} dtau,
 
 so all modes |m| <= m_out come from one FFT of Q on the uniform tau-grid,
-a real ``rfft``, as Q is real.
+a real ``rfft``, as Q is real.  The way back is real too: the clock R and
+the mode-sum field are real series, each synthesized by one ``irfft`` of
+its half spectrum.
 Building Q costs O(iterations N K) for K <= M + 1 kept frequencies m >= 0:
 each Newton step of the inversion evaluates the clock on one real basis of
 width 2K, and its last basis gives (R^{-1})' and P o R^{-1} by one Taylor
@@ -42,10 +44,10 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import DegenerateFrame, LevelMismatch, NonMonotone
-from .numerics import (TAU, MonotoneCircleMap, grid_to_modes, invert_monotone,
-                       modes_to_grid, periodic_antiderivative, real_modes)
-from .phase_space import (FieldGrid, LightlikeFrame, StringState, _check_chirality, _cpx_rows,
-                          _field_half_spectrum, _grid_guard, _orientation, _real_field, _rows_cpx,
+from .numerics import (TAU, MonotoneCircleMap, _real_series, grid_to_modes, invert_monotone,
+                       periodic_antiderivative)
+from .phase_space import (_INV_SQRT_TAU, FieldGrid, LightlikeFrame, StringState, _check_chirality,
+                          _cpx_rows, _field_half_spectrum, _grid_guard, _orientation, _rows_cpx,
                           eta_dot, eval_field, minkowski)
 
 __all__ = [
@@ -148,10 +150,11 @@ def compute_R(state: StringState, frame: LightlikeFrame, chirality: str, n: int,
               require_monotone: bool = True) -> MonotoneCircleMap:
     """The clock R_chir on the n-grid, with its derivative samples.
 
-    rho = R - sigma and R' = (2 pi sqrt(2T)/k.p) k.P_chir both come from
-    their modes through :func:`~closedstring.numerics.modes_to_grid`, not
-    from differentiating samples; the two agree spectrally and are
-    cross-checked in tests.
+    rho = R - sigma and R' = (2 pi sqrt(2T)/k.p) k.P_chir are real series,
+    both synthesized from their half spectra as two columns of one ``irfft``
+    (:func:`~closedstring.numerics._real_series`), not by differentiating
+    samples; the two agree spectrally and are cross-checked in tests.
+    Cost O(N log N + N M).
     """
     _grid_guard(state, n)
     kp = _kp(state, frame)
@@ -159,10 +162,11 @@ def compute_R(state: StringState, frame: LightlikeFrame, chirality: str, n: int,
     rows = state.modes(chirality)
     drows = eta_dot(rows, frame.k) * (np.sqrt(2.0 * TAU * state.tension) / kp)
     ms = np.arange(1, rows.shape[0] + 1)
-    rho = modes_to_grid(real_modes(-orientation * zero_mode_phase(state, frame),
-                                   drows * (-orientation * 1j / ms)), n, orientation)
-    drv = modes_to_grid(real_modes(1.0, drows), n, orientation)
-    cmap = MonotoneCircleMap(periodic=rho.real, deriv=drv.real)
+    both = _real_series(np.array([-orientation * zero_mode_phase(state, frame), 1.0]),
+                        np.stack([drows * (-orientation * 1j / ms), drows], axis=1),
+                        n, orientation)
+    rho, drv = np.ascontiguousarray(both.T)
+    cmap = MonotoneCircleMap(periodic=rho, deriv=drv)
     if require_monotone and cmap.min_deriv() <= 0.0:
         raise NonMonotone(f"min R' = {cmap.min_deriv():.3e} <= 0 for chirality {chirality}")
     return cmap
@@ -339,9 +343,34 @@ def _ddf_invariant_reverse(state: StringState, frame: LightlikeFrame, spec: DDFI
 # ----------------------------------------------------------------------
 
 def reconstruct_field(modes: DDFModes, n: int) -> FieldGrid:
-    """Mode-sum quasi-local field, (1/sqrt(2 pi)) sum_m A_m e^{+-i m sigma}, of bandwidth m_max."""
-    return _real_field(modes_to_grid(modes.modes, n, _orientation(modes.chirality)), 1e-8,
-                       "reconstructed field", modes.m_max)[0]
+    """Mode-sum quasi-local field, (1/sqrt(2 pi)) sum_m A_m e^{+-i m sigma}, of bandwidth m_max.
+
+    The field is real: its samples are the real series of the Hermitian part
+    (A_m + conj A_{-m})/2, m >= 0, from one ``irfft``
+    (:func:`~closedstring.numerics._real_series`), which is the real part of
+    the complex mode sum.  The rest, the anti-Hermitian part, is checked on
+    the modes: its sum :func:`_non_real_bound` bounds max|Im| of the complex
+    sum from above, and must stay within 1e-8 of max|field|.  Cost
+    O(N log N + m_max D).
+    """
+    k = modes.m_max
+    herm = (modes.modes[k:] + np.conj(modes.modes[k::-1])) * 0.5
+    values = _real_series(herm[0], herm[1:], n, _orientation(modes.chirality)) * _INV_SQRT_TAU
+    resid = _non_real_bound(modes.modes) / max(float(np.max(np.abs(values))), 1e-300)
+    if resid > 1e-8:
+        raise ValueError(f"reconstructed field has relative non-real residue {resid:.3e}")
+    return FieldGrid(values, k)
+
+
+def _non_real_bound(modes):
+    """sum_{m>=0} max_mu |A_m - conj A_{-m}| / sqrt(2 pi), for rows m = -k..k of ``modes``.
+
+    i Im of (1/sqrt(2 pi)) sum_m A_m e^{+-i m sigma} is the same sum over the
+    anti-Hermitian parts K_m = (A_m - conj A_{-m})/2, m = -k..k, and
+    |K_{-m}| = |K_m|, so this bounds max|Im| on any grid from above.
+    """
+    k = (modes.shape[0] - 1) // 2
+    return float(np.sum(np.max(np.abs(modes[k:] - np.conj(modes[k::-1])), axis=1))) * _INV_SQRT_TAU
 
 
 def substitute(state: StringState, frame: LightlikeFrame, chirality: str, n: int):

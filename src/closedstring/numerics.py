@@ -13,9 +13,12 @@ integrals and the Wilson loops), and safeguarded inversion of monotone
 degree-one circle maps.  All functions take plain ndarrays.  Real data
 take real transforms: the antiderivative of real grids (words of real
 fields, their blocks and cotangent paths) runs ``rfft``/``irfft`` on the
-half spectrum and keeps its states real, and a real grid's modes come from
-one ``rfft``; complex data (Wilson matrices, cotangents) take
-``fft``/``ifft`` in the same routines, with the same transform counts.
+half spectrum and keeps its states real, a real grid's modes come from
+one ``rfft``, and a real series is synthesized from its half spectrum by
+one ``irfft`` (:func:`_real_series`: the clock, the DDF mode sum); complex
+data (Wilson matrices, cotangents) take ``fft``/``ifft`` in the same
+routines, with the same transform counts, and :func:`modes_to_grid` keeps
+complex coefficients and complex samples.
 
 Costs of the iterated integrals: one degree-n word is O(n^2 N log N), the
 last of its n integrals, needed only at 2*pi, closing by end weights at no
@@ -90,19 +93,42 @@ def modes_to_grid(coeffs, n: int, orientation: int = +1):
     are carried through.  One scatter and one unscaled DFT: the forward FFT
     of the spectrum placed at index -orientation*m mod n.
     """
-    if orientation not in (+1, -1):
-        raise ValueError("orientation must be +1 or -1")
     shape = coeffs.shape
     k = (shape[0] - 1) // 2
     if shape[0] != 2 * k + 1:
         raise ValueError("coeffs must cover m = -k..k (odd first axis)")
+    _synthesis_guard(n, k, orientation)
+    spec = np.zeros((n,) + shape[1:], np.complex128)
+    spec[(-orientation * np.arange(-k, k + 1)) % n] = coeffs
+    return np.fft.fft(spec, axis=0)
+
+
+def _real_series(c0, rows, n: int, orientation: int):
+    """Samples of c0 + 2 Re sum_{m>=1} rows[m-1] e^{orientation*i*m*sigma} on the n-grid.
+
+    The real twin of :func:`modes_to_grid`, as :func:`grid_to_modes`' ``rfft``
+    is of its ``fft``: the same series as
+    ``modes_to_grid(real_modes(c0, rows), n, orientation).real``, from one
+    unscaled ``irfft`` of the half spectrum (the real part of ``c0``, then
+    ``rows``, conjugated for orientation -1).  Trailing axes are carried
+    through, and the guards are :func:`modes_to_grid`'s: n a power of two and
+    n >= 2k + 2 for k rows, so no row reaches the Nyquist frequency.
+    """
+    k = rows.shape[0]
+    _synthesis_guard(n, k, orientation)
+    spec = np.zeros((n // 2 + 1,) + rows.shape[1:], np.complex128)
+    spec[0] = np.real(c0)
+    spec[1:k + 1] = rows if orientation > 0 else np.conj(rows)
+    return np.fft.irfft(spec, n, axis=0, norm="forward")
+
+
+def _synthesis_guard(n, k, orientation):
+    if orientation not in (+1, -1):
+        raise ValueError("orientation must be +1 or -1")
     if n < 2 * k + 2:
         raise ValueError(f"grid size {n} too small for bandwidth {k}")
     if not is_power_of_two(n):
         raise ValueError("grid size must be a power of two")
-    spec = np.zeros((n,) + shape[1:], np.complex128)
-    spec[(-orientation * np.arange(-k, k + 1)) % n] = coeffs
-    return np.fft.fft(spec, axis=0)
 
 
 def grid_to_modes(grid, k_max: int, orientation: int = +1):

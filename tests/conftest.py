@@ -58,3 +58,15 @@ def ddf_bank(state_bank, frame4):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240811)
+
+
+@pytest.fixture()
+def fft_calls(monkeypatch):
+    """numpy's FFT entry points, each call recorded by name in order."""
+    calls = []
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        def counted(x, *args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _fn(x, *args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls

@@ -16,7 +16,10 @@ exact directional derivative of the quadrature (field and clock are affine
 in the oscillators), and along x and p by an eighth-order central stencil;
 neither uses a transposed transform.  Gradients of
 polynomials of degree <= 4 in the chart (Virasoro windows, words of degree
-<= 4) are checked by the five-point central stencil, exact for them.
+<= 4) are checked by the five-point central stencil, exact for them.  Real
+series synthesized by one ``irfft`` (the clock, the DDF mode sum) are
+checked against the complex route, the real part of the full two-sided
+``modes_to_grid`` sum.
 """
 
 import cmath
@@ -116,6 +119,36 @@ def ddf_modes_quadrature(state, frame, chirality, m_out, n):
     ms = np.arange(-m_out, m_out + 1, dtype=float)
     weights = np.exp(sign * 1j * np.multiply.outer(ms, rvals))
     return (weights @ field) * (TAU / n) / np.sqrt(TAU)
+
+
+def clock_by_complex_synthesis(state, frame, chirality, n):
+    """(R - sigma, R') on the n-grid as the real parts of two complex ``modes_to_grid`` sums.
+
+    rho = -o phi0 + sum_{m != 0} (-o i/m) d_m e^{o i m sigma} and
+    R' = 1 + sum_{m != 0} d_m e^{o i m sigma}, with d_m = a k.alpha_m for
+    m >= 1 (tilde alpha for "+"), d_{-m} = conj(d_m), a = sqrt(4 pi T)/k.p
+    and phi0 = 4 pi T k.x/k.p.
+    """
+    from closedstring.numerics import modes_to_grid, real_modes
+    from closedstring.phase_space import eta_dot
+
+    o = -1 if chirality == "+" else 1
+    kp = eta_dot(frame.k, state.p)
+    rows = state.right if chirality == "+" else state.left
+    d = eta_dot(rows, frame.k) * (np.sqrt(2.0 * TAU * state.tension) / kp)
+    phi0 = 2.0 * TAU * state.tension * eta_dot(frame.k, state.x) / kp
+    ms = np.arange(1, rows.shape[0] + 1)
+    rho = modes_to_grid(real_modes(-o * phi0, d * (-o * 1j / ms)), n, o).real
+    deriv = modes_to_grid(real_modes(1.0, d), n, o).real
+    return rho, deriv
+
+
+def mode_sum_by_complex_synthesis(modes, n):
+    """(Re, Im) of (1/sqrt(2 pi)) sum_m A_m e^{+-i m sigma}, each (n, D), from the complex ``modes_to_grid`` sum."""
+    from closedstring.numerics import modes_to_grid
+
+    vals = modes_to_grid(modes.modes, n, -1 if modes.chirality == "+" else 1) / np.sqrt(TAU)
+    return vals.real, vals.imag
 
 
 def antiderivative_quad(f, sigma_values, mean):

@@ -7,8 +7,9 @@ import pytest
 import closedstring as cs
 from closedstring.errors import DegenerateFrame, LevelMismatch, NonMonotone
 from closedstring.numerics import TAU, grid_sigma, trig_interpolate
-from closedstring.ddf import substitute
-from oracles import ddf_modes_quadrature, substitute_by_samples
+from closedstring.ddf import _non_real_bound, substitute
+from oracles import (clock_by_complex_synthesis, ddf_modes_quadrature,
+                     mode_sum_by_complex_synthesis, substitute_by_samples)
 
 
 def zero_osc_state(p, x):
@@ -315,6 +316,82 @@ def test_reconstruction_equivalence_tightens_with_m_out(state_bank, frame4):
     for a, b in zip(errs, errs[1:]):
         assert b <= a + 1e-12
     assert errs[-1] < 1e-6
+
+
+FRAMES = {"default": cs.default_frame(4), "1,0,1,0": cs.LightlikeFrame(np.array([1.0, 0.0, 1.0, 0.0]))}
+
+
+@pytest.mark.parametrize("frame_name", sorted(FRAMES))
+@pytest.mark.parametrize("n", [64, 512, 8192])
+def test_real_synthesis_matches_the_complex_route(frame_name, n):
+    # the clock's rho and R' and the DDF mode sum, each one irfft of a half
+    # spectrum, against the real part of the complex two-sided sum
+    frame = FRAMES[frame_name]
+    eps = np.finfo(float).eps
+    for seed in (1, 2, 3):
+        state = cs.random_state(4, 8, seed=seed, frame=frame)
+        for chir in ("-", "+"):
+            cmap = cs.compute_R(state, frame, chir, n)
+            rho, deriv = clock_by_complex_synthesis(state, frame, chir, n)
+            assert np.max(np.abs(cmap.periodic - rho)) <= 4 * eps * np.max(np.abs(rho))
+            assert np.max(np.abs(cmap.deriv - deriv)) <= 4 * eps * np.max(np.abs(deriv))
+            modes = cs.ddf_modes(state, frame, chir, n // 8, n)
+            field, _ = mode_sum_by_complex_synthesis(modes, n)
+            rec = cs.reconstruct_field(modes, n)
+            assert rec.bandwidth == n // 8
+            assert np.max(np.abs(rec.values - field)) <= 4 * eps * np.max(np.abs(field))
+
+
+def test_transform_counts(state_bank, frame4, fft_calls):
+    # real series take one irfft each; the field's complex synthesis stays the
+    # one fft, as the reality suite reads its imaginary part
+    state = state_bank[0]
+    modes = cs.ddf_modes(state, frame4, "+", 64, 512)
+    for fn, want in ((lambda: cs.compute_R(state, frame4, "-", 512), ["irfft"]),
+                     (lambda: cs.reconstruct_field(modes, 512), ["irfft"]),
+                     (lambda: cs.ddf_modes(state, frame4, "-", 64, 512), ["irfft", "rfft", "rfft", "rfft"]),
+                     (lambda: cs.eval_field(state, "-", 512), ["fft"])):
+        fft_calls.clear()
+        fn()
+        assert fft_calls == want
+
+
+def _anti_hermitian(rng, shape):
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return (x - np.conj(x[::-1])) / 2
+
+
+def test_reconstruct_rejects_non_real_modes(state_bank, frame4, rng):
+    modes = cs.ddf_modes(state_bank[2], frame4, "-", 64, 512)
+    scale = np.max(np.abs(modes.modes))
+    delta = _anti_hermitian(rng, modes.modes.shape)
+    delta *= scale / np.max(np.abs(delta))
+    with pytest.raises(ValueError, match="non-real residue"):
+        cs.reconstruct_field(cs.DDFModes("-", 64, modes.modes + 1e-6 * delta, modes.k), 512)
+    ok = cs.reconstruct_field(cs.DDFModes("-", 64, modes.modes + 1e-12 * delta, modes.k), 512)
+    assert np.max(np.abs(ok.values - cs.reconstruct_field(modes, 512).values)) < 1e-10
+
+
+def test_reconstruct_mode_bound_covers_the_sample_residue(state_bank, frame4, rng):
+    # the bound on the modes is never looser than max|Im| / max|Re| of the
+    # complex sum's samples, the residue checked before
+    base = {chir: cs.ddf_modes(state_bank[3], frame4, chir, 64, 512) for chir in ("-", "+")}
+    for trial in range(50):
+        modes = base["-" if trial % 2 else "+"]
+        size = 10.0 ** rng.uniform(-12, -4) * np.max(np.abs(modes.modes))
+        delta = rng.standard_normal(modes.modes.shape) + 1j * rng.standard_normal(modes.modes.shape)
+        moved = cs.DDFModes(modes.chirality, 64, modes.modes + size * delta, modes.k)
+        re, im = mode_sum_by_complex_synthesis(moved, 512)
+        old = np.max(np.abs(im)) / np.max(np.abs(re))
+        assert _non_real_bound(moved.modes) / np.max(np.abs(re)) >= old
+
+
+def test_reconstruct_grid_guards(state_bank, frame4):
+    modes = cs.ddf_modes(state_bank[0], frame4, "-", 64, 512)
+    for n in (600, 64, 128):  # not a power of two; below 2 m_max + 2 = 130
+        with pytest.raises(ValueError):
+            cs.reconstruct_field(modes, n)
+    assert cs.reconstruct_field(modes, 256).values.shape == (256, 4)
 
 
 def _assert_substitute_matches_sample_route(state, frame, chir):

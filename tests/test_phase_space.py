@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 import closedstring as cs
 from closedstring.numerics import TAU, grid_sigma
+from closedstring.phase_space import _continuum_min
 
 
 def zero_osc_state(p, x=None, dim=4):
@@ -60,6 +61,34 @@ def test_random_state_margin_holds_between_samples():
         state = cs.random_state(dim, m, seed=seed, frame=frame, margin=0.2)
         for chir in ("-", "+"):
             assert cs.compute_R(state, frame, chir, 65536).min_deriv() >= 0.2 - 1e-12
+
+
+@pytest.mark.parametrize("m", [8, 16])
+def test_continuum_min_bounds_the_oversampled_minimum(m):
+    # the bound from n = 4M samples of each clock's R' lies below its minimum
+    # on a 64x finer grid, and equals the sum over the full complex spectrum
+    for seed in range(1, 21):
+        frame = cs.default_frame(4)
+        state = cs.random_state(4, m, seed=seed, frame=frame)
+        for chir in ("-", "+"):
+            coarse = cs.compute_R(state, frame, chir, 4 * m).deriv
+            bound = _continuum_min(coarse)
+            assert bound <= cs.compute_R(state, frame, chir, 256 * m).min_deriv()
+            assert abs(bound - _continuum_min_full_spectrum(coarse)) <= 1e-14 * abs(bound)
+
+
+def test_continuum_min_weights_the_nyquist_row_once(rng):
+    # white noise has a Nyquist component, which the half spectrum holds once
+    for n in (8, 64, 1024):
+        samples = rng.standard_normal(n)
+        want = _continuum_min_full_spectrum(samples)
+        assert abs(_continuum_min(samples) - want) <= 1e-13 * abs(want)
+
+
+def _continuum_min_full_spectrum(samples):
+    n = samples.shape[0]
+    curvature = np.sum(np.fft.fftfreq(n, 1.0 / n) ** 2 * np.abs(np.fft.fft(samples))) / n
+    return float(samples.min()) - (TAU / n) ** 2 / 8.0 * curvature
 
 
 def test_random_state_zero_osc_trivial_clock(frame4):

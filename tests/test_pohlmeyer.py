@@ -129,7 +129,7 @@ def _path(field, degree):
     return _paths(field)[_alias_free_samples(field.values, field.bandwidth, degree).shape[0]]
 
 
-def test_lexicographic_words_share_prefixes(state_bank, monkeypatch):
+def test_lexicographic_words_share_prefixes(state_bank, fft_calls):
     # each head of j <= 2 letters is walked once at 2j transforms, and each
     # head of a degree-m word is stepped once with all D letters at 2(m - 1)
     # (the top power of a step is a constant, filled without one); the last
@@ -141,16 +141,15 @@ def test_lexicographic_words_share_prefixes(state_bank, monkeypatch):
     # transform on either, so the count is the same
     banded = [cs.eval_field(state_bank[i], "-", 64) for i in (1, 0)]
     plain = [cs.FieldGrid(f.values) for f in banded]
-    calls = _record_transforms(monkeypatch)
     assert len(WORDS4) == 340
     want = (sum(4 ** j * 2 * j for j in range(1, 3))
             + sum(4 ** (m - 2) * 2 * (m - 1) for m in range(2, 5)) + 2 * 3)
     assert want == 192
     for warm, field in (plain, banded):
         _all_words(warm, WORDS4)  # fill the cached weights
-        calls.clear()
+        fft_calls.clear()
         _all_words(field, WORDS4)
-        assert len(calls) == want
+        assert len(fft_calls) == want
 
 
 def test_words_alternating_between_two_fields_keep_their_paths(state_bank, monkeypatch):
@@ -462,17 +461,6 @@ def _anti_hermitian(rng, dim, d, norm):
     herm = rng.standard_normal((dim, d, d)) + 1j * rng.standard_normal((dim, d, d))
     anti = 0.5 * (herm - np.conj(np.transpose(herm, (0, 2, 1))))
     return anti * (norm / max(np.linalg.norm(m, 2) for m in anti))
-
-
-def _record_transforms(monkeypatch):
-    """Record the name of each transform, real and complex alike."""
-    calls = []
-    for name in ("fft", "ifft", "rfft", "irfft"):
-        def counted(x, *args, _fn=getattr(np.fft, name), _name=name, **kwargs):
-            calls.append(_name)
-            return _fn(x, *args, **kwargs)
-        monkeypatch.setattr(np.fft, name, counted)
-    return calls
 
 
 def _record_fft_lengths(monkeypatch, size=False):
@@ -841,16 +829,16 @@ def test_wilson_abelian_exponential(state_bank):
     assert abs(value - expected) <= remainder + 1e-12 * abs(expected)
 
 
-def test_wilson_steps_its_complex_matrices_by_complex_transforms(state_bank, monkeypatch):
+def test_wilson_steps_its_complex_matrices_by_complex_transforms(state_bank, fft_calls):
     # the field is real but the connection complex: each step of the matrix
     # recursion takes fft/ifft (step j: j of each, its top power a constant),
     # and no real transform runs
     field = cs.eval_field(state_bank[2], "-", 1024)
     config = WilsonConfig(_anti_hermitian(np.random.default_rng(3), 4, 2, 0.05), n_max=4)
     want = wilson_loop(field, config)  # fill the cached end weights
-    calls = _record_transforms(monkeypatch)
+    fft_calls.clear()
     assert wilson_loop(field, config) == want
-    assert sorted(calls) == ["fft"] * 6 + ["ifft"] * 6
+    assert sorted(fft_calls) == ["fft"] * 6 + ["ifft"] * 6
 
 
 def test_wilson_matches_index_enumeration(state_bank):
