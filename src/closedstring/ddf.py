@@ -109,6 +109,7 @@ class DDFInvariantSpec:
     allow_unmatched: bool = False
 
     def __post_init__(self):
+        object.__setattr__(self, "level", operator.index(self.level))
         object.__setattr__(self, "left", tuple((operator.index(mu), operator.index(m))
                                                for mu, m in self.left))
         object.__setattr__(self, "right", tuple((operator.index(nu), operator.index(m))

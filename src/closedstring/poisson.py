@@ -6,7 +6,8 @@ pairs {x^mu, p^nu} = eta^{mu nu} and {Re alpha_m^mu, Im alpha_m^nu} =
 (m/2) eta^{mu nu} per chirality, which reproduces the oscillator brackets
 {alpha_m^mu, alpha_n^nu} = -i m eta^{mu nu} delta_{m+n,0}.  These mode
 brackets are validated against the smeared canonical pairing before any
-invariance claim is trusted.
+invariance claim is trusted.  One engine, :func:`_bracket_residues`, scores
+every bracket identity {F_i, L_m} = H_im, invariance (H = 0) and Witt alike.
 
 Every observable carries its exact chart gradient, taken from plain
 evaluations.  One that depends on the state only through one chiral field
@@ -375,13 +376,20 @@ def _config_flag(cfg, key):
     return value
 
 
+def _config_int(cfg, key):
+    """A JSON integer of ``cfg``; any other value, a boolean included, raises TypeError."""
+    if isinstance(cfg[key], bool) or not isinstance(cfg[key], int):
+        raise TypeError(f"{key!r} must be a JSON integer, got {cfg[key]!r}")
+    return cfg[key]
+
+
 def observable_from_config(cfg: dict, frame: LightlikeFrame,
                            n_samples=DEFAULT_OBS_GRID) -> Observable:
     """Build an observable from its JSON description (CLI surface).
 
     Raises ValueError for an unknown type or a key its type does not read
     (a misspelt key would otherwise fall back to its default without a
-    word), and TypeError for a flag that is not a JSON boolean.
+    word), and TypeError for a flag not a JSON boolean or an m or level not a JSON integer.
     """
     if not isinstance(cfg, dict):
         raise TypeError(f"an observable is a JSON object, got {cfg!r}")
@@ -399,10 +407,9 @@ def observable_from_config(cfg: dict, frame: LightlikeFrame,
                              symmetrized=_config_flag(cfg, "symmetrized"))
         return pohlmeyer_observable(spec, cfg.get("n", n_samples))
     if kind == "virasoro":
-        return virasoro_mode(cfg["chirality"], int(cfg["m"]), cfg.get("n", n_samples))
-    spec = DDFInvariantSpec(left=[tuple(t) for t in cfg.get("left", [])],
-                            right=[tuple(t) for t in cfg.get("right", [])],
-                            level=int(cfg["level"]),
+        return virasoro_mode(cfg["chirality"], _config_int(cfg, "m"), cfg.get("n", n_samples))
+    spec = DDFInvariantSpec(left=cfg.get("left", []), right=cfg.get("right", []),
+                            level=_config_int(cfg, "level"),
                             allow_unmatched=_config_flag(cfg, "allow_unmatched"))
     return ddf_invariant_observable(spec, frame, cfg.get("n", n_samples))
 
@@ -477,11 +484,21 @@ def _window_gradients(state, chirality, m_window, n_samples):
     """(grad L_m, Omega grad L_m, ||grad L_m||) over -m_window <= m <= m_window, rows by m.
 
     The one Virasoro window sweep of :func:`invariance_report` and verify's
-    Witt suite: every gradient of the window from one reverse pass.
+    bracket suites: every gradient of the window from one reverse pass.
     """
     grads = gradient(virasoro_mode(chirality, range(-m_window, m_window + 1), n_samples),
                      state, check=False)
     return grads, chart_for(state).apply_omega(grads), np.linalg.norm(grads, axis=-1)
+
+
+def _bracket_residues(chart, grads, window, expected):
+    """|{F_i, G_j} - H_ij| / max(||grad F_i|| ||grad G_j|| ||Omega||, 1e-300), shape (I, J).
+
+    ``grads`` are the (I, S) grad F_i, ``window`` a :func:`_window_gradients`
+    triple for the G_j and ``expected`` the H_ij; one product gives every bracket.
+    """
+    denom = np.outer(np.linalg.norm(grads, axis=-1), window[2]) * chart.omega_norm()
+    return np.abs(grads @ window[1].T - expected) / np.maximum(denom, 1e-300)
 
 
 def invariance_report(observables, state: StringState, m_window: int,
@@ -490,36 +507,18 @@ def invariance_report(observables, state: StringState, m_window: int,
 
     Returns one row list per observable, in the order given; each list runs
     over chirality "+" then "-" and ascending m.  Residues are
-    |{obs, L_m}| / (||grad obs|| ||grad L_m|| ||Omega||), so the pass
-    threshold 1e-5 is scale-free.  One sweep takes every L_m gradient of a
-    chirality from one window gradient, with Omega grad L_m and its norm,
-    once for all observables: k observables over the window |m| <= w cost
-    k + 2 gradients, each by its observable's own route (see :func:`gradient`).
+    |{obs, L_m}| / (||grad obs|| ||grad L_m|| ||Omega||), from the one bracket
+    engine, so the pass threshold 1e-5 is scale-free.  Each chirality's window
+    is taken once for all observables: k observables over |m| <= w cost k + 2
+    gradients, each by its observable's own route (see :func:`gradient`).
     """
     if not 0 <= m_window <= state.truncation // 2:
         raise ValueError("m_window must be in 0..M/2 for an aliasing-safe sweep")
-    return _invariance_rows(observables, state, lambda chirality: _window_gradients(
-        state, chirality, m_window, n_samples))
-
-
-def _invariance_rows(observables, state, window):
-    """The rows of :func:`invariance_report`, with ``window(chirality)`` giving
-    that chirality's :func:`_window_gradients`; it is asked once per chirality."""
-    onorm = chart_for(state).omega_norm()
-    gobs = [gradient(obs, state, check=False) for obs in observables]
-    nobs = [float(np.linalg.norm(g)) for g in gobs]
-    reports = [[] for _ in gobs]
-    for chirality in ("+", "-"):
-        _, omega_gls, nls = window(chirality)
-        m_window = (len(nls) - 1) // 2
-        for m, omega_gl, nl in zip(range(-m_window, m_window + 1), omega_gls, nls):
-            for obs, g, ng, rows in zip(observables, gobs, nobs, reports):
-                resid = abs(complex(g @ omega_gl)) / max(ng * float(nl) * onorm, 1e-300)
-                rows.append({
-                    "observable": obs.name,
-                    "m": m,
-                    "chirality": chirality,
-                    "residue": resid,
-                    "pass": bool(resid <= 1e-5),
-                })
-    return reports
+    chart = chart_for(state)
+    grads = np.reshape([gradient(obs, state, check=False) for obs in observables], (-1, chart.size))
+    residues = [_bracket_residues(chart, grads, _window_gradients(state, c, m_window, n_samples), 0.0)
+                for c in "+-"]
+    return [[{"observable": obs.name, "m": m, "chirality": c, "residue": float(r),
+              "pass": bool(r <= 1e-5)}
+             for c, res in zip("+-", residues) for m, r in zip(range(-m_window, m_window + 1), res[i])]
+            for i, obs in enumerate(observables)]

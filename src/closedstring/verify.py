@@ -32,8 +32,8 @@ from .ddf import (DDFInvariantSpec, _check_modes, _modes_of, _substitution, comp
 from .numerics import TAU, grid_sigma, trig_interpolate
 from .phase_space import _checked_field, eta_dot, eval_field, state_to_json
 from .pohlmeyer import InvariantSpec, align_base_point, pohlmeyer_invariant, reparam_check
-from .poisson import (DEFAULT_OBS_GRID, _invariance_rows, _window_gradients, chart_for,
-                      ddf_invariant_observable, pohlmeyer_observable, virasoro_mode)
+from .poisson import (DEFAULT_OBS_GRID, _bracket_residues, _window_gradients, chart_for,
+                      ddf_invariant_observable, gradient, pohlmeyer_observable, virasoro_mode)
 from .reparam import random_diffeo
 
 THREAD_ENV = "CLOSEDSTRING_THREADS"
@@ -97,8 +97,8 @@ class StateRecord:
       its modes, whose relative non-real residue ``non_real(chirality)``
       keeps (:func:`~closedstring.phase_space.eval_field` checks it and
       drops it);
-    - ``window(chirality)``: the Virasoro window (grad L_m, Omega grad L_m,
-      norms), |m| <= m_window, at obs_n (:func:`~closedstring.poisson._window_gradients`);
+    - ``window(chirality)``: the Virasoro window of :func:`~closedstring.poisson._window_gradients`,
+      |m| <= m_window, at obs_n, scored by :func:`~closedstring.poisson._bracket_residues`;
     - ``digest(**extras)``: the row digest (:func:`_digest`) of the state's
       JSON text and extras.
     """
@@ -300,37 +300,38 @@ def suite_substitution(record, tols):
 
 @_suite("poisson")
 def suite_poisson(record, tols):
-    window = record.params["m_window"]
     n = record.params["obs_n"]
-    tol = tols["poisson"]
     specs = [InvariantSpec("-", (0,)),
              InvariantSpec("-", (0, 1), symmetrized=True),
              InvariantSpec("+", (1, 2), symmetrized=True)]
     observables = [pohlmeyer_observable(s, n) for s in specs]
     observables.append(ddf_invariant_observable(
         DDFInvariantSpec(left=[(1, 1)], right=[(2, 1)], level=1), record.frame, n))
-    reports = _invariance_rows(observables, record.state, record.window)
-    digest = record.digest(window=window)
-    return [_row(f"poisson[{obs.name}]", digest, max(r["residue"] for r in rep), tol)
-            for obs, rep in zip(observables, reports)]
+    peaks = _peak_residues(observables, record)
+    return [_row(f"poisson[{obs.name}]", record.digest(window=record.params["m_window"]), peak,
+                 tols["poisson"]) for obs, peak in zip(observables, peaks)]
+
+
+def _peak_residues(observables, record):
+    """Each observable's peak normalized |{F, L_m}| over both chiralities of the record's window."""
+    grads = np.array([gradient(obs, record.state, check=False) for obs in observables])
+    return np.max([_bracket_residues(chart_for(record.state), grads, record.window(c), 0.0)
+                   for c in "+-"], axis=(0, 2))
 
 
 @_suite("witt")
 def suite_witt(record, tols):
-    # {L_m, L_k} = -i (m - k) L_{m+k} over |m|, |k| <= w: gradients of the
-    # window from one reverse pass, values for |m| <= 2w from one evaluation
-    window = record.params["m_window"]
-    n = record.params["obs_n"]
-    tol = tols["witt"]
-    state = record.state
-    ms = np.arange(-window, window + 1)
-    grads, omega_grads, norms = record.window("-")
-    values = virasoro_mode("-", range(-2 * window, 2 * window + 1), n).fn(state)
-    brackets = grads @ omega_grads.T
-    target = -1j * np.subtract.outer(ms, ms) * values[np.add.outer(ms, ms) + 2 * window]
-    denom = np.outer(norms, norms) * chart_for(state).omega_norm()
-    worst = float(np.max(np.abs(brackets - target) / np.maximum(denom, 1e-300)))
-    return [_row("witt[-]", record.digest(window=window), worst, tol)]
+    # {L_m, L_k} = -i (m - k) L_{m+k} over |m|, |k| <= w, in each chirality
+    w = record.params["m_window"]
+    ms = np.arange(-w, w + 1)
+
+    def worst(chir):
+        values = virasoro_mode(chir, range(-2 * w, 2 * w + 1), record.params["obs_n"]).fn(record.state)
+        target = -1j * np.subtract.outer(ms, ms) * values[np.add.outer(ms, ms) + 2 * w]
+        sweep = record.window(chir)
+        return np.max(_bracket_residues(chart_for(record.state), sweep[0], sweep, target))
+
+    return [_row(f"witt[{c}]", record.digest(window=w), worst(c), tols["witt"]) for c in ("-", "+")]
 
 
 NEGATIVE_CONTROLS = [
@@ -343,10 +344,9 @@ NEGATIVE_CONTROLS = [
 @_suite("negative-controls")
 def suite_negative_controls(record, tols):
     # this state's peak residue per control; the rows come from the reduce
-    n = record.params["obs_n"]
-    observables = [ddf_invariant_observable(spec, record.frame, n) for spec in NEGATIVE_CONTROLS]
-    reports = _invariance_rows(observables, record.state, record.window)
-    return [max(r["residue"] for r in rep) for rep in reports]
+    observables = [ddf_invariant_observable(spec, record.frame, record.params["obs_n"])
+                   for spec in NEGATIVE_CONTROLS]
+    return _peak_residues(observables, record).tolist()
 
 
 def _negative_control_rows(peaks, states, tols):

@@ -14,12 +14,13 @@ interpolation through a test-local :class:`RotationMap`, not phases on the
 modes.  DDF-invariant gradients are checked along oscillator axes by the
 exact directional derivative of the quadrature (field and clock are affine
 in the oscillators), and along x and p by an eighth-order central stencil;
-neither uses a transposed transform.  Gradients of
-polynomials of degree <= 4 in the chart (Virasoro windows, words of degree
-<= 4) are checked by the five-point central stencil, exact for them.  Real
-series synthesized by one ``irfft`` (the clock, the DDF mode sum) are
-checked against the complex route, the real part of the full two-sided
-``modes_to_grid`` sum.
+neither uses a transposed transform.  Normalized brackets are taken pair
+by pair through the dense Omega, against Witt targets from the oscillator
+bilinears.  Gradients of polynomials of degree <= 4 in the chart (Virasoro
+windows, words of degree <= 4) are checked by the five-point central
+stencil, exact for them.  Real series synthesized by one ``irfft`` (the
+clock, the DDF mode sum) are checked against the complex route, the real
+part of the full two-sided ``modes_to_grid`` sum.
 """
 
 import cmath
@@ -185,6 +186,26 @@ def dense_omega(chart):
                 omega[re0 + i, im0 + i] = m / 2.0 * eta[mu]
                 omega[im0 + i, re0 + i] = -(m / 2.0 * eta[mu])
     return omega
+
+
+def dense_bracket_residues(chart, grads_f, grads_g, expected):
+    """{(i, j): |grad F_i . Omega . grad G_j - H_ij| / (||grad F_i|| ||grad G_j|| ||Omega||_2)}.
+
+    ``grads_f`` and ``grads_g`` map labels to chart gradients and
+    ``expected(i, j)`` gives H_ij.  Each bracket is its own product with the
+    dense matrix of :func:`dense_omega`, whose spectral norm comes from an
+    SVD, pair by pair.
+    """
+    omega = dense_omega(chart)
+    onorm = np.linalg.norm(omega, 2)
+    return {(i, j): abs(complex(gf @ (omega @ gg)) - expected(i, j))
+            / (np.linalg.norm(gf) * np.linalg.norm(gg) * onorm)
+            for i, gf in grads_f.items() for j, gg in grads_g.items()}
+
+
+def witt_target(state, chirality):
+    """(m, k) -> -i (m - k) L_{m+k}, the Witt algebra's bracket, from :func:`virasoro_mode_direct`."""
+    return lambda m, k: -1j * (m - k) * virasoro_mode_direct(state, chirality, m + k)
 
 
 def invert_monotone_brentq(periodic, targets=None):

@@ -251,9 +251,13 @@ def test_ddf_spec_rejects_non_integer_factors():
             cs.DDFInvariantSpec(left=left, right=[(1, 1)], level=1)
     with pytest.raises(TypeError):
         cs.DDFInvariantSpec(left=[(1, 1)], right=[(np.float64(2.5), 1)], level=1)
-    spec = cs.DDFInvariantSpec(left=[(np.int64(1), np.int32(1))], right=[(2, np.int64(1))], level=1)
+    # a float level would enter the phase e^{i N phi0} as it stands
+    with pytest.raises(TypeError):
+        cs.DDFInvariantSpec(left=[], right=[], level=1.5, allow_unmatched=True)
+    spec = cs.DDFInvariantSpec(left=[(np.int64(1), np.int32(1))], right=[(2, np.int64(1))],
+                               level=np.int64(1))
     assert spec.left == ((1, 1),) and spec.right == ((2, 1),)
-    assert all(type(i) is int for pair in spec.left + spec.right for i in pair)
+    assert all(type(i) is int for pair in spec.left + spec.right for i in pair + (spec.level,))
 
 
 def test_ddf_invariant_stripped_vs_unstripped_routes(state_bank, frame4):

@@ -17,8 +17,9 @@ from closedstring.poisson import (Observable, bracket,
                                   smeared_momentum_observable,
                                   smeared_position_observable, virasoro_mode)
 from closedstring.verify import NEGATIVE_CONTROLS
-from oracles import (central_difference_8, ddf_invariant_oscillator_derivatives, dense_omega,
-                     stencil_gradient, virasoro_mode_direct)
+from oracles import (central_difference_8, ddf_invariant_oscillator_derivatives,
+                     dense_bracket_residues, dense_omega, stencil_gradient,
+                     virasoro_mode_direct, witt_target)
 
 
 @pytest.fixture(scope="module")
@@ -219,17 +220,12 @@ def test_virasoro_zero_oscillator_value():
 
 
 def test_witt_algebra_small_window(state, chart):
-    omega = dense_omega(chart)
-    onorm = np.linalg.norm(omega, 2)
     grads = {m: gradient(virasoro_mode("-", m, 512), state, check=False)
-             for m in range(-4, 5)}
-    vals = {m: virasoro_mode_direct(state, "-", m) for m in range(-4, 5)}
-    for m in (-2, 0, 1, 2):
-        for k in (-2, -1, 1, 2):
-            br = complex(grads[m] @ (omega @ grads[k]))
-            target = -1j * (m - k) * vals[m + k]
-            denom = np.linalg.norm(grads[m]) * np.linalg.norm(grads[k]) * onorm
-            assert abs(br - target) <= 1e-5 * denom
+             for m in range(-2, 3)}
+    residues = dense_bracket_residues(chart, {m: grads[m] for m in (-2, 0, 1, 2)},
+                                      {k: grads[k] for k in (-2, -1, 1, 2)},
+                                      witt_target(state, "-"))
+    assert len(residues) == 16 and max(residues.values()) <= 1e-5
 
 
 # ----------------------------------------------------------------------
@@ -338,6 +334,38 @@ def test_invariance_report_window_guard(state):
 
 
 # ----------------------------------------------------------------------
+# JSON descriptions
+# ----------------------------------------------------------------------
+
+DDF_CONFIG = {"type": "ddf", "left": [[1, 1]], "right": [[2, 1]]}
+
+
+@pytest.mark.parametrize("cfg", [
+    {"type": "virasoro", "chirality": "-", "m": 1.5},
+    {"type": "virasoro", "chirality": "-", "m": 1.0},
+    {"type": "virasoro", "chirality": "-", "m": "1"},
+    {"type": "virasoro", "chirality": "-", "m": True},
+    {**DDF_CONFIG, "level": 1.9},
+    {**DDF_CONFIG, "level": "1"},
+    {**DDF_CONFIG, "level": True},
+])
+def test_config_integers_are_json_integers(frame4, cfg):
+    # read through int(), 1.5, "1" and true all meant L_1, and level 1.9 meant level 1
+    key = "m" if cfg["type"] == "virasoro" else "level"
+    with pytest.raises(TypeError, match=f"'{key}' must be a JSON integer"):
+        poisson.observable_from_config(cfg, frame4)
+
+
+def test_config_integers_build_their_observables(state, frame4):
+    lm = poisson.observable_from_config({"type": "virasoro", "chirality": "-", "m": -2}, frame4)
+    assert lm.fn(state) == virasoro_mode("-", -2).fn(state)
+    spec = DDFInvariantSpec(left=[(1, 1)], right=[(2, 1)], level=1)
+    ddf = poisson.observable_from_config({**DDF_CONFIG, "level": 1}, frame4)
+    assert ddf.name == ddf_invariant_observable(spec, frame4).name
+    assert ddf.fn(state) == ddf_invariant_observable(spec, frame4).fn(state)
+
+
+# ----------------------------------------------------------------------
 # reverse route against independent oracles
 # ----------------------------------------------------------------------
 
@@ -414,20 +442,18 @@ def test_sweep_computes_each_gradient_once(state, chart, frame4, monkeypatch):
 
 def test_sweep_residues_match_direct_brackets(state, chart, frame4):
     observables = _sweep_observables(chart, frame4)
-    omega = dense_omega(chart)
-    onorm = np.linalg.norm(omega, 2)
     grads = {(c, m): gradient(virasoro_mode(c, m, 256), state, check=False)
              for c in "+-" for m in range(-2, 3)}
     reports = invariance_report(observables, state, 2, n_samples=256)
     for obs, rows in zip(observables, reports):
         assert [(r["observable"], r["chirality"], r["m"]) for r in rows] == \
             [(obs.name, c, m) for c in "+-" for m in range(-2, 3)]
-        gf = gradient(obs, state, check=False)
+        want = dense_bracket_residues(chart, {obs.name: gradient(obs, state, check=False)}, grads,
+                                      lambda i, j: 0.0)
         for r in rows:
-            gl = grads[(r["chirality"], r["m"])]
-            want = abs(gf @ omega @ gl) / (np.linalg.norm(gf) * np.linalg.norm(gl) * onorm)
             # residues are normalized to at most 1, so abs=1e-12 is relative to that scale
-            assert r["residue"] == pytest.approx(want, rel=1e-12, abs=1e-12)
+            assert r["residue"] == pytest.approx(want[obs.name, (r["chirality"], r["m"])],
+                                                 rel=1e-12, abs=1e-12)
             assert r["pass"] == (r["residue"] <= 1e-5)
     peaks = [max(r["residue"] for r in rows) for rows in reports]
     assert peaks[0] >= 1e-2 and peaks[3] >= 1e-2

@@ -1,7 +1,7 @@
 """The verify runner: its argument checks, its report config and errors
-raised inside a suite.  The witt suite is checked against a per-mode
-recomputation of the Witt residues, and every row's input digest against
-the digest formula applied row by row.
+raised inside a suite.  The witt suite is checked in both chiralities
+against a per-mode recomputation of the Witt residues, and every row's
+input digest against the digest formula applied row by row.
 """
 
 import hashlib
@@ -17,7 +17,7 @@ from closedstring import verify
 from closedstring.phase_space import state_to_json
 from closedstring.poisson import chart_for, gradient, virasoro_mode
 from closedstring.reparam import pullback_weight_one
-from oracles import RotationMap, dense_omega, virasoro_mode_direct
+from oracles import RotationMap, dense_bracket_residues, witt_target
 
 PROBE = "probe"
 
@@ -67,32 +67,43 @@ def test_run_suites_rejects_an_empty_state_list(monkeypatch, frame, names):
     assert started == []
 
 
-def _witt_residue_per_mode(state, window, n):
+def _witt_residue_per_mode(state, chirality, window, n):
     """max |{L_m, L_k} + i(m - k) L_{m+k}| / scale from scalar gradients, mode by mode."""
-    chart = chart_for(state)
-    omega = dense_omega(chart)
-    onorm = np.linalg.norm(omega, 2)
     modes = range(-window, window + 1)
-    grads = {m: gradient(virasoro_mode("-", m, n), state, check=False) for m in modes}
-    worst = 0.0
-    for m in modes:
-        for k in modes:
-            br = complex(grads[m] @ (omega @ grads[k]))
-            target = -1j * (m - k) * virasoro_mode_direct(state, "-", m + k)
-            denom = np.linalg.norm(grads[m]) * np.linalg.norm(grads[k]) * onorm
-            worst = max(worst, abs(br - target) / denom)
-    return worst
+    grads = {m: gradient(virasoro_mode(chirality, m, n), state, check=False) for m in modes}
+    return max(dense_bracket_residues(chart_for(state), grads, grads,
+                                      witt_target(state, chirality)).values())
 
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_witt_suite_matches_per_mode_oracle(frame, seed):
     state = cs.random_state(4, 8, seed=seed, frame=frame)
     params = verify.default_params()
-    [row] = verify.suite_witt(verify.StateRecord(state, frame, params), verify.DEFAULT_TOLERANCES)
-    want = _witt_residue_per_mode(state, params["m_window"], params["obs_n"])
-    # residues are normalized to at most about 1, so the bound is absolute on that scale
-    assert row["measured"] == pytest.approx(want, rel=0, abs=1e-12)
-    assert row["pass"]
+    rows = verify.suite_witt(verify.StateRecord(state, frame, params), verify.DEFAULT_TOLERANCES)
+    assert [row["name"] for row in rows] == ["witt[-]", "witt[+]"]
+    for chirality, row in zip("-+", rows):
+        want = _witt_residue_per_mode(state, chirality, params["m_window"], params["obs_n"])
+        # residues are normalized to at most about 1, so the bound is absolute on that scale
+        assert row["measured"] == pytest.approx(want, rel=0, abs=1e-12)
+        assert row["pass"]
+
+
+def test_every_bracket_row_reads_the_one_engine(monkeypatch, frame, states):
+    # whatever the engine returns is what each bracket row reports
+    from closedstring import poisson
+
+    def engine(chart, grads, window, expected):
+        return np.full((len(grads), len(window[2])), 0.5)
+
+    monkeypatch.setattr(poisson, "_bracket_residues", engine)
+    monkeypatch.setattr(verify, "_bracket_residues", engine)
+    report = verify.run_suites(["poisson", "witt", "negative-controls"], states, frame,
+                               params={"m_window": 1}, threads=1)
+    assert {r["suite"] for r in report["rows"]} == {"poisson", "witt", "negative-controls"}
+    assert {r["measured"] for r in report["rows"]} == {0.5}
+    obs = virasoro_mode("-", 1)
+    [rows] = poisson.invariance_report([obs], states[0], 1)
+    assert {r["residue"] for r in rows} == {0.5}
 
 
 def _row_digest(row, states, params):
@@ -135,7 +146,8 @@ def test_each_clock_and_extraction_is_made_once_per_state(monkeypatch, frame, th
     # per state and chirality: one clock on the n-grid, inverted once (periodicity
     # reads the inverse, the DDF modes its substituted field), one field on the
     # n-grid and one Virasoro window (poisson, witt and negative-controls share
-    # them); per state, 7 interpolations: periodicity's 2 round trips and
+    # them, and score every bracket through the one engine, once per suite and
+    # chirality); per state, 7 interpolations: periodicity's 2 round trips and
     # reparam's 5 diffeo pullbacks (its rotations are phases on the modes), and
     # 7 complex field evaluations on the n-grid: the 2 fields, whose residues
     # reality reads, and reparam's 5 rotated fields
@@ -170,6 +182,7 @@ def test_each_clock_and_extraction_is_made_once_per_state(monkeypatch, frame, th
     tally(phase_space, "_checked_field", at_n(2))
     tally(phase_space, "_complex_field", lambda args: args[2] == n)
     tally(poisson, "_window_gradients")
+    tally(poisson, "_bracket_residues")
     tally(numerics, "trig_interpolate")
     # frequent switches, so that two jobs building one piece would show
     interval = sys.getswitchinterval()
@@ -182,7 +195,9 @@ def test_each_clock_and_extraction_is_made_once_per_state(monkeypatch, frame, th
     assert report["pass"]
     per_state = {name: count / len(states) for name, count in calls.items()}
     assert per_state == {"invert_monotone": 2, "compute_R": 2, "_checked_field": 2,
-                         "_complex_field": 7, "_window_gradients": 2, "trig_interpolate": 7}
+                         "_complex_field": 7, "_window_gradients": 2, "_bracket_residues": 6,
+                         "trig_interpolate": 7}
+    assert not hasattr(poisson, "_invariance_rows")
 
 
 def test_two_records_build_their_clocks_at_once(monkeypatch, frame):
