@@ -15,10 +15,10 @@ take real transforms: the antiderivative of real grids (words of real
 fields, their blocks and cotangent paths) runs ``rfft``/``irfft`` on the
 half spectrum and keeps its states real, a real grid's modes come from
 one ``rfft``, and a real series is synthesized from its half spectrum by
-one ``irfft`` (:func:`_real_series`: the clock, the DDF mode sum); complex
-data (Wilson matrices, cotangents) take ``fft``/``ifft`` in the same
-routines, with the same transform counts, and :func:`modes_to_grid` keeps
-complex coefficients and complex samples.
+one ``irfft`` (:func:`_real_series`: the chiral field, the clock, the DDF
+mode sum); complex data (Wilson matrices, cotangents) take ``fft``/``ifft``
+in the same routines, with the same transform counts, and
+:func:`modes_to_grid` keeps complex coefficients and complex samples.
 
 Costs of the iterated integrals: one degree-n word is O(n^2 N log N), the
 last of its n integrals, needed only at 2*pi, closing by end weights at no

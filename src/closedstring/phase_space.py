@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateFrame
-from .numerics import (TAU, grid_sigma, grid_to_modes, is_power_of_two, modes_to_grid,
-                       periodic_antiderivative, real_modes)
+from .numerics import (TAU, _real_series, grid_sigma, grid_to_modes, is_power_of_two,
+                       modes_to_grid, periodic_antiderivative, real_modes)
 
 DEFAULT_TENSION = 1.0 / TAU  # alpha' = 1
 _INV_SQRT_TAU = 1.0 / np.sqrt(TAU)
@@ -279,7 +279,10 @@ def _grid_guard(state, n):
 
 
 def _complex_field(state, chirality, n):
-    """sqrt(2 pi) P_chir on the n-grid as complex samples (imaginary part: round-off)."""
+    """sqrt(2 pi) P_chir on the n-grid as complex samples, from the two-sided mode sum.
+
+    Off the production path: verify's ``reality`` suite checks :func:`eval_field` against it.
+    """
     _grid_guard(state, n)
     return modes_to_grid(real_modes(state.alpha0, state.modes(chirality)), n, _orientation(chirality))
 
@@ -298,29 +301,15 @@ def _field_half_spectrum(state, chirality):
 
 
 def eval_field(state: StringState, chirality: str, n: int) -> FieldGrid:
-    """Samples of the chiral field P_- or P_+ on the n-grid.
+    """Samples of the chiral field P_- or P_+ on the n-grid, with bandwidth M.
 
-    The modes go through :func:`~closedstring.numerics.modes_to_grid`; the
-    result is real up to a checked 1e-13 relative residue, which is then
-    discarded.  Its bandwidth is the truncation M.
+    A real series like the clock and the DDF mode sum: one ``irfft`` of
+    :func:`_field_half_spectrum` by :func:`~closedstring.numerics._real_series`,
+    so the samples are real by construction.
     """
-    return _checked_field(state, chirality, n)[0]
-
-
-def _checked_field(state, chirality, n):
-    """(:func:`eval_field`, the non-real residue it checks) from one :func:`_complex_field`.
-
-    The field's one complex synthesis: the residue, max|Im P| / max|Re P| of
-    the complex samples, is what verify's ``reality`` suite reads, so this
-    route keeps :func:`~closedstring.numerics.modes_to_grid` where every
-    other real series is synthesized by one ``irfft``.
-    """
-    vals = _complex_field(state, chirality, n)
-    im, re = (float(np.max(np.abs(part))) * _INV_SQRT_TAU for part in (vals.imag, vals.real))
-    resid = im / max(re, 1e-300)
-    if resid > 1e-13:
-        raise ValueError(f"field has relative non-real residue {resid:.3e}")
-    return FieldGrid(vals.real * _INV_SQRT_TAU, state.truncation), resid
+    _grid_guard(state, n)
+    h = _field_half_spectrum(state, chirality)
+    return FieldGrid(_real_series(h[0], h[1:] / 2, n, +1), state.truncation)
 
 
 def _eval_field_transpose(cot, chirality, truncation):

@@ -280,19 +280,23 @@ def virasoro_mode(chirality: str, m, n_samples=DEFAULT_OBS_GRID) -> Observable:
     L_m = pi c_m with c_m the :func:`~closedstring.numerics.grid_to_modes`
     coefficients of the density.  The functional derivative dL_m/dP(sigma_j) =
     (2 pi/n) e^{-i o m sigma_j} eta P(sigma_j) takes the phase as a (K, n)
-    array, so every gradient of a window comes from one plain field
-    evaluation and one transposed transform.  |m| <= M keeps the window
+    array, built on the first gradient and kept, so every gradient of a
+    window comes from one plain field evaluation and one transposed
+    transform, and values alone never build it.  |m| <= M keeps the window
     aliasing-safe on the truncated space: the value and the gradient raise
     ValueError on a state of truncation M < max |m|, and take D from it.
     """
     modes = np.atleast_1d(np.asarray(m, dtype=int))
     k_max = int(np.max(np.abs(modes), initial=0))
     o = _orientation(chirality)
-    # (K, n): e^{-i o m sigma_j} = cos(|m| sigma_j) - i o sign(m) sin(|m| sigma_j),
-    # contiguous along the grid, from one basis row pair per distinct |m|
-    freqs, rows = np.unique(np.abs(modes), return_inverse=True)
-    cos, sin = np.split(_half_basis(grid_sigma(n_samples), freqs), 2)
-    phase = cos[rows] - 1j * (o * np.sign(modes))[:, None] * sin[rows]
+
+    @lru_cache(maxsize=None)
+    def phase():
+        # (K, n): e^{-i o m sigma_j} = cos(|m| sigma_j) - i o sign(m) sin(|m| sigma_j),
+        # contiguous along the grid, from one basis row pair per distinct |m|
+        freqs, rows = np.unique(np.abs(modes), return_inverse=True)
+        cos, sin = np.split(_half_basis(grid_sigma(n_samples), freqs), 2)
+        return cos[rows] - 1j * (o * np.sign(modes))[:, None] * sin[rows]
 
     def sampled(evaluate, st):
         if k_max > st.truncation:
@@ -306,7 +310,7 @@ def virasoro_mode(chirality: str, m, n_samples=DEFAULT_OBS_GRID) -> Observable:
 
     def cotangent(st):
         eta_p = minkowski(st.dim) * sampled(eval_field, st)
-        out = (TAU / n_samples) * phase[:, :, None] * eta_p
+        out = (TAU / n_samples) * phase()[:, :, None] * eta_p
         return out if np.ndim(m) else out[0]
 
     label = "L" if chirality == "-" else "Lt"
@@ -389,7 +393,8 @@ def observable_from_config(cfg: dict, frame: LightlikeFrame,
 
     Raises ValueError for an unknown type or a key its type does not read
     (a misspelt key would otherwise fall back to its default without a
-    word), and TypeError for a flag not a JSON boolean or an m or level not a JSON integer.
+    word), and TypeError for a flag not a JSON boolean or an m, level or n
+    not a JSON integer.
     """
     if not isinstance(cfg, dict):
         raise TypeError(f"an observable is a JSON object, got {cfg!r}")
@@ -402,16 +407,17 @@ def observable_from_config(cfg: dict, frame: LightlikeFrame,
     if unknown:
         raise ValueError(f"unknown keys for a {kind!r} observable: {unknown}; "
                          f"known: {list(_CONFIG_KEYS[kind])}")
+    n = _config_int(cfg, "n") if "n" in cfg else n_samples
     if kind == "pohlmeyer":
         spec = InvariantSpec(chirality=cfg["chirality"], indices=cfg["indices"],
                              symmetrized=_config_flag(cfg, "symmetrized"))
-        return pohlmeyer_observable(spec, cfg.get("n", n_samples))
+        return pohlmeyer_observable(spec, n)
     if kind == "virasoro":
-        return virasoro_mode(cfg["chirality"], _config_int(cfg, "m"), cfg.get("n", n_samples))
+        return virasoro_mode(cfg["chirality"], _config_int(cfg, "m"), n)
     spec = DDFInvariantSpec(left=cfg.get("left", []), right=cfg.get("right", []),
                             level=_config_int(cfg, "level"),
                             allow_unmatched=_config_flag(cfg, "allow_unmatched"))
-    return ddf_invariant_observable(spec, frame, cfg.get("n", n_samples))
+    return ddf_invariant_observable(spec, frame, n)
 
 
 # ----------------------------------------------------------------------

@@ -30,7 +30,7 @@ from . import __version__
 from .ddf import (DDFInvariantSpec, _check_modes, _modes_of, _substitution, compute_R,
                   ddf_modes, reconstruct_field)
 from .numerics import TAU, grid_sigma, trig_interpolate
-from .phase_space import _checked_field, eta_dot, eval_field, state_to_json
+from .phase_space import _complex_field, eta_dot, eval_field, state_to_json
 from .pohlmeyer import InvariantSpec, align_base_point, pohlmeyer_invariant, reparam_check
 from .poisson import (DEFAULT_OBS_GRID, _bracket_residues, _window_gradients, chart_for,
                       ddf_invariant_observable, gradient, pohlmeyer_observable, virasoro_mode)
@@ -93,10 +93,8 @@ class StateRecord:
       :func:`~closedstring.ddf.substitute`); periodicity reads R^{-1};
     - ``modes``: the DDF modes |m| <= m_out, read from Q as
       :func:`~closedstring.ddf.ddf_modes` reads them; Q is dropped then;
-    - ``field(chirality)``: P on the n-grid, from one complex evaluation of
-      its modes, whose relative non-real residue ``non_real(chirality)``
-      keeps (:func:`~closedstring.phase_space.eval_field` checks it and
-      drops it);
+    - ``field(chirality)``: P on the n-grid, from one
+      :func:`~closedstring.phase_space.eval_field`;
     - ``window(chirality)``: the Virasoro window of :func:`~closedstring.poisson._window_gradients`,
       |m| <= m_window, at obs_n, scored by :func:`~closedstring.poisson._bracket_residues`;
     - ``digest(**extras)``: the row digest (:func:`_digest`) of the state's
@@ -139,14 +137,8 @@ class StateRecord:
         return self._once("modes", build)
 
     def field(self, chirality):
-        return self._checked(chirality)[0]
-
-    def non_real(self, chirality):
-        return self._checked(chirality)[1]
-
-    def _checked(self, chirality):
         return self._once(("field", chirality),
-                          lambda: _checked_field(self.state, chirality, self.params["n"]))
+                          lambda: eval_field(self.state, chirality, self.params["n"]))
 
     def window(self, chirality):
         return self._once(("window", chirality), lambda: _window_gradients(
@@ -182,11 +174,20 @@ def _rotated_field(state, c, n):
 
 @_suite("reality")
 def suite_reality(record, tols):
-    # the residue eval_field checks and discards, kept by the record's field
+    # the record's field P (one irfft) against Z/sqrt(2 pi), Z the complex
+    # two-sided mode sum: max|Z/sqrt(2 pi) - P| / max|P|, never below max|Im Z|'s share
     n = record.params["n"]
     tol = tols["reality"]
-    return [_row(f"reality[{chir}]", record.digest(n=n), record.non_real(chir), tol)
-            for chir in ("-", "+")]
+    rows = []
+    for chir in ("-", "+"):
+        field = record.field(chir).values
+        # in place: two (n, D) complex temporaries per job would raise the peak RSS
+        gap = _complex_field(record.state, chir, n)
+        gap /= np.sqrt(TAU)
+        gap -= field
+        resid = float(np.max(np.abs(gap))) / max(float(np.max(np.abs(field))), 1e-300)
+        rows.append(_row(f"reality[{chir}]", record.digest(n=n), resid, tol))
+    return rows
 
 
 @_suite("periodicity")

@@ -139,14 +139,16 @@ def test_bracket_accepts_bare_invariant_request(tmp_path, capsys):
 
 def test_bracket_rejects_non_integer_indices(tmp_path, capsys):
     # read through int(), m = 1.5, "1" or true bracketed L_1, and level 1.9
-    # made a matched level-1 invariant; each exited 0
+    # made a matched level-1 invariant; each exited 0.  An unchecked n =
+    # 256.0, "512" or true fails deep inside, in a message that names no key
     sp = tmp_path / "s.json"
     run(["generate", "--seed", "8", "--out", str(sp)])
     g = json.dumps({"type": "virasoro", "chirality": "+", "m": 1})
     for f in ({"chirality": "-", "indices": [0, 1.5]},
               {"type": "ddf", "left": [[1, 1.0]], "right": [[2, 1]], "level": 1},
               *({"type": "virasoro", "chirality": "-", "m": m} for m in (1.5, "1", True)),
-              {"type": "ddf", "left": [[1, 1]], "right": [[2, 1]], "level": 1.9}):
+              {"type": "ddf", "left": [[1, 1]], "right": [[2, 1]], "level": 1.9},
+              *({"type": "virasoro", "chirality": "-", "m": 1, "n": n} for n in (256.0, "512", True))):
         assert run(["bracket", "--state", str(sp), "--f", json.dumps(f), "--g", g,
                     "--grid", "256"]) == 2
         assert "integer" in capsys.readouterr().err

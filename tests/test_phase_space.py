@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import closedstring as cs
-from closedstring.numerics import TAU, grid_sigma
+from closedstring.numerics import TAU, grid_sigma, modes_to_grid, real_modes
 from closedstring.phase_space import _continuum_min
 
 
@@ -164,6 +164,22 @@ def test_parseval(state_bank):
     lhs = (TAU / n) * np.sum(np.abs(grid.values) ** 2)
     rhs = np.sum(np.abs(state.alpha0) ** 2) + 2 * np.sum(np.abs(state.left) ** 2)
     assert abs(lhs - rhs) < 1e-12 * rhs
+
+
+@pytest.mark.parametrize("dim", [4, 26])
+@pytest.mark.parametrize("n", [64, 512, 8192])
+def test_eval_field_matches_the_complex_mode_sum(dim, n):
+    # one irfft of the half spectrum against the two-sided complex sum over
+    # m = -M..M, imaginary round-off included, to a few ulps of the field
+    eps = np.finfo(float).eps
+    for seed in (1, 2, 3):
+        state = cs.random_state(dim, 8, seed=seed)
+        for chir, orientation in (("-", +1), ("+", -1)):
+            field = cs.eval_field(state, chir, n)
+            z = modes_to_grid(real_modes(state.alpha0, state.modes(chir)), n, orientation)
+            assert field.values.dtype == float and field.bandwidth == 8
+            peak = np.max(np.abs(field.values))
+            assert np.max(np.abs(z / np.sqrt(TAU) - field.values)) <= 4 * eps * peak
 
 
 def test_eval_field_guards(state_bank):

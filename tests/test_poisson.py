@@ -348,10 +348,12 @@ DDF_CONFIG = {"type": "ddf", "left": [[1, 1]], "right": [[2, 1]]}
     {**DDF_CONFIG, "level": 1.9},
     {**DDF_CONFIG, "level": "1"},
     {**DDF_CONFIG, "level": True},
+    *({"type": "virasoro", "chirality": "-", "m": 1, "n": n} for n in (256.0, "512", True)),
 ])
 def test_config_integers_are_json_integers(frame4, cfg):
-    # read through int(), 1.5, "1" and true all meant L_1, and level 1.9 meant level 1
-    key = "m" if cfg["type"] == "virasoro" else "level"
+    # read through int(), 1.5, "1" and true all meant L_1, and level 1.9 meant
+    # level 1; an unchecked n fails deep inside, in a message that names no key
+    key = "n" if "n" in cfg else "m" if cfg["type"] == "virasoro" else "level"
     with pytest.raises(TypeError, match=f"'{key}' must be a JSON integer"):
         poisson.observable_from_config(cfg, frame4)
 
@@ -387,6 +389,20 @@ def test_virasoro_reverse_route_matches_stencil(truncation, chir):
             oracle = stencil_gradient(obs, st_, chart)
             assert got.shape == oracle.shape
             assert _worst_row_rel(got, oracle) <= 1e-13
+
+
+def test_virasoro_phase_is_built_by_the_first_gradient(monkeypatch, state):
+    # values never read the (K, n) phase; the first gradient builds it and keeps it
+    built = []
+    half_basis = poisson._half_basis
+    monkeypatch.setattr(poisson, "_half_basis", lambda *args: built.append(args) or half_basis(*args))
+    window = virasoro_mode("+", range(-4, 5), 512)
+    window.fn(state)
+    assert built == []
+    grads = gradient(window, state, check=False)
+    assert np.array_equal(gradient(window, state, check=False), grads)
+    assert len(built) == 1
+    assert _worst_row_rel(grads, stencil_gradient(window, state, chart_for(state))) <= 1e-13
 
 
 DDF_SPECS = [DDFInvariantSpec(left=[(1, 1)], right=[(2, 1)], level=1),  # the poisson suite's

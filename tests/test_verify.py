@@ -1,7 +1,8 @@
 """The verify runner: its argument checks, its report config and errors
 raised inside a suite.  The witt suite is checked in both chiralities
-against a per-mode recomputation of the Witt residues, and every row's
-input digest against the digest formula applied row by row.
+against a per-mode recomputation of the Witt residues, the reality suite
+against the imaginary residue it bounds and a seeded defect in the field,
+and every row's input digest against the digest formula applied row by row.
 """
 
 import hashlib
@@ -14,7 +15,7 @@ import pytest
 
 import closedstring as cs
 from closedstring import verify
-from closedstring.phase_space import state_to_json
+from closedstring.phase_space import _complex_field, state_to_json
 from closedstring.poisson import chart_for, gradient, virasoro_mode
 from closedstring.reparam import pullback_weight_one
 from oracles import RotationMap, dense_bracket_residues, witt_target
@@ -149,8 +150,8 @@ def test_each_clock_and_extraction_is_made_once_per_state(monkeypatch, frame, th
     # them, and score every bracket through the one engine, once per suite and
     # chirality); per state, 7 interpolations: periodicity's 2 round trips and
     # reparam's 5 diffeo pullbacks (its rotations are phases on the modes), and
-    # 7 complex field evaluations on the n-grid: the 2 fields, whose residues
-    # reality reads, and reparam's 5 rotated fields
+    # 2 complex mode sums on the n-grid, reality's alone: reparam's 5 rotated
+    # fields are real series like the record's
     from closedstring import ddf, numerics, phase_space, poisson
 
     n = 1024
@@ -179,7 +180,7 @@ def test_each_clock_and_extraction_is_made_once_per_state(monkeypatch, frame, th
     tally(ddf, "ddf_modes")
     tally(numerics, "invert_monotone")
     tally(ddf, "compute_R", at_n(3))
-    tally(phase_space, "_checked_field", at_n(2))
+    tally(phase_space, "eval_field", at_n(2))
     tally(phase_space, "_complex_field", lambda args: args[2] == n)
     tally(poisson, "_window_gradients")
     tally(poisson, "_bracket_residues")
@@ -194,8 +195,8 @@ def test_each_clock_and_extraction_is_made_once_per_state(monkeypatch, frame, th
         sys.setswitchinterval(interval)
     assert report["pass"]
     per_state = {name: count / len(states) for name, count in calls.items()}
-    assert per_state == {"invert_monotone": 2, "compute_R": 2, "_checked_field": 2,
-                         "_complex_field": 7, "_window_gradients": 2, "_bracket_residues": 6,
+    assert per_state == {"invert_monotone": 2, "compute_R": 2, "eval_field": 2,
+                         "_complex_field": 2, "_window_gradients": 2, "_bracket_residues": 6,
                          "trig_interpolate": 7}
     assert not hasattr(poisson, "_invariance_rows")
 
@@ -286,6 +287,35 @@ def test_mode_rotation_matches_the_interpolated_pullback(state_bank, c):
         assert rotated.bandwidth == state.truncation
         want = pullback_weight_one(field, RotationMap(c)).values
         assert np.max(np.abs(rotated.values - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_reality_is_never_below_the_imaginary_residue(state_bank, frame4):
+    # reality reads max|Z/sqrt(2 pi) - P| / max|P|, Z the complex mode sum;
+    # |Z/sqrt(2 pi) - P| >= |Im Z|/sqrt(2 pi), the residue it read before
+    n = verify.default_params()["n"]
+    report = verify.run_suites(["reality"], state_bank, frame4, threads=1)
+    assert report["pass"]
+    for row in report["rows"]:
+        state, chir = state_bank[row["state_index"]], row["name"][-2]
+        z = _complex_field(state, chir, n)
+        old = np.max(np.abs(z.imag)) / np.max(np.abs(z.real))
+        assert old <= row["measured"] <= 1e-13, row
+
+
+def test_reality_fails_a_field_off_by_one_part_in_1e9(monkeypatch, frame):
+    # the field every suite reads, one component scaled by 1 + 1e-9
+    eval_field = verify.eval_field
+
+    def skewed(state, chirality, n):
+        values = eval_field(state, chirality, n).values.copy()
+        values[:, 1] *= 1.0 + 1e-9
+        return cs.FieldGrid(values, state.truncation)
+
+    monkeypatch.setattr(verify, "eval_field", skewed)
+    states = [cs.random_state(4, 8, seed=s, frame=frame) for s in (1, 2)]
+    report = verify.run_suites(["reality"], states, frame, params={"n": 512}, threads=1)
+    assert not report["pass"]
+    assert not any(r["pass"] for r in report["rows"])
 
 
 @pytest.mark.parametrize("names, records", [(["reality"], 2), (["negative-controls"], 2),
