@@ -23,8 +23,9 @@ in the same routines, with the same transform counts, and
 Costs of the iterated integrals: one degree-n word is O(n^2 N log N), the
 last of its n integrals, needed only at 2*pi, closing by end weights at no
 transform; the D^n words of degree n in lexicographic order, sharing
-prefixes, are O(D^{n-1} n N log N), in D^{n-2} batched steps and closes of
-all D^2 words under one head.  Every sum over samples is one
+prefixes, are O(D^{n-1} n N log N), in batched steps and closes of all
+words under one head, as few heads as keep each block within a fixed
+number of elements.  Every sum over samples is one
 :func:`_sample_sum`, whose bits do not depend on the batch width, so batched
 and single words agree bit for bit.  On a field of known bandwidth K,
 :func:`_alias_free_samples` strides the N samples to the smallest exact grid
@@ -314,6 +315,9 @@ def _real_cut(z):
 
 # complex elements in one product of :func:`_block_close` (4 MiB)
 _CLOSE_CHUNK = 1 << 18
+# samples times words of the widest block of :class:`_PrefixIntegrals`; wider
+# bounds (2^17, 2^18) made sweeps on 2048 and 4096 plain samples slower
+_BLOCK_BOUND = 1 << 16
 
 
 def _block_close(weighted, columns):
@@ -354,27 +358,40 @@ class _PrefixIntegrals:
     sum_{0<j<n} D^j 2j = O(D^{n-1} n N log N) word by word.
 
     :meth:`read` serves a degree-n word from the block of its head
-    h = word[:n-2]: one step of h's state with all D columns as a trailing
-    letter axis (2(n - 1) transforms of (N, D) grids) and one
-    :func:`_block_close` give all D^2 words (h, a, b) at once (at n = 1
-    the block is the D integrals of the columns).  In lexicographic order
-    the D^n words of degree n take D^{n-2} batched steps and closes, plus
-    the walks of their heads, sum_{0<j<n-1} D^j 2j transforms.  One entry
-    per degree, ``blocks[n] = [head, block, reads]``, holds at most D^2
-    values.  A block is built on the third word in a row under its head,
+    h = word[:l]: the head's state steps each of the n - 1 - l letters after
+    it as one more trailing letter axis of all D columns (one
+    :func:`_sigma_antiderivative` call per level, the step from j letters
+    2(j + 1) transforms of (N, D^(j + 1 - l)) grids), and one
+    :func:`_block_close` gives all D^(n - l) words under h at once.  l is
+    the shortest head length with N D^(n - l) <= ``_BLOCK_BOUND`` elements
+    (:func:`_head_length`), and n - 2 when none fits, so a block holds D^2
+    words at the least (at n = 1 the D integrals of the columns).  On a
+    banded D = 4 field (N <= 128 to degree 4) every head is (), one block
+    per degree; at D = 26, or on 4096 plain samples at D = 4 from degree 3,
+    blocks hold D^2 words.  In lexicographic order the D^n words of degree n
+    take D^l blocks, plus the walks of their heads: sum_{0<j<n} 2j D^j
+    transforms of N samples, O(D^{n-1} n N log N) whatever l is, in
+    D^l (n(n - 1) - l(l + 1)) + sum_{0<j<=l} 2j D^j calls.  As N or D grows
+    the head lengthens by a letter for every factor D, so the elements a
+    block steps and closes at once stay within the bound (its wide state n
+    grids of at most the bound / D).  One entry per degree,
+    ``blocks[n] = [head, block, reads]``, holds the block's values after the
+    real cut.  A block is built on the third word in a row under its head,
     or on the first when the degree's previous head served at least D
     words (a sweep of siblings); every other word goes word by word, so a
-    stream of unrelated words, or of the rotations of symmetrized words,
-    pays for no D^2 words it does not read.  Values do not depend on the
-    route or on the order of the calls: block and word closes agree bit
-    for bit.
+    stream of unrelated words, or of the rotations of symmetrized words
+    under heads of one letter or more, pays for no words it does not read.
+    Values do not depend on the route or on the order of the calls: block
+    and word closes agree bit for bit.
 
     The path of a degree-n word holds (n-1)(n+2)/2 grids.  The caller passes
-    the same columns on every call; a field keeps one path per grid (see
+    the same columns on every call, and may keep them with the path as
+    ``columns``; a field keeps one path per grid (see
     :class:`~closedstring.phase_space.FieldGrid`).
     """
 
-    def __init__(self):
+    def __init__(self, columns=None):
+        self.columns = columns
         self.prefix = []
         self.states = [{0: 1.0}]
         self.blocks = {}
@@ -397,26 +414,46 @@ class _PrefixIntegrals:
 
     def read(self, columns, word):
         degree = len(word)
-        head = word[:max(degree - 2, 0)]
         entry = self.blocks.get(degree)
-        swept = False
+        # the head length is fixed per degree on the path's columns
+        h = _head_length(*columns.shape, degree) if entry is None else len(entry[0])
+        head = word[:h]
         if entry is None or entry[0] != head:
             swept = entry is not None and entry[2] >= columns.shape[1]
-            entry = self.blocks[degree] = [head, None, 0]
+            block = self._block(columns, head, degree) if swept else None
+            entry = self.blocks[degree] = [head, block, 0]
         entry[2] += 1
-        if entry[1] is None:
-            if not swept and entry[2] < 3:
+        block = entry[1]
+        if block is None:
+            if entry[2] < 3:
                 return self.integral(columns, word)
-            entry[1] = self._block(columns, head, degree)
-        return _real_cut(complex(entry[1][word[-2:]]))
+            block = entry[1] = self._block(columns, head, degree)
+        return block[word[h:]]
 
     def _block(self, columns, head, degree):
-        n = columns.shape[0]
-        if degree == 1:
-            return _block_close(_end_weighted(n, self.states[0].items())[:, None], columns)[0]
-        state = self.walk(columns, head)[-1]
-        wide = _sigma_antiderivative((k, np.expand_dims(g, -1) * columns) for k, g in state.items())
-        return _block_close(_end_weighted(n, wide.items()), columns)
+        n, dim = columns.shape
+        wide = {k: np.broadcast_to(g, (n,))[:, None] for k, g in self.walk(columns, head)[-1].items()}
+        for _ in range(degree - len(head) - 1):
+            wide = _sigma_antiderivative((k, (g[:, :, None] * columns[:, None, :]).reshape(n, -1))
+                                         for k, g in wide.items())
+        totals = _block_close(_end_weighted(n, wide.items()), columns)
+        block = np.empty(totals.size, object)
+        block[:] = [_real_cut(z) for z in totals.ravel().tolist()]
+        return block.reshape((dim,) * (degree - len(head)))
+
+
+def _head_length(n, dim, degree):
+    """Length h of the shortest head w[:h] whose block of a degree-``degree`` word fits.
+
+    The block of h holds the dim^(degree - h) words under it, and its close
+    multiplies n samples of each: h is the least with n dim^(degree - h) <=
+    ``_BLOCK_BOUND``, and max(degree - 2, 0) (a block of dim^2 words, of dim
+    at degree 1) when none fits.
+    """
+    h = max(degree - 2, 0)
+    while h and n * dim ** (degree - h + 1) <= _BLOCK_BOUND:
+        h -= 1
+    return h
 
 
 def _alias_free_samples(values, bandwidth, degree):
@@ -426,15 +463,24 @@ def _alias_free_samples(values, bandwidth, degree):
     degree ``bandwidth``; every product, sigma-antiderivative and end weight
     of ``degree`` such factors is one of degree ``degree * bandwidth``, exact
     on any grid n' > 2 * degree * bandwidth.  Returns the strided view on the
-    smallest such power of two n', the exact samples of the same polynomial;
-    ``values`` itself when the bandwidth is None (not known), or when n' does
-    not divide n (n' >= n among them).
+    smallest such power of two n' (:func:`_alias_free_size`), the exact
+    samples of the same polynomial, and ``values`` itself when n' = n.
     """
     n = values.shape[0]
+    size = _alias_free_size(n, bandwidth, degree)
+    return values if size == n else values[::n // size]
+
+
+def _alias_free_size(n, bandwidth, degree):
+    """n' of :func:`_alias_free_samples` for n samples.
+
+    n itself when the bandwidth is None (not known), or when the smallest
+    power of two above 2 degree K does not divide n (n' >= n among them).
+    """
     if bandwidth is None:
-        return values
+        return n
     n_min = 1 << (2 * degree * bandwidth).bit_length()  # smallest power of two > 2 degree K
-    return values if n_min >= n or n % n_min else values[::n // n_min]
+    return n if n_min >= n or n % n_min else n_min
 
 
 def simplex_iterated_integral(factors):

@@ -18,13 +18,17 @@ word is exact on any grid N' > 2nK.  A :class:`~closedstring.phase_space.FieldGr
 with a bandwidth runs its words, word gradients and Wilson loops on the
 smallest such power of two (N' <= 4nK), strided from its N samples at O(N);
 one without runs on all N samples, N' = N.  Words on one field share their
-prefixes on the field's own path for N', and words that share their head
-w[:n-2] are read from one block: the head's state is stepped once with all
-D letters as a trailing axis, and all D^2 words (head, a, b) close together
-(see :class:`~closedstring.numerics._PrefixIntegrals`).  One degree-n word
-costs O(n^2 N' log N'); the D^n words of degree n in lexicographic order
-take D^{n-2} batched steps and closes, O(D^{n-1} n N' log N') transform
-work in D^{n-2} calls, plus the walks of their heads.  The fields are
+prefixes on the field's own path for N', and words that share a head w[:h]
+are read from one block: the head's state steps each of the n - 1 - h
+letters after it as one more trailing axis of all D letters, and all
+D^(n-h) words under it close together (see
+:class:`~closedstring.numerics._PrefixIntegrals`).  The head is the shortest
+whose block fits N' D^(n-h) <= 2^16 elements, and w[:n-2] (D^2 words) when
+none does: a banded D = 4 field reads each degree to 4 from one block, and
+D = 26 keeps blocks of D^2 words.  One degree-n word costs
+O(n^2 N' log N'); the D^n words of degree n in lexicographic order cost
+O(D^{n-1} n N' log N') transform work whatever h is, in D^h blocks of
+n - 1 - h batched steps each, plus the walks of their heads.  The fields are
 real, so every state of a word is a real grid, stepped by real transforms
 (``rfft``/``irfft`` on the half spectrum); a Wilson loop's matrix states
 are complex and take ``fft``/``ifft`` in the same routine.  A word's value does
@@ -48,8 +52,8 @@ import numpy as np
 # clock's substitution) but stays bound: perfbench's tracer test checks every binding
 from .ddf import (DDFModes, _check_modes, _modes_of, _rotate_modes, _substitution, compute_R,
                   ddf_modes, reconstruct_field)
-from .numerics import (TAU, _acc, _alias_free_samples, _at_two_pi, _end_weighted, _end_weights,
-                       _PrefixIntegrals, _sample_sum, _sigma_antiderivative)
+from .numerics import (TAU, _acc, _alias_free_samples, _alias_free_size, _at_two_pi, _end_weighted,
+                       _end_weights, _PrefixIntegrals, _sample_sum, _sigma_antiderivative)
 from .phase_space import FieldGrid, LightlikeFrame, StringState, _check_chirality, _orientation
 from .reparam import ReparamMap, pullback_weight_one
 
@@ -100,9 +104,9 @@ def pohlmeyer_invariant(field: FieldGrid, spec: InvariantSpec):
 
 def _words(spec, dim):
     """The word of ``spec``, or all its rotations if symmetrized, checked against ``dim``."""
-    if any(i < 0 or i >= dim for i in spec.indices):
-        raise IndexError(f"indices out of range for dim {dim}")
     w = spec.indices
+    if min(w) < 0 or max(w) >= dim:
+        raise IndexError(f"indices out of range for dim {dim}")
     return [w[r:] + w[:r] for r in range(spec.degree)] if spec.symmetrized else [w]
 
 
@@ -166,16 +170,18 @@ def _prefix_path(field, degree):
     :func:`~closedstring.numerics._alias_free_samples`, and ``read(columns,
     word)`` gives the word's value from this thread's
     :class:`~closedstring.numerics._PrefixIntegrals` for N' on the field,
-    made on first use.  A field whose values were made writable again gets
+    made on first use with the columns it keeps, so a later call strides
+    nothing.  A field whose values were made writable again gets
     a throwaway path, so states and blocks can never go stale.
     """
-    columns = _alias_free_samples(field.values, field.bandwidth, degree)
+    values = field.values
     # this thread's {N': path} on the field, or a throwaway one
-    paths = {} if field.values.flags.writeable else vars(field._word_paths)
-    path = paths.get(columns.shape[0])
+    paths = {} if values.flags.writeable else vars(field._word_paths)
+    size = _alias_free_size(values.shape[0], field.bandwidth, degree)
+    path = paths.get(size)
     if path is None:
-        path = paths[columns.shape[0]] = _PrefixIntegrals()
-    return path.read, columns
+        path = paths[size] = _PrefixIntegrals(_alias_free_samples(values, field.bandwidth, degree))
+    return path.read, path.columns
 
 
 def align_base_point(modes: DDFModes, clock) -> DDFModes:

@@ -236,8 +236,9 @@ def suite_shuffle(record, tols):
                  for mu in range(d) for nu in range(d))
     rows.append(_row("shuffle[deg2]", record.digest(n=n), worst2, tols["shuffle2"]))
 
-    # every degree-3 word, asked in sorted order: pohlmeyer_invariant serves the
-    # D^2 words under each first letter from one block
+    # every degree-3 word, asked in sorted order: pohlmeyer_invariant serves them
+    # from the fewest blocks that fit its bound (one block of all D^3 words at
+    # D=4 on a banded field, D^2 words under each first letter at D=26)
     z3 = {w: pohlmeyer_invariant(field, InvariantSpec("-", w))
           for w in itertools.product(range(d), repeat=3)}
     scale3 = max(abs(v) for v in z3.values()) + max(abs(v) ** 3 for v in z1.values())

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import closedstring as cs
-from closedstring import pohlmeyer, poisson
+from closedstring import numerics, pohlmeyer, poisson
 from closedstring.numerics import (TAU, simplex_iterated_integral, _alias_free_samples,
                                    _PrefixIntegrals)
 from closedstring.pohlmeyer import (InvariantSpec, WilsonConfig,
@@ -130,26 +130,28 @@ def _path(field, degree):
 
 
 def test_lexicographic_words_share_prefixes(state_bank, fft_calls):
-    # each head of j <= 2 letters is walked once at 2j transforms, and each
-    # head of a degree-m word is stepped once with all D letters at 2(m - 1)
-    # (the top power of a step is a constant, filled without one); the last
-    # letter costs none.  The first head of degree 4 serves its first two
-    # words word by word, and those step their third letter alone once:
-    # sum_{0<j<=2} D^j 2j + sum_{1<m<=4} D^(m-2) 2(m-1) + 2*3 = 192.  With the
-    # bandwidth, degree-1 words run on 32 samples and the rest on 64, each
-    # grid on its own path of the field, and degree-1 words cost no
-    # transform on either, so the count is the same
+    # on 64 samples the block of a degree-m word fits under head (): it holds
+    # all D^m words, 64 D^m <= 2^16 elements.  A step with j letters behind it
+    # costs 2j transforms (the top power of a step is a constant, filled
+    # without one), and the last letter costs none.  In sorted order the
+    # first words of each degree walk (0, 0, 0) once, 2 (1 + 2 + 3); the
+    # third word of degree m builds its block in m - 1 steps, m(m - 1), and
+    # every later word of the degree reads it:
+    # 12 + sum_{1<m<=4} m(m - 1) = 12 + 2 + 6 + 12 = 32 (192 with blocks of
+    # D^2 words).  With the bandwidth, degree-1 words run on 32 samples and
+    # the rest on 64, each grid on its own path of the field, and degree-1
+    # words cost no transform on either, so the count is the same
     banded = [cs.eval_field(state_bank[i], "-", 64) for i in (1, 0)]
     plain = [cs.FieldGrid(f.values) for f in banded]
     assert len(WORDS4) == 340
-    want = (sum(4 ** j * 2 * j for j in range(1, 3))
-            + sum(4 ** (m - 2) * 2 * (m - 1) for m in range(2, 5)) + 2 * 3)
-    assert want == 192
+    want = 2 * (1 + 2 + 3) + sum(m * (m - 1) for m in range(2, 5))
+    assert want == 32
     for warm, field in (plain, banded):
         _all_words(warm, WORDS4)  # fill the cached weights
         fft_calls.clear()
         _all_words(field, WORDS4)
         assert len(fft_calls) == want
+        assert all(head == () for head, _, _ in _path(field, 4).blocks.values())
 
 
 def test_words_alternating_between_two_fields_keep_their_paths(state_bank, monkeypatch):
@@ -257,7 +259,10 @@ def test_random_word_stream_pays_for_no_block(monkeypatch):
 
 
 def test_blocks_are_built_on_a_third_word_or_after_a_sweep(state_bank):
-    field = cs.eval_field(state_bank[3], "-", 256)
+    # on 4096 plain samples no degree-4 block wider than D^2 words fits, so
+    # heads keep two letters
+    banded = cs.eval_field(state_bank[3], "-", 4096)
+    field = cs.FieldGrid(banded.values)
     pohlmeyer_invariant(field, InvariantSpec("-", (0, 1, 2, 3)))  # makes the path
     path = _path(field, 4)
     # two words under one head go word by word; the third builds the block
@@ -274,6 +279,16 @@ def test_blocks_are_built_on_a_third_word_or_after_a_sweep(state_bank):
     # ... but a head that served fewer does not
     pohlmeyer_invariant(field, InvariantSpec("-", (2, 2, 0, 0)))
     assert path.blocks[4][0] == (2, 2) and path.blocks[4][1] is None
+    # with the bandwidth, degree 4 runs on 128 samples, where the block of
+    # head () fits (128 D^4 <= 2^16): every word shares it, and the third
+    # word of the degree builds all D^4 at once
+    pohlmeyer_invariant(banded, InvariantSpec("-", (0, 1, 2, 3)))
+    path = _path(banded, 4)
+    for k, w in enumerate([(1, 2, 0, 1), (3, 0, 3, 2)]):
+        pohlmeyer_invariant(banded, InvariantSpec("-", w))
+        assert path.blocks[4][0] == ()
+        assert (path.blocks[4][1] is None) == (k < 1)
+    assert path.blocks[4][1].shape == (4, 4, 4, 4)
 
 
 def test_word_order_does_not_change_values(state_bank):
@@ -388,7 +403,8 @@ def test_prefix_memo_is_small(state_bank):
     held = sum(g.nbytes for state in path.states for g in state.values()
                if isinstance(g, np.ndarray))
     assert 0 < held <= 1 << 20
-    # one block of at most D^2 values per degree and grid, whatever the stream
+    # one block per degree and grid, whatever the stream; on these grids
+    # (32 to 128 samples) every degree's block fits under head ()
     rng = np.random.default_rng(6)
     built = 0
     for w in WORDS4 + WORDS4[::-1] + [WORDS4[i] for i in rng.permutation(len(WORDS4))]:
@@ -396,12 +412,29 @@ def test_prefix_memo_is_small(state_bank):
         for n_grid, grid_path in _paths(field).items():
             for degree, (head, block, reads) in grid_path.blocks.items():
                 assert _alias_free_samples(field.values, field.bandwidth, degree).shape[0] == n_grid
-                assert len(head) == max(degree - 2, 0) and reads >= 1
-                assert block is None or block.shape == ((4, 4) if degree > 1 else (4,))
+                assert head == () and reads >= 1
+                assert block is None or block.shape == (4,) * degree
+                assert block is None or n_grid * block.size <= numerics._BLOCK_BOUND
                 built += block is not None
     assert built
     # one path per grid: degree 1 on 32 samples, degrees 2 and 3 on 64, 4 on 128
     assert sorted(_paths(field)) == [32, 64, 128]
+
+
+def test_wide_grid_sweep_keeps_narrow_heads(state_bank):
+    # on 4096 plain samples a degree-3 block under head () would hold
+    # 4096 D^3 = 2^18 elements, over the bound: heads keep one letter and
+    # blocks D^2 words, as at D = 26, and values stay bit-equal to the words'
+    field = cs.FieldGrid(cs.eval_field(state_bank[4], "-", 4096).values)
+    words = [w for w in WORDS4 if len(w) <= 3]
+    for w, z in zip(words, _all_words(field, words)):
+        want = simplex_iterated_integral([field.values[:, mu] for mu in w])
+        assert z == want and type(z) is type(want)
+    for degree, (head, block, reads) in _path(field, 3).blocks.items():
+        assert len(head) == max(degree - 2, 0)
+        assert block.shape == (4,) * min(degree, 2)
+        assert 4096 * block.size <= numerics._BLOCK_BOUND
+    assert 4096 * 4 ** 3 > numerics._BLOCK_BOUND
 
 
 def test_prefix_memo_goes_with_its_field(state_bank):
