@@ -154,8 +154,9 @@ def compute_R(state: StringState, frame: LightlikeFrame, chirality: str, n: int,
     rho = R - sigma and R' = (2 pi sqrt(2T)/k.p) k.P_chir are real series,
     both synthesized from their half spectra as two columns of one ``irfft``
     (:func:`~closedstring.numerics._real_series`), not by differentiating
-    samples; the two agree spectrally and are cross-checked in tests.
-    Cost O(N log N + N M).
+    samples; the two agree spectrally and are cross-checked in tests.  The
+    map carries bandwidth M, so its inversion reads both back from their
+    alias-free samples.  Cost O(N log N + N M).
     """
     _grid_guard(state, n)
     kp = _kp(state, frame)
@@ -167,7 +168,7 @@ def compute_R(state: StringState, frame: LightlikeFrame, chirality: str, n: int,
                         np.stack([drows * (-orientation * 1j / ms), drows], axis=1),
                         n, orientation)
     rho, drv = np.ascontiguousarray(both.T)
-    cmap = MonotoneCircleMap(periodic=rho, deriv=drv)
+    cmap = MonotoneCircleMap(periodic=rho, deriv=drv, bandwidth=rows.shape[0])
     if require_monotone and cmap.min_deriv() <= 0.0:
         raise NonMonotone(f"min R' = {cmap.min_deriv():.3e} <= 0 for chirality {chirality}")
     return cmap

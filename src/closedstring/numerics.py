@@ -6,7 +6,8 @@ workhorses are the one mode/grid transform pair (:func:`modes_to_grid`,
 :func:`grid_to_modes`, with :func:`real_modes` assembling a real series),
 the trigonometric interpolant of real samples at off-grid points (a real
 series read by its half spectrum, frequencies m >= 0, on one real basis of
-cosines and sines), one closed-form
+cosines and sines; from its alias-free samples when its bandwidth is
+known), one closed-form
 spectral antiderivative of sigma-polynomials with periodic coefficients
 (behind the periodic antiderivative, the nested simplex (iterated)
 integrals and the Wilson loops), and safeguarded inversion of monotone
@@ -35,6 +36,7 @@ O(n^2 N' log N') whatever N is.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -471,6 +473,19 @@ def _alias_free_samples(values, bandwidth, degree):
     return values if size == n else values[::n // size]
 
 
+def _check_bandwidth(bandwidth, n):
+    """A bandwidth K for n samples as an int, or None: ValueError unless 0 <= K and 2K + 2 <= n.
+
+    A non-integer K raises TypeError.
+    """
+    if bandwidth is None:
+        return None
+    k = operator.index(bandwidth)
+    if k < 0 or 2 * k + 2 > n:
+        raise ValueError(f"bandwidth {k} needs 0 <= K and 2K + 2 <= n = {n}")
+    return k
+
+
 def _alias_free_size(n, bandwidth, degree):
     """n' of :func:`_alias_free_samples` for n samples.
 
@@ -521,10 +536,19 @@ class MonotoneCircleMap:
     The winding relation R(sigma + 2*pi) = R(sigma) + 2*pi holds exactly by
     this representation.  ``deriv`` carries samples of R' = 1 + (R - sigma)',
     the same polynomial as the derivative of ``periodic``'s interpolant.
+    ``bandwidth`` K, when not None, promises that both are samples of real
+    trigonometric polynomials of degree <= K, validated as
+    :class:`~closedstring.phase_space.FieldGrid`'s (0 <= K, 2K + 2 <= n):
+    :func:`~closedstring.ddf.compute_R` sets it to the truncation M, and
+    :func:`invert_monotone` then reads both from their alias-free samples.
     """
 
     periodic: np.ndarray
     deriv: np.ndarray
+    bandwidth: int | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "bandwidth", _check_bandwidth(self.bandwidth, self.n_samples))
 
     @property
     def n_samples(self):
@@ -594,7 +618,7 @@ def _real_rows(half):
     return np.concatenate([half.real, -half.imag])
 
 
-def _half_spectrum(samples, rel):
+def _half_spectrum(samples, rel, bandwidth=None):
     """Frequencies m >= 0 and weights h_m of real periodic samples, pruned.
 
     One ``rfft`` gives c_m = rfft/n; the samples are the real series
@@ -602,16 +626,27 @@ def _half_spectrum(samples, rel):
     n, h_{n/2} = c_{n/2} (the Nyquist mode, the cosine cos(n sigma/2)).  A
     frequency is dropped when its coefficients c_m are all below ``rel``
     times the largest: the rule of the two-sided spectrum, whose c_{-m} =
-    conj(c_m) have the same magnitudes.
+    conj(c_m) have the same magnitudes.  Only the kept rows are doubled.
+
+    A ``bandwidth`` K promises a real trigonometric polynomial of degree
+    <= K: the rows come from its alias-free samples
+    (:func:`_alias_free_samples` at degree 1, 32 of them at K = 8), and rows
+    above K are dropped before the pruning, so no rounding on a frequency
+    above K is kept.
     """
+    samples = _alias_free_samples(samples, bandwidth, 1)
     n = samples.shape[0]
     c = np.fft.rfft(samples, axis=0) / n
-    keep = _significant(c, rel)
-    c[1:(n + 1) // 2] *= 2.0  # every m with a partner -m; the Nyquist mode of even n has none
-    return np.flatnonzero(keep), c[keep]
+    if bandwidth is not None:
+        c = c[:bandwidth + 1]
+    freqs = np.flatnonzero(_significant(c, rel))
+    half = c[freqs]
+    # every m with a partner -m; the Nyquist mode of even n has none
+    half[(freqs > 0) & (2 * freqs < n)] *= 2.0
+    return freqs, half
 
 
-def trig_interpolate(samples, points):
+def trig_interpolate(samples, points, bandwidth=None):
     """Evaluate the trigonometric interpolant of real periodic samples at points.
 
     Samples (axis 0; trailing axes ride along) are read by their half
@@ -620,11 +655,17 @@ def trig_interpolate(samples, points):
     :func:`_half_basis` of width 2K for K kept frequencies m >= 0; the
     Nyquist mode is its cosine.  Exact (to roundoff) for band-limited data;
     all-zero samples give zeros of shape ``points.shape + trailing``.
+    ``bandwidth`` K, when not None, promises samples of a real
+    trigonometric polynomial of degree <= K, as
+    :class:`~closedstring.phase_space.FieldGrid`'s does: the spectrum is
+    read from the smallest alias-free grid (O(K log K), not O(N log N)) and
+    has no frequency above K.  A K < 0 or 2K + 2 > n raises ValueError.
     Complex samples raise TypeError.
     """
     if np.iscomplexobj(samples):
         raise TypeError("trig_interpolate takes real samples")
-    freqs, half = _half_spectrum(np.asarray(samples, float), 1e-15)
+    samples = np.asarray(samples, float)
+    freqs, half = _half_spectrum(samples, 1e-15, _check_bandwidth(bandwidth, samples.shape[0]))
     if not freqs.size:  # all-zero samples keep no frequency
         return np.zeros(np.shape(points) + half.shape[1:])
     rows = _real_rows(half.reshape(len(freqs), -1))
@@ -638,10 +679,16 @@ def invert_monotone(cmap: MonotoneCircleMap, carry=None, tol=1e-13, max_iter=60)
     Each R^{-1}(sigma_j) is found by bisection-bracketed Newton on the
     trigonometric interpolant of the periodic part rho = R - sigma, read by
     its half spectrum (``rfft``, frequencies below 1e-16 of the largest
-    dropped).  A bracket end moves only on a residual of its own strict
-    sign, and a Newton step falls back to bisection only when it lands
-    strictly outside the bracket and is larger than ``tol``, so converged
-    points stay put and convergence is quadratic.  Newton starts from the
+    dropped).  A map with a ``bandwidth`` K (a clock of
+    :func:`~closedstring.ddf.compute_R`, K = M) has rho and R' read from
+    their alias-free samples (:func:`_half_spectrum`: 32 of them at M = 8,
+    whatever N is), with no frequency above K; with none, from all N
+    samples, where the 1e-16 rule can keep the rounding of rho's zero mode
+    at isolated high frequencies (n/4, n/2) as basis frequencies.  A
+    bracket end moves only on a residual of its own strict sign, and a
+    Newton step falls back to bisection only when it lands strictly outside
+    the bracket and is larger than ``tol``, so converged points stay put and
+    convergence is quadratic.  Newton starts from the
     sampled inverse R(sigma_j) -> sigma_j with its slopes 1/R'(sigma_j)
     from ``cmap.deriv``, interpolated by cubic Hermite pieces, periodically,
     and clipped to the bracket: its error is O(h^4), h = 2 pi/N.  On the
@@ -664,9 +711,10 @@ def invert_monotone(cmap: MonotoneCircleMap, carry=None, tol=1e-13, max_iter=60)
     from the half spectrum of ``cmap.deriv`` (the samples of 1 + rho', as
     :func:`~closedstring.ddf.compute_R` makes them; frequencies below 1e-15
     of the largest dropped), and (R^{-1})' = 1/(R' + R'' delta).  rho's own
-    spectrum is not differentiated for it: the rounding that rho's zero mode
-    leaves on its samples passes the 1e-16 rule at isolated high
-    frequencies (n/4, n/2), where m times it reaches 1e-12 of R'.
+    spectrum is not differentiated for it: read from all N samples, the
+    rounding that rho's zero mode leaves on them passes the 1e-16 rule at
+    isolated high frequencies (n/4, n/2), where m times it reaches 1e-12 of
+    R'.
 
     ``carry``, when given, is the half spectrum of a real series
     F(s) = Re sum_{m>=0} h_m e^{ims}, rows m = 0..K (axis 0; trailing axes
@@ -675,7 +723,7 @@ def invert_monotone(cmap: MonotoneCircleMap, carry=None, tol=1e-13, max_iter=60)
     those of R') join the basis, and the result is the pair
     (inverse, F(R^{-1}(sigma_j))), the latter of shape (n,) + trailing.
     Cost O(iterations N K) for the basis and its products, plus one ``rfft``
-    each of rho and R'.
+    each of rho and R' (of O(K) samples with a bandwidth, of N without).
     """
     if cmap.min_deriv() <= 0.0:
         raise NonMonotone(f"min R' = {cmap.min_deriv():.3e} <= 0")
@@ -683,10 +731,10 @@ def invert_monotone(cmap: MonotoneCircleMap, carry=None, tol=1e-13, max_iter=60)
     sigma = grid_sigma(n)
     rho_v = cmap.periodic
 
-    freqs, rho_h = _half_spectrum(rho_v, 1e-16)
+    freqs, rho_h = _half_spectrum(rho_v, 1e-16, cmap.bandwidth)
     # R' is read from its own samples, whose spectrum has none of the
     # rounding that the zero mode of rho leaves on rho's high frequencies
-    carried = [_half_spectrum(cmap.deriv, 1e-15)]
+    carried = [_half_spectrum(cmap.deriv, 1e-15, cmap.bandwidth)]
     if carry is not None:
         carry = np.asarray(carry)
         flat = carry.reshape(carry.shape[0], -1)

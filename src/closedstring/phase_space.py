@@ -14,15 +14,14 @@ total momentum integral reproduces p identically.
 from __future__ import annotations
 
 import json
-import operator
 import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DegenerateFrame
-from .numerics import (TAU, _real_series, grid_sigma, grid_to_modes, is_power_of_two,
-                       modes_to_grid, periodic_antiderivative, real_modes)
+from .numerics import (TAU, _check_bandwidth, _real_series, grid_sigma, grid_to_modes,
+                       is_power_of_two, modes_to_grid, periodic_antiderivative, real_modes)
 
 DEFAULT_TENSION = 1.0 / TAU  # alpha' = 1
 _INV_SQRT_TAU = 1.0 / np.sqrt(TAU)
@@ -180,11 +179,7 @@ class FieldGrid:
         arr = np.array(self.values)
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
-        if self.bandwidth is not None:
-            k = operator.index(self.bandwidth)
-            if k < 0 or 2 * k + 2 > arr.shape[0]:
-                raise ValueError(f"bandwidth {k} needs 0 <= K and 2K + 2 <= n = {arr.shape[0]}")
-            object.__setattr__(self, "bandwidth", k)
+        object.__setattr__(self, "bandwidth", _check_bandwidth(self.bandwidth, arr.shape[0]))
         object.__setattr__(self, "_word_paths", threading.local())
 
     def __reduce__(self):

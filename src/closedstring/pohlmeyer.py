@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
@@ -221,10 +221,15 @@ def pohlmeyer_via_ddf(state: StringState, frame: LightlikeFrame, spec: Invariant
 
 @dataclass(frozen=True)
 class WilsonConfig:
-    """Constant gauge connection: matrices[mu] is the d x d block A_mu."""
+    """Constant gauge connection: matrices[mu] is the d x d block A_mu.
+
+    ``a_norm``, max_mu ||A_mu||_2 (the largest singular value), is taken
+    once here for :func:`wilson_loop`'s remainder bound.
+    """
 
     matrices: np.ndarray  # (dim, d, d) complex
     n_max: int
+    a_norm: float = dataclass_field(init=False, repr=False)
 
     def __post_init__(self):
         arr = np.asarray(self.matrices, complex)
@@ -238,6 +243,7 @@ class WilsonConfig:
         arr.setflags(write=False)
         object.__setattr__(self, "matrices", arr)
         object.__setattr__(self, "n_max", n_max)
+        object.__setattr__(self, "a_norm", float(max(np.linalg.norm(m, 2) for m in arr)))
 
     @property
     def matrix_dim(self):
@@ -252,7 +258,8 @@ def wilson_loop(field: FieldGrid, config: WilsonConfig):
     :func:`~closedstring.numerics._alias_free_samples` for degree n_max;
     returns (value, remainder_bound) with the factorial tail bound
     (C*||A||)^{n_max+1}/(n_max+1)!, C = 2 pi max_sigma sum_mu |P^mu(sigma)|
-    taken over all n samples, since a coarser grid can miss the peak.
+    taken over all n samples, since a coarser grid can miss the peak, and
+    ||A|| the config's ``a_norm``.
     """
     vals = _alias_free_samples(field.values, field.bandwidth, config.n_max)
     d = config.matrix_dim
@@ -268,9 +275,7 @@ def wilson_loop(field: FieldGrid, config: WilsonConfig):
     traces = ((k, np.einsum("...ij,...ji->...", g, b)) for k, g in acc.items())
     value += complex(_sample_sum(_end_weighted(b.shape[0], traces)))
 
-    c_factor = TAU * float(np.max(np.sum(np.abs(field.values), axis=1)))
-    a_norm = float(max(np.linalg.norm(m, 2) for m in config.matrices))
-    x = c_factor * a_norm
+    x = TAU * float(np.max(np.sum(np.abs(field.values), axis=1))) * config.a_norm
     remainder = x ** (config.n_max + 1) / math.factorial(config.n_max + 1)
     return value, remainder
 
@@ -285,7 +290,7 @@ def reparam_check(field: FieldGrid, cmap: ReparamMap, spec: InvariantSpec):
     The pullback is :func:`~closedstring.reparam.pullback_weight_one`, one
     trigonometric interpolation of the field's samples, and the pulled field
     carries no bandwidth, so its word runs on all n samples.  ``cmap`` is a
-    circle map with ``__call__``, ``deriv`` and ``fixes_base_point`` (a
+    circle map with ``on_grid`` and ``fixes_base_point`` (a
     :class:`~closedstring.reparam.ReparamMap`).  It must preserve the base
     point unless the word is symmetrized; symmetrized words tolerate rigid
     rotations too (the verify suite rotates the state's modes instead, which

@@ -2,7 +2,9 @@
 
 Maps are truncated harmonic perturbations of the identity,
 phi(sigma) = sigma + sum_j c_j sin(j sigma + theta_j), with the monotone
-budget sum_j j*|c_j| <= 0.9 so phi' >= 0.1 everywhere by construction.
+budget sum_j j*|c_j| <= 0.9 so phi' >= 0.1 everywhere by construction.  A
+map keeps its samples phi(sigma_j), phi'(sigma_j) per grid once made, so a
+fixed map pulls back many fields at the cost of the interpolation alone.
 """
 
 from __future__ import annotations
@@ -33,6 +35,10 @@ class ReparamMap:
         for name, arr in (("amplitudes", c), ("phases", t)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        object.__setattr__(self, "_grids", {})
+
+    def __reduce__(self):
+        return ReparamMap, (self.amplitudes, self.phases)
 
     @property
     def order(self):
@@ -49,6 +55,23 @@ class ReparamMap:
         for j, (c, th) in enumerate(zip(self.amplitudes, self.phases), start=1):
             out += j * c * np.cos(j * np.asarray(sigma) + th)
         return out
+
+    def on_grid(self, n):
+        """(phi(sigma_j), phi'(sigma_j)) on the n-grid, read-only.
+
+        Made on the first call for n and kept by the map, as a field keeps
+        its word paths, so a copy or an unpickled map starts with none.
+        Threads that ask at once may each make the pair; all get the one
+        stored first.
+        """
+        pair = self._grids.get(n)
+        if pair is None:
+            sig = grid_sigma(n)
+            pair = (self(sig), self.deriv(sig))
+            for arr in pair:
+                arr.setflags(write=False)
+            pair = self._grids.setdefault(n, pair)
+        return pair
 
     def fixes_base_point(self, tol=1e-12):
         return abs(float(self(0.0))) % TAU < tol
@@ -90,9 +113,14 @@ def random_diffeo(seed, order=3, amplitude=0.5, fix_base_point=True) -> ReparamM
 def pullback_weight_one(field: FieldGrid, cmap) -> FieldGrid:
     """Weight-one pullback (F o phi) * phi' on the field's own grid.
 
-    F o phi is the :func:`~closedstring.numerics.trig_interpolate` of the
-    field's samples at phi(sigma_j), so a real field pulls back to a real one.
+    ``cmap`` is a circle map phi whose ``on_grid(n)`` gives the samples
+    phi(sigma_j) and phi'(sigma_j) on the n-grid (a :class:`ReparamMap`
+    makes them once per n).  F o phi is the
+    :func:`~closedstring.numerics.trig_interpolate` of the field's samples
+    at phi(sigma_j), read with the field's bandwidth: a field of bandwidth K
+    has its spectrum read from O(K) alias-free samples, not all n.  A real
+    field pulls back to a real one, with no bandwidth.
     """
-    sig = grid_sigma(field.n_samples)
-    moved = trig_interpolate(field.values, cmap(sig))
-    return FieldGrid(moved * cmap.deriv(sig).reshape((-1,) + (1,) * (moved.ndim - 1)))
+    phi, dphi = cmap.on_grid(field.n_samples)
+    moved = trig_interpolate(field.values, phi, bandwidth=field.bandwidth)
+    return FieldGrid(moved * dphi.reshape((-1,) + (1,) * (moved.ndim - 1)))

@@ -29,7 +29,7 @@ from . import __version__
 # inversions) but stays bound: perfbench's tracer test checks every binding
 from .ddf import (DDFInvariantSpec, _check_modes, _modes_of, _substitution, compute_R,
                   ddf_modes, reconstruct_field)
-from .numerics import TAU, grid_sigma, trig_interpolate
+from .numerics import TAU, _alias_free_size, grid_sigma, trig_interpolate
 from .phase_space import _complex_field, eta_dot, eval_field, state_to_json
 from .pohlmeyer import InvariantSpec, align_base_point, pohlmeyer_invariant, reparam_check
 from .poisson import (DEFAULT_OBS_GRID, _bracket_residues, _window_gradients, chart_for,
@@ -201,7 +201,7 @@ def suite_periodicity(record, tols):
         # winding R(sigma+2pi) = R(sigma)+2pi is exact by representation;
         # measure R(R^-1(sigma)) = sigma through R's exact interpolant
         pts = inverse.values()
-        fwd = pts + trig_interpolate(cmap.periodic, pts)
+        fwd = pts + trig_interpolate(cmap.periodic, pts, bandwidth=cmap.bandwidth)
         err = float(np.max(np.abs(fwd - grid_sigma(n))))
         rows.append(_row(f"roundtrip[{chir}]", record.digest(n=n), err, tol))
     return rows
@@ -249,27 +249,35 @@ def suite_shuffle(record, tols):
     return rows
 
 
+# the base-point-preserving diffeos of the reparam suite; each keeps its
+# samples per grid (ReparamMap.on_grid), made on the first state
+REPARAM_DIFFEOS = tuple(random_diffeo(seed, order=3, amplitude=0.5, fix_base_point=True)
+                        for seed in range(5))
+
+
 @_suite("reparam")
 def suite_reparam(record, tols):
     """Z^{01} of P_- against its transforms, one row per kind.
 
-    ``raw,fixed-base``: the raw word under five base-point-preserving
-    diffeos, each a :func:`~closedstring.pohlmeyer.reparam_check` (one
-    interpolated pullback).  ``symmetrized,rotations``: the symmetrized
-    word under the rigid rotations sigma -> sigma + 0.5 + 1.1 j, j < 5, each
-    made exactly by :func:`_rotated_field` (no interpolation), so the
-    rotated field keeps bandwidth M and its words run on the alias-free grid.
+    ``raw,fixed-base``: the raw word under the five base-point-preserving
+    diffeos of ``REPARAM_DIFFEOS``, each a
+    :func:`~closedstring.pohlmeyer.reparam_check`: one pullback, whose
+    interpolation reads the field's spectrum from its alias-free samples
+    (bandwidth M) and takes phi and phi' from the map's own grid samples.
+    ``symmetrized,rotations``: the symmetrized word under the rigid
+    rotations sigma -> sigma + 0.5 + 1.1 j, j < 5, each made exactly by
+    :func:`_rotated_field` (no interpolation) on the word's alias-free grid
+    (64 samples at M = 8), where its word runs whatever n is.
     """
     n = record.params["n"]
     field = record.field("-")
     scale = _power_scale(field, 2)
     raw = InvariantSpec("-", (0, 1))
-    diffeos = [reparam_check(field, random_diffeo(seed, order=3, amplitude=0.5,
-                                                  fix_base_point=True), raw)
-               for seed in range(5)]
+    diffeos = [reparam_check(field, diffeo, raw) for diffeo in REPARAM_DIFFEOS]
     sym = InvariantSpec("-", (0, 1), symmetrized=True)
     direct = pohlmeyer_invariant(field, sym)
-    rotations = [(direct, pohlmeyer_invariant(_rotated_field(record.state, 0.5 + 1.1 * j, n), sym))
+    n_word = _alias_free_size(n, record.state.truncation, sym.degree)
+    rotations = [(direct, pohlmeyer_invariant(_rotated_field(record.state, 0.5 + 1.1 * j, n_word), sym))
                  for j in range(5)]
     rows = []
     for label, checks in (("raw,fixed-base", diffeos), ("symmetrized,rotations", rotations)):

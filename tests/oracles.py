@@ -260,6 +260,9 @@ class RotationMap:
     def deriv(self, sigma):
         return np.ones_like(np.asarray(sigma, float))
 
+    def on_grid(self, n):
+        return self(TAU * np.arange(n) / n), np.ones(n)
+
     def fixes_base_point(self, tol=1e-12):
         return abs(self.c) % TAU < tol
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import closedstring as cs
+from closedstring import numerics
 from closedstring.errors import DegenerateFrame, LevelMismatch, NonMonotone
 from closedstring.numerics import TAU, grid_sigma, trig_interpolate
 from closedstring.ddf import _non_real_bound, substitute
@@ -114,6 +115,27 @@ def test_clock_inverse_converges_on_its_first_basis(state_bank, frame4):
     for state in state_bank:
         for chir in ("-", "+"):
             cs.invert_monotone(cs.compute_R(state, frame4, chir, 8192), max_iter=1)
+
+
+@pytest.mark.parametrize("seed, strays", [(4, [4096]), (7, [2048, 4096])])
+def test_clock_bandwidth_keeps_rounding_out_of_the_newton_basis(monkeypatch, frame4, seed, strays):
+    # read from all 8192 samples, rho's zero-mode rounding passes the 1e-16
+    # rule at n/4 and n/2 on these clocks (M = 8, chirality -); read from the
+    # alias-free samples that the clock's bandwidth M allows, no basis
+    # frequency exceeds M, and the inverse moves by roundoff only
+    bases = []
+    half_basis = numerics._half_basis
+    monkeypatch.setattr(numerics, "_half_basis",
+                        lambda points, freqs: bases.append(freqs) or half_basis(points, freqs))
+    cmap = cs.compute_R(cs.random_state(4, 8, seed=seed, frame=frame4), frame4, "-", 8192)
+    assert cmap.bandwidth == 8
+    inv = cs.invert_monotone(cmap)
+    assert bases and max(int(f.max()) for f in bases) <= 8
+    bases.clear()
+    plain = cs.invert_monotone(numerics.MonotoneCircleMap(cmap.periodic, cmap.deriv))
+    assert sorted({int(m) for f in bases for m in f if m > 8}) == strays
+    assert np.max(np.abs(inv.periodic - plain.periodic)) <= 1e-14
+    assert np.max(np.abs(inv.deriv - plain.deriv) / plain.deriv) <= 1e-13
 
 
 def test_clock_degenerate_frame(frame4):

@@ -11,7 +11,8 @@ from closedstring.numerics import (TAU, MonotoneCircleMap, grid_sigma,
                                    modes_to_grid, periodic_antiderivative,
                                    real_modes, simplex_iterated_integral,
                                    trig_interpolate, _alias_free_samples, _half_basis,
-                                   _real_series, _sample_sum, _sigma_antiderivative)
+                                   _half_spectrum, _real_series, _sample_sum, _sigma_antiderivative,
+                                   _significant)
 from oracles import (antiderivative_quad, basis_longdouble, invert_monotone_brentq,
                      iterated_integral_modes)
 
@@ -420,6 +421,48 @@ def test_trig_interpolate_rejects_complex_samples():
         trig_interpolate(np.ones(16, complex), np.zeros(3))
 
 
+def test_trig_interpolate_bandwidth_route_matches_all_samples(rng):
+    # with a bandwidth K the spectrum comes from the alias-free samples
+    # (32 of 4096 at K = 8) and keeps no row above K; values move by roundoff,
+    # which reached 2.0e-15 of the largest value over 300 random draws
+    n, k = 4096, 8
+    pts = rng.uniform(-1.0, TAU + 1.0, 300)
+    flat = band_limited(rng, n, k)
+    stacked = np.column_stack([band_limited(rng, n, k - j) for j in range(4)])
+    for samples in (flat, stacked, np.zeros((n, 3))):
+        full = trig_interpolate(samples, pts)
+        banded = trig_interpolate(samples, pts, bandwidth=k)
+        assert banded.shape == full.shape
+        assert np.max(np.abs(banded - full)) <= 4e-15 * max(np.max(np.abs(full)), 1e-300)
+    # every K from 0 to n/2 - 1 is a promise the samples can keep
+    assert np.max(np.abs(trig_interpolate(np.full(64, 2.5), pts, bandwidth=0) - 2.5)) <= 1e-15
+    trig_interpolate(flat[::n // 64], pts, bandwidth=31)
+    for bad in (-1, 32):
+        with pytest.raises(ValueError, match="bandwidth"):
+            trig_interpolate(flat[::n // 64], pts, bandwidth=bad)
+    with pytest.raises(TypeError):
+        trig_interpolate(flat, pts, bandwidth=8.0)
+
+
+@pytest.mark.parametrize("n", [64, 63])
+def test_half_spectrum_without_bandwidth_keeps_its_formula(rng, n):
+    # the doubling of kept rows only is bit for bit the doubling of every
+    # row that has a partner -m; the even grid carries a Nyquist row
+    sig = grid_sigma(n)
+    samples = np.column_stack([band_limited(rng, n, 5), band_limited(rng, n, 3)])
+    if n % 2 == 0:
+        samples[:, 0] += 0.7 * (-1.0) ** np.arange(n)
+    for rel in (1e-16, 1e-3):
+        c = np.fft.rfft(samples, axis=0) / n
+        keep = _significant(c, rel)
+        c[1:(n + 1) // 2] *= 2.0
+        freqs, half = _half_spectrum(samples, rel)
+        assert np.array_equal(freqs, np.flatnonzero(keep))
+        assert np.array_equal(half, c[keep])
+    assert (n // 2 in freqs) == (n % 2 == 0)
+    assert np.allclose(np.real(np.exp(1j * np.multiply.outer(sig, freqs)) @ half), samples, atol=1e-13)
+
+
 @pytest.mark.parametrize("freqs", [np.arange(9), np.array([0, 2, 3, 15, 16, 17, 40, 300, 2047])])
 def test_half_basis_matches_long_double(rng, freqs):
     pts = rng.uniform(-1.0, TAU + 1.0, 300)
@@ -455,6 +498,19 @@ def test_basis_matches_long_double(rng, freqs, shape):
 # ----------------------------------------------------------------------
 # monotone inversion
 # ----------------------------------------------------------------------
+
+def test_monotone_map_validates_its_bandwidth():
+    sig = grid_sigma(64)
+    periodic, deriv = 0.3 * np.sin(sig), 1 + 0.3 * np.cos(sig)
+    assert MonotoneCircleMap(periodic, deriv).bandwidth is None
+    cmap = MonotoneCircleMap(periodic, deriv, bandwidth=np.int64(31))
+    assert cmap.bandwidth == 31 and type(cmap.bandwidth) is int
+    for bad in (-1, 32):
+        with pytest.raises(ValueError, match="bandwidth"):
+            MonotoneCircleMap(periodic, deriv, bandwidth=bad)
+    with pytest.raises(TypeError):
+        MonotoneCircleMap(periodic, deriv, bandwidth=1.0)
+
 
 def test_invert_rigid_shift():
     n = 128

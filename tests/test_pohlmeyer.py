@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import gc
 import itertools
 import math
@@ -645,6 +646,21 @@ def test_wilson_config_rejects_a_non_integer_order():
     assert config.n_max == 3 and type(config.n_max) is int
     with pytest.raises(ValueError):
         WilsonConfig(matrices, n_max=0)
+
+
+def test_wilson_remainder_takes_the_config_norm(state_bank):
+    # the operator norm is taken once per config; the bound keeps the bits
+    # of the per-call formula max_mu ||A_mu||_2
+    config = WilsonConfig(_anti_hermitian(np.random.default_rng(8), 4, 3, 0.05), n_max=4)
+    assert config.a_norm == float(max(np.linalg.norm(m, 2) for m in config.matrices))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.a_norm = 0.0
+    for state in state_bank[:3]:
+        field = cs.eval_field(state, "-", 4096)
+        c_factor = TAU * float(np.max(np.sum(np.abs(field.values), axis=1)))
+        x = c_factor * float(max(np.linalg.norm(m, 2) for m in config.matrices))
+        _, remainder = wilson_loop(field, config)
+        assert remainder == x ** 5 / math.factorial(5)
 
 
 def test_wilson_remainder_sees_a_peak_between_coarse_samples():

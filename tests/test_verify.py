@@ -289,6 +289,26 @@ def test_mode_rotation_matches_the_interpolated_pullback(state_bank, c):
         assert np.max(np.abs(rotated.values - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+def test_reparam_rotates_on_the_word_grid_with_fixed_diffeos(monkeypatch, frame):
+    # each rotated field is made on its word's alias-free grid (64 samples at
+    # M = 8), and the five diffeos are one constant whose grid samples the
+    # states share
+    sizes = []
+    rotated = verify._rotated_field
+
+    def recorded(state, c, n):
+        sizes.append(n)
+        return rotated(state, c, n)
+
+    monkeypatch.setattr(verify, "_rotated_field", recorded)
+    states = [cs.random_state(4, 8, seed=s, frame=frame) for s in (1, 2)]
+    report = verify.run_suites(["reparam"], states, frame, threads=1)
+    assert report["pass"] and sizes == [64] * 10
+    n = verify.default_params()["n"]
+    for diffeo in verify.REPARAM_DIFFEOS:
+        assert diffeo.fixes_base_point() and n in diffeo._grids
+
+
 def test_reality_is_never_below_the_imaginary_residue(state_bank, frame4):
     # reality reads max|Z/sqrt(2 pi) - P| / max|P|, Z the complex mode sum;
     # |Z/sqrt(2 pi) - P| >= |Im Z|/sqrt(2 pi), the residue it read before
