@@ -21,12 +21,13 @@ so all modes |m| <= m_out come from one FFT of Q on the uniform tau-grid,
 a real ``rfft``, as Q is real.  The way back is real too: the clock R and
 the mode-sum field are real series, each synthesized by one ``irfft`` of
 its half spectrum.
-Building Q costs O(iterations N K) for K <= M + 1 kept frequencies m >= 0:
-each Newton step of the inversion evaluates the clock on one real basis of
-width 2K, and its last basis gives (R^{-1})' and P o R^{-1} by one Taylor
-step, P read from the state's modes, not from samples.  With the FFTs of
-the clock and of Q that is O(N M + N log N), with no m_out x N work array
-and no (N, 2M + 1) complex one.
+Building Q costs O(iterations N K D) for K <= M + 1 kept frequencies
+m >= 0: each Newton step of the inversion evaluates the clock, with R' and
+P, on one real basis of width 2K, built and used in blocks of 1024 points,
+and its last products give (R^{-1})' and P o R^{-1} by one Taylor step, P
+read from the state's modes, not from samples.  With the FFTs of the clock
+and of Q that is O(N M D + N log N) time and O(N D + block M) memory, with
+no m_out x N work array, no (2K, N) basis and no (N, 2M + 1) complex one.
 
 Quasi-local fields are recovered either by the mode sum over A_m or by the
 direct weight-one substitution through R^{-1}; the two agree up to mode
@@ -208,7 +209,9 @@ def ddf_modes(state: StringState, frame: LightlikeFrame, chirality: str,
     coefficients of the substituted field Q of :func:`substitute`
     (orientation +1 for chirality "-", -1 for "+"): the
     uniform tau-grid quadrature of the tau = R(sigma) integral.  Cost
-    O(N log N + N M) time and O(N (M + D)) memory, independent of m_out.
+    O(N log N + N M D) time and O(N D + block M) memory, the basis built in
+    blocks of 1024 points (:func:`~closedstring.numerics.invert_monotone`),
+    independent of m_out.
     """
     _check_modes(state, m_out, n)
     return _modes_of(substitute(state, frame, chirality, n), frame, chirality, m_out)

@@ -11,7 +11,11 @@ known), one closed-form
 spectral antiderivative of sigma-polynomials with periodic coefficients
 (behind the periodic antiderivative, the nested simplex (iterated)
 integrals and the Wilson loops), and safeguarded inversion of monotone
-degree-one circle maps.  All functions take plain ndarrays.  Real data
+degree-one circle maps.  Interpolation and inversion evaluate their series
+on the cosine and sine basis in fixed blocks of 1024 points
+(:func:`_on_basis`), so their work memory is O(block K) for K frequencies
+on top of their O(N W) output of W series, whatever the N points.  All
+functions take plain ndarrays.  Real data
 take real transforms: the antiderivative of real grids (words of real
 fields, their blocks and cotangent paths) runs ``rfft``/``irfft`` on the
 half spectrum and keeps its states real, a real grid's modes come from
@@ -570,41 +574,50 @@ def _significant(spec, rel):
 _ANCHOR = 16
 
 
-def _powers(s, ks):
-    """e^{i k s} for plain points s, one array per nonnegative k of the ascending ``ks``.
+def _powers(s, ks, z, out):
+    """e^{i k s} for plain points s, from z = e^{is}: one row of ``out`` per k of ``ks``.
 
-    One complex ``exp`` gives z = e^{is}; the powers follow in increasing k
-    by one product with z each, re-anchored by a true ``exp`` at every
-    multiple of 16 and wherever k - 1 is not among the ``ks``, so no product
-    chain is longer than 15 and the error stays that of the ``exp`` route
-    (about |k s| machine epsilons).  Cost: one ``exp`` per point per 16
-    powers, not one per (point, frequency).  A repeated k yields the same
-    array again.
+    The ``ks`` are nonnegative and ascending.  The powers follow from z in
+    increasing k by one product with z each, re-anchored by a true ``exp``
+    at every multiple of 16 and wherever k - 1 is not among the ``ks``, so
+    no product chain is longer than 15 and the error stays that of the
+    ``exp`` route (about |k s| machine epsilons).  Cost: one ``exp`` per
+    point per 16 powers, not one per (point, frequency).  ``out`` is a
+    complex ``(len(ks),) + s.shape`` array, returned; a repeated k copies
+    the row before it.
     """
-    z = np.exp(1j * s)
-    power, last = np.ones_like(z), 0
-    for k in ks:
-        if k != last:
-            power = power * z if k == last + 1 and k % _ANCHOR else np.exp(1j * k * s)
-            last = k
-        yield power
+    power, last = 1.0, 0
+    for row, k in zip(out, ks):
+        if k == last:
+            row[...] = power
+        elif k == last + 1 and k % _ANCHOR:
+            np.multiply(power, z, out=row)
+        else:
+            np.exp(1j * k * s, out=row)
+        power, last = row, k
+    return out
 
 
-def _half_basis(points, freqs):
+def _half_basis(points, freqs, out=None, work=None, z=None):
     """cos(m s) and sin(m s) for plain points s and ascending frequencies m >= 0, real.
 
     The real and imaginary parts of the :func:`_powers`, as the rows
     cos(m_0 s), ..., cos(m_{K-1} s), sin(m_0 s), ..., sin(m_{K-1} s) of one
-    (2K,) + points.shape array, filled contiguously: the basis on which
-    :func:`_real_rows` coefficients give real series by one real matrix
-    product, each series a contiguous row.
+    (2K,) + points.shape array: the basis on which :func:`_real_rows`
+    coefficients give real series by one real matrix product, each series a
+    contiguous row.  ``out`` (that real array), ``work`` (a complex
+    (K,) + points.shape one for the powers) and ``z`` (e^{is} at the
+    points), when given, are used instead of new ones; ``out`` is returned.
     """
     s = np.asarray(points, float)
-    out = np.empty((2, len(freqs)) + s.shape)
-    for col, power in enumerate(_powers(s, freqs)):
-        out[0, col] = power.real
-        out[1, col] = power.imag
-    return out.reshape((2 * len(freqs),) + s.shape)
+    k = len(freqs)
+    powers = _powers(s, freqs, np.exp(1j * s) if z is None else z,
+                     np.empty((k,) + s.shape, complex) if work is None else work)
+    if out is None:
+        out = np.empty((2 * k,) + s.shape)
+    out[:k] = powers.real
+    out[k:] = powers.imag
+    return out
 
 
 def _real_rows(half):
@@ -616,6 +629,38 @@ def _real_rows(half):
     series per row.
     """
     return np.concatenate([half.real, -half.imag])
+
+
+# points per block of :func:`_on_basis`: a block's basis and powers, 2K
+# reals and K complexes per point, are all the work memory an evaluation
+# holds beyond its O(N) output; 2048 points doubled that memory and its page
+# faults at scale (M = 64, N = 16384) and gained nothing on ddf_highres
+_BASIS_BLOCK = 1 << 10
+
+
+def _on_basis(rows, freqs, points, out):
+    """rows.T @ _half_basis(points, freqs), written into ``out`` one block of points at a time.
+
+    ``rows`` are (2K, W) coefficients on the basis of the K ascending
+    ``freqs`` (:func:`_real_rows`), ``points`` a flat array and ``out`` a
+    (W, len(points)) real array, returned.  Each block of ``_BASIS_BLOCK``
+    points fills one (2K, block) basis, through one (K, block) complex
+    array of powers, both reused from block to block, and takes one product
+    with it, written straight into its columns of ``out``; z = e^{is} is
+    one ``exp`` of all the points.  Every column is the same product of the
+    same basis column as on one basis of all the points, so the bits do not
+    depend on the blocking.  Work memory O(block K), plus z, on top of
+    ``out``.
+    """
+    size = min(len(points), _BASIS_BLOCK)
+    basis, work = np.empty((2 * len(freqs), size)), np.empty((len(freqs), size), complex)
+    z = np.exp(1j * points)
+    for start in range(0, len(points), _BASIS_BLOCK):
+        part = slice(start, start + _BASIS_BLOCK)
+        width = len(points[part])
+        block = _half_basis(points[part], freqs, basis[:, :width], work[:, :width], z[part])
+        np.matmul(rows.T, block, out=out[:, part])
+    return out
 
 
 def _half_spectrum(samples, rel, bandwidth=None):
@@ -651,9 +696,11 @@ def trig_interpolate(samples, points, bandwidth=None):
 
     Samples (axis 0; trailing axes ride along) are read by their half
     spectrum (:func:`_half_spectrum`), with frequencies whose coefficients
-    are below 1e-15 of the largest dropped, and evaluated on one
-    :func:`_half_basis` of width 2K for K kept frequencies m >= 0; the
-    Nyquist mode is its cosine.  Exact (to roundoff) for band-limited data;
+    are below 1e-15 of the largest dropped, and evaluated by
+    :func:`_on_basis` on the :func:`_half_basis` of width 2K for K kept
+    frequencies m >= 0, one block of 1024 points at a time; the Nyquist
+    mode is its cosine.  Work memory O(block K) on top of the output, W
+    series at P points, O(P W).  Exact (to roundoff) for band-limited data;
     all-zero samples give zeros of shape ``points.shape + trailing``.
     ``bandwidth`` K, when not None, promises samples of a real
     trigonometric polynomial of degree <= K, as
@@ -669,7 +716,8 @@ def trig_interpolate(samples, points, bandwidth=None):
     if not freqs.size:  # all-zero samples keep no frequency
         return np.zeros(np.shape(points) + half.shape[1:])
     rows = _real_rows(half.reshape(len(freqs), -1))
-    out = np.tensordot(rows, _half_basis(points, freqs), axes=(0, 0))  # one row per series
+    flat = np.asarray(points, float).reshape(-1)
+    out = _on_basis(rows, freqs, flat, np.empty((rows.shape[1], flat.size)))  # one row per series
     return np.moveaxis(out, 0, -1).reshape(np.shape(points) + half.shape[1:])
 
 
@@ -698,16 +746,21 @@ def invert_monotone(cmap: MonotoneCircleMap, carry=None, tol=1e-13, max_iter=60)
     some clocks take one Newton step more (1.5 bases per inversion, where
     the linear start took 2.4); steep clocks with min R' down to 1e-3 take
     at most 4.
-    Each iteration evaluates rho and rho' by one real product with one
-    :func:`_half_basis`, of width 2K for K frequencies m >= 0: one ``exp``
-    per point per 16 powers of e^{is}.  Raises
+    Each iteration evaluates rho and rho', then the W series it carries
+    (R' and the columns of ``carry``) and their derivatives, by
+    :func:`_on_basis`: per block of 1024 points one real product of these
+    stacked rows with the block's :func:`_half_basis`, of width 2K for K
+    frequencies m >= 0 (one ``exp`` per point per 16 powers of e^{is}),
+    written into one (2 + 2W, N) array.  The bracket update and the step
+    then run on all N points.  Work memory O(block K) on top of that array,
+    which is of the order of the O(N W) output.  Raises
     :class:`~closedstring.errors.NotConverged` when ``max_iter`` iterations
     leave some step above ``tol``.
 
-    The last basis is reused: every inverse point s lies within
-    |delta| <= ``tol`` of the point it was built at, so one first-order
-    Taylor step F(s) = F(s - delta) + F'(s - delta) delta, exact to
-    O(tol^2), moves each series read on it.  R' is one such series, read
+    The last iteration's products are reused: every inverse point s lies
+    within |delta| <= ``tol`` of the point they were taken at, so one
+    first-order Taylor step F(s) = F(s - delta) + F'(s - delta) delta,
+    exact to O(tol^2), moves each carried series.  R' is one such series, read
     from the half spectrum of ``cmap.deriv`` (the samples of 1 + rho', as
     :func:`~closedstring.ddf.compute_R` makes them; frequencies below 1e-15
     of the largest dropped), and (R^{-1})' = 1/(R' + R'' delta).  rho's own
@@ -722,8 +775,9 @@ def invert_monotone(cmap: MonotoneCircleMap, carry=None, tol=1e-13, max_iter=60)
     weights are all below 1e-16 of the largest are dropped, the rest (like
     those of R') join the basis, and the result is the pair
     (inverse, F(R^{-1}(sigma_j))), the latter of shape (n,) + trailing.
-    Cost O(iterations N K) for the basis and its products, plus one ``rfft``
-    each of rho and R' (of O(K) samples with a bandwidth, of N without).
+    Cost O(iterations N K W) for the bases and their products, plus one
+    ``rfft`` each of rho and R' (of O(K) samples with a bandwidth, of N
+    without).
     """
     if cmap.min_deriv() <= 0.0:
         raise NonMonotone(f"min R' = {cmap.min_deriv():.3e} <= 0")
@@ -746,7 +800,13 @@ def invert_monotone(cmap: MonotoneCircleMap, carry=None, tol=1e-13, max_iter=60)
                             axis=1)
     freqs = union
     m = freqs.astype(float)
-    newton = _real_rows(np.stack([rho_h, 1j * m * rho_h], axis=1))
+    width = series.shape[1]
+    # one product per block gives rho and rho' (the Newton rows), then the
+    # carried series and their derivatives, in the order of ``at``'s rows
+    stacked = np.concatenate([_real_rows(np.stack([rho_h, 1j * m * rho_h], axis=1)),
+                              _real_rows(np.concatenate([series, 1j * m[:, None] * series], axis=1))],
+                             axis=1)
+    at = np.empty((2 + 2 * width, n))
 
     # the continuum extrema of rho can overshoot the grid extrema between
     # samples; pad the bracket by a bound on that overshoot
@@ -764,8 +824,7 @@ def invert_monotone(cmap: MonotoneCircleMap, carry=None, tol=1e-13, max_iter=60)
     s = np.clip(s, lo, hi)
     moved = np.inf
     for _ in range(max_iter):
-        basis = _half_basis(s, freqs)
-        r, dr = newton.T @ basis
+        r, dr = _on_basis(stacked, freqs, s, at)[:2]
         # (s - sigma) first: at steep points s + r rounds r's last bits away
         resid = (s - sigma) + r
         hi = np.where(resid > 0, np.minimum(hi, s), hi)
@@ -782,12 +841,10 @@ def invert_monotone(cmap: MonotoneCircleMap, carry=None, tol=1e-13, max_iter=60)
         raise NotConverged(f"monotone inversion: last step {moved:.3e} > tol {tol:.1e} "
                            f"after {max_iter} iterations")
 
-    # the last basis sits at s, within |delta| <= tol of the inverse s_new:
+    # the last products sat at s, within |delta| <= tol of the inverse s_new:
     # F(s_new) = F(s) + F'(s) delta for R' and the carried series
     delta = s_new - s
-    both = _real_rows(np.concatenate([series, 1j * m[:, None] * series], axis=1)).T @ basis
-    width = series.shape[1]
-    at = both[:width] + both[width:] * delta
+    at = at[2:2 + width] + at[2 + width:] * delta
     inverse = MonotoneCircleMap(periodic=s_new - sigma, deriv=1.0 / at[0])
     if carry is None:
         return inverse

@@ -86,6 +86,8 @@ class LightlikeFrame:
 
 
 def default_frame(dim: int) -> LightlikeFrame:
+    if dim < 2:
+        raise ValueError(f"need dim >= 2 for the default frame, got {dim}")
     k = np.zeros(dim)
     k[0] = k[1] = 1.0
     return LightlikeFrame(k)
@@ -209,7 +211,7 @@ def random_state(dim, truncation, seed, *, decay=DEFAULT_DECAY, frame=None,
     """
     if dim < 2 or truncation < 1:
         raise ValueError("need dim >= 2 and truncation >= 1")
-    if decay <= 0 or not (0.0 < margin < 1.0):
+    if not decay > 0 or not (0.0 < margin < 1.0):  # a NaN decay fails too
         raise ValueError("need decay > 0 and 0 < margin < 1")
     frame = frame or default_frame(dim)
     if frame.k.shape[0] != dim:

@@ -20,7 +20,12 @@ bilinears.  Gradients of polynomials of degree <= 4 in the chart (Virasoro
 windows, words of degree <= 4) are checked by the five-point central
 stencil, exact for them.  Real series synthesized by one ``irfft`` (the
 clock, the DDF mode sum) are checked against the complex route, the real
-part of the full two-sided ``modes_to_grid`` sum.
+part of the full two-sided ``modes_to_grid`` sum.  Interpolation and
+inversion, which evaluate on the cosine and sine basis in blocks of points,
+are checked bit for bit against the same algebra on one basis of all the
+points (:func:`trig_interpolate_one_basis`, :func:`invert_monotone_one_basis`):
+these share the production spectra and basis builder, and check only the
+blocking.
 """
 
 import cmath
@@ -282,6 +287,95 @@ def substitute_by_samples(state, frame, chirality, n, targets):
     s = invert_monotone_brentq(cmap.periodic, targets)
     field = dense_interpolate(eval_field(state, chirality, n).values, s)
     return field / dense_interpolate(cmap.deriv, s)[:, None]
+
+
+def trig_interpolate_one_basis(samples, points, bandwidth=None):
+    """:func:`~closedstring.numerics.trig_interpolate` on one basis of all the points.
+
+    The same half spectrum, rows and products as the production route, but
+    one (2K,) + points.shape basis and one ``tensordot``, not blocks of
+    points: a reference for the blocked evaluation, bit for bit.
+    """
+    from closedstring import numerics
+
+    samples = np.asarray(samples, float)
+    freqs, half = numerics._half_spectrum(samples, 1e-15, bandwidth)
+    if not freqs.size:
+        return np.zeros(np.shape(points) + half.shape[1:])
+    rows = numerics._real_rows(half.reshape(len(freqs), -1))
+    out = np.tensordot(rows, numerics._half_basis(points, freqs), axes=(0, 0))
+    return np.moveaxis(out, 0, -1).reshape(np.shape(points) + half.shape[1:])
+
+
+def invert_monotone_one_basis(cmap, carry=None, tol=1e-13, max_iter=60, bisected=None):
+    """:func:`~closedstring.numerics.invert_monotone` on one basis of all N points per iteration.
+
+    The same spectra, Hermite start, bracketed Newton step and Taylor step
+    as the production route, but each iteration builds one (2K, N) basis
+    and takes the Newton rows by one product on it, and the carried rows by
+    one more on the last basis: a reference for the blocked evaluation, bit
+    for bit.  When ``bisected`` is a list, the indices of the points that
+    fall back to bisection are appended to it, one array per iteration.
+    """
+    from functools import reduce
+
+    from closedstring import numerics
+    from closedstring.errors import NotConverged
+
+    n = cmap.n_samples
+    sigma = numerics.grid_sigma(n)
+    rho_v = cmap.periodic
+    freqs, rho_h = numerics._half_spectrum(rho_v, 1e-16, cmap.bandwidth)
+    carried = [numerics._half_spectrum(cmap.deriv, 1e-15, cmap.bandwidth)]
+    if carry is not None:
+        carry = np.asarray(carry)
+        flat = carry.reshape(carry.shape[0], -1)
+        kept = np.flatnonzero(numerics._significant(flat, 1e-16))
+        carried.append((kept, flat[kept]))
+    union = reduce(np.union1d, (f for f, _ in carried), freqs)
+    rho_h = numerics._on_frequencies(union, freqs, rho_h)
+    series = np.concatenate([numerics._on_frequencies(union, f, h.reshape(len(f), -1))
+                             for f, h in carried], axis=1)
+    freqs = union
+    m = freqs.astype(float)
+    newton = numerics._real_rows(np.stack([rho_h, 1j * m * rho_h], axis=1))
+
+    pad = (TAU / n) * (float(np.max(np.abs(cmap.deriv - 1.0))) + 1.0)
+    lo = sigma - rho_v.max() - pad
+    hi = sigma - rho_v.min() + pad
+    ends = sigma + rho_v
+    t = ends[0] + (sigma - ends[0]) % TAU
+    s = numerics._hermite(np.append(ends, ends[0] + TAU), np.append(sigma, TAU),
+                          1.0 / np.append(cmap.deriv, cmap.deriv[0]), t) + (sigma - t)
+    s = np.clip(s, lo, hi)
+    moved = np.inf
+    for _ in range(max_iter):
+        basis = numerics._half_basis(s, freqs)
+        r, dr = newton.T @ basis
+        resid = (s - sigma) + r
+        hi = np.where(resid > 0, np.minimum(hi, s), hi)
+        lo = np.where(resid < 0, np.maximum(lo, s), lo)
+        step = resid / (1.0 + dr)
+        s_new = s - step
+        bad = ((s_new < lo) | (s_new > hi)) & (np.abs(step) > tol)
+        if bisected is not None:
+            bisected.append(np.flatnonzero(bad))
+        s_new = np.where(bad, 0.5 * (lo + hi), s_new)
+        moved = float(np.max(np.abs(s_new - s)))
+        if moved <= tol:
+            break
+        s = s_new
+    else:
+        raise NotConverged(f"monotone inversion: last step {moved:.3e} > tol {tol:.1e}")
+
+    delta = s_new - s
+    both = numerics._real_rows(np.concatenate([series, 1j * m[:, None] * series], axis=1)).T @ basis
+    width = series.shape[1]
+    at = both[:width] + both[width:] * delta
+    inverse = numerics.MonotoneCircleMap(periodic=s_new - sigma, deriv=1.0 / at[0])
+    if carry is None:
+        return inverse
+    return inverse, at[1:].T.reshape((n,) + carry.shape[1:])
 
 
 def basis_longdouble(points, freqs):

@@ -126,7 +126,7 @@ def test_clock_bandwidth_keeps_rounding_out_of_the_newton_basis(monkeypatch, fra
     bases = []
     half_basis = numerics._half_basis
     monkeypatch.setattr(numerics, "_half_basis",
-                        lambda points, freqs: bases.append(freqs) or half_basis(points, freqs))
+                        lambda points, freqs, *buffers: bases.append(freqs) or half_basis(points, freqs, *buffers))
     cmap = cs.compute_R(cs.random_state(4, 8, seed=seed, frame=frame4), frame4, "-", 8192)
     assert cmap.bandwidth == 8
     inv = cs.invert_monotone(cmap)
@@ -200,15 +200,26 @@ def test_ddf_modes_match_dense_quadrature(state_bank, frame4, n, m_out):
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-def test_ddf_modes_memory_bound(state_bank, frame4):
-    # a (2 m_out + 1) x N exponential matrix alone would take 256 MiB here
+def _traced_peak(fn, *args):
     tracemalloc.start()
     try:
-        cs.ddf_modes(state_bank[0], frame4, "-", 1024, 8192)
-        peak = tracemalloc.get_traced_memory()[1]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 2 ** 20
+
+
+def test_ddf_modes_memory_bound(state_bank, frame4):
+    # a (2 m_out + 1) x N exponential matrix alone would take 256 MiB here;
+    # with the Newton basis built in blocks of points the peak is about 3.1 MiB
+    assert _traced_peak(cs.ddf_modes, state_bank[0], frame4, "-", 1024, 8192) < 8 * 2 ** 20
+
+
+@pytest.mark.parametrize("modes, decay, n, bound_mib", [(64, 32, 16384, 8), (256, 128, 65536, 32)])
+def test_ddf_modes_memory_is_bounded_at_scale(frame4, modes, decay, n, bound_mib):
+    # one (2K, N) basis of all N points alone would take 16.2 and 257 MiB here
+    state = cs.random_state(4, modes, seed=1, decay=decay, frame=frame4)
+    assert _traced_peak(cs.ddf_modes, state, frame4, "-", n // 8, n) <= bound_mib * 2 ** 20
 
 
 def test_ddf_modes_grid_guard(state_bank, frame4):

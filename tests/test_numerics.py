@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import closedstring as cs
+from closedstring import numerics
 from closedstring.errors import NonMonotone, NotConverged
 from closedstring.numerics import (TAU, MonotoneCircleMap, grid_sigma,
                                    grid_to_modes, invert_monotone,
@@ -13,8 +15,9 @@ from closedstring.numerics import (TAU, MonotoneCircleMap, grid_sigma,
                                    trig_interpolate, _alias_free_samples, _half_basis,
                                    _half_spectrum, _real_series, _sample_sum, _sigma_antiderivative,
                                    _significant)
+from closedstring.phase_space import _field_half_spectrum
 from oracles import (antiderivative_quad, basis_longdouble, invert_monotone_brentq,
-                     iterated_integral_modes)
+                     invert_monotone_one_basis, iterated_integral_modes, trig_interpolate_one_basis)
 
 
 def band_limited(rng, n, k, decay=3.0):
@@ -590,3 +593,66 @@ def test_invert_rejects_non_monotone():
     cmap = MonotoneCircleMap(periodic=np.sin(sig), deriv=1 + np.cos(sig))
     with pytest.raises(NonMonotone):
         invert_monotone(cmap)
+
+
+# ----------------------------------------------------------------------
+# evaluation in blocks of points: the one-basis reference, bit for bit
+# ----------------------------------------------------------------------
+
+def _equal_maps(a, b):
+    return np.array_equal(a.periodic, b.periodic) and np.array_equal(a.deriv, b.deriv)
+
+
+@pytest.mark.parametrize("n, blocks", [(512, 1), (4096, 4), (65536, 64)])
+def test_blocked_inversion_equals_one_basis(n, blocks):
+    assert -(-n // numerics._BASIS_BLOCK) == blocks
+    frame = cs.default_frame(4)
+    for seed, chir in ((1, "+"), (2, "-")):
+        state = cs.random_state(4, 8, seed=seed, frame=frame)
+        cmap = cs.compute_R(state, frame, chir, n)
+        half = _field_half_spectrum(state, chir)
+        for clock in (cmap, MonotoneCircleMap(cmap.periodic, cmap.deriv)):  # banded and plain
+            assert _equal_maps(invert_monotone(clock), invert_monotone_one_basis(clock))
+        # carried series with one trailing axis (D) and with two
+        for carry in (half, np.stack([half, 0.5j * half], axis=-1)):
+            (inv, moved), (ref, ref_moved) = (invert_monotone(cmap, carry),
+                                              invert_monotone_one_basis(cmap, carry))
+            assert moved.shape == (n,) + carry.shape[1:]
+            assert _equal_maps(inv, ref) and np.array_equal(moved, ref_moved)
+
+
+def test_blocked_interpolation_equals_one_basis(rng):
+    # 2,500 points: two full blocks and a ragged one of 452, flat and as (50, 50)
+    n = 256
+    one = band_limited(rng, n, 20)
+    table = np.stack([band_limited(rng, n, 20) for _ in range(3)], axis=1)
+    pts = rng.uniform(-1.0, 7.0, 2500)
+    for points in (pts, pts.reshape(50, 50)):
+        for samples, bandwidth in ((one, None), (table, None), (one, 20), (table, 20)):
+            got = trig_interpolate(samples, points, bandwidth=bandwidth)
+            ref = trig_interpolate_one_basis(samples, points, bandwidth)
+            assert got.shape == ref.shape == np.shape(points) + samples.shape[1:]
+            assert np.array_equal(got, ref)
+
+
+def test_blocked_inversion_raises_when_not_converged():
+    # at N = 4096 (4 blocks) this default clock needs a second basis
+    frame = cs.default_frame(4)
+    cmap = cs.compute_R(cs.random_state(4, 8, seed=1, frame=frame), frame, "+", 4096)
+    with pytest.raises(NotConverged):
+        invert_monotone(cmap, max_iter=1)
+    assert _equal_maps(invert_monotone(cmap, max_iter=2), invert_monotone_one_basis(cmap))
+
+
+def test_blocked_inversion_bisects_away_from_the_first_block():
+    # min R' = 1e-3: one point falls back to bisection, in the third block
+    n, a = 4096, 0.999
+    sig = grid_sigma(n)
+    cmap = MonotoneCircleMap(periodic=a * np.sin(3 * sig) / 3, deriv=1 + a * np.cos(3 * sig))
+    bisected = []
+    ref = invert_monotone_one_basis(cmap, bisected=bisected)
+    where = np.concatenate(bisected)
+    assert where.size and np.all(where >= numerics._BASIS_BLOCK)
+    inv = invert_monotone(cmap)
+    assert _equal_maps(inv, ref)
+    assert np.max(np.abs(inv.values() - invert_monotone_brentq(cmap.periodic))) <= 1e-12
