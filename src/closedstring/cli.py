@@ -108,11 +108,6 @@ def build_parser():
                    help="state JSON path (repeatable)")
     v.add_argument("--seeds", type=str, default=None,
                    help="generate states from comma-separated seeds instead")
-    v.add_argument("--dim", type=int, default=DEFAULT_DIM, help="dimension D of the --seeds states")
-    v.add_argument("--modes", type=int, default=DEFAULT_MODES,
-                   help="oscillator truncation M of the --seeds states")
-    v.add_argument("--decay", type=float, default=DEFAULT_DECAY,
-                   help="oscillator decay of the --seeds states")
     v.add_argument("--suite", type=str, action="append", default=[],
                    help=f"suite name or 'all'; known: {', '.join(suite_names())}")
     v.add_argument("--grid", type=int, default=None)
@@ -213,12 +208,10 @@ def _dispatch(args) -> int:
         states = [_load_state(p) for p in args.state]
         seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else []
         # the frame comes first: generated states keep their R' margin in it
-        frame = _parse_frame(args.frame, states[0].dim if states else args.dim)
-        states.extend(random_state(args.dim, args.modes, s, decay=args.decay, frame=frame)
-                      for s in seeds)
+        frame = _parse_frame(args.frame, states[0].dim if states else DEFAULT_DIM)
+        states.extend(random_state(DEFAULT_DIM, DEFAULT_MODES, s, frame=frame) for s in seeds)
         provenance = {"state_paths": list(args.state), "generator_seeds": seeds,
-                      "generator_defaults": {"dim": args.dim, "modes": args.modes,
-                                             "decay": args.decay}}
+                      "generator_defaults": {"dim": DEFAULT_DIM, "modes": DEFAULT_MODES}}
         params = {key: given for key, given in (("n", args.grid), ("m_out", args.modes_out),
                                                 ("m_window", args.m_window)) if given is not None}
         tols = {}

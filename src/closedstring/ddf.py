@@ -23,7 +23,8 @@ the mode-sum field are real series, each synthesized by one ``irfft`` of
 its half spectrum.
 Building Q costs O(iterations N K D) for K <= M + 1 kept frequencies
 m >= 0: each Newton step of the inversion evaluates the clock, with R' and
-P, on one real basis of width 2K, built and used in blocks of 1024 points,
+P, on one real basis of width 2K, built and used as one block up to
+1.25 MiB and in blocks of 1024 points beyond,
 and its last products give (R^{-1})' and P o R^{-1} by one Taylor step, P
 read from the state's modes, not from samples.  With the FFTs of the clock
 and of Q that is O(N M D + N log N) time and O(N D + block M) memory, with
@@ -210,7 +211,8 @@ def ddf_modes(state: StringState, frame: LightlikeFrame, chirality: str,
     (orientation +1 for chirality "-", -1 for "+"): the
     uniform tau-grid quadrature of the tau = R(sigma) integral.  Cost
     O(N log N + N M D) time and O(N D + block M) memory, the basis built in
-    blocks of 1024 points (:func:`~closedstring.numerics.invert_monotone`),
+    blocks of 1024 points when one block would pass 1.25 MiB
+    (:func:`~closedstring.numerics.invert_monotone`),
     independent of m_out.
     """
     _check_modes(state, m_out, n)

@@ -12,9 +12,10 @@ spectral antiderivative of sigma-polynomials with periodic coefficients
 (behind the periodic antiderivative, the nested simplex (iterated)
 integrals and the Wilson loops), and safeguarded inversion of monotone
 degree-one circle maps.  Interpolation and inversion evaluate their series
-on the cosine and sine basis in fixed blocks of 1024 points
-(:func:`_on_basis`), so their work memory is O(block K) for K frequencies
-on top of their O(N W) output of W series, whatever the N points.  All
+on the cosine and sine basis in blocks of points (:func:`_on_basis`: one
+block when it fits 1.25 MiB, else blocks of 1024 points), so their work
+memory is at most max(1.25 MiB, 32 K KiB) for K frequencies on top of
+their O(N W) output of W series, whatever the N points.  All
 functions take plain ndarrays.  Real data
 take real transforms: the antiderivative of real grids (words of real
 fields, their blocks and cotangent paths) runs ``rfft``/``irfft`` on the
@@ -631,11 +632,21 @@ def _real_rows(half):
     return np.concatenate([half.real, -half.imag])
 
 
-# points per block of :func:`_on_basis`: a block's basis and powers, 2K
-# reals and K complexes per point, are all the work memory an evaluation
-# holds beyond its O(N) output; 2048 points doubled that memory and its page
-# faults at scale (M = 64, N = 16384) and gained nothing on ddf_highres
+# work bytes under which :func:`_on_basis` takes all its points as one block:
+# the basis and powers take 2K reals and K complexes, 32 K bytes, per point,
+# so a clock of up to 10 frequencies at N = 4096 is one block, one product
+# and as few NumPy calls as one basis (verify's worker threads pay for each
+# call in wall time)
+_BASIS_BYTES = 5 << 18
+# points per block of a larger evaluation: 2048 doubled the work memory and
+# its page faults at scale (M = 64, N = 16384) and gained nothing on
+# ddf_highres
 _BASIS_BLOCK = 1 << 10
+
+
+def _block_points(k, n):
+    """Points per block of :func:`_on_basis` for ``n`` points and ``k`` frequencies."""
+    return _BASIS_BLOCK if 32 * k * n > _BASIS_BYTES else max(n, 1)
 
 
 def _on_basis(rows, freqs, points, out):
@@ -643,20 +654,30 @@ def _on_basis(rows, freqs, points, out):
 
     ``rows`` are (2K, W) coefficients on the basis of the K ascending
     ``freqs`` (:func:`_real_rows`), ``points`` a flat array and ``out`` a
-    (W, len(points)) real array, returned.  Each block of ``_BASIS_BLOCK``
-    points fills one (2K, block) basis, through one (K, block) complex
+    (W, len(points)) real array, returned.  The points are one block when
+    their basis and powers fit ``_BASIS_BYTES`` (1.25 MiB), else blocks of
+    ``_BASIS_BLOCK`` (1024) points (:func:`_block_points`).  Each block
+    fills one (2K, block) basis, through one (K, block) complex
     array of powers, both reused from block to block, and takes one product
     with it, written straight into its columns of ``out``; z = e^{is} is
-    one ``exp`` of all the points.  Every column is the same product of the
-    same basis column as on one basis of all the points, so the bits do not
-    depend on the blocking.  Work memory O(block K), plus z, on top of
+    one ``exp`` of all the points.  Every column is the product of the same
+    basis column as on one basis of all the points, and with these blocks
+    the bits equal that one product's (the oracle tests check it; blocks of
+    1920 or 2048 of 2,500 points did not, as BLAS splits a product by its
+    width).  Work memory at most max(1.25 MiB, 32 K KiB), plus z, on top of
     ``out``.
     """
-    size = min(len(points), _BASIS_BLOCK)
-    basis, work = np.empty((2 * len(freqs), size)), np.empty((len(freqs), size), complex)
+    k, step = len(freqs), _block_points(len(freqs), len(points))
+    size = min(len(points), step)
+    # one allocation, not two: glibc returned two equal ones to the system
+    # after each call, and ddf_modes at N = 4096 faulted about 440 pages in
+    # afresh per call (2 with one)
+    buf = np.empty(4 * k * size)
+    basis = buf[:2 * k * size].reshape(2 * k, size)
+    work = buf[2 * k * size:].view(complex).reshape(k, size)
     z = np.exp(1j * points)
-    for start in range(0, len(points), _BASIS_BLOCK):
-        part = slice(start, start + _BASIS_BLOCK)
+    for start in range(0, len(points), step):
+        part = slice(start, start + step)
         width = len(points[part])
         block = _half_basis(points[part], freqs, basis[:, :width], work[:, :width], z[part])
         np.matmul(rows.T, block, out=out[:, part])
@@ -698,8 +719,9 @@ def trig_interpolate(samples, points, bandwidth=None):
     spectrum (:func:`_half_spectrum`), with frequencies whose coefficients
     are below 1e-15 of the largest dropped, and evaluated by
     :func:`_on_basis` on the :func:`_half_basis` of width 2K for K kept
-    frequencies m >= 0, one block of 1024 points at a time; the Nyquist
-    mode is its cosine.  Work memory O(block K) on top of the output, W
+    frequencies m >= 0, in blocks of points (one when the basis fits
+    1.25 MiB, else blocks of 1024); the Nyquist mode is its cosine.  Work
+    memory at most max(1.25 MiB, 32 K KiB) on top of the output, W
     series at P points, O(P W).  Exact (to roundoff) for band-limited data;
     all-zero samples give zeros of shape ``points.shape + trailing``.
     ``bandwidth`` K, when not None, promises samples of a real
@@ -748,7 +770,8 @@ def invert_monotone(cmap: MonotoneCircleMap, carry=None, tol=1e-13, max_iter=60)
     at most 4.
     Each iteration evaluates rho and rho', then the W series it carries
     (R' and the columns of ``carry``) and their derivatives, by
-    :func:`_on_basis`: per block of 1024 points one real product of these
+    :func:`_on_basis`: per block of points (one block for a default clock
+    at N = 4096, blocks of 1024 points at N = 8192) one real product of these
     stacked rows with the block's :func:`_half_basis`, of width 2K for K
     frequencies m >= 0 (one ``exp`` per point per 16 powers of e^{is}),
     written into one (2 + 2W, N) array.  The bracket update and the step

@@ -220,30 +220,14 @@ def test_verify_seeds_provenance(tmp_path):
                 "--grid", "1024", "--report", str(rp)]) == 0
     doc = json.loads(rp.read_text())
     assert doc["config"]["provenance"]["generator_seeds"] == [5, 9]
-    assert doc["config"]["provenance"]["generator_defaults"] == {"dim": 4, "modes": 8, "decay": 0.7}
 
 
-def test_verify_seeds_take_the_generator_shape(tmp_path):
-    # the rows read the states random_state draws at the given M and decay
-    from closedstring.phase_space import default_frame, random_state, state_to_json
-    from closedstring.verify import _digest
-
-    rp = tmp_path / "r.json"
-    assert run(["verify", "--seeds", "1,2", "--modes", "16", "--decay", "4",
-                "--suite", "reality", "--suite", "substitution", "--grid", "1024",
-                "--modes-out", "128", "--report", str(rp)]) == 0
-    doc = json.loads(rp.read_text())
-    assert doc["config"]["provenance"]["generator_defaults"] == {"dim": 4, "modes": 16, "decay": 4.0}
-    assert doc["rows"] and all(r["pass"] for r in doc["rows"])
-    expected = [_digest(state_to_json(random_state(4, 16, s, decay=4.0, frame=default_frame(4))), n=1024)
-                for s in (1, 2)]
-    assert [r["inputs"] for r in doc["rows"] if r["name"] == "reality[-]"] == expected
-
-
-def test_verify_generator_flags_are_usage_errors(capsys):
+def test_generate_shape_errors_name_the_bound(tmp_path, capsys):
+    # each bad shape names its bound instead of failing inside the frame or the draw
+    out = str(tmp_path / "s.json")
     for argv, needle in ((["--dim", "1"], "dim >= 2"), (["--modes", "0"], "truncation >= 1"),
                          (["--decay", "nan"], "decay > 0"), (["--decay", "0"], "decay > 0")):
-        _assert_usage_error(["verify", "--seeds", "1", *argv, "--suite", "reality"], capsys, needle)
+        _assert_usage_error(["generate", "--seed", "1", *argv, "--out", out], capsys, needle)
 
 
 def test_verify_seeds_are_drawn_in_the_given_frame(tmp_path):

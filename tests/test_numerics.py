@@ -603,9 +603,22 @@ def _equal_maps(a, b):
     return np.array_equal(a.periodic, b.periodic) and np.array_equal(a.deriv, b.deriv)
 
 
-@pytest.mark.parametrize("n, blocks", [(512, 1), (4096, 4), (65536, 64)])
-def test_blocked_inversion_equals_one_basis(n, blocks):
-    assert -(-n // numerics._BASIS_BLOCK) == blocks
+@pytest.fixture(params=["budget", "floor"])
+def block_rule(request, monkeypatch):
+    # "budget": blocks as _block_points gives them; "floor": a zero budget,
+    # so every evaluation of more than one point is cut in blocks of
+    # _BASIS_BLOCK points
+    if request.param == "floor":
+        monkeypatch.setattr(numerics, "_BASIS_BYTES", 0)
+    return request.param
+
+
+@pytest.mark.parametrize("n, blocks", [(512, {"budget": 1, "floor": 1}),
+                                       (4096, {"budget": 1, "floor": 4}),
+                                       (65536, {"budget": 64, "floor": 64})])
+def test_blocked_inversion_equals_one_basis(n, blocks, block_rule):
+    # blocks of a default clock's 9 frequencies (M = 8)
+    assert -(-n // numerics._block_points(9, n)) == blocks[block_rule]
     frame = cs.default_frame(4)
     for seed, chir in ((1, "+"), (2, "-")):
         state = cs.random_state(4, 8, seed=seed, frame=frame)
@@ -621,8 +634,20 @@ def test_blocked_inversion_equals_one_basis(n, blocks):
             assert _equal_maps(inv, ref) and np.array_equal(moved, ref_moved)
 
 
+def test_block_points_follow_the_byte_budget():
+    # a basis and its powers take 32 K bytes per point: all the points are one
+    # block while they fit 1.25 MiB, else blocks of _BASIS_BLOCK points
+    assert numerics._block_points(9, 4096) == numerics._block_points(10, 4096) == 4096
+    assert numerics._block_points(9, 4551) == 4551
+    for k, n in ((11, 4096), (9, 4552), (9, 8192), (257, 65536)):
+        assert numerics._block_points(k, n) == numerics._BASIS_BLOCK
+    assert numerics._block_points(9, 0) == 1
+
+
 def test_blocked_interpolation_equals_one_basis(rng):
-    # 2,500 points: two full blocks and a ragged one of 452, flat and as (50, 50)
+    # 2,500 points at 21 frequencies do not fit one block: two blocks of
+    # 1024 and a ragged one of 452, flat and as (50, 50)
+    assert numerics._block_points(21, 2500) == 1024
     n = 256
     one = band_limited(rng, n, 20)
     table = np.stack([band_limited(rng, n, 20) for _ in range(3)], axis=1)
@@ -635,8 +660,9 @@ def test_blocked_interpolation_equals_one_basis(rng):
             assert np.array_equal(got, ref)
 
 
-def test_blocked_inversion_raises_when_not_converged():
-    # at N = 4096 (4 blocks) this default clock needs a second basis
+def test_blocked_inversion_raises_when_not_converged(block_rule):
+    # at N = 4096 (1 block, or 4 at the floor) this default clock needs a
+    # second basis
     frame = cs.default_frame(4)
     cmap = cs.compute_R(cs.random_state(4, 8, seed=1, frame=frame), frame, "+", 4096)
     with pytest.raises(NotConverged):
@@ -644,8 +670,10 @@ def test_blocked_inversion_raises_when_not_converged():
     assert _equal_maps(invert_monotone(cmap, max_iter=2), invert_monotone_one_basis(cmap))
 
 
-def test_blocked_inversion_bisects_away_from_the_first_block():
-    # min R' = 1e-3: one point falls back to bisection, in the third block
+def test_blocked_inversion_bisects_away_from_the_first_block(monkeypatch):
+    # min R' = 1e-3: one point falls back to bisection, in the third block of
+    # _BASIS_BLOCK points (at the byte budget this 4-frequency clock is one block)
+    monkeypatch.setattr(numerics, "_BASIS_BYTES", 0)
     n, a = 4096, 0.999
     sig = grid_sigma(n)
     cmap = MonotoneCircleMap(periodic=a * np.sin(3 * sig) / 3, deriv=1 + a * np.cos(3 * sig))
