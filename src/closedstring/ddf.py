@@ -181,6 +181,8 @@ def compute_R(state: StringState, frame: LightlikeFrame, chirality: str, n: int,
 # ----------------------------------------------------------------------
 
 def _check_grid(state, m_out, n):
+    if m_out < 0:
+        raise ValueError("m_out must be >= 0")
     if n < 8 * max(state.truncation, m_out, 1):
         raise ValueError("grid size must be >= 8*max(M, m_out) for the clock quadrature")
 
@@ -209,24 +211,19 @@ def ddf_modes(state: StringState, frame: LightlikeFrame, chirality: str,
     A_m = sqrt(2 pi) c_m, with c_m the :func:`~closedstring.numerics.grid_to_modes`
     coefficients of the substituted field Q of :func:`substitute`
     (orientation +1 for chirality "-", -1 for "+"): the
-    uniform tau-grid quadrature of the tau = R(sigma) integral.  Cost
+    uniform tau-grid quadrature of the tau = R(sigma) integral, ``m_out``
+    and the grid checked before the clock is built.  Cost
     O(N log N + N M D) time and O(N D + block M) memory, the basis built in
     blocks of 1024 points when one block would pass 1.25 MiB
     (:func:`~closedstring.numerics.invert_monotone`),
     independent of m_out.
     """
-    _check_modes(state, m_out, n)
-    return _modes_of(substitute(state, frame, chirality, n), frame, chirality, m_out)
-
-
-def _check_modes(state, m_out, n):
-    if m_out < 0:
-        raise ValueError("m_out must be >= 0")
     _check_grid(state, m_out, n)
+    return _modes_of(_invert(state, frame, chirality, n)[2], frame, chirality, m_out)
 
 
 def _modes_of(q, frame, chirality, m_out):
-    """DDFModes |m| <= m_out from the substituted field Q of :func:`_substitution`."""
+    """DDFModes |m| <= m_out from the substituted field Q of :func:`_invert`."""
     modes = grid_to_modes(q, m_out, _orientation(chirality)) * np.sqrt(TAU)
     return DDFModes(chirality=chirality, m_max=m_out, modes=modes, k=frame.k)
 
@@ -252,8 +249,6 @@ def _invariant_factors(state, frame, spec, n):
     :func:`_mode_quadrature` over them.  A factor index mu outside
     0..D-1 raises IndexError.
     """
-    if not spec.allow_unmatched and not spec.is_matched:
-        raise LevelMismatch("spec is not level-matched")
     for factor in spec.left + spec.right:
         if not 0 <= factor[0] < state.dim:
             raise IndexError(f"factor {factor} has mu outside 0..{state.dim - 1} (D = {state.dim})")
@@ -383,19 +378,24 @@ def _non_real_bound(modes):
 def substitute(state: StringState, frame: LightlikeFrame, chirality: str, n: int):
     """Weight-one substituted field Q = (R^{-1})' * P o R^{-1} on the n-grid, (n, D).
 
-    P is read from the inversion's own basis: its half spectrum from the
-    state's modes (:func:`~closedstring.phase_space._field_half_spectrum`) rides
-    through :func:`~closedstring.numerics.invert_monotone`, which returns
-    P(s_j) at s_j = R^{-1}(sigma_j) with (R^{-1})'(sigma_j) = 1/R'(s_j); so
+    Q is the third piece of :func:`_invert`, the one substitution route.
+    """
+    return _invert(state, frame, chirality, n)[2]
+
+
+def _invert(state, frame, chirality, n):
+    """(R, R^{-1}, Q): the clock, one inversion of it carrying P, and Q = P(s)/R'(s).
+
+    The clock is :func:`compute_R`.  P is read from the inversion's own
+    basis: its half spectrum from the state's modes
+    (:func:`~closedstring.phase_space._field_half_spectrum`) rides through
+    :func:`~closedstring.numerics.invert_monotone`, which returns P(s_j) at
+    s_j = R^{-1}(sigma_j) with (R^{-1})'(sigma_j) = 1/R'(s_j); so
     Q = P(s)/R'(s), with no field samples and no FFT of P.
     """
-    return _substitution(state, chirality, compute_R(state, frame, chirality, n))[1]
-
-
-def _substitution(state, chirality, cmap):
-    """(R^{-1}, Q) from one inversion of the clock ``cmap`` carrying P: the one substitution route."""
-    inverse, field = invert_monotone(cmap, _field_half_spectrum(state, chirality))
-    return inverse, field * inverse.deriv[:, None]
+    clock = compute_R(state, frame, chirality, n)
+    inverse, field = invert_monotone(clock, _field_half_spectrum(state, chirality))
+    return clock, inverse, field * inverse.deriv[:, None]
 
 
 def reconstruct_field_direct(state: StringState, frame: LightlikeFrame,

@@ -354,8 +354,9 @@ def _block_close(weighted, columns):
 class _PrefixIntegrals:
     """Nested-integral states along the prefix path of the last word, and word blocks.
 
-    :meth:`walk` takes the letters of a prefix as columns of one (N, D)
-    sample array and returns the sigma-polynomial state before the first
+    The path owns its ``columns``, the (N, D) samples its letters index,
+    given once at construction.  :meth:`walk` takes the letters of a prefix
+    and returns the sigma-polynomial state before the first
     letter and after each one; it reuses the longest common prefix with the
     previous walk and steps only the new letters, and keeps the longer path
     when the prefix is one of its own.  :meth:`integral` walks a
@@ -391,19 +392,17 @@ class _PrefixIntegrals:
     Values do not depend on the route or on the order of the calls: block
     and word closes agree bit for bit.
 
-    The path of a degree-n word holds (n-1)(n+2)/2 grids.  The caller passes
-    the same columns on every call, and may keep them with the path as
-    ``columns``; a field keeps one path per grid (see
-    :class:`~closedstring.phase_space.FieldGrid`).
+    The path of a degree-n word holds (n-1)(n+2)/2 grids.  A field keeps
+    one path per grid (see :class:`~closedstring.phase_space.FieldGrid`).
     """
 
-    def __init__(self, columns=None):
+    def __init__(self, columns):
         self.columns = columns
         self.prefix = []
         self.states = [{0: 1.0}]
         self.blocks = {}
 
-    def walk(self, columns, prefix):
+    def walk(self, prefix):
         keep = 0
         for a, b in zip(self.prefix, prefix):
             if a != b:
@@ -412,34 +411,35 @@ class _PrefixIntegrals:
         if keep < len(prefix):
             del self.prefix[keep:], self.states[keep + 1:]
             for mu in prefix[keep:]:
-                self.states.append(_nested_step(self.states[-1], columns[:, mu]))
+                self.states.append(_nested_step(self.states[-1], self.columns[:, mu]))
                 self.prefix.append(mu)
         return self.states[:len(prefix) + 1]
 
-    def integral(self, columns, word):
-        return _nested_close(self.walk(columns, word[:-1])[-1], columns[:, word[-1]])
+    def integral(self, word):
+        return _nested_close(self.walk(word[:-1])[-1], self.columns[:, word[-1]])
 
-    def read(self, columns, word):
+    def read(self, word):
         degree = len(word)
         entry = self.blocks.get(degree)
         # the head length is fixed per degree on the path's columns
-        h = _head_length(*columns.shape, degree) if entry is None else len(entry[0])
+        h = _head_length(*self.columns.shape, degree) if entry is None else len(entry[0])
         head = word[:h]
         if entry is None or entry[0] != head:
-            swept = entry is not None and entry[2] >= columns.shape[1]
-            block = self._block(columns, head, degree) if swept else None
+            swept = entry is not None and entry[2] >= self.columns.shape[1]
+            block = self._block(head, degree) if swept else None
             entry = self.blocks[degree] = [head, block, 0]
         entry[2] += 1
         block = entry[1]
         if block is None:
             if entry[2] < 3:
-                return self.integral(columns, word)
-            block = entry[1] = self._block(columns, head, degree)
+                return self.integral(word)
+            block = entry[1] = self._block(head, degree)
         return block[word[h:]]
 
-    def _block(self, columns, head, degree):
+    def _block(self, head, degree):
+        columns = self.columns
         n, dim = columns.shape
-        wide = {k: np.broadcast_to(g, (n,))[:, None] for k, g in self.walk(columns, head)[-1].items()}
+        wide = {k: np.broadcast_to(g, (n,))[:, None] for k, g in self.walk(head)[-1].items()}
         for _ in range(degree - len(head) - 1):
             wide = _sigma_antiderivative((k, (g[:, :, None] * columns[:, None, :]).reshape(n, -1))
                                          for k, g in wide.items())

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -138,9 +138,7 @@ class StringState:
         return self.left if chirality == "-" else self.right
 
     def replace(self, **kw):
-        data = {f: getattr(self, f) for f in ("dim", "tension", "truncation", "x", "p", "left", "right")}
-        data.update(kw)
-        return StringState(**data)
+        return replace(self, **kw)
 
 
 def _check_chirality(chirality):

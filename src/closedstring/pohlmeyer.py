@@ -49,9 +49,9 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 # ddf_modes is not called here (pohlmeyer_via_ddf reads its modes from its own
-# clock's substitution) but stays bound: perfbench's tracer test checks every binding
-from .ddf import (DDFModes, _check_modes, _modes_of, _rotate_modes, _substitution, compute_R,
-                  ddf_modes, reconstruct_field)
+# inversion) but stays bound: perfbench's tracer test checks every binding
+from .ddf import (DDFModes, _check_grid, _invert, _modes_of, _rotate_modes, ddf_modes,
+                  reconstruct_field)
 from .numerics import (TAU, _acc, _alias_free_samples, _alias_free_size, _at_two_pi, _end_weighted,
                        _end_weights, _PrefixIntegrals, _sample_sum, _sigma_antiderivative)
 from .phase_space import FieldGrid, LightlikeFrame, StringState, _check_chirality, _orientation
@@ -95,10 +95,10 @@ def pohlmeyer_invariant(field: FieldGrid, spec: InvariantSpec):
     depend on the order of the calls or on the route that served it.
     """
     words = _words(spec, field.values.shape[1])
-    read, columns = _prefix_path(field, spec.degree)
+    path = _prefix_path(field, spec.degree)
     total = 0.0
     for word in words:
-        total = total + read(columns, word)
+        total = total + path.read(word)
     return total / len(words)
 
 
@@ -133,13 +133,13 @@ def _word_cotangent(field, spec):
     n, dim = vals.shape
     words = _words(spec, dim)
     reflected = vals[-np.arange(n) % n]
-    prefix_path, suffix_path = _PrefixIntegrals(), _PrefixIntegrals()
+    prefix_path, suffix_path = _PrefixIntegrals(vals), _PrefixIntegrals(reflected)
     out = np.zeros((n, dim), complex)
     for word in words:
-        prefix = prefix_path.walk(vals, word[:-1])
+        prefix = prefix_path.walk(word[:-1])
         # word[:0:-1] is w[1:] reversed, as the reflected field meets it; its
         # state after len(word) - 1 - k letters is that of w[k+1:]
-        suffix = suffix_path.walk(reflected, word[:0:-1])
+        suffix = suffix_path.walk(word[:0:-1])
         for k, mu in enumerate(word):
             after = _reflect(suffix[len(word) - 1 - k], n)
             for p, a in prefix[k].items():
@@ -164,15 +164,15 @@ def _reflect(state, n):
 
 
 def _prefix_path(field, degree):
-    """(read, columns) for one call of words of ``degree`` on ``field``.
+    """This thread's prefix path for words of ``degree`` on ``field``.
 
-    The columns are the field's samples on the N'-grid of
-    :func:`~closedstring.numerics._alias_free_samples`, and ``read(columns,
-    word)`` gives the word's value from this thread's
-    :class:`~closedstring.numerics._PrefixIntegrals` for N' on the field,
-    made on first use with the columns it keeps, so a later call strides
-    nothing.  A field whose values were made writable again gets
-    a throwaway path, so states and blocks can never go stale.
+    The path is a :class:`~closedstring.numerics._PrefixIntegrals` that owns
+    the field's samples on the N'-grid of
+    :func:`~closedstring.numerics._alias_free_samples` as its columns, and
+    ``path.read(word)`` gives a word's value.  The path for N' on the field
+    is made on first use, so a later call strides nothing.  A field whose
+    values were made writable again gets a throwaway path, so states and
+    blocks can never go stale.
     """
     values = field.values
     # this thread's {N': path} on the field, or a throwaway one
@@ -181,7 +181,7 @@ def _prefix_path(field, degree):
     path = paths.get(size)
     if path is None:
         path = paths[size] = _PrefixIntegrals(_alias_free_samples(values, field.bandwidth, degree))
-    return path.read, path.columns
+    return path
 
 
 def align_base_point(modes: DDFModes, clock) -> DDFModes:
@@ -205,10 +205,10 @@ def pohlmeyer_via_ddf(state: StringState, frame: LightlikeFrame, spec: Invariant
     and symmetrized words alike; without it only cyclically symmetrized
     words are comparable.
     """
-    # one clock serves the substitution (the route of ddf_modes) and the alignment
-    _check_modes(state, m_out, n)
-    clock = compute_R(state, frame, spec.chirality, n)
-    modes = _modes_of(_substitution(state, spec.chirality, clock)[1], frame, spec.chirality, m_out)
+    # one inversion (the route of ddf_modes) serves the modes and its clock the alignment
+    _check_grid(state, m_out, n)
+    clock, _, q = _invert(state, frame, spec.chirality, n)
+    modes = _modes_of(q, frame, spec.chirality, m_out)
     if align:
         modes = align_base_point(modes, clock)
     field = reconstruct_field(modes, n)

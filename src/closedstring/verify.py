@@ -27,8 +27,7 @@ import numpy as np
 from . import __version__
 # ddf_modes is not called here (the record reads its modes from its own
 # inversions) but stays bound: perfbench's tracer test checks every binding
-from .ddf import (DDFInvariantSpec, _check_modes, _modes_of, _substitution, compute_R,
-                  ddf_modes, reconstruct_field)
+from .ddf import DDFInvariantSpec, _check_grid, _invert, _modes_of, ddf_modes, reconstruct_field
 from .numerics import TAU, _alias_free_size, grid_sigma, trig_interpolate
 from .phase_space import _complex_field, eta_dot, eval_field, state_to_json
 from .pohlmeyer import InvariantSpec, align_base_point, pohlmeyer_invariant, reparam_check
@@ -87,12 +86,14 @@ class StateRecord:
     and the record lives as long as that job, so only one thread ever reads
     it.  Each piece is built on first use, once, and kept in a plain dict:
 
-    - ``clocks``: R of both chiralities on the n-grid;
-    - ``inversions``: per chirality [R^{-1}, Q], the one inversion of its
-      clock carrying P (:func:`~closedstring.ddf._substitution`, the route of
-      :func:`~closedstring.ddf.substitute`); periodicity reads R^{-1};
-    - ``modes``: the DDF modes |m| <= m_out, read from Q as
-      :func:`~closedstring.ddf.ddf_modes` reads them; Q is dropped then;
+    - ``inversion(chirality)``: [R, R^{-1}, Q] on the n-grid, the clock and
+      one inversion of it carrying P (:func:`~closedstring.ddf._invert`, the
+      route of :func:`~closedstring.ddf.ddf_modes` and
+      :func:`~closedstring.ddf.substitute`); periodicity reads R and R^{-1},
+      substitution reads R;
+    - ``modes(chirality)``: the DDF modes |m| <= m_out, read from Q as
+      :func:`~closedstring.ddf.ddf_modes` reads them, m_out checked first;
+      Q is dropped then;
     - ``field(chirality)``: P on the n-grid, from one
       :func:`~closedstring.phase_space.eval_field`;
     - ``window(chirality)``: the Virasoro window of :func:`~closedstring.poisson._window_gradients`,
@@ -110,31 +111,23 @@ class StateRecord:
             self._pieces[key] = build()
         return self._pieces[key]
 
-    @property
-    def clocks(self):
-        return self._once("clocks", lambda: {c: compute_R(self.state, self.frame, c, self.params["n"])
-                                             for c in ("-", "+")})
+    def inversion(self, chirality):
+        # [R, R^{-1}, Q]; Q is read once, by the modes, and then dropped
+        return self._once(("inversion", chirality), lambda: list(
+            _invert(self.state, self.frame, chirality, self.params["n"])))
 
-    @property
-    def inversions(self):
-        # [R^{-1}, Q] per chirality; Q is read once, by the modes, and then dropped
-        return self._once("inversions", lambda: {c: list(_substitution(self.state, c, cmap))
-                                                 for c, cmap in self.clocks.items()})
-
-    @property
-    def modes(self):
+    def modes(self, chirality):
         def build():
             m_out = self.params["m_out"]
-            _check_modes(self.state, m_out, self.params["n"])
-            inversions = self.inversions
-            modes = {c: _modes_of(q, self.frame, c, m_out) for c, (_, q) in inversions.items()}
-            # Q has no other reader: kept to the job's end, the two (n, D)
-            # arrays would sit under substitution's word sweeps
-            for pair in inversions.values():
-                pair[1] = None
+            _check_grid(self.state, m_out, self.params["n"])
+            inversion = self.inversion(chirality)
+            modes = _modes_of(inversion[2], self.frame, chirality, m_out)
+            # Q has no other reader: kept to the job's end, the (n, D) array
+            # would sit under substitution's word sweeps
+            inversion[2] = None
             return modes
 
-        return self._once("modes", build)
+        return self._once(("modes", chirality), build)
 
     def field(self, chirality):
         return self._once(("field", chirality),
@@ -196,8 +189,7 @@ def suite_periodicity(record, tols):
     tol = tols["periodicity"]
     rows = []
     for chir in ("-", "+"):
-        cmap = record.clocks[chir]
-        inverse, _ = record.inversions[chir]
+        cmap, inverse, _ = record.inversion(chir)
         # winding R(sigma+2pi) = R(sigma)+2pi is exact by representation;
         # measure R(R^-1(sigma)) = sigma through R's exact interpolant
         pts = inverse.values()
@@ -213,7 +205,7 @@ def suite_transversality(record, tols):
     tol = tols["transversality"]
     rows = []
     for chir in ("-", "+"):
-        modes = record.modes[chir]
+        modes = record.modes(chir)
         kdots = np.abs(eta_dot(modes.modes, record.frame.k))
         kdots[m_out] = 0.0  # m = 0 carries the full k.p
         resid = float(kdots.max()) / max(float(np.max(np.abs(modes.modes))), 1e-300)
@@ -294,7 +286,7 @@ def suite_substitution(record, tols):
     for chir in ("-", "+"):
         field = record.field(chir)
         # one extraction per chirality; the invariants share the rebuilt field
-        aligned = align_base_point(record.modes[chir], record.clocks[chir])
+        aligned = align_base_point(record.modes(chir), record.inversion(chir)[0])
         rebuilt = reconstruct_field(aligned, n)
         for deg in (1, 2, 3, 4):
             word = tuple(i % record.state.dim for i in range(deg))
@@ -409,8 +401,8 @@ def run_suites(names, states, frame, params=None, tolerances=None, threads=None,
     :func:`default_params`.
     One job per state makes the state's :class:`StateRecord`, runs the
     suites on it in the order given and drops it when it returns, so a
-    record lives as long as its job.  Each piece (clocks, inversions,
-    modes, field, window, digest) is made once per state and charged to
+    record lives as long as its job.  Each piece (inversion, modes,
+    field, window, digest) is made once per state and charged to
     the ``timings`` of the first suite in the job that asks for it.  An
     ensemble suite's job returns that state's part; after the pool its
     ``ensemble`` reduce makes the suite's rows from the parts in state

@@ -246,10 +246,10 @@ def test_random_word_stream_pays_for_no_block(monkeypatch):
     for deg in (3, 4):  # no head comes three times in a row within a degree
         heads = [w[:-2] for w in words if len(w) == deg]
         assert not any(a == b == c for a, b, c in zip(heads, heads[1:], heads[2:]))
-    _PrefixIntegrals().integral(field.values, (0, 1, 2, 3))  # fill the cached end weights
+    _PrefixIntegrals(field.values).integral((0, 1, 2, 3))  # fill the cached end weights
     sizes = _record_fft_lengths(monkeypatch, size=True)
-    lone = _PrefixIntegrals()
-    want = [lone.integral(field.values, w) for w in words]
+    lone = _PrefixIntegrals(field.values)
+    want = [lone.integral(w) for w in words]
     alone = list(sizes)
     sizes.clear()
     got = [pohlmeyer_invariant(field, InvariantSpec("-", w)) for w in words]
@@ -805,8 +805,7 @@ def test_via_ddf_builds_its_clock_once(monkeypatch, state_bank, frame4, align):
         calls.append(args)
         return compute_R(*args, **kwargs)
 
-    for mod in (ddf, pohlmeyer):
-        monkeypatch.setattr(mod, "compute_R", counted)
+    monkeypatch.setattr(ddf, "compute_R", counted)
     assert pohlmeyer_via_ddf(state, frame4, spec, 64, 1024, align=align) == want
     assert len(calls) == 1
 

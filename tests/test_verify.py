@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import closedstring as cs
-from closedstring import verify
+from closedstring import ddf, verify
 from closedstring.phase_space import _complex_field, state_to_json
 from closedstring.poisson import chart_for, gradient, virasoro_mode
 from closedstring.reparam import pullback_weight_one
@@ -152,7 +152,7 @@ def test_each_clock_and_extraction_is_made_once_per_state(monkeypatch, frame, th
     # reparam's 5 diffeo pullbacks (its rotations are phases on the modes), and
     # 2 complex mode sums on the n-grid, reality's alone: reparam's 5 rotated
     # fields are real series like the record's
-    from closedstring import ddf, numerics, phase_space, poisson
+    from closedstring import numerics, phase_space, poisson
 
     n = 1024
     states = [cs.random_state(4, 8, seed=s, frame=frame) for s in (1, 2)]
@@ -206,21 +206,23 @@ def test_two_records_build_their_clocks_at_once(monkeypatch, frame):
     # every record (as functools.cached_property holds on Python 3.11) would
     # hold the second build until the first ended, and the barrier would break
     barrier = threading.Barrier(2, timeout=5)
-    compute_R = verify.compute_R
+    compute_R = ddf.compute_R
 
     def meeting(*args):
         barrier.wait()
         return compute_R(*args)
 
-    monkeypatch.setattr(verify, "compute_R", meeting)
+    # random_state calls compute_R too, so the states come before the patch
     params = {**verify.default_params(), "n": 256}
     records = [verify.StateRecord(cs.random_state(4, 8, seed=s, frame=frame), frame, params)
                for s in (1, 2)]
+    monkeypatch.setattr(ddf, "compute_R", meeting)
     errors = []
 
     def build(record):
         try:
-            record.clocks
+            for c in "-+":
+                record.inversion(c)
         except threading.BrokenBarrierError as exc:
             errors.append(exc)
 
@@ -231,7 +233,43 @@ def test_two_records_build_their_clocks_at_once(monkeypatch, frame):
         w.join(timeout=30)
     assert not any(w.is_alive() for w in workers)
     assert errors == []
-    assert [sorted(r.clocks) for r in records] == [["+", "-"]] * 2
+    assert all(len(r.inversion(c)) == 3 for r in records for c in "-+")
+
+
+def test_one_clock_seam_reaches_every_extraction(monkeypatch, frame):
+    # a clock defect patched at ddf.compute_R alone reaches verify's rows,
+    # ddf_modes and pohlmeyer_via_ddf: the oscillator part of R scaled by
+    # 1 + 1e-6, R' scaled with it and the phi0 part kept, so the clock stays
+    # a consistent circle map whose inversion converges
+    states = [cs.random_state(4, 8, seed=s, frame=frame) for s in (1, 2)]
+    spec = cs.InvariantSpec("-", (0, 1, 2))
+    params = {"n": 1024, "m_out": 128}
+
+    def outputs():
+        report = verify.run_suites(["transversality"], states, frame, params=params, threads=1)
+        modes = ddf.ddf_modes(states[0], frame, "+", 128, 1024).modes
+        # unaligned: the aligned word is blind to any consistent clock, as
+        # Q is then P pulled back by a base-point-preserving diffeo
+        via = cs.pohlmeyer_via_ddf(states[0], frame, spec, 128, 1024, align=False)
+        return report, modes, via
+
+    clean, clean_modes, clean_via = outputs()
+    assert clean["pass"]
+    compute_R = ddf.compute_R
+
+    def defective(state, frame, chirality, n, require_monotone=True):
+        clock = compute_R(state, frame, chirality, n, require_monotone)
+        phase = -ddf._orientation(chirality) * ddf.zero_mode_phase(state, frame)
+        return cs.MonotoneCircleMap(periodic=phase + (1 + 1e-6) * (clock.periodic - phase),
+                                    deriv=1.0 + (1 + 1e-6) * (clock.deriv - 1.0),
+                                    bandwidth=clock.bandwidth)
+
+    monkeypatch.setattr(ddf, "compute_R", defective)
+    report, modes, via = outputs()
+    assert [r["name"] for r in report["rows"]] == [r["name"] for r in clean["rows"]]
+    assert not any(r["pass"] for r in report["rows"])
+    assert not np.array_equal(modes, clean_modes)
+    assert via != clean_via
 
 
 def test_each_record_is_read_by_one_thread(monkeypatch, frame):
