@@ -30,8 +30,8 @@ from .ddf import (DDFInvariantSpec, DDFModes, compute_R, ddf_invariant,
                   reconstruct_field, reconstruct_field_direct,
                   strip_zero_mode, zero_mode_phase)
 from .pohlmeyer import (InvariantSpec, WilsonConfig, align_base_point,
-                        pohlmeyer_invariant, pohlmeyer_via_ddf, reparam_check,
-                        wilson_loop)
+                        pohlmeyer_invariant, pohlmeyer_invariants,
+                        pohlmeyer_via_ddf, reparam_check, wilson_loop)
 from .reparam import ReparamMap, pullback_weight_one, random_diffeo
 from .poisson import (CoordinateChart, Observable, bracket,
                       ddf_invariant_observable, finite_difference_gradient,

@@ -599,20 +599,20 @@ def _powers(s, ks, z, out):
     return out
 
 
-def _half_basis(points, freqs, out=None, work=None, z=None):
+def _half_basis(points, freqs, out=None, work=None):
     """cos(m s) and sin(m s) for plain points s and ascending frequencies m >= 0, real.
 
     The real and imaginary parts of the :func:`_powers`, as the rows
     cos(m_0 s), ..., cos(m_{K-1} s), sin(m_0 s), ..., sin(m_{K-1} s) of one
     (2K,) + points.shape array: the basis on which :func:`_real_rows`
     coefficients give real series by one real matrix product, each series a
-    contiguous row.  ``out`` (that real array), ``work`` (a complex
-    (K,) + points.shape one for the powers) and ``z`` (e^{is} at the
-    points), when given, are used instead of new ones; ``out`` is returned.
+    contiguous row.  ``out`` (that real array) and ``work`` (a complex
+    (K,) + points.shape one for the powers), when given, are used instead
+    of new ones; ``out`` is returned.
     """
     s = np.asarray(points, float)
     k = len(freqs)
-    powers = _powers(s, freqs, np.exp(1j * s) if z is None else z,
+    powers = _powers(s, freqs, np.exp(1j * s),
                      np.empty((k,) + s.shape, complex) if work is None else work)
     if out is None:
         out = np.empty((2 * k,) + s.shape)
@@ -660,12 +660,12 @@ def _on_basis(rows, freqs, points, out):
     fills one (2K, block) basis, through one (K, block) complex
     array of powers, both reused from block to block, and takes one product
     with it, written straight into its columns of ``out``; z = e^{is} is
-    one ``exp`` of all the points.  Every column is the product of the same
-    basis column as on one basis of all the points, and with these blocks
-    the bits equal that one product's (the oracle tests check it; blocks of
-    1920 or 2048 of 2,500 points did not, as BLAS splits a product by its
-    width).  Work memory at most max(1.25 MiB, 32 K KiB), plus z, on top of
-    ``out``.
+    one ``exp`` per block, never of all the points at once.  Every column
+    is the product of the same basis column as on one basis of all the
+    points, and with these blocks the bits equal that one product's (the
+    oracle tests check it; blocks of 1920 or 2048 of 2,500 points did not,
+    as BLAS splits a product by its width).  Work memory at most
+    max(1.25 MiB, 32 K KiB), plus z of one block, on top of ``out``.
     """
     k, step = len(freqs), _block_points(len(freqs), len(points))
     size = min(len(points), step)
@@ -675,11 +675,10 @@ def _on_basis(rows, freqs, points, out):
     buf = np.empty(4 * k * size)
     basis = buf[:2 * k * size].reshape(2 * k, size)
     work = buf[2 * k * size:].view(complex).reshape(k, size)
-    z = np.exp(1j * points)
     for start in range(0, len(points), step):
         part = slice(start, start + step)
         width = len(points[part])
-        block = _half_basis(points[part], freqs, basis[:, :width], work[:, :width], z[part])
+        block = _half_basis(points[part], freqs, basis[:, :width], work[:, :width])
         np.matmul(rows.T, block, out=out[:, part])
     return out
 
@@ -829,22 +828,15 @@ def invert_monotone(cmap: MonotoneCircleMap, carry=None, tol=1e-13, max_iter=60)
     stacked = np.concatenate([_real_rows(np.stack([rho_h, 1j * m * rho_h], axis=1)),
                               _real_rows(np.concatenate([series, 1j * m[:, None] * series], axis=1))],
                              axis=1)
-    at = np.empty((2 + 2 * width, n))
 
     # the continuum extrema of rho can overshoot the grid extrema between
     # samples; pad the bracket by a bound on that overshoot
     pad = (TAU / n) * (float(np.max(np.abs(cmap.deriv - 1.0))) + 1.0)
     lo = sigma - rho_v.max() - pad
     hi = sigma - rho_v.min() + pad
-    # start from the sampled inverse R(sigma_j) -> sigma_j with its slopes
-    # 1/R'(sigma_j), interpolated by cubic Hermite pieces on one period of
-    # the table (R(sigma_j), sigma_j) closed by (R(0) + 2 pi, 2 pi), each
-    # target moved into it by a whole period
-    ends = sigma + rho_v
-    t = ends[0] + (sigma - ends[0]) % TAU
-    s = _hermite(np.append(ends, ends[0] + TAU), np.append(sigma, TAU),
-                 1.0 / np.append(cmap.deriv, cmap.deriv[0]), t) + (sigma - t)
-    s = np.clip(s, lo, hi)
+    s = np.clip(_sampled_inverse(sigma, rho_v, cmap.deriv), lo, hi)
+    # taken after the start, whose work arrays are gone by then
+    at = np.empty((2 + 2 * width, n))
     moved = np.inf
     for _ in range(max_iter):
         r, dr = _on_basis(stacked, freqs, s, at)[:2]
@@ -872,6 +864,20 @@ def invert_monotone(cmap: MonotoneCircleMap, carry=None, tol=1e-13, max_iter=60)
     if carry is None:
         return inverse
     return inverse, at[1:].T.reshape((n,) + carry.shape[1:])
+
+
+def _sampled_inverse(sigma, rho, deriv):
+    """Newton's start for R^{-1}(sigma_j), R = sigma + rho with R' = ``deriv`` on the grid ``sigma``.
+
+    The sampled inverse R(sigma_j) -> sigma_j with its slopes 1/R'(sigma_j),
+    interpolated by cubic Hermite pieces (:func:`_hermite`) on one period of
+    the table (R(sigma_j), sigma_j) closed by (R(0) + 2 pi, 2 pi), each
+    target moved into it by a whole period.  Its work arrays go on return.
+    """
+    ends = sigma + rho
+    t = ends[0] + (sigma - ends[0]) % TAU
+    return _hermite(np.append(ends, ends[0] + TAU), np.append(sigma, TAU),
+                    1.0 / np.append(deriv, deriv[0]), t) + (sigma - t)
 
 
 def _hermite(x, y, dy, t):

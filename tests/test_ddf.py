@@ -215,7 +215,7 @@ def test_ddf_modes_memory_bound(state_bank, frame4):
     assert _traced_peak(cs.ddf_modes, state_bank[0], frame4, "-", 1024, 8192) < 8 * 2 ** 20
 
 
-@pytest.mark.parametrize("modes, decay, n, bound_mib", [(64, 32, 16384, 8), (256, 128, 65536, 32)])
+@pytest.mark.parametrize("modes, decay, n, bound_mib", [(64, 32, 16384, 8), (256, 128, 65536, 20)])
 def test_ddf_modes_memory_is_bounded_at_scale(frame4, modes, decay, n, bound_mib):
     # one (2K, N) basis of all N points alone would take 16.2 and 257 MiB here
     state = cs.random_state(4, modes, seed=1, decay=decay, frame=frame4)

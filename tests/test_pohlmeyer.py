@@ -16,8 +16,8 @@ from closedstring import numerics, pohlmeyer, poisson
 from closedstring.numerics import (TAU, simplex_iterated_integral, _alias_free_samples,
                                    _PrefixIntegrals)
 from closedstring.pohlmeyer import (InvariantSpec, WilsonConfig,
-                                    pohlmeyer_invariant, pohlmeyer_via_ddf,
-                                    reparam_check, wilson_loop)
+                                    pohlmeyer_invariant, pohlmeyer_invariants,
+                                    pohlmeyer_via_ddf, reparam_check, wilson_loop)
 from closedstring.reparam import random_diffeo, pullback_weight_one
 from oracles import RotationMap, iterated_integral_modes, stencil_gradient
 
@@ -235,6 +235,66 @@ def test_block_values_equal_word_values(dim, degree):
                     want = want + raw[r]
                 want = want / len(rotations)
                 assert z == want and type(z) is type(want)
+
+
+def _necklaces(dim, degree):
+    """The words of ``degree`` that are the least of their rotations."""
+    return [w for w in itertools.product(range(dim), repeat=degree)
+            if all(w <= w[r:] + w[:r] for r in range(1, degree))]
+
+
+def _bits(z):
+    return type(z), complex(z).real.hex(), complex(z).imag.hex()
+
+
+@pytest.mark.parametrize("dim,n,banded", [(4, 256, True), (4, 4096, False), (26, 256, True)])
+def test_batched_invariants_equal_one_spec_values(dim, n, banded):
+    # raw and symmetrized specs of degree 1 to 4, shuffled, with repeats: the
+    # sweep equals each spec asked alone on a field of its own, bit for bit
+    field = cs.eval_field(cs.random_state(dim, 8 if dim == 4 else 4, seed=dim + n), "-", n)
+    if not banded:
+        field = cs.FieldGrid(field.values)
+    rng = np.random.default_rng(dim + n)
+    specs = [InvariantSpec("-", tuple(rng.integers(0, dim, deg)), bool(rng.integers(2)))
+             for deg in rng.integers(1, 5, 150)]
+    specs += [specs[i] for i in rng.integers(0, len(specs), 30)]
+    specs += [InvariantSpec("-", w, True) for w in _necklaces(dim, 2)]
+    specs = [specs[i] for i in rng.permutation(len(specs))]
+    got = pohlmeyer_invariants(field, specs)
+    alone = cs.FieldGrid(field.values, field.bandwidth)
+    assert [_bits(z) for z in got] == [_bits(pohlmeyer_invariant(alone, s)) for s in specs]
+
+
+def test_batched_invariants_check_every_letter_before_reading(state_bank):
+    field = cs.eval_field(state_bank[0], "-", 256)
+    specs = [InvariantSpec("-", (0, 1, 2), True), InvariantSpec("-", (3,)), InvariantSpec("-", (1, 4))]
+    with pytest.raises(IndexError):
+        pohlmeyer_invariants(field, specs)
+    with pytest.raises(IndexError):
+        pohlmeyer_invariants(field, [InvariantSpec("-", (0, -1), True)] + specs[:2])
+    assert _paths(field) == {}
+    assert pohlmeyer_invariants(field, []) == []
+    assert _paths(field) == {}
+
+
+def test_batched_necklace_sweep_costs_the_raw_sweep(state_bank, fft_calls):
+    # on 4096 plain samples the rotations of the 24 degree-3 necklaces are
+    # all 64 words: read once each in sorted order, they take no more
+    # transforms than the raw lexicographic sweep, where spec by spec every
+    # rotation is a read under a head of its own
+    values = cs.eval_field(state_bank[4], "-", 4096).values
+    necklaces = [InvariantSpec("-", w, True) for w in _necklaces(4, 3)]
+    assert len(necklaces) == 24
+    pohlmeyer_invariants(cs.FieldGrid(values), necklaces)  # fill the cached end weights
+    counts = []
+    for sweep in (lambda f: pohlmeyer_invariants(f, necklaces),
+                  lambda f: _all_words(f, list(itertools.product(range(4), repeat=3))),
+                  lambda f: [pohlmeyer_invariant(f, s) for s in necklaces]):
+        fft_calls.clear()
+        sweep(cs.FieldGrid(values))
+        counts.append(len(fft_calls))
+    batched, raw, one_by_one = counts
+    assert batched <= raw < one_by_one
 
 
 def test_random_word_stream_pays_for_no_block(monkeypatch):
@@ -910,6 +970,22 @@ def test_wilson_matches_index_enumeration(state_bank):
                 mat = mat @ anti[mu]
             total += z_cache[word] * np.trace(mat)
     assert abs(value - total) <= 1e-9 * (1 + abs(total))
+
+
+def test_wilson_orders_one_and_two_match_their_words(state_bank):
+    # order 1 integrates b = P.A itself, and order 2 steps it once by b:
+    # d + sum_mu Z^mu Tr A_mu, then + sum_{mu nu} Z^{mu nu} Tr(A_mu A_nu)
+    field = cs.eval_field(state_bank[5], "-", 1024)
+    anti = _anti_hermitian(np.random.default_rng(4), 4, 2, 0.05)
+    words = [w for deg in (1, 2) for w in itertools.product(range(4), repeat=deg)]
+    z = dict(zip(words, pohlmeyer_invariants(field, [InvariantSpec("-", w) for w in words])))
+    want = 2.0 + 0.0j
+    for n_max in (1, 2):
+        for w in words:
+            if len(w) == n_max:
+                want += z[w] * np.trace(np.linalg.multi_dot([np.eye(2)] + [anti[mu] for mu in w]))
+        value, _ = wilson_loop(field, WilsonConfig(anti, n_max=n_max))
+        assert abs(value - want) <= 1e-15 * abs(want)
 
 
 def test_wilson_remainder_bound(state_bank):
