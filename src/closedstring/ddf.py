@@ -21,14 +21,21 @@ so all modes |m| <= m_out come from one FFT of Q on the uniform tau-grid,
 a real ``rfft``, as Q is real.  The way back is real too: the clock R and
 the mode-sum field are real series, each synthesized by one ``irfft`` of
 its half spectrum.
-Building Q costs O(iterations N K D) for K <= M + 1 kept frequencies
-m >= 0: each Newton step of the inversion evaluates the clock, with R' and
-P, on one real basis of width 2K, built and used as one block up to
-1.25 MiB and in blocks of 1024 points beyond,
-and its last products give (R^{-1})' and P o R^{-1} by one Taylor step, P
-read from the state's modes, not from samples.  With the FFTs of the clock
-and of Q that is O(N M D + N log N) time and O(N D + block M) memory, with
-no m_out x N work array, no (2K, N) basis and no (N, 2M + 1) complex one.
+Q is analytic in the strip |Im tau| < d, d = min |Im R(sigma*)| over the
+clock's complex critical points R'(sigma*) = 0, so its coefficients fall
+below 1e-16 of the largest by |m| ~ ln(1e16)/d (the exponentially
+convergent trapezoidal rule).  Q is built on the resolving grid N_c <= N
+that this asks for (:func:`_resolving_grid`), checked a posteriori on its
+spectrum's tail and doubled up to N when that tail is not resolved: each
+Newton step of the inversion evaluates the clock, with R' and P, on one
+real basis of width 2K for K <= M + 1 kept frequencies m >= 0, built and
+used as one block up to 1.25 MiB and in blocks of 1024 points beyond, and
+its last products give (R^{-1})' and P o R^{-1} by one Taylor step, P read
+from the state's modes, not from samples.  That is O(iterations N_c K D)
+time; the modes |m| <= min(m_out, N_c/2 - 1) are read from Q on N_c, with
+exact zeros above, and Q (or R^{-1}) on the N-grid is one zero-padded
+``irfft`` of its N_c-point spectrum, O(N log N) (:func:`_lift`).  With N_c
+= N the route is the full-grid one, bit for bit.
 
 Quasi-local fields are recovered either by the mode sum over A_m or by the
 direct weight-one substitution through R^{-1}; the two agree up to mode
@@ -209,22 +216,29 @@ def ddf_modes(state: StringState, frame: LightlikeFrame, chirality: str,
     """All DDF modes |m| <= m_out of one chirality.
 
     A_m = sqrt(2 pi) c_m, with c_m the :func:`~closedstring.numerics.grid_to_modes`
-    coefficients of the substituted field Q of :func:`substitute`
+    coefficients of the substituted field Q of :func:`_invert`
     (orientation +1 for chirality "-", -1 for "+"): the
-    uniform tau-grid quadrature of the tau = R(sigma) integral, ``m_out``
-    and the grid checked before the clock is built.  Cost
-    O(N log N + N M D) time and O(N D + block M) memory, the basis built in
-    blocks of 1024 points when one block would pass 1.25 MiB
-    (:func:`~closedstring.numerics.invert_monotone`),
-    independent of m_out.
+    uniform tau-grid quadrature of the tau = R(sigma) integral, on Q's
+    resolving grid N_c, ``m_out`` and the grid checked before the clock is
+    built.  Rows |m| > N_c/2 - 1 are exact zeros: Q's spectrum is below
+    1e-14 of its largest row there.  Cost O(N log N) for the clock plus
+    O(iterations N_c M D) for the inversion, in O(N + N_c D + block M)
+    memory, independent of m_out.
     """
     _check_grid(state, m_out, n)
     return _modes_of(_invert(state, frame, chirality, n)[2], frame, chirality, m_out)
 
 
 def _modes_of(q, frame, chirality, m_out):
-    """DDFModes |m| <= m_out from the substituted field Q of :func:`_invert`."""
-    modes = grid_to_modes(q, m_out, _orientation(chirality)) * np.sqrt(TAU)
+    """DDFModes |m| <= m_out from the substituted field Q of :func:`_invert`.
+
+    Q's N_c samples give the rows |m| <= min(m_out, N_c/2 - 1); the rows
+    above are exact zeros.
+    """
+    k = min(m_out, q.shape[0] // 2 - 1)
+    modes = grid_to_modes(q, k, _orientation(chirality)) * np.sqrt(TAU)
+    if k < m_out:
+        modes = np.pad(modes, ((m_out - k, m_out - k), (0, 0)))
     return DDFModes(chirality=chirality, m_max=m_out, modes=modes, k=frame.k)
 
 
@@ -345,15 +359,19 @@ def _ddf_invariant_reverse(state: StringState, frame: LightlikeFrame, spec: DDFI
 # ----------------------------------------------------------------------
 
 def reconstruct_field(modes: DDFModes, n: int) -> FieldGrid:
-    """Mode-sum quasi-local field, (1/sqrt(2 pi)) sum_m A_m e^{+-i m sigma}, of bandwidth m_max.
+    """Mode-sum quasi-local field, (1/sqrt(2 pi)) sum_m A_m e^{+-i m sigma}, with its bandwidth.
 
     The field is real: its samples are the real series of the Hermitian part
     (A_m + conj A_{-m})/2, m >= 0, from one ``irfft``
     (:func:`~closedstring.numerics._real_series`), which is the real part of
     the complex mode sum.  The rest, the anti-Hermitian part, is checked on
     the modes: its sum :func:`_non_real_bound` bounds max|Im| of the complex
-    sum from above, and must stay within 1e-8 of max|field|.  Cost
-    O(N log N + m_max D).
+    sum from above, and must stay within 1e-8 of max|field|.  The field's
+    bandwidth is the highest |m| with any nonzero mode, an exact test with
+    no threshold, so at most m_max: modes read on a resolving grid N_c
+    (:func:`ddf_modes`) give N_c/2 - 1 or less, and the field's words run
+    on the alias-free grid of that.  The grid guards are m_max's, n a power
+    of two and n >= 2 m_max + 2.  Cost O(N log N + m_max D).
     """
     k = modes.m_max
     herm = (modes.modes[k:] + np.conj(modes.modes[k::-1])) * 0.5
@@ -361,7 +379,8 @@ def reconstruct_field(modes: DDFModes, n: int) -> FieldGrid:
     resid = _non_real_bound(modes.modes) / max(float(np.max(np.abs(values))), 1e-300)
     if resid > 1e-8:
         raise ValueError(f"reconstructed field has relative non-real residue {resid:.3e}")
-    return FieldGrid(values, k)
+    live = np.flatnonzero(np.any(modes.modes != 0, axis=1))
+    return FieldGrid(values, int(np.max(np.abs(live - k))) if live.size else 0)
 
 
 def _non_real_bound(modes):
@@ -378,29 +397,131 @@ def _non_real_bound(modes):
 def substitute(state: StringState, frame: LightlikeFrame, chirality: str, n: int):
     """Weight-one substituted field Q = (R^{-1})' * P o R^{-1} on the n-grid, (n, D).
 
-    Q is the third piece of :func:`_invert`, the one substitution route.
+    Q is the third piece of :func:`_invert`, the one substitution route,
+    lifted from its resolving grid to n by :func:`_lift`.
     """
-    return _invert(state, frame, chirality, n)[2]
+    return _lift(_invert(state, frame, chirality, n)[2], n)
+
+
+# :func:`_resolved`'s test
+_TAIL_ROWS, _TAIL_REL = 8, 1e-14
+# clocks with more rows take N_c = n unestimated: np.roots of the degree-2M'
+# polynomial of R' costs 0.13 ms at M' = 8 but 57 ms at M' = 64
+_ESTIMATE_ROWS = 16
 
 
 def _invert(state, frame, chirality, n):
     """(R, R^{-1}, Q): the clock, one inversion of it carrying P, and Q = P(s)/R'(s).
 
-    The clock is :func:`compute_R`.  P is read from the inversion's own
-    basis: its half spectrum from the state's modes
-    (:func:`~closedstring.phase_space._field_half_spectrum`) rides through
-    :func:`~closedstring.numerics.invert_monotone`, which returns P(s_j) at
-    s_j = R^{-1}(sigma_j) with (R^{-1})'(sigma_j) = 1/R'(s_j); so
-    Q = P(s)/R'(s), with no field samples and no FFT of P.
+    The clock is :func:`compute_R` on the n-grid.  It is inverted on the
+    resolving grid N_c of :func:`_resolving_grid`, from its own samples
+    there (every (n/N_c)-th), so R^{-1} and Q come on N_c points.  P is
+    read from the inversion's own basis: its half spectrum from the state's
+    modes (:func:`~closedstring.phase_space._field_half_spectrum`) rides
+    through :func:`~closedstring.numerics.invert_monotone`, which returns
+    P(s_j) at s_j = R^{-1}(sigma_j) with (R^{-1})'(sigma_j) = 1/R'(s_j); so
+    Q = P(s)/R'(s), with no field samples and no FFT of P.  Q's spectrum
+    is then checked (:func:`_resolved`), and N_c doubles, up to n, until its
+    tail is resolved.  With N_c = n this is the full-grid route, bit for
+    bit.  Cost O(N log N) for the clock and O(iterations N_c M D) per
+    inversion.
     """
     clock = compute_R(state, frame, chirality, n)
-    inverse, field = invert_monotone(clock, _field_half_spectrum(state, chirality))
-    return clock, inverse, field * inverse.deriv[:, None]
+    carry = _field_half_spectrum(state, chirality)
+    size = _resolving_grid(state, frame, chirality, n)
+    while True:
+        inverse, field = invert_monotone(_strided(clock, n // size), carry)
+        q = field * inverse.deriv[:, None]
+        if size == n or _resolved(q):
+            return clock, inverse, q
+        size *= 2
+
+
+def _strided(clock, step):
+    """The clock's samples on every ``step``-th point, the same trigonometric polynomial."""
+    if step == 1:
+        return clock
+    return MonotoneCircleMap(periodic=clock.periodic[::step], deriv=clock.deriv[::step],
+                             bandwidth=clock.bandwidth)
+
+
+def _resolving_grid(state, frame, chirality, n):
+    """N_c, the smallest power of two in [8M, n] with N_c/2 > ln(1e16)/d.
+
+    d = min |Im R(sigma*)| over the complex critical points of the clock,
+    R'(sigma*) = 0, is the half-width of the strip in which Q is analytic,
+    so Q's coefficients fall below 1e-16 of the largest by |m| ~ ln(1e16)/d.
+    With w = e^{+-i sigma}, R' = 1 + sum_m d_m w^m + conj(d_m) w^{-m} over
+    the clock rows d_m that :func:`compute_R` forms, so the sigma* are the
+    roots of the degree-2M' polynomial w^{M'} R'(w), M' the highest row
+    above 1e-16 of the largest: no transform of the clock.  A clock whose
+    rows are all zero gives 8M, and one with M' > 16, or a root on the unit
+    circle, n.
+    """
+    lowest = min(n, 1 << (8 * state.truncation - 1).bit_length())
+    if lowest == n:
+        return n
+    drows = eta_dot(state.modes(chirality), frame.k) * (np.sqrt(2.0 * TAU * state.tension)
+                                                        / _kp(state, frame))
+    mags = np.abs(drows)
+    kept = np.flatnonzero(mags > 1e-16 * mags.max())
+    if not kept.size:
+        return lowest
+    top = int(kept[-1]) + 1
+    if top > _ESTIMATE_ROWS:
+        return n
+    d, ms, o = drows[:top], np.arange(1, top + 1), _orientation(chirality)
+    w = np.roots(np.concatenate([d[::-1], [1.0], np.conj(d)]))
+    # sigma* = -o i log w and rho's rows -o i d_m/m (compute_R), so
+    # Im R(sigma*) = -o ln|w| + Im rho(w)
+    rows, powers = d * (-o * 1j / ms), w[:, None] ** ms
+    rho = powers @ rows + (1.0 / powers) @ np.conj(rows)
+    strip = float(np.min(np.abs(-o * np.log(np.abs(w)) + rho.imag)))
+    if not strip > 0.0:
+        return n
+    return min(n, max(lowest, 1 << int(2.0 * np.log(1e16) / strip).bit_length()))
+
+
+def _resolved(q):
+    """Whether Q's N_c samples resolve it.
+
+    They do when the top 8 rows of Q's spectrum below the Nyquist row (rows
+    1 to N_c/2 - 1 on 16 points or fewer) are within 1e-14 of its largest
+    row.
+    """
+    half = q.shape[0] // 2
+    rows = np.abs(np.fft.rfft(q, axis=0)).max(axis=1)
+    return bool(rows[max(half - _TAIL_ROWS, 1):half].max() <= _TAIL_REL * rows.max())
+
+
+def _lift(samples, n):
+    """The trigonometric interpolant of the real periodic ``samples`` (axis 0) on the n-grid.
+
+    One ``rfft`` of the N_c samples, placed in a zero spectrum of n points
+    with the Nyquist row split between +-N_c/2, and one ``irfft``: the
+    samples themselves at the N_c-grid points, and ``samples`` itself when
+    N_c = n.  Cost O(N log N).
+    """
+    size = samples.shape[0]
+    if size == n:
+        return samples
+    spec = np.zeros((n // 2 + 1,) + samples.shape[1:], complex)
+    spec[:size // 2 + 1] = np.fft.rfft(samples, axis=0) / size
+    spec[size // 2] *= 0.5
+    return np.fft.irfft(spec, n, axis=0, norm="forward")
+
+
+def _lift_map(cmap, n):
+    """A circle map's periodic part and derivative on the n-grid, both by one :func:`_lift`."""
+    if cmap.n_samples == n:
+        return cmap
+    periodic, deriv = np.ascontiguousarray(_lift(np.stack([cmap.periodic, cmap.deriv], axis=1), n).T)
+    return MonotoneCircleMap(periodic=periodic, deriv=deriv)
 
 
 def reconstruct_field_direct(state: StringState, frame: LightlikeFrame,
                              chirality: str, n: int) -> FieldGrid:
-    """Direct substitution (R^{-1})'(sigma) * P(R^{-1}(sigma))."""
+    """Direct substitution (R^{-1})'(sigma) * P(R^{-1}(sigma)), :func:`substitute`'s samples."""
     return FieldGrid(substitute(state, frame, chirality, n))
 
 

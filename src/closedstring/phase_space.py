@@ -163,9 +163,11 @@ class FieldGrid:
     the smallest grid that is exact for them (see
     :func:`~closedstring.numerics._alias_free_samples`).  :func:`eval_field`
     sets it to the state's truncation M and
-    :func:`~closedstring.ddf.reconstruct_field` to the modes' m_max; every
-    other producer (pullbacks, the direct substitution, grids built from
-    plain samples) leaves it None, and words then run on all n samples.
+    :func:`~closedstring.ddf.reconstruct_field` to the highest |m| with a
+    nonzero mode (an exact test, at most m_max; modes read on Q's resolving
+    grid N_c give at most N_c/2 - 1); every other producer (pullbacks, the
+    direct substitution, grids built from plain samples) leaves it None,
+    and words then run on all n samples.
 
     The field owns its word paths, ``{N': path}`` per thread (see
     :func:`~closedstring.pohlmeyer._prefix_path`), so ``==`` is ``is``, and a

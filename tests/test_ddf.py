@@ -1,11 +1,12 @@
 import json
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import closedstring as cs
-from closedstring import numerics
+from closedstring import ddf, numerics
 from closedstring.errors import DegenerateFrame, LevelMismatch, NonMonotone
 from closedstring.numerics import TAU, grid_sigma, trig_interpolate
 from closedstring.ddf import _non_real_bound, substitute
@@ -228,6 +229,102 @@ def test_ddf_modes_grid_guard(state_bank, frame4):
 
 
 # ----------------------------------------------------------------------
+# the resolving grid: the full-grid route (N_c = n) as the oracle
+# ----------------------------------------------------------------------
+
+def _full_grid(state, frame, chirality, n):
+    return n
+
+
+def _route(state, frame, chir, n):
+    """N_c, the modes |m| <= n/8, and Q and R^{-1} on the n-grid, by ddf._invert."""
+    _, inverse, q = ddf._invert(state, frame, chir, n)
+    modes = ddf._modes_of(q, frame, chir, n // 8).modes
+    return q.shape[0], modes, ddf._lift(q, n), ddf._lift_map(inverse, n)
+
+
+def _assert_route_matches_the_full_grid(got, want, n):
+    _, modes, q, inverse = got
+    _, modes_full, q_full, inverse_full = want
+    assert np.max(np.abs(modes - modes_full)) <= 1e-14 * np.max(np.abs(modes_full))
+    assert np.max(np.abs(q - q_full)) <= 1e-12 * np.max(np.abs(q_full))
+    assert np.max(np.abs(inverse.periodic - inverse_full.periodic)) <= 1e-13
+    assert np.max(np.abs(inverse.deriv - inverse_full.deriv)) <= 1e-12 * np.max(inverse_full.deriv)
+    assert inverse.n_samples == n
+
+
+ROUTE_BANK = [(dim, m, decay) for dim in (4, 26) for m in (8, 16, 32) for decay in (0.7, 4.0)]
+
+
+@pytest.mark.parametrize("n", [4096, 8192])
+@pytest.mark.parametrize("dim,m,decay", ROUTE_BANK)
+def test_resolving_grid_route_matches_the_full_grid(monkeypatch, dim, m, decay, n):
+    frame = cs.default_frame(dim)
+    state = cs.random_state(dim, m, seed=dim + m, decay=decay, frame=frame)
+    for chir in ("-", "+"):
+        got = _route(state, frame, chir, n)
+        n_c = got[0]
+        assert numerics.is_power_of_two(n_c) and 8 * m <= n_c <= n
+        with monkeypatch.context() as patch:
+            patch.setattr(ddf, "_resolving_grid", _full_grid)
+            want = _route(state, frame, chir, n)
+        _assert_route_matches_the_full_grid(got, want, n)
+        if n_c == n:
+            assert all(np.array_equal(a, b) for a, b in zip(got[1:3], want[1:3]))
+
+
+def test_resolving_grid_is_taken_below_n_on_default_states(state_bank, frame4):
+    # the strip of a default clock (M = 8) asks for N_c < n on most states
+    sizes = [ddf._invert(s, frame4, c, 8192)[2].shape[0] for s in state_bank[:8] for c in "-+"]
+    assert sum(size < 8192 for size in sizes) >= 12
+    assert min(sizes) >= 64
+
+
+def test_an_estimate_too_small_is_doubled_by_the_tail_check(monkeypatch, frame4):
+    # the estimate forced down to 8M: Q's tail check doubles N_c until it
+    # resolves, and the route still meets the full-grid bounds
+    n = 8192
+    for seed in (1, 2, 5):
+        state = cs.random_state(4, 8, seed=seed, frame=frame4)
+        for chir in ("-", "+"):
+            estimated = ddf._resolving_grid(state, frame4, chir, n)
+            inversions, invert = [], ddf.invert_monotone
+            with monkeypatch.context() as patch:
+                patch.setattr(ddf, "_resolving_grid", lambda *args: 64)
+                patch.setattr(ddf, "invert_monotone",
+                              lambda cmap, carry: inversions.append(cmap.n_samples) or invert(cmap, carry))
+                got = _route(state, frame4, chir, n)
+            with monkeypatch.context() as patch:
+                patch.setattr(ddf, "_resolving_grid", _full_grid)
+                want = _route(state, frame4, chir, n)
+            assert inversions == [64 << i for i in range(len(inversions))]
+            assert got[0] == inversions[-1]
+            if estimated > 64:
+                assert len(inversions) > 1
+            assert got[0] <= max(estimated, 64)
+            _assert_route_matches_the_full_grid(got, want, n)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_words_on_a_rebuilt_field_match_its_plain_samples(frame4, seed):
+    # the rebuilt field's bandwidth, its highest nonzero mode, runs its words
+    # on a smaller alias-free grid; the same samples with no bandwidth run
+    # them on all n
+    n = 4096
+    state = cs.random_state(4, 8, seed=seed, frame=frame4)
+    for chir in ("-", "+"):
+        modes = cs.ddf_modes(state, frame4, chir, n // 8, n)
+        rebuilt = cs.reconstruct_field(modes, n)
+        assert rebuilt.bandwidth < n // 8
+        plain = cs.FieldGrid(rebuilt.values)
+        scale = float(np.max(np.abs(rebuilt.values))) * TAU
+        for deg in (1, 2, 3, 4):
+            spec = cs.InvariantSpec(chir, tuple(i % 4 for i in range(deg)))
+            got, want = cs.pohlmeyer_invariant(rebuilt, spec), cs.pohlmeyer_invariant(plain, spec)
+            assert abs(got - want) <= 1e-14 * (abs(want) + scale ** deg / math.factorial(deg))
+
+
+# ----------------------------------------------------------------------
 # zero-mode stripping
 # ----------------------------------------------------------------------
 
@@ -375,19 +472,34 @@ def test_real_synthesis_matches_the_complex_route(frame_name, n):
             modes = cs.ddf_modes(state, frame, chir, n // 8, n)
             field, _ = mode_sum_by_complex_synthesis(modes, n)
             rec = cs.reconstruct_field(modes, n)
-            assert rec.bandwidth == n // 8
+            # the highest nonzero mode: Q's resolving grid N_c reads |m| <= N_c/2 - 1
+            n_c = ddf._invert(state, frame, chir, n)[2].shape[0]
+            live = np.flatnonzero(np.any(modes.modes != 0, axis=1)) - n // 8
+            assert rec.bandwidth == np.max(np.abs(live)) == min(n // 8, n_c // 2 - 1)
             assert np.max(np.abs(rec.values - field)) <= 4 * eps * np.max(np.abs(field))
 
 
-def test_transform_counts(state_bank, frame4, fft_calls):
+def test_transform_counts(state_bank, frame4, fft_calls, monkeypatch):
     # real series take one irfft each, the chiral field P among them; the
-    # complex mode sum the reality suite checks P against is off this path
+    # complex mode sum the reality suite checks P against is off this path.
+    # DDF modes: the clock's irfft, the rfft of rho and of R', Q's tail check
+    # on its resolving grid (128 points here) and the modes' rfft; the
+    # direct substitution lifts Q instead, one rfft of its 128 samples and
+    # one irfft to 512.  On the full grid there is no check and no lift
     state = state_bank[0]
     modes = cs.ddf_modes(state, frame4, "+", 64, 512)
+    extraction = ["irfft", "rfft", "rfft", "rfft"]
     for fn, want in ((lambda: cs.compute_R(state, frame4, "-", 512), ["irfft"]),
                      (lambda: cs.reconstruct_field(modes, 512), ["irfft"]),
-                     (lambda: cs.ddf_modes(state, frame4, "-", 64, 512), ["irfft", "rfft", "rfft", "rfft"]),
+                     (lambda: cs.ddf_modes(state, frame4, "-", 64, 512), extraction + ["rfft"]),
+                     (lambda: substitute(state, frame4, "-", 512), extraction + ["rfft", "irfft"]),
                      (lambda: cs.eval_field(state, "-", 512), ["irfft"])):
+        fft_calls.clear()
+        fn()
+        assert fft_calls == want
+    monkeypatch.setattr(ddf, "_resolving_grid", _full_grid)
+    for fn, want in ((lambda: cs.ddf_modes(state, frame4, "-", 64, 512), extraction),
+                     (lambda: substitute(state, frame4, "-", 512), extraction[:3])):
         fft_calls.clear()
         fn()
         assert fft_calls == want

@@ -187,14 +187,17 @@ def test_substitution_stream_at_high_resolution_shares_prefixes(state_bank, fram
     # (0), (0, 1), (0, 1, 2), (0, 1, 2, 3), each on the field and then on the
     # rebuilt field.  The field (K = 8) runs degrees 2-3 on 64 samples and
     # degree 4 on 128, and walks (0) at 2 and (0, 1) at 4 on the first and
-    # (0, 1, 2) at 2 + 4 + 6 on the second: 18.  The rebuilt field
-    # (m_max = 1024) runs every degree on all 8192 samples, one path: 2 + 4 + 6.
-    # With one path per field and grid that is 30 transforms, where each word
-    # alone walks its whole prefix, 2 (0 + 2 + 6 + 12) = 40
+    # (0, 1, 2) at 2 + 4 + 6 on the second: 18.  The rebuilt field's modes
+    # come from Q on its resolving grid, 1024 points, so its bandwidth is
+    # 511 and it runs degree 2 on 2048 samples, walking (0) at 2, and degrees
+    # 3-4 on 4096, walking (0, 1, 2) at 2 + 4 + 6: 14.  With one path per
+    # field and grid that is 32 transforms, where each word alone walks its
+    # whole prefix, 2 (0 + 2 + 6 + 12) = 40
     state, n = state_bank[1], 8192
     field = cs.eval_field(state, "-", n)
     modes = cs.ddf_modes(state, frame4, "-", n // 8, n)
     rebuilt = cs.reconstruct_field(pohlmeyer.align_base_point(modes, cs.compute_R(state, frame4, "-", n)), n)
+    assert rebuilt.bandwidth == 511
     specs = [InvariantSpec("-", tuple(range(deg))) for deg in range(1, 5)]
     for f in (field, rebuilt):  # fill the cached weights
         for spec in specs:
@@ -203,8 +206,8 @@ def test_substitution_stream_at_high_resolution_shares_prefixes(state_bank, fram
     for spec in specs:
         for f in (field, rebuilt):
             pohlmeyer_invariant(f, spec)
-    assert len(lengths) == 30
-    assert sorted(set(lengths)) == [64, 128, n]
+    assert len(lengths) == 32
+    assert sorted(set(lengths)) == [64, 128, 2048, 4096]
 
 
 @pytest.mark.parametrize("dim,degree", [(4, 4), (26, 3)])
@@ -586,7 +589,14 @@ def test_eval_field_keeps_its_bandwidth_promise(m):
 def test_only_exact_producers_set_a_bandwidth(state_bank, frame4):
     state = state_bank[0]
     modes = cs.ddf_modes(state, frame4, "-", 64, 512)
-    assert cs.reconstruct_field(modes, 512).bandwidth == 64
+    # the highest mode with a nonzero row: Q's resolving grid has 128 points,
+    # so the rows |m| > 63 are exact zeros
+    assert cs.reconstruct_field(modes, 512).bandwidth == 63
+    # a tiny top mode is still a mode: no threshold
+    top = modes.modes.copy()
+    top[0, 1] = top[-1, 1] = 1e-300
+    assert cs.reconstruct_field(dataclasses.replace(modes, modes=top), 512).bandwidth == 64
+    assert cs.reconstruct_field(dataclasses.replace(modes, modes=np.zeros_like(top)), 512).bandwidth == 0
     assert cs.reconstruct_field_direct(state, frame4, "-", 512).bandwidth is None
     field = cs.eval_field(state, "-", 512)
     assert pullback_weight_one(field, random_diffeo(3)).bandwidth is None

@@ -115,6 +115,9 @@ def _row_digest(row, states, params):
         extras = {"n": params["n"]}
     elif suite == "transversality":
         extras = {"n": params["n"], "m_out": params["m_out"]}
+    elif suite == "substitution" and name.endswith(",sigma-form]"):
+        extras = {"n": params["n"], "m_out": params["m_out"],
+                  "sigma_n": max(params["obs_n"], 1 << (8 * state.truncation - 1).bit_length())}
     elif suite == "substitution":
         extras = {"n": params["n"], "m_out": params["m_out"], "deg": int(name[:-1].split("n=")[1])}
     elif suite in ("poisson", "witt"):
@@ -270,6 +273,27 @@ def test_one_clock_seam_reaches_every_extraction(monkeypatch, frame):
     assert not any(r["pass"] for r in report["rows"])
     assert not np.array_equal(modes, clean_modes)
     assert via != clean_via
+
+
+def test_sigma_form_rows_catch_a_mode_defect(monkeypatch, frame):
+    # a 1e-9 defect in the modes |m| = 1, patched at ddf.grid_to_modes (the
+    # seam where every extraction reads modes from Q), fails the sigma-form
+    # rows, which take the sigma-integrals without an inversion, and no other
+    states = [cs.random_state(4, 8, seed=s, frame=frame) for s in (1, 2)]
+    clean = verify.run_suites(["all"], states, frame, threads=1)
+    assert clean["pass"]
+    grid_to_modes = ddf.grid_to_modes
+
+    def defective(grid, k_max, orientation=+1):
+        out = grid_to_modes(grid, k_max, orientation)
+        out[k_max - 1:k_max + 2:2] += 1e-9 * np.max(np.abs(out))
+        return out
+
+    monkeypatch.setattr(ddf, "grid_to_modes", defective)
+    report = verify.run_suites(["all"], states, frame, threads=1)
+    failed = sorted((r["state_index"], r["name"]) for r in report["rows"] if not r["pass"])
+    assert failed == [(i, f"substitution[{c},sigma-form]") for i in (0, 1) for c in "+-"]
+    assert [r["name"] for r in report["rows"]] == [r["name"] for r in clean["rows"]]
 
 
 def test_each_record_is_read_by_one_thread(monkeypatch, frame):
