@@ -261,8 +261,8 @@ def pohlmeyer_via_ddf(state: StringState, frame: LightlikeFrame, spec: Invariant
     """
     # one inversion (the route of ddf_modes) serves the modes and its clock the alignment
     _check_grid(state, m_out, n)
-    clock, _, q = _invert(state, frame, spec.chirality, n)
-    modes = _modes_of(q, frame, spec.chirality, m_out)
+    clock, _, half = _invert(state, frame, spec.chirality, n)
+    modes = _modes_of(half, frame, spec.chirality, m_out)
     if align:
         modes = align_base_point(modes, clock)
     field = reconstruct_field(modes, n)

@@ -91,16 +91,17 @@ class StateRecord:
     and the record lives as long as that job, so only one thread ever reads
     it.  Each piece is built on first use, once, and kept in a plain dict:
 
-    - ``inversion(chirality)``: [R, R^{-1}, Q], the clock on the n-grid and
-      one inversion of it carrying P on Q's resolving grid N_c
+    - ``inversion(chirality)``: [R, R^{-1}, Q's half spectrum], the clock on
+      the n-grid and one inversion of it carrying P on Q's resolving grid N_c
       (:func:`~closedstring.ddf._invert`, the route of
       :func:`~closedstring.ddf.ddf_modes` and
       :func:`~closedstring.ddf.substitute`), R^{-1} lifted to the n-grid by
       one zero-padded ``irfft`` (:func:`~closedstring.ddf._lift_map`);
       periodicity reads R and R^{-1}, substitution reads R;
-    - ``modes(chirality)``: the DDF modes |m| <= m_out, read from Q as
-      :func:`~closedstring.ddf.ddf_modes` reads them, m_out checked first,
-      with exact zeros above N_c/2 - 1; Q is dropped then;
+    - ``modes(chirality)``: the DDF modes |m| <= m_out, read from Q's
+      spectrum as :func:`~closedstring.ddf.ddf_modes` reads them, m_out
+      checked first, with exact zeros above N_c/2 - 1; the spectrum is
+      dropped then;
     - ``field(chirality)``: P on the n-grid, from one
       :func:`~closedstring.phase_space.eval_field`;
     - ``window(chirality)``: the Virasoro window of :func:`~closedstring.poisson._window_gradients`,
@@ -119,11 +120,11 @@ class StateRecord:
         return self._pieces[key]
 
     def inversion(self, chirality):
-        # [R, R^{-1}, Q]; Q is read once, by the modes, and then dropped
+        # [R, R^{-1}, Q's half spectrum]; Q is read once, by the modes, and then dropped
         def build():
             n = self.params["n"]
-            clock, inverse, q = _invert(self.state, self.frame, chirality, n)
-            return [clock, _lift_map(inverse, n), q]
+            clock, inverse, half = _invert(self.state, self.frame, chirality, n)
+            return [clock, _lift_map(inverse, n), half]
 
         return self._once(("inversion", chirality), build)
 
@@ -133,8 +134,8 @@ class StateRecord:
             _check_grid(self.state, m_out, self.params["n"])
             inversion = self.inversion(chirality)
             modes = _modes_of(inversion[2], self.frame, chirality, m_out)
-            # Q has no other reader: kept to the job's end, the (n, D) array
-            # would sit under substitution's word sweeps
+            # Q's spectrum has no other reader: kept to the job's end, the
+            # (N_c/2 + 1, D) array would sit under substitution's word sweeps
             inversion[2] = None
             return modes
 
@@ -295,8 +296,8 @@ def suite_substitution(record, tols):
 
     Per chirality, one row per degree 1-4 compares a word on the field P
     with the same word on the DDF-rebuilt field, and one ``sigma-form`` row
-    compares the record's modes |m| <= 3, read from Q on its resolving
-    grid, with the sigma-integrals (1/sqrt(2 pi)) int P e^{-+ i m R} dsigma
+    compares the record's modes |m| <= 3, read from Q's spectrum on its
+    resolving grid, with the sigma-integrals (1/sqrt(2 pi)) int P e^{-+ i m R} dsigma
     of :func:`~closedstring.ddf._mode_quadrature`, which take no inversion,
     at obs_n (8M rounded up to a power of two, when that is larger).
     """

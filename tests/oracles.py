@@ -127,6 +127,54 @@ def ddf_modes_quadrature(state, frame, chirality, m_out, n):
     return (weights @ field) * (TAU / n) / np.sqrt(TAU)
 
 
+def ddf_modes_sigma_form_mp(state, frame, chirality, ms, points=256, dps=40):
+    """(1/sqrt(2 pi)) int P e^{-+ i m R} dsigma for each m in ms, at ``dps`` digits: rows of mpc.
+
+    All in mpmath at dps + 10 digits from the state's floats, taken exactly:
+    P = (alpha_0 + 2 Re sum_m alpha_m e^{o i m sigma})/sqrt(2 pi) (tilde
+    alpha for "+", o = -1), and the clock R = sigma - o phi0 +
+    2 Re sum_m (-o i/m) d_m e^{o i m sigma} with d_m = a k.alpha_m as in
+    :func:`clock_by_complex_synthesis`, each summed term by term at every
+    node.  The integral is the trapezoid on ``points`` nodes, exponentially
+    convergent for this analytic periodic integrand.  No FFT, no clock
+    inversion and no float arithmetic.
+    """
+    import mpmath
+
+    o = -1 if chirality == "+" else 1
+    rows = state.right if chirality == "+" else state.left
+    with mpmath.workdps(dps + 10):
+        tau = 2 * mpmath.pi
+        signs = [-1] + [1] * (state.dim - 1)
+
+        def eta(a, b):
+            return mpmath.fsum(s * u * v for s, u, v in zip(signs, a, b))
+
+        k = [mpmath.mpf(float(v)) for v in frame.k]
+        p = [mpmath.mpf(float(v)) for v in state.p]
+        x = [mpmath.mpf(float(v)) for v in state.x]
+        alphas = [[mpmath.mpc(complex(v)) for v in row] for row in rows]
+        two_tau_t = 2 * tau * mpmath.mpf(float(state.tension))
+        kp = eta(k, p)
+        alpha0 = [v / mpmath.sqrt(two_tau_t) for v in p]
+        phi0 = two_tau_t * eta(k, x) / kp
+        d = [eta(k, row) * mpmath.sqrt(two_tau_t) / kp for row in alphas]
+        sums = [[mpmath.mpc(0)] * state.dim for _ in ms]
+        for j in range(points):
+            sigma = tau * j / points
+            waves = [mpmath.expj(o * m * sigma) for m in range(1, len(alphas) + 1)]
+            field = [(a0 + 2 * mpmath.fsum(row[mu] * w for row, w in zip(alphas, waves)).real)
+                     / mpmath.sqrt(tau) for mu, a0 in enumerate(alpha0)]
+            clock = sigma - o * phi0 + 2 * mpmath.fsum(
+                (-o * 1j / m) * dm * w for m, (dm, w) in enumerate(zip(d, waves), 1)).real
+            for out, m in zip(sums, ms):
+                weight = mpmath.expj(-o * m * clock)
+                for mu, value in enumerate(field):
+                    out[mu] += value * weight
+        scale = tau / points / mpmath.sqrt(tau)
+        return [[+(v * scale) for v in out] for out in sums]
+
+
 def clock_by_complex_synthesis(state, frame, chirality, n):
     """(R - sigma, R') on the n-grid as the real parts of two complex ``modes_to_grid`` sums.
 

@@ -10,7 +10,7 @@ from closedstring import ddf, numerics
 from closedstring.errors import DegenerateFrame, LevelMismatch, NonMonotone
 from closedstring.numerics import TAU, grid_sigma, trig_interpolate
 from closedstring.ddf import _non_real_bound, substitute
-from oracles import (clock_by_complex_synthesis, ddf_modes_quadrature,
+from oracles import (clock_by_complex_synthesis, ddf_modes_quadrature, ddf_modes_sigma_form_mp,
                      mode_sum_by_complex_synthesis, substitute_by_samples)
 
 
@@ -223,24 +223,55 @@ def test_ddf_modes_memory_is_bounded_at_scale(frame4, modes, decay, n, bound_mib
     assert _traced_peak(cs.ddf_modes, state, frame4, "-", n // 8, n) <= bound_mib * 2 ** 20
 
 
+def test_ddf_modes_match_a_40_digit_sigma_form(frame4):
+    # the sigma-integrals at 40 digits (the mpmath trapezoid, converged to
+    # far below 1e-40 by 256 points), max|A_m| = 0.64 here: both production
+    # routes, the modes read from Q's spectrum and the sigma-grid quadrature,
+    # sit at 1.9e-16 and 2.5e-16 absolute
+    import mpmath
+
+    state = cs.random_state(4, 4, seed=1, frame=frame4)
+    ms = list(range(-8, 9))
+    for chir in ("-", "+"):
+        ref = ddf_modes_sigma_form_mp(state, frame4, chir, ms)
+        if chir == "-":
+            finer = ddf_modes_sigma_form_mp(state, frame4, chir, ms, points=384)
+            with mpmath.workdps(50):
+                assert max(abs(a - b) for ra, rb in zip(ref, finer) for a, b in zip(ra, rb)) < 1e-45
+        routes = (cs.ddf_modes(state, frame4, chir, 8, 512).modes,
+                  ddf._mode_quadrature(state, frame4, chir, ms, 512)[0])
+        for got in routes:
+            with mpmath.workdps(50):
+                err = max(abs(mpmath.mpc(complex(got[i, mu])) - ref[i][mu])
+                          for i in range(len(ms)) for mu in range(state.dim))
+            assert err <= 5e-16
+
+
 def test_ddf_modes_grid_guard(state_bank, frame4):
     with pytest.raises(ValueError):
         cs.ddf_modes(state_bank[0], frame4, "-", 512, 1024)  # n < 8*m_out
 
 
 # ----------------------------------------------------------------------
-# the resolving grid: the full-grid route (N_c = n) as the oracle
+# the resolving grid: the same loop doubled to n (N_c = n) as the oracle
 # ----------------------------------------------------------------------
 
-def _full_grid(state, frame, chirality, n):
-    return n
+def _never_resolved(half):
+    return False
 
 
 def _route(state, frame, chir, n):
     """N_c, the modes |m| <= n/8, and Q and R^{-1} on the n-grid, by ddf._invert."""
-    _, inverse, q = ddf._invert(state, frame, chir, n)
-    modes = ddf._modes_of(q, frame, chir, n // 8).modes
-    return q.shape[0], modes, ddf._lift(q, n), ddf._lift_map(inverse, n)
+    _, inverse, half = ddf._invert(state, frame, chir, n)
+    modes = ddf._modes_of(half, frame, chir, n // 8).modes
+    return inverse.n_samples, modes, ddf._lift(half, n), ddf._lift_map(inverse, n)
+
+
+def _full_route(monkeypatch, state, frame, chir, n):
+    """:func:`_route` with a tail check that never passes, so N_c doubles up to n."""
+    with monkeypatch.context() as patch:
+        patch.setattr(ddf, "_resolved", _never_resolved)
+        return _route(state, frame, chir, n)
 
 
 def _assert_route_matches_the_full_grid(got, want, n):
@@ -253,6 +284,23 @@ def _assert_route_matches_the_full_grid(got, want, n):
     assert inverse.n_samples == n
 
 
+def _assert_routes_match(monkeypatch, state, frame, n):
+    """Both chiralities: N_c a power of two from 64 M (or n) up to n, and the full-grid bounds."""
+    start = min(n, 64 * state.truncation)
+    sizes = []
+    for chir in ("-", "+"):
+        got = _route(state, frame, chir, n)
+        n_c = got[0]
+        assert numerics.is_power_of_two(n_c) and start <= n_c <= n
+        want = _full_route(monkeypatch, state, frame, chir, n)
+        assert want[0] == n
+        _assert_route_matches_the_full_grid(got, want, n)
+        if n_c == n:
+            assert all(np.array_equal(a, b) for a, b in zip(got[1:3], want[1:3]))
+        sizes.append(n_c)
+    return sizes
+
+
 ROUTE_BANK = [(dim, m, decay) for dim in (4, 26) for m in (8, 16, 32) for decay in (0.7, 4.0)]
 
 
@@ -261,48 +309,66 @@ ROUTE_BANK = [(dim, m, decay) for dim in (4, 26) for m in (8, 16, 32) for decay 
 def test_resolving_grid_route_matches_the_full_grid(monkeypatch, dim, m, decay, n):
     frame = cs.default_frame(dim)
     state = cs.random_state(dim, m, seed=dim + m, decay=decay, frame=frame)
-    for chir in ("-", "+"):
-        got = _route(state, frame, chir, n)
-        n_c = got[0]
-        assert numerics.is_power_of_two(n_c) and 8 * m <= n_c <= n
-        with monkeypatch.context() as patch:
-            patch.setattr(ddf, "_resolving_grid", _full_grid)
-            want = _route(state, frame, chir, n)
-        _assert_route_matches_the_full_grid(got, want, n)
-        if n_c == n:
-            assert all(np.array_equal(a, b) for a, b in zip(got[1:3], want[1:3]))
+    _assert_routes_match(monkeypatch, state, frame, n)
+
+
+@pytest.mark.parametrize("n", [4096, 8192])
+def test_resolving_grid_route_matches_the_full_grid_on_state_banks(monkeypatch, state_bank, frame4, n):
+    # the default states, seeds 1-20, and 5 near-critical ones (min R' = 0.05),
+    # whose Q needs up to n points
+    near_critical = [cs.random_state(4, 8, seed=s, frame=frame4, margin=0.05) for s in range(1, 6)]
+    sizes = [_assert_routes_match(monkeypatch, s, frame4, n) for s in state_bank]
+    assert sorted(set(np.ravel(sizes))) == [512, 1024]
+    sizes = [_assert_routes_match(monkeypatch, s, frame4, n) for s in near_critical]
+    assert max(np.ravel(sizes)) == n
 
 
 def test_resolving_grid_is_taken_below_n_on_default_states(state_bank, frame4):
-    # the strip of a default clock (M = 8) asks for N_c < n on most states
-    sizes = [ddf._invert(s, frame4, c, 8192)[2].shape[0] for s in state_bank[:8] for c in "-+"]
-    assert sum(size < 8192 for size in sizes) >= 12
-    assert min(sizes) >= 64
+    # a default clock (M = 8) starts on 64 M = 512 points, and most resolve there
+    sizes = [ddf._invert(s, frame4, c, 8192)[1].n_samples for s in state_bank[:8] for c in "-+"]
+    assert sizes.count(512) == 11 and sizes.count(1024) == 5
 
 
-def test_an_estimate_too_small_is_doubled_by_the_tail_check(monkeypatch, frame4):
-    # the estimate forced down to 8M: Q's tail check doubles N_c until it
-    # resolves, and the route still meets the full-grid bounds
+def test_every_clock_takes_the_one_rule(monkeypatch):
+    # an M = 32 clock starts on 64 M = 2048 points and resolves there, far
+    # below n = 16384; the rule has no cut on the number of clock rows
+    n = 16384
+    for dim, seed in ((4, 1), (26, 58)):
+        frame = cs.default_frame(dim)
+        state = cs.random_state(dim, 32, seed=seed, frame=frame)
+        for chir in ("-", "+"):
+            got = _route(state, frame, chir, n)
+            assert got[0] == 2048
+            _assert_route_matches_the_full_grid(got, _full_route(monkeypatch, state, frame, chir, n), n)
+
+
+# the inversions from 64 M = 512 and from 8 M = 64 points, per (seed, chirality)
+DOUBLINGS = {(1, "-"): (1, 2), (1, "+"): (2, 5), (2, "-"): (1, 4), (2, "+"): (2, 5),
+             (5, "-"): (1, 3), (5, "+"): (2, 5)}
+
+
+def test_a_start_too_small_is_doubled_by_the_tail_check(monkeypatch, frame4):
+    # the first grid at 64 M and forced down to 8 M: Q's tail check doubles
+    # N_c from either until it resolves, and the route still meets the
+    # full-grid bounds
     n = 8192
     for seed in (1, 2, 5):
         state = cs.random_state(4, 8, seed=seed, frame=frame4)
         for chir in ("-", "+"):
-            estimated = ddf._resolving_grid(state, frame4, chir, n)
-            inversions, invert = [], ddf.invert_monotone
-            with monkeypatch.context() as patch:
-                patch.setattr(ddf, "_resolving_grid", lambda *args: 64)
-                patch.setattr(ddf, "invert_monotone",
-                              lambda cmap, carry: inversions.append(cmap.n_samples) or invert(cmap, carry))
-                got = _route(state, frame4, chir, n)
-            with monkeypatch.context() as patch:
-                patch.setattr(ddf, "_resolving_grid", _full_grid)
-                want = _route(state, frame4, chir, n)
-            assert inversions == [64 << i for i in range(len(inversions))]
-            assert got[0] == inversions[-1]
-            if estimated > 64:
-                assert len(inversions) > 1
-            assert got[0] <= max(estimated, 64)
-            _assert_route_matches_the_full_grid(got, want, n)
+            want = _full_route(monkeypatch, state, frame4, chir, n)
+            counts = []
+            for per_row in (64, 8):
+                inversions, invert = [], ddf.invert_monotone
+                with monkeypatch.context() as patch:
+                    patch.setattr(ddf, "_START_PER_ROW", per_row)
+                    patch.setattr(ddf, "invert_monotone",
+                                  lambda cmap, carry: inversions.append(cmap.n_samples) or invert(cmap, carry))
+                    got = _route(state, frame4, chir, n)
+                assert inversions == [8 * per_row << i for i in range(len(inversions))]
+                assert got[0] == inversions[-1]
+                _assert_route_matches_the_full_grid(got, want, n)
+                counts.append(len(inversions))
+            assert tuple(counts) == DOUBLINGS[seed, chir]
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -473,36 +539,34 @@ def test_real_synthesis_matches_the_complex_route(frame_name, n):
             field, _ = mode_sum_by_complex_synthesis(modes, n)
             rec = cs.reconstruct_field(modes, n)
             # the highest nonzero mode: Q's resolving grid N_c reads |m| <= N_c/2 - 1
-            n_c = ddf._invert(state, frame, chir, n)[2].shape[0]
+            n_c = ddf._invert(state, frame, chir, n)[1].n_samples
             live = np.flatnonzero(np.any(modes.modes != 0, axis=1)) - n // 8
             assert rec.bandwidth == np.max(np.abs(live)) == min(n // 8, n_c // 2 - 1)
             assert np.max(np.abs(rec.values - field)) <= 4 * eps * np.max(np.abs(field))
 
 
-def test_transform_counts(state_bank, frame4, fft_calls, monkeypatch):
+def test_transform_counts(state_bank, frame4, fft_calls):
     # real series take one irfft each, the chiral field P among them; the
     # complex mode sum the reality suite checks P against is off this path.
-    # DDF modes: the clock's irfft, the rfft of rho and of R', Q's tail check
-    # on its resolving grid (128 points here) and the modes' rfft; the
-    # direct substitution lifts Q instead, one rfft of its 128 samples and
-    # one irfft to 512.  On the full grid there is no check and no lift
+    # DDF modes: the clock's irfft, then per inversion the rfft of rho and of
+    # R' and Q's one rfft, which the tail check, the modes and the lift all
+    # read.  At n = 2048 chirality "-" resolves on its first grid, 512
+    # points, and "+" doubles to 1024; the direct substitution adds the
+    # lift's irfft to n.  At n = 512 = 64 M the first grid is n itself
     state = state_bank[0]
     modes = cs.ddf_modes(state, frame4, "+", 64, 512)
-    extraction = ["irfft", "rfft", "rfft", "rfft"]
-    for fn, want in ((lambda: cs.compute_R(state, frame4, "-", 512), ["irfft"]),
-                     (lambda: cs.reconstruct_field(modes, 512), ["irfft"]),
-                     (lambda: cs.ddf_modes(state, frame4, "-", 64, 512), extraction + ["rfft"]),
-                     (lambda: substitute(state, frame4, "-", 512), extraction + ["rfft", "irfft"]),
-                     (lambda: cs.eval_field(state, "-", 512), ["irfft"])):
-        fft_calls.clear()
-        fn()
-        assert fft_calls == want
-    monkeypatch.setattr(ddf, "_resolving_grid", _full_grid)
-    for fn, want in ((lambda: cs.ddf_modes(state, frame4, "-", 64, 512), extraction),
-                     (lambda: substitute(state, frame4, "-", 512), extraction[:3])):
-        fft_calls.clear()
-        fn()
-        assert fft_calls == want
+    inversion = ["rfft", "rfft", "rfft"]
+    for n in (512, 2048):
+        for fn, want in ((lambda: cs.compute_R(state, frame4, "-", n), ["irfft"]),
+                         (lambda: cs.reconstruct_field(modes, 512), ["irfft"]),
+                         (lambda: cs.ddf_modes(state, frame4, "-", 64, n), ["irfft"] + inversion),
+                         (lambda: substitute(state, frame4, "-", n), ["irfft"] + inversion + ["irfft"]),
+                         (lambda: cs.ddf_modes(state, frame4, "+", 64, n),
+                          ["irfft"] + inversion * (2 if n == 2048 else 1)),
+                         (lambda: cs.eval_field(state, "-", n), ["irfft"])):
+            fft_calls.clear()
+            fn()
+            assert fft_calls == want, n
 
 
 def _anti_hermitian(rng, shape):

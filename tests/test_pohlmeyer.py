@@ -188,16 +188,16 @@ def test_substitution_stream_at_high_resolution_shares_prefixes(state_bank, fram
     # rebuilt field.  The field (K = 8) runs degrees 2-3 on 64 samples and
     # degree 4 on 128, and walks (0) at 2 and (0, 1) at 4 on the first and
     # (0, 1, 2) at 2 + 4 + 6 on the second: 18.  The rebuilt field's modes
-    # come from Q on its resolving grid, 1024 points, so its bandwidth is
-    # 511 and it runs degree 2 on 2048 samples, walking (0) at 2, and degrees
-    # 3-4 on 4096, walking (0, 1, 2) at 2 + 4 + 6: 14.  With one path per
+    # come from Q on its resolving grid, 512 points, so its bandwidth is
+    # 255 and it runs degree 2 on 1024 samples, walking (0) at 2, and degrees
+    # 3-4 on 2048, walking (0, 1, 2) at 2 + 4 + 6: 14.  With one path per
     # field and grid that is 32 transforms, where each word alone walks its
     # whole prefix, 2 (0 + 2 + 6 + 12) = 40
     state, n = state_bank[1], 8192
     field = cs.eval_field(state, "-", n)
     modes = cs.ddf_modes(state, frame4, "-", n // 8, n)
     rebuilt = cs.reconstruct_field(pohlmeyer.align_base_point(modes, cs.compute_R(state, frame4, "-", n)), n)
-    assert rebuilt.bandwidth == 511
+    assert rebuilt.bandwidth == 255
     specs = [InvariantSpec("-", tuple(range(deg))) for deg in range(1, 5)]
     for f in (field, rebuilt):  # fill the cached weights
         for spec in specs:
@@ -207,7 +207,7 @@ def test_substitution_stream_at_high_resolution_shares_prefixes(state_bank, fram
         for f in (field, rebuilt):
             pohlmeyer_invariant(f, spec)
     assert len(lengths) == 32
-    assert sorted(set(lengths)) == [64, 128, 2048, 4096]
+    assert sorted(set(lengths)) == [64, 128, 1024, 2048]
 
 
 @pytest.mark.parametrize("dim,degree", [(4, 4), (26, 3)])
@@ -588,15 +588,15 @@ def test_eval_field_keeps_its_bandwidth_promise(m):
 
 def test_only_exact_producers_set_a_bandwidth(state_bank, frame4):
     state = state_bank[0]
-    modes = cs.ddf_modes(state, frame4, "-", 64, 512)
-    # the highest mode with a nonzero row: Q's resolving grid has 128 points,
-    # so the rows |m| > 63 are exact zeros
-    assert cs.reconstruct_field(modes, 512).bandwidth == 63
+    modes = cs.ddf_modes(state, frame4, "-", 512, 4096)
+    # the highest mode with a nonzero row: Q's resolving grid has 512 points,
+    # so the rows |m| > 255 are exact zeros
+    assert cs.reconstruct_field(modes, 4096).bandwidth == 255
     # a tiny top mode is still a mode: no threshold
     top = modes.modes.copy()
     top[0, 1] = top[-1, 1] = 1e-300
-    assert cs.reconstruct_field(dataclasses.replace(modes, modes=top), 512).bandwidth == 64
-    assert cs.reconstruct_field(dataclasses.replace(modes, modes=np.zeros_like(top)), 512).bandwidth == 0
+    assert cs.reconstruct_field(dataclasses.replace(modes, modes=top), 4096).bandwidth == 512
+    assert cs.reconstruct_field(dataclasses.replace(modes, modes=np.zeros_like(top)), 4096).bandwidth == 0
     assert cs.reconstruct_field_direct(state, frame4, "-", 512).bandwidth is None
     field = cs.eval_field(state, "-", 512)
     assert pullback_weight_one(field, random_diffeo(3)).bandwidth is None

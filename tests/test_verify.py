@@ -5,6 +5,7 @@ against the imaginary residue it bounds and a seeded defect in the field,
 and every row's input digest against the digest formula applied row by row.
 """
 
+import dataclasses
 import hashlib
 import json
 import sys
@@ -147,8 +148,10 @@ def test_row_inputs_match_the_digest_of_each_row(frame):
 
 @pytest.mark.parametrize("threads", [1, 3])
 def test_each_clock_and_extraction_is_made_once_per_state(monkeypatch, frame, threads):
-    # per state and chirality: one clock on the n-grid, inverted once (periodicity
-    # reads the inverse, the DDF modes its substituted field), one field on the
+    # per state and chirality: one clock on the n-grid, inverted once per
+    # resolving grid it takes (periodicity reads the inverse, the DDF modes
+    # its substituted field; at n = 1024 chirality "-" of both states
+    # resolves on 64 M = 512 points and "+" doubles to 1024), one field on the
     # n-grid and one Virasoro window (poisson, witt and negative-controls share
     # them, and score every bracket through the one engine, once per suite and
     # chirality); per state, 7 interpolations: periodicity's 2 round trips and
@@ -198,7 +201,7 @@ def test_each_clock_and_extraction_is_made_once_per_state(monkeypatch, frame, th
         sys.setswitchinterval(interval)
     assert report["pass"]
     per_state = {name: count / len(states) for name, count in calls.items()}
-    assert per_state == {"invert_monotone": 2, "compute_R": 2, "eval_field": 2,
+    assert per_state == {"invert_monotone": 3, "compute_R": 2, "eval_field": 2,
                          "_complex_field": 2, "_window_gradients": 2, "_bracket_residues": 6,
                          "trig_interpolate": 7}
     assert not hasattr(poisson, "_invariance_rows")
@@ -276,20 +279,26 @@ def test_one_clock_seam_reaches_every_extraction(monkeypatch, frame):
 
 
 def test_sigma_form_rows_catch_a_mode_defect(monkeypatch, frame):
-    # a 1e-9 defect in the modes |m| = 1, patched at ddf.grid_to_modes (the
-    # seam where every extraction reads modes from Q), fails the sigma-form
-    # rows, which take the sigma-integrals without an inversion, and no other
+    # a 1e-9 defect in the modes |m| = 1, patched at ddf._modes_of (the seam
+    # where every extraction reads modes from Q's spectrum), fails the
+    # sigma-form rows, which take the sigma-integrals without an inversion,
+    # and no other
     states = [cs.random_state(4, 8, seed=s, frame=frame) for s in (1, 2)]
     clean = verify.run_suites(["all"], states, frame, threads=1)
     assert clean["pass"]
-    grid_to_modes = ddf.grid_to_modes
+    modes_of = ddf._modes_of
 
-    def defective(grid, k_max, orientation=+1):
-        out = grid_to_modes(grid, k_max, orientation)
-        out[k_max - 1:k_max + 2:2] += 1e-9 * np.max(np.abs(out))
-        return out
+    def defective(half, frame, chirality, m_out):
+        out = modes_of(half, frame, chirality, m_out)
+        modes = out.modes.copy()
+        modes[m_out - 1:m_out + 2:2] += 1e-9 * np.max(np.abs(modes))
+        return dataclasses.replace(out, modes=modes)
 
-    monkeypatch.setattr(ddf, "grid_to_modes", defective)
+    # every module that binds the seam, the record's and pohlmeyer's too
+    for mod in list(sys.modules.values()):
+        if mod is not None and mod.__name__.startswith("closedstring") \
+                and getattr(mod, "_modes_of", None) is modes_of:
+            monkeypatch.setattr(mod, "_modes_of", defective)
     report = verify.run_suites(["all"], states, frame, threads=1)
     failed = sorted((r["state_index"], r["name"]) for r in report["rows"] if not r["pass"])
     assert failed == [(i, f"substitution[{c},sigma-form]") for i in (0, 1) for c in "+-"]
