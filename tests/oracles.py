@@ -172,7 +172,7 @@ def ddf_modes_sigma_form_mp(state, frame, chirality, ms, points=256, dps=40):
                 for mu, value in enumerate(field):
                     out[mu] += value * weight
         scale = tau / points / mpmath.sqrt(tau)
-        return [[+(v * scale) for v in out] for out in sums]
+        return [[v * scale for v in out] for out in sums]
 
 
 def clock_by_complex_synthesis(state, frame, chirality, n):

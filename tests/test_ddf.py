@@ -2,6 +2,7 @@ import json
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -228,8 +229,6 @@ def test_ddf_modes_match_a_40_digit_sigma_form(frame4):
     # far below 1e-40 by 256 points), max|A_m| = 0.64 here: both production
     # routes, the modes read from Q's spectrum and the sigma-grid quadrature,
     # sit at 1.9e-16 and 2.5e-16 absolute
-    import mpmath
-
     state = cs.random_state(4, 4, seed=1, frame=frame4)
     ms = list(range(-8, 9))
     for chir in ("-", "+"):
